@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ._version import __version__
@@ -40,6 +41,7 @@ from .errors import (
 from .fileio import (
     ReportFile,
     estimator_identity_residuals,
+    estimator_row_problems,
     load_ensemble,
     load_povm,
     load_report,
@@ -191,7 +193,7 @@ def cmd_wigner(args, tols, thresholds):
         "outcome": element.label,
         "witnesses": nonclassicality_to_dict(report),
     }
-    Path(sidecar).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(sidecar).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     print(
         f"{element.label}: min W = {report.min_wigner:.6g}, negativity volume = "
         f"{report.negativity_volume:.6g}, squeezing = {report.squeezing_witness}, "
@@ -252,19 +254,22 @@ def cmd_retrodict(args, tols, thresholds):
 def cmd_verify(args, tols, thresholds):
     report = load_report(args.report, validate=False)
     worst = 0.0
-    failed = False
+    failed = 0
     for row in report.estimators:
+        problems = estimator_row_problems(row, report.thresholds)
+        if problems:
+            failed += 1
+            print(f"[FAIL] {row.outcome_label}: " + "; ".join(problems))
+            continue
         weight_res, det_res = estimator_identity_residuals(row)
-        bad = weight_res > 1e-9 or (det_res is not None and det_res > 1e-9)
-        failed = failed or bad
         worst = max(worst, weight_res, det_res or 0.0)
-        status = "FAIL" if bad else "ok"
         detail = f", detectivity residual {det_res:.3g}" if det_res is not None else ""
-        print(
-            f"[{status}] {row.outcome_label}: weight residual {weight_res:.3g}{detail}"
-        )
+        print(f"[ok] {row.outcome_label}: weight residual {weight_res:.3g}{detail}")
     if failed:
-        print(f"verification FAILED (worst residual {worst:.3g})", file=sys.stderr)
+        print(
+            f"verification FAILED ({failed} of {len(report.estimators)} rows)",
+            file=sys.stderr,
+        )
         return 2
     print(f"verified {len(report.estimators)} rows (worst residual {worst:.3g})")
     return 0
@@ -357,19 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tols = Tolerances.from_env()
-    thresholds = CategoryThresholds.from_env()
-    if args.projectivity_min is not None:
-        thresholds = CategoryThresholds(
-            projectivity_min=args.projectivity_min,
-            ideality_min=thresholds.ideality_min,
-        )
-    if args.ideality_min is not None:
-        thresholds = CategoryThresholds(
-            projectivity_min=thresholds.projectivity_min,
-            ideality_min=args.ideality_min,
-        )
     try:
+        tols = Tolerances.from_env()
+        flags = {"projectivity_min": args.projectivity_min, "ideality_min": args.ideality_min}
+        thresholds = replace(
+            CategoryThresholds.from_env(),
+            **{name: value for name, value in flags.items() if value is not None},
+        )
         return args.func(args, tols, thresholds)
     except (PovmValidationError, ReportValidationError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ environment variables (one variable per field, see ``_ENV_SUFFIX``).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -34,10 +35,24 @@ def _env_overrides(cls, suffixes, environ):
         environ = os.environ
     updates = {}
     for f in fields(cls):
-        raw = environ.get(ENV_PREFIX + suffixes[f.name])
+        name = ENV_PREFIX + suffixes[f.name]
+        raw = environ.get(name)
         if raw is not None:
-            updates[f.name] = float(raw)
+            try:
+                updates[f.name] = float(raw)
+            except ValueError:
+                raise ValueError(f"{name}={raw!r} is not a number") from None
     return updates
+
+
+def _require_finite(obj) -> None:
+    """Reject NaN and infinite fields: every comparison against them is false."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{type(obj).__name__}.{f.name} must be a finite number, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -89,6 +104,9 @@ class Tolerances:
     gauss_tail: float = 1e-6
     tail: float = 1e-6
 
+    def __post_init__(self):
+        _require_finite(self)
+
     @classmethod
     def from_env(cls, environ=None) -> "Tolerances":
         """Build defaults, then apply any ``QDETCHAR_*`` overrides."""
@@ -113,6 +131,9 @@ class CategoryThresholds:
 
     projectivity_min: float = 0.99
     ideality_min: float = 0.99
+
+    def __post_init__(self):
+        _require_finite(self)
 
     @classmethod
     def from_env(cls, environ=None) -> "CategoryThresholds":

@@ -24,7 +24,13 @@ from .detectors import Povm, PovmElement, default_guard_levels, require_valid
 from .errors import PovmFormatError, ReportValidationError
 from .fock import assert_density_matrix
 from .phasespace import CONVENTION, Gaussianity, NonClassicalityReport, PhaseSpaceGrid, WignerGrid
-from .retrodiction import EstimatorReport, OutcomeCategory, ProbeEnsemble, ProbeEntry
+from .retrodiction import (
+    EstimatorReport,
+    OutcomeCategory,
+    ProbeEnsemble,
+    ProbeEntry,
+    classify_outcome,
+)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -37,6 +43,7 @@ __all__ = [
     "save_report",
     "load_report",
     "estimator_identity_residuals",
+    "estimator_row_problems",
     "write_wigner_grid",
     "read_wigner_grid",
     "nonclassicality_to_dict",
@@ -44,6 +51,9 @@ __all__ = [
 ]
 
 FORMAT_VERSION = "1"
+
+# Largest residual of a stored row's estimator identities that still passes.
+IDENTITY_SLACK = 1e-9
 
 
 def sha256_digest(path) -> str:
@@ -79,10 +89,7 @@ def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
 
 
 def _parse_json(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise exc
+    text = Path(path).read_text()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -119,7 +126,7 @@ def _metadata_out(metadata) -> dict:
 
 
 def _dump(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------- POVM files
@@ -287,6 +294,31 @@ def estimator_identity_residuals(row: EstimatorReport):
     return weight_res, det_res
 
 
+def estimator_row_problems(row: EstimatorReport, thresholds: CategoryThresholds) -> list:
+    """Why a stored report row is inconsistent; an empty list when it is not.
+
+    A residual of either identity fails unless it is at most
+    ``IDENTITY_SLACK``, so a NaN residual fails.  The stored category must
+    be the one :func:`~qdetchar.retrodiction.classify_outcome` gives the
+    row's projectivity and ideality under the report's ``thresholds``.
+    """
+    problems = []
+    weight_res, det_res = estimator_identity_residuals(row)
+    if not (weight_res <= IDENTITY_SLACK and (det_res is None or det_res <= IDENTITY_SLACK)):
+        problems.append(
+            f"breaks the estimator identities (residuals {weight_res:.3g}"
+            + (f", {det_res:.3g}" if det_res is not None else "")
+            + ")"
+        )
+    expected = classify_outcome(row.projectivity, row.ideality, thresholds)
+    if row.category is not expected:
+        problems.append(
+            f"is filed as {row.category.value} but its projectivity and ideality "
+            f"give {expected.value}"
+        )
+    return problems
+
+
 @dataclass(frozen=True)
 class ReportFile:
     """In-memory form of a characterization report file."""
@@ -324,6 +356,13 @@ def load_report(path, validate: bool = True) -> ReportFile:
     doc = _parse_json(path)
     _check_header(doc, path)
     thresholds_doc = _expect(doc, "thresholds", dict, str(path))
+    try:
+        thresholds = CategoryThresholds(
+            projectivity_min=float(thresholds_doc.get("projectivity_min", 0.99)),
+            ideality_min=float(thresholds_doc.get("ideality_min", 0.99)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise PovmFormatError(f"{path}: malformed thresholds ({exc})") from exc
     rows = [
         _estimator_from_dict(entry, f"{path}: estimators[{i}]")
         for i, entry in enumerate(_expect(doc, "estimators", list, str(path)))
@@ -336,22 +375,16 @@ def load_report(path, validate: bool = True) -> ReportFile:
         tool_version=str(doc.get("tool_version", "")),
         input_digest=str(_expect(doc, "input_digest", str, str(path))),
         dim=_expect(doc, "dim", int, str(path)),
-        thresholds=CategoryThresholds(
-            projectivity_min=float(thresholds_doc.get("projectivity_min", 0.99)),
-            ideality_min=float(thresholds_doc.get("ideality_min", 0.99)),
-        ),
+        thresholds=thresholds,
         estimators=tuple(rows),
         nonclassicality=witness_rows,
     )
     if validate:
         for row in report.estimators:
-            weight_res, det_res = estimator_identity_residuals(row)
-            if weight_res > 1e-9 or (det_res is not None and det_res > 1e-9):
+            problems = estimator_row_problems(row, report.thresholds)
+            if problems:
                 raise ReportValidationError(
-                    f"{path}: outcome {row.outcome_label!r} breaks the estimator "
-                    f"identities (residuals {weight_res:.3g}"
-                    + (f", {det_res:.3g}" if det_res is not None else "")
-                    + ")"
+                    f"{path}: outcome {row.outcome_label!r} " + "; ".join(problems)
                 )
     return report
 
@@ -363,15 +396,6 @@ def write_wigner_grid(
 ) -> None:
     """Write ``x p W`` rows behind ``#`` headers recording grid and convention."""
     g = wgrid.grid
-    x = g.x_axis
-    p = g.p_axis
-    rows = np.column_stack(
-        [
-            np.repeat(x, g.n_p),
-            np.tile(p, g.n_x),
-            wgrid.values.reshape(-1),
-        ]
-    )
     header = "\n".join(
         [
             "qdetchar wigner grid",
@@ -382,7 +406,16 @@ def write_wigner_grid(
             "columns: x p wigner",
         ]
     )
-    np.savetxt(path, rows, fmt="%.17g", header=header)
+    # The bytes of np.savetxt(path, rows, fmt="%.17g", header=header),
+    # streamed one x row at a time.  Each axis value is formatted once: a
+    # row's template holds every p, "\0" stands in for its x, and only the
+    # W values are formatted per point.
+    row_template = "".join("\0 %s %%.17g\n" % ("%.17g" % p) for p in g.p_axis.tolist())
+    values = np.asarray(wgrid.values, dtype=float).reshape(g.n_x, g.n_p)
+    with open(path, "w") as fh:
+        fh.write("# " + header.replace("\n", "\n# ") + "\n")
+        for x, row in zip(g.x_axis.tolist(), values):
+            fh.write(row_template.replace("\0", "%.17g" % x) % tuple(row.tolist()))
 
 
 def read_wigner_grid(path) -> WignerGrid:

@@ -10,9 +10,12 @@ The Wigner function is evaluated through the displaced parity operator:
 ``W(x, p) = (1/pi) Tr{rho D(alpha) P D(-alpha)}`` with
 ``alpha = (x + i p)/sqrt(2)``.  Since ``P D(-alpha) = D(alpha) P``, the
 kernel collapses to ``D(2 alpha) P``, whose number-basis matrix elements
-are associated Laguerre polynomials; the grid evaluation below sums that
-expansion termwise with the exponentials kept in log space so large cutoffs
-cannot overflow.
+are associated Laguerre polynomials.  The grid evaluation sums each
+off-diagonal band of that expansion in one Clenshaw pass over the Laguerre
+three-term recurrence, so a grid point costs O(dim^2) rather than O(dim^3),
+with each band's exponential prefactor kept in log space so large cutoffs
+cannot overflow.  States with no off-diagonal entries are radially symmetric
+and take a radial path that evaluates each distinct radius once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import gammaln
 
 from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolerances
 from .errors import TruncationWarning
@@ -122,10 +125,45 @@ class WignerGrid:
         return float(np.max(np.abs(edges)))
 
 
+# Matrix entries at or below this magnitude contribute nothing to the kernel.
+_NEGLIGIBLE = 1e-18
+
+
+def _laguerre_band(coeffs: np.ndarray, k: int, z: np.ndarray) -> np.ndarray:
+    """Clenshaw sum ``sum_m coeffs[m] * sqrt(m! k! / (m+k)!) * L_m^k(z)``.
+
+    The normalized Laguerre functions ``psi_m = sqrt(m! k! / (m+k)!) L_m^k``
+    obey ``psi_{m+1} = a_m psi_m + b_m psi_{m-1}`` with
+    ``a_m = (2m + 1 + k - z) / sqrt((m+1)(m+1+k))``,
+    ``b_m = -sqrt(m (m+k) / ((m+1)(m+1+k)))`` and ``psi_0 = 1``; the
+    normalization keeps the work arrays near unit scale for any ``k``.
+    ``coeffs`` is real, and the three work arrays are updated in place.
+    """
+    b1 = np.zeros_like(z)
+    b2 = np.zeros_like(z)
+    step = np.empty_like(z)
+    for m in range(len(coeffs) - 1, -1, -1):
+        norm = np.sqrt((m + 1.0) * (m + 1.0 + k))
+        np.subtract(2.0 * m + 1.0 + k, z, out=step)
+        step *= b1
+        step /= norm
+        b2 *= -norm / np.sqrt((m + 2.0) * (m + 2.0 + k))
+        b2 += step
+        b2 += coeffs[m]
+        b1, b2 = b2, b1
+    return b1
+
+
 def wigner(
     rho: np.ndarray, grid: PhaseSpaceGrid, tols: Tolerances = DEFAULT_TOLS
 ) -> WignerGrid:
     """Evaluate the Wigner function of a density matrix on a grid.
+
+    Reads the diagonal and the upper triangle of ``rho``; entries of
+    magnitude at most 1e-18 are dropped.  Each off-diagonal band
+    ``rho[m, m+k]`` is summed by Clenshaw's recurrence (O(dim^2) work per
+    grid point); a state with no off-diagonal entries left takes a radial
+    path that evaluates the diagonal band once per distinct radius.
 
     Warns when the grid reaches further than the truncated basis can
     represent (``radius**2 > 2 * dim``).  Raises if any computed value
@@ -143,27 +181,33 @@ def wigner(
             TruncationWarning,
             stacklevel=2,
         )
+    rho = np.where(np.abs(rho) > _NEGLIGIBLE, rho, 0.0)
+    signs = np.where(np.arange(d) % 2, -1.0, 1.0)
     x = grid.x_axis[:, None]
     p = grid.p_axis[None, :]
     # beta = 2*alpha with alpha = (x + i p)/sqrt(2)
     beta_sq = 2.0 * (x * x + p * p)
-    theta = np.arctan2(p, x)
-    with np.errstate(divide="ignore"):
-        log_beta = 0.5 * np.log(beta_sq, where=beta_sq > 0.0, out=np.full_like(beta_sq, -np.inf))
-    acc = np.zeros_like(beta_sq)
-    half_b = 0.5 * beta_sq
-    for m in range(d):
-        sign = -1.0 if m % 2 else 1.0
-        if abs(rho[m, m]) > 1e-18:
-            acc += sign * rho[m, m].real * np.exp(-half_b) * eval_genlaguerre(m, 0, beta_sq)
-        for n in range(m + 1, d):
-            r_mn = rho[m, n]
-            if abs(r_mn) <= 1e-18:
+    diag = signs * rho.diagonal().real
+    if not np.any(np.triu(rho, 1)):
+        radii, where = np.unique(beta_sq.ravel(), return_inverse=True)
+        radial = np.exp(-0.5 * radii) * _laguerre_band(diag, 0, radii)
+        acc = radial[where.reshape(beta_sq.shape)]
+    else:
+        theta = np.arctan2(p, x)
+        with np.errstate(divide="ignore"):
+            log_beta = 0.5 * np.log(beta_sq, where=beta_sq > 0.0, out=np.full_like(beta_sq, -np.inf))
+        half_b = 0.5 * beta_sq
+        acc = np.exp(-half_b) * _laguerre_band(diag, 0, beta_sq)
+        for k in range(1, d):
+            band = signs[: d - k] * np.diagonal(rho, k)
+            if not band.any():
                 continue
-            k = n - m
-            log_coef = 0.5 * (gammaln(m + 1) - gammaln(n + 1)) + k * log_beta - half_b
-            phase = np.cos(k * theta) * r_mn.real - np.sin(k * theta) * r_mn.imag
-            acc += sign * 2.0 * np.exp(log_coef) * eval_genlaguerre(m, k, beta_sq) * phase
+            # with S the band's Clenshaw sum, Re(S e^{ik theta}) is
+            # Re(S) cos(k theta) + (-Im S) sin(k theta)
+            weight = 2.0 * np.exp(k * log_beta - half_b - 0.5 * gammaln(k + 1))
+            for part, trig in ((band.real, np.cos), (-band.imag, np.sin)):
+                if part.any():
+                    acc += _laguerre_band(part, k, beta_sq) * trig(k * theta) * weight
     values = acc / np.pi
     floor = -1.0 / np.pi - tols.neg
     vmin = float(np.min(values))

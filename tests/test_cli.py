@@ -404,6 +404,45 @@ class TestVerify:
         assert "FAILED" in err
 
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"category": "ProjectiveIdeal"},
+            {"projectivity": float("nan"), "ideality": float("nan")},
+        ],
+        ids=["flipped-category", "nan-scalars"],
+    )
+    def test_edited_row_fails(self, apd_file, tmp_path, capsys, edit):
+        out = tmp_path / "report.json"
+        run(capsys, "characterize", str(apd_file), "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["estimators"][0].update(edit)
+        out.write_text(json.dumps(doc))
+        code, text, err = run(capsys, "verify", str(out))
+        assert code == 2
+        assert text.startswith("[FAIL] off:")
+        assert "verification FAILED (1 of 2 rows)" in err
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("var", ["QDETCHAR_PROJECTIVITY_MIN", "QDETCHAR_NEG_TOL"])
+    def test_non_finite_env_value_exits_2(self, apd_file, tmp_path, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "nan")
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "characterize", str(apd_file), "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--projectivity-min", "--ideality-min"])
+    def test_non_finite_flag_exits_2(self, apd_file, tmp_path, capsys, flag):
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "characterize", str(apd_file), flag, "inf", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+        assert not out.exists()
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

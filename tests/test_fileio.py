@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qdetchar import (
+    CONVENTION,
     CategoryThresholds,
     PhaseSpaceGrid,
     Povm,
@@ -234,6 +235,43 @@ class TestReportFiles:
             load_report(path)
         assert load_report(path, validate=False).dim == 40
 
+    def tampered(self, tmp_path, edit):
+        path = tmp_path / "r.json"
+        save_report(self.build(tmp_path), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_flipped_category_fails_validation(self, tmp_path):
+        path = self.tampered(
+            tmp_path, lambda doc: doc["estimators"][0].update(category="ProjectiveIdeal")
+        )
+        with pytest.raises(ReportValidationError, match="filed as ProjectiveIdeal"):
+            load_report(path)
+
+    def test_nan_scalars_fail_validation(self, tmp_path):
+        def edit(doc):
+            doc["estimators"][0].update(projectivity=float("nan"), ideality=float("nan"))
+
+        with pytest.raises(ReportValidationError, match="identities"):
+            load_report(self.tampered(tmp_path, edit))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "high", None])
+    def test_bad_thresholds_are_format_errors(self, tmp_path, value):
+        path = self.tampered(
+            tmp_path, lambda doc: doc["thresholds"].update(projectivity_min=value)
+        )
+        with pytest.raises(PovmFormatError, match="thresholds"):
+            load_report(path, validate=False)
+
+    def test_non_finite_numbers_are_never_written(self, tmp_path):
+        report = self.build(tmp_path)
+        row = dataclasses.replace(report.estimators[0], fidelity=float("nan"))
+        bad = dataclasses.replace(report, estimators=(row,))
+        with pytest.raises(ValueError):
+            save_report(bad, tmp_path / "bad.json")
+
     def test_malformed_rows_are_format_errors(self, tmp_path):
         report = self.build(tmp_path)
         path = tmp_path / "r.json"
@@ -270,8 +308,37 @@ class TestWignerGridFiles:
         # first row is the (x_min, p_min) corner
         np.testing.assert_allclose(data[0, :2], [-2.0, -2.0])
 
+    @pytest.mark.parametrize(
+        "grid",
+        [PhaseSpaceGrid.symmetric(4.0, 31), PhaseSpaceGrid(-1.0, 4.0, -3.0, 2.0, 23, 17)],
+    )
+    def test_bytes_match_savetxt(self, tmp_path, grid):
+        wg = wigner(np.outer(fock_state(3, 30), fock_state(3, 30)), grid)
+        values = wg.values.copy()
+        values[0, :3] = [0.0, -0.0, 5e-324]  # signed zero and a subnormal
+        wg = type(wg)(grid=grid, values=values)
+        path = tmp_path / "w.dat"
+        write_wigner_grid(wg, path, source_digest="sha256:abc", outcome_label="3")
+        rows = np.column_stack(
+            [np.repeat(grid.x_axis, grid.n_p), np.tile(grid.p_axis, grid.n_x), values.reshape(-1)]
+        )
+        header = "\n".join(
+            [
+                "qdetchar wigner grid",
+                f"convention: {CONVENTION}",
+                "source: sha256:abc outcome: 3",
+                f"x_axis: {grid.x_min!r} {grid.x_max!r} {grid.n_x}",
+                f"p_axis: {grid.p_min!r} {grid.p_max!r} {grid.n_p}",
+                "columns: x p wigner",
+            ]
+        )
+        reference = tmp_path / "savetxt.dat"
+        np.savetxt(reference, rows, fmt="%.17g", header=header)
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_missing_headers_rejected(self, tmp_path):
         path = tmp_path / "w.dat"
         path.write_text("# no axes here\n0 0 0.5\n")
         with pytest.raises(PovmFormatError, match="axis"):
             read_wigner_grid(path)
+

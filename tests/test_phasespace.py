@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 from conftest import random_density
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import eval_genlaguerre, gammaln
 
 from qdetchar import (
     Gaussianity,
@@ -14,9 +18,11 @@ from qdetchar import (
     fock_state,
     gaussian_reference,
     gaussianity_check,
+    lossy_pnr,
     negativity_volume,
     nonclassicality_of_measurement,
     on_off_apd,
+    retrodicted_state,
     scaled_projector,
     squeezed_vacuum,
     squeezing_witness,
@@ -34,6 +40,39 @@ def thermal(nbar, dim):
 
 def dm(psi):
     return np.outer(psi, psi.conj())
+
+
+def termwise_wigner(rho, grid):
+    """Reference kernel: one ``eval_genlaguerre`` call per matrix entry.
+
+    The O(dim^3) termwise sum that ``wigner`` used before its Clenshaw
+    band sums, kept verbatim as the oracle for the faster kernel.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    d = rho.shape[0]
+    x = grid.x_axis[:, None]
+    p = grid.p_axis[None, :]
+    # beta = 2*alpha with alpha = (x + i p)/sqrt(2)
+    beta_sq = 2.0 * (x * x + p * p)
+    theta = np.arctan2(p, x)
+    with np.errstate(divide="ignore"):
+        log_beta = 0.5 * np.log(beta_sq, where=beta_sq > 0.0, out=np.full_like(beta_sq, -np.inf))
+    acc = np.zeros_like(beta_sq)
+    half_b = 0.5 * beta_sq
+    for m in range(d):
+        sign = -1.0 if m % 2 else 1.0
+        if abs(rho[m, m]) > 1e-18:
+            acc += sign * rho[m, m].real * np.exp(-half_b) * eval_genlaguerre(m, 0, beta_sq)
+        for n in range(m + 1, d):
+            r_mn = rho[m, n]
+            if abs(r_mn) <= 1e-18:
+                continue
+            k = n - m
+            log_coef = 0.5 * (gammaln(m + 1) - gammaln(n + 1)) + k * log_beta - half_b
+            phase = np.cos(k * theta) * r_mn.real - np.sin(k * theta) * r_mn.imag
+            acc += sign * 2.0 * np.exp(log_coef) * eval_genlaguerre(m, k, beta_sq) * phase
+    values = acc / np.pi
+    return values
 
 
 class TestGrid:
@@ -100,10 +139,78 @@ class TestWignerValues:
         with pytest.warns(TruncationWarning, match="resolvable"):
             wigner(dm(fock_state(0, 4)), PhaseSpaceGrid.symmetric(6.0, 11))
 
-    def test_rejects_non_state_input(self):
-        bogus = np.diag([-1.0, 2.0]).astype(complex)
+    @pytest.mark.parametrize(
+        "bogus", [np.diag([-1.0, 2.0]), np.array([[-1.0, 0.5j], [-0.5j, 2.0]])]
+    )
+    def test_rejects_non_state_input(self, bogus):
+        # diagonal input takes the radial path, the other the band sums
         with pytest.raises(ValueError, match="quantum bound"):
-            wigner(bogus, ORIGIN)
+            wigner(bogus.astype(complex), ORIGIN)
+
+
+OFF_CENTRE = PhaseSpaceGrid(-1.0, 4.0, -3.0, 2.0, 23, 17)
+
+
+@pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+class TestAgainstTermwiseOracle:
+    """The Clenshaw band sums and the radial path against ``termwise_wigner``."""
+
+    def assert_matches(self, rho, grid):
+        np.testing.assert_allclose(
+            wigner(rho, grid).values, termwise_wigner(rho, grid), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("dim", [2, 5, 12, 24, 40])
+    def test_dense_states(self, dim):
+        rng = np.random.default_rng([2013, dim])
+        self.assert_matches(random_density(rng, dim), PhaseSpaceGrid.symmetric(6.0, 41))
+
+    @pytest.mark.parametrize("dim", [2, 12, 40])
+    def test_dense_states_off_centre(self, dim):
+        rng = np.random.default_rng([1234, dim])
+        self.assert_matches(random_density(rng, dim), OFF_CENTRE)
+
+    def test_sparse_bands(self):
+        # only bands 0 and 3 are present, so the other bands are skipped
+        rng = np.random.default_rng(3)
+        psi = np.zeros(20, dtype=complex)
+        psi[[1, 4, 7, 10]] = rng.normal(size=4) + 1j * rng.normal(size=4)
+        self.assert_matches(dm(psi / np.linalg.norm(psi)), OFF_CENTRE)
+
+    @pytest.mark.parametrize("grid", [PhaseSpaceGrid.symmetric(6.0, 41), OFF_CENTRE])
+    def test_diagonal_states(self, grid):
+        rng = np.random.default_rng(5)
+        weights = rng.random(30)
+        states = [
+            np.diag(weights / weights.sum()).astype(complex),
+            dm(fock_state(7, 30)),
+            thermal(1.5, 30),
+            retrodicted_state(lossy_pnr(0.7, 30).outcome("2")).state,
+            retrodicted_state(on_off_apd(0.5, 0.02, 24).outcome("on")).state,
+        ]
+        # off-diagonal dust at the kernel's cut-off keeps the radial path
+        dusty = thermal(0.5, 12)
+        dusty[0, 5] = dusty[5, 0] = 1e-18
+        states.append(dusty)
+        for rho in states:
+            self.assert_matches(rho, grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda d: arrays(
+                np.complex128,
+                (d, d),
+                elements=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+            )
+        )
+    )
+    def test_random_psd_states(self, g):
+        h = g @ g.conj().T
+        tr = np.trace(h).real
+        if tr < 1e-6:
+            h, tr = np.eye(len(g), dtype=complex), len(g)
+        self.assert_matches(h / tr, PhaseSpaceGrid(-2.5, 3.0, -1.5, 2.0, 9, 7))
 
 
 class TestNegativityVolume:
