@@ -65,26 +65,57 @@ def sha256_digest(path) -> str:
 # ---------------------------------------------------------------- helpers
 
 def _matrix_to_pairs(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    # ndarray.tolist() gives the same Python floats as float(z.real), so the
+    # JSON text (and a signed zero) is unchanged.
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
+    """Complex ``dim x dim`` matrix from rows of ``[re, im]`` pairs.
+
+    Each part must be a JSON number; ``true`` and ``false`` are read as 1
+    and 0.  Anything else (a string, ``null``, a nested list, a missing
+    part, an integer too large for a float) is a :class:`PovmFormatError`
+    naming the first such entry.
+    """
     if not isinstance(rows, list) or len(rows) != dim:
         raise PovmFormatError(f"{where}: expected {dim} matrix rows")
-    out = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise PovmFormatError(f"{where}: row {i} must hold {dim} entries")
+    try:
+        parts = np.array(rows)
+    except ValueError:  # ragged: some entry is not a flat pair
+        parts = None
+    if parts is None or parts.shape != (dim, dim, 2) or parts.dtype.kind not in "biuf":
+        parts = _checked_pairs(rows, where)
+    # A view, not re + 1j*im, which would turn an imaginary -0.0 into +0.0.
+    return np.ascontiguousarray(parts, dtype=float).view(complex)[..., 0]
+
+
+def _checked_pairs(rows, where: str) -> np.ndarray:
+    """The pairs as floats, one entry at a time; names the first bad entry.
+
+    Reached only when numpy cannot read the rows as one numeric array: for
+    malformed entries, and for integers beyond 64 bits that still fit a
+    float.
+    """
+    out = np.empty((len(rows), len(rows), 2))
+    for i, row in enumerate(rows):
         for j, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
-            ):
+            try:
+                if not (
+                    isinstance(pair, list)
+                    and len(pair) == 2
+                    and all(isinstance(v, (int, float)) for v in pair)
+                ):
+                    raise TypeError
+                out[i, j] = [float(v) for v in pair]
+            except (TypeError, OverflowError):
                 raise PovmFormatError(
-                    f"{where}: entry ({i},{j}) must be a [re, im] pair"
-                )
-            out[i, j] = complex(pair[0], pair[1])
+                    f"{where}: entry ({i},{j}) must be a [re, im] pair of numbers"
+                ) from None
     return out
 
 
@@ -96,6 +127,8 @@ def _parse_json(path):
         raise PovmFormatError(
             f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise PovmFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _expect(doc: dict, key: str, kind, where: str):
@@ -214,9 +247,13 @@ def load_ensemble(path, tols: Tolerances = DEFAULT_TOLS) -> ProbeEnsemble:
             raise PovmFormatError(f"{where}: expected an object")
         label = _expect(entry, "label", str, where)
         prior = _expect(entry, "prior", (int, float), where)
+        try:
+            prior = float(prior)
+        except OverflowError:
+            raise PovmFormatError(f"{where}: prior is too large for a float") from None
         matrix = _matrix_from_pairs(_expect(entry, "matrix", list, where), dim, where)
         assert_density_matrix(matrix, tols, what=where)
-        entries.append(ProbeEntry(prior=float(prior), state=matrix, label=label))
+        entries.append(ProbeEntry(prior=prior, state=matrix, label=label))
     return ProbeEnsemble(tuple(entries))
 
 
@@ -250,7 +287,7 @@ def _estimator_from_dict(entry: dict, where: str) -> EstimatorReport:
                 None if entry.get("detectivity") is None else float(entry["detectivity"])
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PovmFormatError(f"{where}: malformed estimator row ({exc})") from exc
 
 
@@ -277,7 +314,7 @@ def nonclassicality_from_dict(entry: dict, where: str) -> NonClassicalityReport:
             gaussianity=Gaussianity(entry["gaussianity"]),
             hudson_inconsistent=bool(entry["hudson_inconsistent"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PovmFormatError(f"{where}: malformed witness row ({exc})") from exc
 
 
@@ -301,8 +338,16 @@ def estimator_row_problems(row: EstimatorReport, thresholds: CategoryThresholds)
     ``IDENTITY_SLACK``, so a NaN residual fails.  The stored category must
     be the one :func:`~qdetchar.retrodiction.classify_outcome` gives the
     row's projectivity and ideality under the report's ``thresholds``.
+    ``fidelity`` and ``detectivity`` must be present exactly when the row
+    names a ``target``, as :func:`~qdetchar.retrodiction.estimator_report`
+    writes them, so erasing them cannot skip the detectivity identity.
     """
     problems = []
+    targeted = row.target is not None
+    if (row.fidelity is not None, row.detectivity is not None) != (targeted, targeted):
+        problems.append(
+            "must carry fidelity and detectivity exactly when it names a target"
+        )
     weight_res, det_res = estimator_identity_residuals(row)
     if not (weight_res <= IDENTITY_SLACK and (det_res is None or det_res <= IDENTITY_SLACK)):
         problems.append(
@@ -361,7 +406,7 @@ def load_report(path, validate: bool = True) -> ReportFile:
             projectivity_min=float(thresholds_doc.get("projectivity_min", 0.99)),
             ideality_min=float(thresholds_doc.get("ideality_min", 0.99)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PovmFormatError(f"{path}: malformed thresholds ({exc})") from exc
     rows = [
         _estimator_from_dict(entry, f"{path}: estimators[{i}]")

@@ -28,7 +28,6 @@ from .fock import (
     check_dim,
     conjugate_in_fock,
     hermitize,
-    partial_trace_b,
     uhlmann_fidelity,
 )
 from .retrodiction import _as_element, retrodicted_state
@@ -99,27 +98,29 @@ class HeraldResult:
     outcome_label: str
 
 
-def heralded_state_from_joint(
-    rho_ab: np.ndarray, element, tols: Tolerances = DEFAULT_TOLS
-) -> HeraldResult:
-    """Condition a joint density operator on an outcome measured on mode B."""
-    el = _as_element(element)
-    db = el.dim
-    rho_ab = np.asarray(rho_ab, dtype=complex)
-    n = rho_ab.shape[0]
+def _split_dims(n: int, db: int, what: str) -> int:
+    """Dimension of mode A when a composite of size ``n`` factors as A x ``db``."""
     da, rem = divmod(n, db)
-    if rho_ab.ndim != 2 or rho_ab.shape[1] != n or rem or da < 2:
-        raise ValueError(
-            f"joint state of shape {rho_ab.shape} does not factor as A x {db}"
-        )
-    kernel = np.kron(np.eye(da), el.matrix)
-    unnorm = partial_trace_b(rho_ab @ kernel, da, db)
-    prob = float(np.real(np.trace(unnorm)))
+    if rem or da < 2:
+        raise ValueError(f"{what} does not factor as A x {db}")
+    return da
+
+
+def _herald_result(
+    unnorm: np.ndarray, el, tols: Tolerances, scale: float = 1.0, where: str = "on this state"
+) -> HeraldResult:
+    """Normalize an unnormalized conditional state of mode A.
+
+    The success probability is ``scale * Tr(unnorm)``; every route ends here,
+    so the probability floor and the density-matrix check live in one place.
+    """
+    weight = float(np.real(np.trace(unnorm)))
+    prob = scale * weight
     if prob <= tols.trace_floor:
         raise HeraldImpossibleError(
-            f"outcome {el.label!r} fires with probability {prob:.3g} on this state"
+            f"outcome {el.label!r} fires with probability {prob:.3g} {where}"
         )
-    rho_a = hermitize(unnorm / prob)
+    rho_a = hermitize(unnorm / weight)
     assert_density_matrix(rho_a, tols, what=f"state heralded by {el.label!r}")
     return HeraldResult(
         conditional_state=rho_a,
@@ -128,18 +129,46 @@ def heralded_state_from_joint(
     )
 
 
+def heralded_state_from_joint(
+    rho_ab: np.ndarray, element, tols: Tolerances = DEFAULT_TOLS
+) -> HeraldResult:
+    """Condition a joint density operator on an outcome measured on mode B.
+
+    ``Tr_B{rho_AB (1_A (x) E)}`` is contracted directly on the reshaped
+    operator, ``sum_kl rho[i,k,j,l] E[l,k]``: O(dA^2 dB^2) work, with no
+    ``dA dB x dA dB`` kernel built.
+    """
+    el = _as_element(element)
+    db = el.dim
+    rho_ab = np.asarray(rho_ab, dtype=complex)
+    n = rho_ab.shape[0]
+    what = f"joint state of shape {rho_ab.shape}"
+    if rho_ab.shape != (n, n):
+        raise ValueError(f"{what} does not factor as A x {db}")
+    da = _split_dims(n, db, what)
+    unnorm = np.einsum("ikjl,lk->ij", rho_ab.reshape(da, db, da, db), el.matrix)
+    return _herald_result(unnorm, el, tols)
+
+
 def heralded_state(
     psi_ab: np.ndarray, element, tols: Tolerances = DEFAULT_TOLS
 ) -> HeraldResult:
-    """Condition a pure joint ket on an outcome measured on mode B."""
+    """Condition a pure joint ket on an outcome measured on mode B.
+
+    With the ket reshaped to ``Psi[i, k]`` (mode A major), the conditional
+    state is ``Psi E^T Psi^dagger``: O(dA dB^2 + dA^2 dB) work, without the
+    joint density operator.
+    """
+    el = _as_element(element)
     psi_ab = np.asarray(psi_ab, dtype=complex)
     if psi_ab.ndim != 1:
         raise ValueError("expected a joint ket; use heralded_state_from_joint for operators")
     norm = np.linalg.norm(psi_ab)
     if norm == 0.0:
         raise ValueError("zero joint state")
-    psi_ab = psi_ab / norm
-    return heralded_state_from_joint(np.outer(psi_ab, psi_ab.conj()), element, tols)
+    da = _split_dims(psi_ab.size, el.dim, f"joint ket of size {psi_ab.size}")
+    psi = (psi_ab / norm).reshape(da, el.dim)
+    return _herald_result(psi @ el.matrix.T @ psi.conj().T, el, tols)
 
 
 def heralded_closed_form(
@@ -158,18 +187,8 @@ def heralded_closed_form(
         raise ValueError(f"element dim {el.dim} != TMSV dim {params.dim}")
     lam_diag = params.lam ** np.arange(params.dim)
     filtered = lam_diag[:, None] * conjugate_in_fock(el.matrix) * lam_diag[None, :]
-    weight = float(np.real(np.trace(filtered)))
-    prob = (1.0 - params.lam**2) * weight
-    if prob <= tols.trace_floor:
-        raise HeraldImpossibleError(
-            f"outcome {el.label!r} fires with probability {prob:.3g} at lam={params.lam}"
-        )
-    rho_a = hermitize(filtered / weight)
-    assert_density_matrix(rho_a, tols, what=f"state heralded by {el.label!r}")
-    return HeraldResult(
-        conditional_state=rho_a,
-        success_probability=min(max(prob, 0.0), 1.0),
-        outcome_label=el.label,
+    return _herald_result(
+        filtered, el, tols, scale=1.0 - params.lam**2, where=f"at lam={params.lam}"
     )
 
 

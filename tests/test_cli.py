@@ -202,6 +202,21 @@ class TestCharacterize:
         assert code == 4
         assert "JSON" in err
 
+    @pytest.mark.parametrize("digits", [400, 5000], ids=["beyond-float", "beyond-digit-limit"])
+    def test_oversized_integer_exits_4(self, apd_file, tmp_path, capsys, digits):
+        # an integer too large for a float used to escape as OverflowError, and
+        # one past Python's integer digit limit as a bare ValueError (exit 2)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        message = "not valid JSON" if 0 < limit < digits else "outcomes[1]: entry (0,1)"
+        doc = json.loads(apd_file.read_text())
+        doc["outcomes"][1]["matrix"][0][1] = ["HUGE", 0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * digits))
+        code, _, err = run(capsys, "characterize", str(path), "--out", str(tmp_path / "r.json"))
+        assert code == 4
+        assert err.startswith(f"error: {path}") and message in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,
@@ -421,6 +436,22 @@ class TestVerify:
         code, text, err = run(capsys, "verify", str(out))
         assert code == 2
         assert text.startswith("[FAIL] off:")
+        assert "verification FAILED (1 of 2 rows)" in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"fidelity": None, "detectivity": None}, {"target": None}],
+        ids=["metrics-erased", "target-erased"],
+    )
+    def test_targeted_row_edits_fail(self, apd_file, tmp_path, capsys, edit):
+        out = tmp_path / "report.json"
+        run(capsys, "characterize", str(apd_file), "--target", "fock:1", "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["estimators"][0].update(edit)
+        out.write_text(json.dumps(doc))
+        code, text, err = run(capsys, "verify", str(out))
+        assert code == 2
+        assert text.startswith("[FAIL] off:") and "exactly when it names a target" in text
         assert "verification FAILED (1 of 2 rows)" in err
 
 

@@ -151,6 +151,79 @@ class TestPovmFiles:
             "guard_levels",
         )
 
+    @pytest.mark.parametrize(
+        "entry",
+        ['"0.5"', "null", "[[0.5], 0]", "[[0.5, 0], [0, 0]]", "[0.5]", "[0.5, 0, 0]",
+         '{"re": 0.5}', "[1" + "0" * 400 + ", 0]", "[0, -1" + "0" * 400 + "]"],
+        ids=["string", "null", "nested-part", "too-deep", "short", "long",
+             "object", "huge-int", "huge-negative-int"],
+    )
+    def test_non_numeric_entries_are_named(self, tmp_path, entry):
+        # the offending entry sits at (1, 0); every other entry is a valid pair
+        matrix = "[[[1, 0], [0, 0]], [%s, [0, 0]]]" % entry
+        povm_path = tmp_path / "p.json"
+        povm_path.write_text(
+            '{"format_version": "1", "dim": 2, "guard_levels": 0, '
+            '"outcomes": [{"label": "x", "matrix": %s}]}' % matrix
+        )
+        with pytest.raises(PovmFormatError, match=r"outcomes\[0\]: entry \(1,0\)"):
+            load_povm(povm_path)
+        ens_path = tmp_path / "e.json"
+        ens_path.write_text(
+            '{"format_version": "1", "dim": 2, '
+            '"entries": [{"label": "x", "prior": 1.0, "matrix": %s}]}' % matrix
+        )
+        with pytest.raises(PovmFormatError, match=r"entries\[0\]: entry \(1,0\)"):
+            load_ensemble(ens_path)
+
+    def test_booleans_read_as_zero_and_one(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "format_version": "1",
+            "dim": 2,
+            "guard_levels": 0,
+            "outcomes": [{"label": "x", "matrix": [[[True, False], [0, False]],
+                                                   [[False, 0.0], [1, False]]]}],
+        }))
+        povm = load_povm(path)
+        np.testing.assert_array_equal(povm.outcome("x").matrix, np.eye(2))
+
+    def test_integers_beyond_64_bits_that_fit_a_float(self, tmp_path):
+        path = tmp_path / "p.json"
+        big = 2**64 + 1
+        path.write_text(json.dumps({
+            "format_version": "1",
+            "dim": 2,
+            "outcomes": [{"label": "x", "matrix": [[[big, 0], [0, -big]], [[0, big], [1, 0]]]}],
+        }))
+        m = load_povm(path, validate=False).outcome("x").matrix
+        assert m[0, 0] == float(big) and m[0, 1] == -1j * float(big)
+        assert m[1, 0] == 1j * float(big) and m[1, 1] == 1.0
+
+    def test_oversized_prior_is_a_format_error(self, tmp_path):
+        path = tmp_path / "e.json"
+        path.write_text(
+            '{"format_version": "1", "dim": 2, "entries": [{"label": "x", "prior": 1%s, '
+            '"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}]}' % ("0" * 400)
+        )
+        with pytest.raises(PovmFormatError, match="prior"):
+            load_ensemble(path)
+
+    def test_signed_zeros_survive_byte_for_byte(self, tmp_path):
+        m = np.array([[1.0, complex(-0.0, -0.0)], [complex(-0.0, 0.0), complex(0.0, -0.0)]])
+        povm = Povm((PovmElement("x", m), PovmElement("y", np.eye(2) - m)), guard_levels=0)
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        save_povm(povm, a)
+        pairs = np.array(json.loads(a.read_text())["outcomes"][0]["matrix"])
+        np.testing.assert_array_equal(np.signbit(pairs[..., 0]), np.signbit(m.real))
+        np.testing.assert_array_equal(np.signbit(pairs[..., 1]), np.signbit(m.imag))
+        back = load_povm(a).outcome("x").matrix
+        np.testing.assert_array_equal(np.signbit(back.real), np.signbit(m.real))
+        np.testing.assert_array_equal(np.signbit(back.imag), np.signbit(m.imag))
+        save_povm(load_povm(a), b)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_povm(tmp_path / "nope.json")
@@ -256,6 +329,24 @@ class TestReportFiles:
 
         with pytest.raises(ReportValidationError, match="identities"):
             load_report(self.tampered(tmp_path, edit))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"fidelity": None, "detectivity": None},
+            {"fidelity": None},
+            {"detectivity": None},
+            {"target": None},
+        ],
+        ids=["both-erased", "fidelity-erased", "detectivity-erased", "target-erased"],
+    )
+    def test_target_metrics_must_match_target(self, tmp_path, edit):
+        path = self.tampered(tmp_path, lambda doc: doc["estimators"][0].update(edit))
+        with pytest.raises(ReportValidationError, match="exactly when it names a target"):
+            load_report(path)
+        assert load_report(path, validate=False).estimators[0].target == (
+            None if "target" in edit else "fock:1"
+        )
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), "high", None])
     def test_bad_thresholds_are_format_errors(self, tmp_path, value):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
-from conftest import random_element_matrix
+from conftest import random_density, random_element_matrix, random_pure
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qdetchar import (
     HeraldImpossibleError,
@@ -28,6 +31,25 @@ from qdetchar.fock import conjugate_in_fock, number_mean, partial_trace_b
 
 def fock_projector(n, dim, label=None):
     return scaled_projector(fock_state(n, dim), 1.0, label=label or str(n))
+
+
+def kron_heralded(rho_ab, element_matrix, dim_a, dim_b):
+    """Reference route: the unnormalized ``Tr_B{rho_AB (1_A (x) E)}``.
+
+    The O((dA dB)^3) joint-space kernel and matmul that both heralding
+    routes used before their contractions, kept verbatim as their oracle.
+    """
+    return partial_trace_b(rho_ab @ np.kron(np.eye(dim_a), element_matrix), dim_a, dim_b)
+
+
+def assert_matches_kron(result, rho_ab, element_matrix, dim_a, dim_b):
+    unnorm = kron_heralded(rho_ab, element_matrix, dim_a, dim_b)
+    prob = float(np.real(np.trace(unnorm)))
+    assert abs(result.success_probability - prob) <= 1e-12
+    assert np.max(np.abs(result.conditional_state - unnorm / prob)) <= 1e-12
+
+
+FINITE = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
 class TestTmsv:
@@ -145,6 +167,73 @@ class TestJointConditioning:
             heralded_state(np.zeros(16, dtype=complex), el)
         with pytest.raises(ValueError, match="factor"):
             heralded_state_from_joint(np.eye(6, dtype=complex) / 6, el)
+
+
+class TestAgainstKronOracle:
+    """Both contracted routes against ``kron_heralded``."""
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 5), (5, 2), (3, 7), (9, 4)])
+    def test_random_mixed_joint_states(self, dim_a, dim_b):
+        rng = np.random.default_rng([1010, dim_a, dim_b])
+        for _ in range(5):
+            el = PovmElement("e", random_element_matrix(rng, dim_b))
+            rho_ab = random_density(rng, dim_a * dim_b)
+            res = heralded_state_from_joint(rho_ab, el)
+            assert_matches_kron(res, rho_ab, el.matrix, dim_a, dim_b)
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 5), (5, 2), (3, 7), (9, 4)])
+    def test_random_pure_joint_states(self, dim_a, dim_b):
+        rng = np.random.default_rng([2020, dim_a, dim_b])
+        for _ in range(5):
+            el = PovmElement("e", random_element_matrix(rng, dim_b))
+            psi = random_pure(rng, dim_a * dim_b)
+            res = heralded_state(3.0 * psi, el)  # the route normalizes the ket
+            assert_matches_kron(res, np.outer(psi, psi.conj()), el.matrix, dim_a, dim_b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(2, 8), st.integers(2, 8), st.integers(1, 3)).flatmap(
+            lambda dims: st.tuples(
+                st.just(dims),
+                arrays(np.complex128, (dims[0] * dims[1], dims[2]), elements=FINITE),
+                arrays(np.complex128, (dims[1], dims[1]), elements=FINITE),
+            )
+        )
+    )
+    def test_random_psd_joint_states(self, case):
+        (dim_a, dim_b, _), factor, g = case
+        # joint state G G^dagger of rank <= 3; its first column is the ket
+        gram = factor @ factor.conj().T
+        tr = np.trace(gram).real
+        psi_norm = np.linalg.norm(factor[:, 0])
+        assume(tr > 1e-6 and psi_norm > 1e-6)
+        h = g @ g.conj().T
+        top = np.linalg.eigvalsh(h)[-1]
+        assume(top > 1e-6)
+        el = PovmElement("e", h / top)
+        rho_ab = gram / tr
+        prob = np.trace(kron_heralded(rho_ab, el.matrix, dim_a, dim_b)).real
+        psi = factor[:, 0] / psi_norm
+        pure = np.outer(psi, psi.conj())
+        pure_prob = np.trace(kron_heralded(pure, el.matrix, dim_a, dim_b)).real
+        assume(prob > 1e-3 and pure_prob > 1e-3)
+        assert_matches_kron(heralded_state_from_joint(rho_ab, el), rho_ab, el.matrix, dim_a, dim_b)
+        assert_matches_kron(heralded_state(factor[:, 0], el), pure, el.matrix, dim_a, dim_b)
+
+    @pytest.mark.parametrize("outcome", ["on", "dense"])
+    def test_dim_120_tmsv_against_closed_form(self, outcome):
+        # rho_AB at dim 120 would take 3.3 GB; the ket route never builds it
+        dim, lam = 120, 0.7
+        if outcome == "on":
+            el = on_off_apd(0.5, 0.0, dim).outcome("on")
+        else:
+            el = PovmElement("dense", random_element_matrix(np.random.default_rng(120), dim))
+        params = TmsvParams(lam, dim)
+        via_joint = heralded_state(tmsv(params), el)
+        via_form = heralded_closed_form(params, el)
+        assert (
+            trace_distance(via_joint.conditional_state, via_form.conditional_state) <= 1e-10
+        )
 
 
 class TestLimitScan:
