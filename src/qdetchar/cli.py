@@ -40,8 +40,8 @@ from .errors import (
 )
 from .fileio import (
     ReportFile,
+    _row_problems,
     estimator_identity_residuals,
-    estimator_row_problems,
     load_ensemble,
     load_povm,
     load_report,
@@ -55,6 +55,7 @@ from .fock import coherent_state, fock_state, squeezed_vacuum
 from .herald import retrodictive_limit_scan
 from .phasespace import PhaseSpaceGrid, wigner, witness_report
 from .retrodiction import (
+    EstimatorReport,
     estimator_report,
     projectivity,
     retrodict_ensemble,
@@ -81,36 +82,25 @@ def parse_target(spec: str, dim: int):
 
 def cmd_model(args, tols, thresholds):
     kind = args.kind
+    meta = {"model": kind, "dim": str(args.dim)}
     if kind == "ideal-pnr":
         povm = ideal_pnr(args.dim)
-        meta = {"model": kind, "dim": str(args.dim)}
     elif kind == "lossy-pnr":
         if args.eta is None:
             raise ValueError("lossy-pnr requires --eta")
         povm = lossy_pnr(args.eta, args.dim)
-        meta = {"model": kind, "dim": str(args.dim), "eta": repr(args.eta)}
+        meta["eta"] = repr(args.eta)
     elif kind == "apd":
         if args.eta is None:
             raise ValueError("apd requires --eta")
         povm = on_off_apd(args.eta, args.nu, args.dim)
-        meta = {
-            "model": kind,
-            "dim": str(args.dim),
-            "eta": repr(args.eta),
-            "nu": repr(args.nu),
-        }
+        meta.update(eta=repr(args.eta), nu=repr(args.nu))
     elif kind == "scaled-projector":
         if args.target is None or args.zeta is None:
             raise ValueError("scaled-projector requires --target and --zeta")
         label, ket = parse_target(args.target, args.dim)
-        element = scaled_projector(ket, args.zeta)
-        povm = complete_with_rest([element], tols)
-        meta = {
-            "model": kind,
-            "dim": str(args.dim),
-            "target": label,
-            "zeta": repr(args.zeta),
-        }
+        povm = complete_with_rest([scaled_projector(ket, args.zeta)], tols)
+        meta.update(target=label, zeta=repr(args.zeta))
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown model kind {kind!r}")
     povm = Povm(povm.elements, guard_levels=povm.guard_levels, metadata=meta)
@@ -119,35 +109,28 @@ def cmd_model(args, tols, thresholds):
     return 0
 
 
+def _witnesses(element, grid, tols, thresholds):
+    """Retrodict one outcome; return its Wigner grid and its witness row."""
+    retro = retrodicted_state(element, tols)
+    wg = wigner(retro.state, grid, tols)
+    return wg, witness_report(retro.state, wg, element.label, projectivity(retro), tols, thresholds)
+
+
 def cmd_characterize(args, tols, thresholds):
     povm = load_povm(args.povm, tols)
     digest = sha256_digest(args.povm)
-    targets = [parse_target(t, povm.dim) for t in args.target]
+    targets = [parse_target(t, povm.dim) for t in args.target] or [(None, None)]
+    grid = PhaseSpaceGrid.symmetric(args.grid_radius, args.grid_points) if args.witnesses else None
     rows = []
+    witness_rows = []
     for element in povm:
         if element.is_null(tols.null_trace):
             print(f"skipping null outcome {element.label!r}", file=sys.stderr)
             continue
-        if targets:
-            for label, ket in targets:
-                rows.append(
-                    estimator_report(element, ket, label, thresholds, tols)
-                )
-        else:
-            rows.append(estimator_report(element, None, None, thresholds, tols))
-    witness_rows = []
-    if args.witnesses:
-        grid = PhaseSpaceGrid.symmetric(args.grid_radius, args.grid_points)
-        for element in povm:
-            if element.is_null(tols.null_trace):
-                continue
-            retro = retrodicted_state(element, tols)
-            wg = wigner(retro.state, grid, tols)
-            witness_rows.append(
-                witness_report(
-                    retro.state, wg, element.label, projectivity(retro), tols, thresholds
-                )
-            )
+        for label, ket in targets:
+            rows.append(estimator_report(element, ket, label, thresholds, tols))
+        if grid is not None:
+            witness_rows.append(_witnesses(element, grid, tols, thresholds)[1])
     report = ReportFile(
         tool_version=__version__,
         input_digest=digest,
@@ -178,11 +161,7 @@ def cmd_wigner(args, tols, thresholds):
     digest = sha256_digest(args.povm)
     element = povm.outcome(args.outcome)
     grid = PhaseSpaceGrid(args.xmin, args.xmax, args.pmin, args.pmax, args.nx, args.np)
-    retro = retrodicted_state(element, tols)
-    wg = wigner(retro.state, grid, tols)
-    report = witness_report(
-        retro.state, wg, element.label, projectivity(retro), tols, thresholds
-    )
+    wg, report = _witnesses(element, grid, tols, thresholds)
     write_wigner_grid(wg, args.out, source_digest=digest, outcome_label=element.label)
     sidecar = str(args.out) + ".report.json"
     doc = {
@@ -253,25 +232,24 @@ def cmd_retrodict(args, tols, thresholds):
 
 def cmd_verify(args, tols, thresholds):
     report = load_report(args.report, validate=False)
+    checked = _row_problems(report, tols)
     worst = 0.0
     failed = 0
-    for row in report.estimators:
-        problems = estimator_row_problems(row, report.thresholds)
+    for row, problems in checked:
         if problems:
             failed += 1
             print(f"[FAIL] {row.outcome_label}: " + "; ".join(problems))
-            continue
-        weight_res, det_res = estimator_identity_residuals(row)
-        worst = max(worst, weight_res, det_res or 0.0)
-        detail = f", detectivity residual {det_res:.3g}" if det_res is not None else ""
-        print(f"[ok] {row.outcome_label}: weight residual {weight_res:.3g}{detail}")
+        elif isinstance(row, EstimatorReport):
+            weight_res, det_res = estimator_identity_residuals(row)
+            worst = max(worst, weight_res, det_res or 0.0)
+            detail = f", detectivity residual {det_res:.3g}" if det_res is not None else ""
+            print(f"[ok] {row.outcome_label}: weight residual {weight_res:.3g}{detail}")
+        else:
+            print(f"[ok] {row.outcome_label}: witness row consistent")
     if failed:
-        print(
-            f"verification FAILED ({failed} of {len(report.estimators)} rows)",
-            file=sys.stderr,
-        )
+        print(f"verification FAILED ({failed} of {len(checked)} rows)", file=sys.stderr)
         return 2
-    print(f"verified {len(report.estimators)} rows (worst residual {worst:.3g})")
+    print(f"verified {len(checked)} rows (worst residual {worst:.3g})")
     return 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,8 +24,16 @@ from .config import DEFAULT_TOLS, CategoryThresholds, Tolerances
 from .detectors import Povm, PovmElement, default_guard_levels, require_valid
 from .errors import PovmFormatError, ReportValidationError
 from .fock import assert_density_matrix
-from .phasespace import CONVENTION, Gaussianity, NonClassicalityReport, PhaseSpaceGrid, WignerGrid
+from .phasespace import (
+    CONVENTION,
+    Gaussianity,
+    NonClassicalityReport,
+    PhaseSpaceGrid,
+    WignerGrid,
+    _witness_verdicts,
+)
 from .retrodiction import (
+    IDENTITY_SLACK,
     EstimatorReport,
     OutcomeCategory,
     ProbeEnsemble,
@@ -44,6 +53,7 @@ __all__ = [
     "load_report",
     "estimator_identity_residuals",
     "estimator_row_problems",
+    "witness_row_problems",
     "write_wigner_grid",
     "read_wigner_grid",
     "nonclassicality_to_dict",
@@ -51,9 +61,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = "1"
-
-# Largest residual of a stored row's estimator identities that still passes.
-IDENTITY_SLACK = 1e-9
 
 
 def sha256_digest(path) -> str:
@@ -74,10 +81,10 @@ def _matrix_to_pairs(m: np.ndarray):
 def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
     """Complex ``dim x dim`` matrix from rows of ``[re, im]`` pairs.
 
-    Each part must be a JSON number; ``true`` and ``false`` are read as 1
-    and 0.  Anything else (a string, ``null``, a nested list, a missing
-    part, an integer too large for a float) is a :class:`PovmFormatError`
-    naming the first such entry.
+    Each part must be a finite JSON number; ``true`` and ``false`` are read
+    as 1 and 0.  Anything else (a string, ``null``, a nested list, a missing
+    part, an integer too large for a float, ``NaN`` or ``Infinity``) is a
+    :class:`PovmFormatError` naming the first such entry.
     """
     if not isinstance(rows, list) or len(rows) != dim:
         raise PovmFormatError(f"{where}: expected {dim} matrix rows")
@@ -90,8 +97,12 @@ def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
         parts = None
     if parts is None or parts.shape != (dim, dim, 2) or parts.dtype.kind not in "biuf":
         parts = _checked_pairs(rows, where)
+    parts = np.ascontiguousarray(parts, dtype=float)
+    if not np.isfinite(parts).all():
+        i, j = np.argwhere(~np.isfinite(parts).all(axis=-1))[0]
+        raise PovmFormatError(f"{where}: entry ({i},{j}) is not finite")
     # A view, not re + 1j*im, which would turn an imaginary -0.0 into +0.0.
-    return np.ascontiguousarray(parts, dtype=float).view(complex)[..., 0]
+    return parts.view(complex)[..., 0]
 
 
 def _checked_pairs(rows, where: str) -> np.ndarray:
@@ -364,6 +375,46 @@ def estimator_row_problems(row: EstimatorReport, thresholds: CategoryThresholds)
     return problems
 
 
+def witness_row_problems(
+    row: NonClassicalityReport, report: ReportFile, tols: Tolerances = DEFAULT_TOLS
+) -> list:
+    """Why a stored witness row is inconsistent; an empty list when it is not.
+
+    ``min_wigner`` must lie in ``[-1/pi, 1/pi]`` up to ``tols.neg``, and
+    ``negativity_volume`` must be finite, non-negative and zero when
+    ``min_wigner >= 0``.  The row must name an outcome of the report's
+    estimator rows; that row's projectivity, the report's thresholds and
+    ``tols`` then re-derive ``is_nonclassical`` and ``hudson_inconsistent``
+    as :func:`~qdetchar.phasespace.witness_report` does.
+    """
+    problems = []
+    minw, negv = row.min_wigner, row.negativity_volume
+    if not abs(minw) <= 1.0 / math.pi + tols.neg:
+        problems.append(f"witness row has min_wigner {minw!r} outside [-1/pi, 1/pi]")
+    if not 0.0 <= negv < math.inf or (minw >= 0.0 and negv != 0.0):
+        problems.append(
+            f"witness row has negativity_volume {negv!r}, which is not a finite "
+            f"volume that fits min_wigner {minw!r}"
+        )
+    proj = {r.outcome_label: r.projectivity for r in report.estimators}.get(row.outcome_label)
+    if proj is None:
+        return problems + ["witness row names no estimator row"]
+    expected = _witness_verdicts(
+        minw, negv, row.squeezing_witness, row.gaussianity, proj, tols, report.thresholds
+    )
+    stored = (row.is_nonclassical, row.hudson_inconsistent)
+    for name, got, want in zip(("is_nonclassical", "hudson_inconsistent"), stored, expected):
+        if got != want:
+            problems.append(f"witness row has {name} {got} but its witnesses give {want}")
+    return problems
+
+
+def _row_problems(report: ReportFile, tols: Tolerances) -> list:
+    """``(row, problems)`` for every estimator row, then every witness row."""
+    checked = [(r, estimator_row_problems(r, report.thresholds)) for r in report.estimators]
+    return checked + [(r, witness_row_problems(r, report, tols)) for r in report.nonclassicality]
+
+
 @dataclass(frozen=True)
 class ReportFile:
     """In-memory form of a characterization report file."""
@@ -396,8 +447,12 @@ def save_report(report: ReportFile, path) -> None:
     _dump(doc, path)
 
 
-def load_report(path, validate: bool = True) -> ReportFile:
-    """Read a report; optionally re-check each row's internal identities."""
+def load_report(path, validate: bool = True, tols: Tolerances = DEFAULT_TOLS) -> ReportFile:
+    """Read a report; optionally re-check each row's internal identities.
+
+    Validation applies :func:`estimator_row_problems` and
+    :func:`witness_row_problems` (under ``tols``) to every row.
+    """
     doc = _parse_json(path)
     _check_header(doc, path)
     thresholds_doc = _expect(doc, "thresholds", dict, str(path))
@@ -425,8 +480,7 @@ def load_report(path, validate: bool = True) -> ReportFile:
         nonclassicality=witness_rows,
     )
     if validate:
-        for row in report.estimators:
-            problems = estimator_row_problems(row, report.thresholds)
+        for row, problems in _row_problems(report, tols):
             if problems:
                 raise ReportValidationError(
                     f"{path}: outcome {row.outcome_label!r} " + "; ".join(problems)

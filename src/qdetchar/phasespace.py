@@ -20,13 +20,12 @@ and take a radial path that evaluates each distinct radius once.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolerances
 from .errors import TruncationWarning
@@ -204,7 +203,7 @@ def wigner(
                 continue
             # with S the band's Clenshaw sum, Re(S e^{ik theta}) is
             # Re(S) cos(k theta) + (-Im S) sin(k theta)
-            weight = 2.0 * np.exp(k * log_beta - half_b - 0.5 * gammaln(k + 1))
+            weight = 2.0 * np.exp(k * log_beta - half_b - 0.5 * math.lgamma(k + 1))
             for part, trig in ((band.real, np.cos), (-band.imag, np.sin)):
                 if part.any():
                     acc += _laguerre_band(part, k, beta_sq) * trig(k * theta) * weight
@@ -239,47 +238,59 @@ def negativity_volume(wgrid: WignerGrid, tols: Tolerances = DEFAULT_TOLS) -> flo
     return max(vol, 0.0)
 
 
+def _moments(rho: np.ndarray):
+    """``(mean, cov, heavy)`` of a complex state.
+
+    ``heavy`` (mean photon number above ``dim / 4``) marks moments that the
+    truncation may have distorted; it warns once per call.
+    """
+    d = rho.shape[0]
+    nbar = number_mean(rho)
+    heavy = nbar > d / 4
+    if heavy:
+        warnings.warn(
+            f"mean photon number {nbar:.3g} is large for "
+            f"truncation {d}; moments may be unreliable",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    root = np.sqrt(np.arange(d))
+    a1 = np.sum(root[1:] * np.diagonal(rho, -1))  # <a>
+    a2 = np.sum(root[2:] * root[1:-1] * np.diagonal(rho, -2))  # <a^2>
+    mx, mp = np.sqrt(2.0) * a1.real, np.sqrt(2.0) * a1.imag
+    cxp = a2.imag - mx * mp
+    cov = [[nbar + 0.5 + a2.real - mx * mx, cxp], [cxp, nbar + 0.5 - a2.real - mp * mp]]
+    return np.array([mx, mp]), np.array(cov), heavy
+
+
 def covariance_matrix(rho: np.ndarray):
     """Quadrature mean vector and symmetrized 2x2 covariance matrix.
 
     Returns ``(mean, cov)`` with ``mean = (<x>, <p>)`` and
-    ``cov[0, 1] = <xp + px>/2 - <x><p>``.  The state is padded by two
-    empty levels before the quadratures are applied, so second moments
-    are exact for any state inside the basis; without the padding the
-    ``a a^dag`` ladder term is cut on the top level and the uncertainty
-    bound ``det cov >= 1/4`` can falsely break.  Still warns when the
+    ``cov[0, 1] = <xp + px>/2 - <x><p>``.  The moments are built from
+    ``<a>``, ``<a^2>`` and ``<a^dag a>``, which the truncated basis holds
+    exactly, so they are exact for any state inside the basis; quadrature
+    operators cut at the top level would lose the ``a a^dag`` ladder term
+    there and could falsely break ``det cov >= 1/4``.  Still warns when the
     mean photon number exceeds ``dim / 4``, since a truncated stand-in
     for a heavier intended state has lost its tail either way.
     """
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    if number_mean(rho) > d / 4:
-        warnings.warn(
-            f"mean photon number {number_mean(rho):.3g} is large for "
-            f"truncation {d}; moments may be unreliable",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    padded = np.zeros((d + 2, d + 2), dtype=complex)
-    padded[:d, :d] = rho
-    rho = padded
-    a = annihilation(d + 2)
-    xop = (a + a.conj().T) / np.sqrt(2.0)
-    pop = -1j * (a - a.conj().T) / np.sqrt(2.0)
-    def ev(op):
-        return float(np.real(np.einsum("ij,ji->", rho, op)))
-    mx, mp = ev(xop), ev(pop)
-    cxx = ev(xop @ xop) - mx * mx
-    cpp = ev(pop @ pop) - mp * mp
-    cxp = ev(0.5 * (xop @ pop + pop @ xop)) - mx * mp
-    return np.array([mx, mp]), np.array([[cxx, cxp], [cxp, cpp]])
+    return _moments(np.asarray(rho, dtype=complex))[:2]
+
+
+def _squeezed(cov: np.ndarray, tols: Tolerances) -> bool:
+    return bool(np.linalg.eigvalsh(cov)[0] < 0.5 - tols.squeeze)
 
 
 def squeezing_witness(rho: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True when some quadrature variance dips below the vacuum's 1/2."""
-    _, cov = covariance_matrix(rho)
-    w = np.linalg.eigvalsh(cov)
-    return bool(w[0] < 0.5 - tols.squeeze)
+    return _squeezed(_moments(np.asarray(rho, dtype=complex))[1], tols)
+
+
+def _expm_antihermitian(a: np.ndarray) -> np.ndarray:
+    """``exp(a) = V diag(exp(-i w)) V^dagger`` from ``i a = V diag(w) V^dagger``."""
+    w, v = np.linalg.eigh(1j * a)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def gaussian_reference(mean: np.ndarray, cov: np.ndarray, dim: int):
@@ -308,9 +319,9 @@ def gaussian_reference(mean: np.ndarray, cov: np.ndarray, dim: int):
     xi = s * np.exp(2j * theta)
     a = annihilation(d)
     ad = a.conj().T
-    squeeze = expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
+    squeeze = _expm_antihermitian(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
     alpha = (mean[0] + 1j * mean[1]) / np.sqrt(2.0)
-    displace = expm(alpha * ad - np.conj(alpha) * a)
+    displace = _expm_antihermitian(alpha * ad - np.conj(alpha) * a)
     if nbar == 0.0:
         therm = np.zeros(d)
         therm[0] = 1.0
@@ -329,6 +340,17 @@ class Gaussianity(str, Enum):
     UNDETERMINED = "Undetermined"
 
 
+def _gaussianity(rho, mean, cov, heavy, tols: Tolerances) -> Gaussianity:
+    ref, tail = gaussian_reference(mean, cov, rho.shape[0])
+    if heavy or tail > tols.gauss_tail:
+        return Gaussianity.UNDETERMINED
+    overlap = float(np.real(np.einsum("ij,ji->", rho, ref)))
+    ratio = overlap / max(purity(rho), purity(ref))
+    if ratio >= 1.0 - tols.gauss:
+        return Gaussianity.GAUSSIAN
+    return Gaussianity.NON_GAUSSIAN
+
+
 def gaussianity_check(rho: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Gaussianity:
     """Compare a state against the Gaussian state with its first two moments.
 
@@ -338,17 +360,7 @@ def gaussianity_check(rho: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Gauss
     either the moments or the reconstructed reference unreliable.
     """
     rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    heavy = number_mean(rho) > d / 4
-    mean, cov = covariance_matrix(rho)
-    ref, tail = gaussian_reference(mean, cov, d)
-    if heavy or tail > tols.gauss_tail:
-        return Gaussianity.UNDETERMINED
-    overlap = float(np.real(np.einsum("ij,ji->", rho, ref)))
-    ratio = overlap / max(purity(rho), purity(ref))
-    if ratio >= 1.0 - tols.gauss:
-        return Gaussianity.GAUSSIAN
-    return Gaussianity.NON_GAUSSIAN
+    return _gaussianity(rho, *_moments(rho), tols)
 
 
 @dataclass(frozen=True)
@@ -372,6 +384,15 @@ class NonClassicalityReport:
     hudson_inconsistent: bool
 
 
+def _witness_verdicts(minw, negv, squeezed, gauss, projectivity_value, tols, thresholds):
+    """``(is_nonclassical, hudson_inconsistent)`` from one outcome's witnesses."""
+    return bool(negv > tols.neg or squeezed), bool(
+        projectivity_value >= thresholds.projectivity_min
+        and minw >= -tols.neg
+        and gauss is Gaussianity.NON_GAUSSIAN
+    )
+
+
 def witness_report(
     state: np.ndarray,
     wgrid: WignerGrid,
@@ -381,21 +402,21 @@ def witness_report(
     thresholds: CategoryThresholds = DEFAULT_THRESHOLDS,
 ) -> NonClassicalityReport:
     """Assemble every witness for a state whose Wigner grid is already known."""
+    state = np.asarray(state, dtype=complex)
+    mean, cov, heavy = _moments(state)
     minw = wgrid.min_value()
     negv = negativity_volume(wgrid, tols)
-    squeezed = squeezing_witness(state, tols)
-    gauss = gaussianity_check(state, tols)
-    hudson_bad = (
-        projectivity_value >= thresholds.projectivity_min
-        and minw >= -tols.neg
-        and gauss is Gaussianity.NON_GAUSSIAN
+    squeezed = _squeezed(cov, tols)
+    gauss = _gaussianity(state, mean, cov, heavy, tols)
+    nonclassical, hudson_bad = _witness_verdicts(
+        minw, negv, squeezed, gauss, projectivity_value, tols, thresholds
     )
     return NonClassicalityReport(
         outcome_label=outcome_label,
         min_wigner=minw,
         negativity_volume=negv,
         squeezing_witness=squeezed,
-        is_nonclassical=bool(negv > tols.neg or squeezed),
+        is_nonclassical=nonclassical,
         gaussianity=gauss,
         hudson_inconsistent=hudson_bad,
     )

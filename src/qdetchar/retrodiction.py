@@ -60,6 +60,9 @@ __all__ = [
     "estimator_report",
 ]
 
+# Largest residual of the two estimator identities that still counts as holding.
+IDENTITY_SLACK = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class RetrodictedState:
@@ -330,13 +333,13 @@ def estimator_report(
 
     The two internal identities (ideality = projectivity * trace weight,
     and detectivity * projectivity = ideality * fidelity when a target is
-    given) are verified to 1e-9 before the report is returned.
+    given) are verified to ``IDENTITY_SLACK`` before the report is returned.
     """
     el = _as_element(element)
     retro = retrodicted_state(el, tols)
     proj = projectivity(retro)
     ideal = ideality(el, tols)
-    if abs(ideal - proj * retro.trace_weight) > 1e-9:
+    if abs(ideal - proj * retro.trace_weight) > IDENTITY_SLACK:
         raise RuntimeError(
             f"estimator identity violated for {el.label!r}: "
             f"ideality {ideal!r} vs projectivity*weight {proj * retro.trace_weight!r}"
@@ -345,7 +348,7 @@ def estimator_report(
     if target is not None:
         fid = fidelity(retro, target)
         det = detectivity(el, target, tols)
-        if abs(det * proj - ideal * fid) > 1e-9:
+        if abs(det * proj - ideal * fid) > IDENTITY_SLACK:
             raise RuntimeError(
                 f"detectivity identity violated for {el.label!r}"
             )

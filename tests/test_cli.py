@@ -217,6 +217,16 @@ class TestCharacterize:
         assert err.startswith(f"error: {path}") and message in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_non_finite_entry_exits_4(self, apd_file, tmp_path, capsys):
+        doc = json.loads(apd_file.read_text())
+        doc["outcomes"][0]["matrix"][0][0] = ["NAN", 0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc).replace('"NAN"', "NaN"))
+        code, _, err = run(capsys, "characterize", str(path), "--out", str(tmp_path / "r.json"))
+        assert code == 4
+        assert err.startswith(f"error: {path}") and "outcomes[0]: entry (0,0) is not finite" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,
@@ -455,6 +465,43 @@ class TestVerify:
         assert "verification FAILED (1 of 2 rows)" in err
 
 
+    @pytest.fixture
+    def witness_report_file(self, apd_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        with pytest.warns(qdetchar.TruncationWarning):  # the grid outruns dim 12
+            code, _, _ = run(
+                capsys, "characterize", str(apd_file), "--witnesses", "--target", "fock:1",
+                "--out", str(out),
+            )
+        assert code == 0
+        return out
+
+    def test_report_with_witness_rows_passes(self, witness_report_file, capsys):
+        code, text, _ = run(capsys, "verify", str(witness_report_file))
+        assert code == 0
+        assert "[ok] on: witness row consistent" in text
+        assert "verified 4 rows" in text
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"min_wigner": 5.0}, "min_wigner 5.0 outside [-1/pi, 1/pi]"),
+            ({"is_nonclassical": False}, "is_nonclassical False but its witnesses give True"),
+            ({"outcome": "nosuch"}, "names no estimator row"),
+        ],
+        ids=["min-wigner", "nonclassical-flipped", "renamed"],
+    )
+    def test_tampered_witness_row_fails(self, witness_report_file, capsys, edit, message):
+        doc = json.loads(witness_report_file.read_text())
+        row = next(r for r in doc["nonclassicality"] if r["outcome"] == "on")
+        row.update(edit)
+        witness_report_file.write_text(json.dumps(doc))
+        code, text, err = run(capsys, "verify", str(witness_report_file))
+        assert code == 2
+        assert f"[FAIL] {row['outcome']}: witness row" in text and message in text
+        assert "verification FAILED (1 of 4 rows)" in err
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("var", ["QDETCHAR_PROJECTIVITY_MIN", "QDETCHAR_NEG_TOL"])
     def test_non_finite_env_value_exits_2(self, apd_file, tmp_path, capsys, monkeypatch, var):
@@ -480,6 +527,31 @@ class TestTopLevel:
             main(["--version"])
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.strip()
+
+    def test_runtime_depends_on_numpy_alone(self):
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10
+            tomllib = pytest.importorskip("tomli")
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+        test_extra = {d.split(">")[0] for d in project["optional-dependencies"]["test"]}
+        assert test_extra == {"pytest", "scipy", "hypothesis"}
+
+        env = dict(os.environ)
+        package_root = str(Path(qdetchar.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        script = (
+            "import sys, qdetchar, qdetchar.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_console_script_installed(self):
         try:

@@ -16,6 +16,7 @@ from qdetchar import (
     PovmValidationError,
     ReportFile,
     ReportValidationError,
+    Tolerances,
     estimator_identity_residuals,
     estimator_report,
     fock_state,
@@ -154,9 +155,11 @@ class TestPovmFiles:
     @pytest.mark.parametrize(
         "entry",
         ['"0.5"', "null", "[[0.5], 0]", "[[0.5, 0], [0, 0]]", "[0.5]", "[0.5, 0, 0]",
-         '{"re": 0.5}', "[1" + "0" * 400 + ", 0]", "[0, -1" + "0" * 400 + "]"],
+         '{"re": 0.5}', "[1" + "0" * 400 + ", 0]", "[0, -1" + "0" * 400 + "]",
+         "[NaN, 0]", "[0, Infinity]", "[-Infinity, 0]", "[1e400, 0]"],
         ids=["string", "null", "nested-part", "too-deep", "short", "long",
-             "object", "huge-int", "huge-negative-int"],
+             "object", "huge-int", "huge-negative-int",
+             "nan", "infinity", "negative-infinity", "float-overflow"],
     )
     def test_non_numeric_entries_are_named(self, tmp_path, entry):
         # the offending entry sits at (1, 0); every other entry is a valid pair
@@ -372,6 +375,35 @@ class TestReportFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(PovmFormatError, match="estimator row"):
             load_report(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"min_wigner": 5.0}, "min_wigner 5.0 outside"),
+            ({"min_wigner": float("nan")}, "min_wigner nan outside"),
+            ({"negativity_volume": -0.1}, "negativity_volume -0.1"),
+            ({"negativity_volume": 0.2}, "negativity_volume 0.2"),
+            ({"negativity_volume": float("inf")}, "negativity_volume inf"),
+            ({"is_nonclassical": True}, "is_nonclassical True but its witnesses give False"),
+            ({"hudson_inconsistent": True}, "hudson_inconsistent True"),
+            ({"outcome": "nosuch"}, "names no estimator row"),
+        ],
+        ids=["min-wigner-high", "min-wigner-nan", "negative-volume", "volume-without-dip",
+             "infinite-volume", "nonclassical-flipped", "hudson-flipped", "renamed"],
+    )
+    def test_tampered_witness_rows_fail_validation(self, tmp_path, edit, message):
+        path = self.tampered(tmp_path, lambda doc: doc["nonclassicality"][0].update(edit))
+        with pytest.raises(ReportValidationError, match=message):
+            load_report(path)
+        assert len(load_report(path, validate=False).nonclassicality) == 1
+
+    def test_witness_rows_are_checked_under_the_given_tolerances(self, tmp_path):
+        path = self.tampered(
+            tmp_path, lambda doc: doc["nonclassicality"][0].update(min_wigner=-0.35)
+        )
+        with pytest.raises(ReportValidationError, match="min_wigner -0.35"):
+            load_report(path)
+        assert load_report(path, tols=Tolerances(neg=0.1)).nonclassicality[0].min_wigner == -0.35
 
     def test_identity_residuals_without_target(self):
         row = estimator_report(ideal_pnr(5).outcome("2"))

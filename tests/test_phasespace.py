@@ -1,11 +1,16 @@
 """Wigner evaluation, moments, and non-classicality witnesses."""
 
+import warnings
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import random_density
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from qdetchar import (
@@ -13,11 +18,14 @@ from qdetchar import (
     PhaseSpaceGrid,
     Tolerances,
     TruncationWarning,
+    annihilation,
     coherent_state,
+    complete_with_rest,
     covariance_matrix,
     fock_state,
     gaussian_reference,
     gaussianity_check,
+    ideal_pnr,
     lossy_pnr,
     negativity_volume,
     nonclassicality_of_measurement,
@@ -29,6 +37,8 @@ from qdetchar import (
     wigner,
     witness_report,
 )
+from qdetchar import phasespace
+from qdetchar.fock import number_mean
 
 ORIGIN = PhaseSpaceGrid.symmetric(1.0, 3)  # tiny odd grid containing (0, 0)
 
@@ -72,6 +82,59 @@ def termwise_wigner(rho, grid):
             phase = np.cos(k * theta) * r_mn.real - np.sin(k * theta) * r_mn.imag
             acc += sign * 2.0 * np.exp(log_coef) * eval_genlaguerre(m, k, beta_sq) * phase
     return acc / np.pi
+
+
+def padded_moments(rho):
+    """Reference moments: quadrature operators on a basis padded by two levels.
+
+    The operator route that ``covariance_matrix`` took before its ladder
+    closed form, kept as the oracle for it.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    d = rho.shape[0]
+    padded = np.zeros((d + 2, d + 2), dtype=complex)
+    padded[:d, :d] = rho
+    a = annihilation(d + 2)
+    xop = (a + a.conj().T) / np.sqrt(2.0)
+    pop = -1j * (a - a.conj().T) / np.sqrt(2.0)
+
+    def ev(op):
+        return float(np.real(np.einsum("ij,ji->", padded, op)))
+
+    mx, mp = ev(xop), ev(pop)
+    cxp = ev(0.5 * (xop @ pop + pop @ xop)) - mx * mp
+    cov = [[ev(xop @ xop) - mx * mx, cxp], [cxp, ev(pop @ pop) - mp * mp]]
+    return np.array([mx, mp]), np.array(cov)
+
+
+@contextmanager
+def oracle_route():
+    """Run the phase-space module on scipy's ``expm`` and the padded moments."""
+    def moments(rho):
+        return (*padded_moments(rho), number_mean(rho) > rho.shape[0] / 4)
+
+    with mock.patch.object(phasespace, "_expm_antihermitian", expm), \
+            mock.patch.object(phasespace, "_moments", moments):
+        yield
+
+
+def canonical_states():
+    """Retrodicted states of the four canonical detector models at dims 6-60.
+
+    The photon-number models keep about ten outcomes per dimension, spread
+    over the whole range.
+    """
+    for d in (6, 17, 30, 60):
+        targets = (fock_state(1, d), coherent_state(0.6 + 0.3j, d), squeezed_vacuum(0.4, d))
+        models = [
+            ideal_pnr(d).elements[:: max(1, d // 10)],
+            lossy_pnr(0.9, d).elements[:: max(1, d // 10)],
+            on_off_apd(0.5, 0.02, d).elements,
+        ] + [complete_with_rest([scaled_projector(t, 0.8)]).elements for t in targets]
+        for elements in models:
+            for el in elements:
+                if el.trace_weight > 1e-12:
+                    yield f"{d}:{el.label}", retrodicted_state(el).state
 
 
 class TestGrid:
@@ -270,6 +333,14 @@ class TestMoments:
         with pytest.warns(TruncationWarning, match="mean photon"):
             covariance_matrix(thermal(5.0, 8))
 
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    def test_matches_padded_operator_oracle(self, rng):
+        states = [rho for _, rho in canonical_states()]
+        states += [random_density(rng, int(rng.integers(2, 30))) for _ in range(40)]
+        for rho in states:
+            for got, want in zip(covariance_matrix(rho), padded_moments(rho)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
 
 class TestSqueezingWitness:
     def test_fires_only_below_vacuum_noise(self):
@@ -311,6 +382,37 @@ class TestGaussianReference:
         with pytest.raises(ValueError, match="2x2"):
             gaussian_reference([0, 0, 0], np.eye(3), 10)
 
+    @staticmethod
+    def assert_matches_expm(alpha, xi, nbar, dim):
+        """The eigendecomposition exponential against scipy's ``expm``."""
+        s, theta = abs(xi), 0.5 * np.angle(xi)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        cov = (nbar + 0.5) * rot @ np.diag([np.exp(-2 * s), np.exp(2 * s)]) @ rot.T
+        mean = np.sqrt(2.0) * np.array([alpha.real, alpha.imag])
+        ref, tail = gaussian_reference(mean, cov, dim)
+        with oracle_route():
+            want, want_tail = gaussian_reference(mean, cov, dim)
+        np.testing.assert_allclose(ref, want, rtol=0, atol=1e-12)
+        assert abs(tail - want_tail) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 21, 34, 60])
+    def test_matches_expm_oracle(self, dim):
+        rng = np.random.default_rng([77, dim])
+        for _ in range(5):
+            alpha = complex(*rng.uniform(-2.0, 2.0, 2))
+            xi = rng.uniform(0.0, 0.8) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            self.assert_matches_expm(alpha, xi, rng.uniform(0.0, 1.0), dim)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        st.floats(0.0, 2.0),
+    )
+    def test_matches_expm_oracle_search(self, dim, alpha, xi, nbar):
+        self.assert_matches_expm(alpha, xi, nbar, dim)
+
 
 class TestGaussianityCheck:
     def test_gaussian_family(self):
@@ -330,6 +432,21 @@ class TestGaussianityCheck:
         with pytest.warns(TruncationWarning):
             verdict = gaussianity_check(thermal(4.0, 12))
         assert verdict is Gaussianity.UNDETERMINED
+
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    def test_canonical_verdicts_and_tails_match_the_oracle_route(self):
+        verdicts = set()
+        for name, rho in canonical_states():
+            mean, cov = covariance_matrix(rho)
+            tail = gaussian_reference(mean, cov, rho.shape[0])[1]
+            verdict = gaussianity_check(rho)
+            with oracle_route():
+                want_tail = gaussian_reference(*padded_moments(rho), rho.shape[0])[1]
+                want = gaussianity_check(rho)
+            assert verdict is want, name
+            assert abs(tail - want_tail) <= 1e-12, name
+            verdicts.add(verdict)
+        assert verdicts == set(Gaussianity)
 
 
 class TestWitnessReports:
@@ -375,6 +492,16 @@ class TestWitnessReports:
         for psi in targets:
             rep = nonclassicality_of_measurement(scaled_projector(psi, 1.0), g)
             assert not rep.hudson_inconsistent
+
+    def test_heavy_state_warns_once(self):
+        state = thermal(4.0, 12)
+        w = wigner(state, PhaseSpaceGrid.symmetric(3.0, 21))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = witness_report(state, w, "heavy", 0.2)
+        heavy = [c for c in caught if "mean photon" in str(c.message)]
+        assert len(heavy) == 1 and heavy[0].category is TruncationWarning
+        assert rep.gaussianity is Gaussianity.UNDETERMINED
 
     def test_witness_report_reuses_precomputed_grid(self):
         state = dm(fock_state(1, 30))
