@@ -82,25 +82,36 @@ def parse_target(spec: str, dim: int):
 
 def cmd_model(args, tols, thresholds):
     kind = args.kind
-    meta = {"model": kind, "dim": str(args.dim)}
     if kind == "ideal-pnr":
         povm = ideal_pnr(args.dim)
+        meta = {"model": kind, "dim": str(args.dim)}
     elif kind == "lossy-pnr":
         if args.eta is None:
             raise ValueError("lossy-pnr requires --eta")
         povm = lossy_pnr(args.eta, args.dim)
-        meta["eta"] = repr(args.eta)
+        meta = {"model": kind, "dim": str(args.dim), "eta": repr(args.eta)}
     elif kind == "apd":
         if args.eta is None:
             raise ValueError("apd requires --eta")
         povm = on_off_apd(args.eta, args.nu, args.dim)
-        meta.update(eta=repr(args.eta), nu=repr(args.nu))
+        meta = {
+            "model": kind,
+            "dim": str(args.dim),
+            "eta": repr(args.eta),
+            "nu": repr(args.nu),
+        }
     elif kind == "scaled-projector":
         if args.target is None or args.zeta is None:
             raise ValueError("scaled-projector requires --target and --zeta")
         label, ket = parse_target(args.target, args.dim)
-        povm = complete_with_rest([scaled_projector(ket, args.zeta)], tols)
-        meta.update(target=label, zeta=repr(args.zeta))
+        element = scaled_projector(ket, args.zeta)
+        povm = complete_with_rest([element], tols)
+        meta = {
+            "model": kind,
+            "dim": str(args.dim),
+            "target": label,
+            "zeta": repr(args.zeta),
+        }
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown model kind {kind!r}")
     povm = Povm(povm.elements, guard_levels=povm.guard_levels, metadata=meta)
@@ -113,14 +124,18 @@ def _witnesses(element, grid, tols, thresholds):
     """Retrodict one outcome; return its Wigner grid and its witness row."""
     retro = retrodicted_state(element, tols)
     wg = wigner(retro.state, grid, tols)
-    return wg, witness_report(retro.state, wg, element.label, projectivity(retro), tols, thresholds)
+    return wg, witness_report(
+        retro.state, wg, element.label, projectivity(retro), tols, thresholds
+    )
 
 
 def cmd_characterize(args, tols, thresholds):
     povm = load_povm(args.povm, tols)
     digest = sha256_digest(args.povm)
     targets = [parse_target(t, povm.dim) for t in args.target] or [(None, None)]
-    grid = PhaseSpaceGrid.symmetric(args.grid_radius, args.grid_points) if args.witnesses else None
+    grid = None
+    if args.witnesses:
+        grid = PhaseSpaceGrid.symmetric(args.grid_radius, args.grid_points)
     rows = []
     witness_rows = []
     for element in povm:
@@ -247,7 +262,10 @@ def cmd_verify(args, tols, thresholds):
         else:
             print(f"[ok] {row.outcome_label}: witness row consistent")
     if failed:
-        print(f"verification FAILED ({failed} of {len(checked)} rows)", file=sys.stderr)
+        print(
+            f"verification FAILED ({failed} of {len(checked)} rows)",
+            file=sys.stderr,
+        )
         return 2
     print(f"verified {len(checked)} rows (worst residual {worst:.3g})")
     return 0

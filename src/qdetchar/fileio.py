@@ -385,12 +385,20 @@ def witness_row_problems(
     ``min_wigner >= 0``.  The row must name an outcome of the report's
     estimator rows; that row's projectivity, the report's thresholds and
     ``tols`` then re-derive ``is_nonclassical`` and ``hudson_inconsistent``
-    as :func:`~qdetchar.phasespace.witness_report` does.
+    as :func:`~qdetchar.phasespace.witness_report` does.  Reports do not
+    record the ``tols.neg`` they were made with, so the problems that depend
+    on it name the value they were checked with.
     """
     problems = []
     minw, negv = row.min_wigner, row.negativity_volume
+    dead_band = (
+        f" (checked with negativity dead band {tols.neg!r}, QDETCHAR_NEG_TOL; "
+        "the report does not record the one it was made with)"
+    )
     if not abs(minw) <= 1.0 / math.pi + tols.neg:
-        problems.append(f"witness row has min_wigner {minw!r} outside [-1/pi, 1/pi]")
+        problems.append(
+            f"witness row has min_wigner {minw!r} outside [-1/pi, 1/pi]" + dead_band
+        )
     if not 0.0 <= negv < math.inf or (minw >= 0.0 and negv != 0.0):
         problems.append(
             f"witness row has negativity_volume {negv!r}, which is not a finite "
@@ -405,7 +413,9 @@ def witness_row_problems(
     stored = (row.is_nonclassical, row.hudson_inconsistent)
     for name, got, want in zip(("is_nonclassical", "hudson_inconsistent"), stored, expected):
         if got != want:
-            problems.append(f"witness row has {name} {got} but its witnesses give {want}")
+            problems.append(
+                f"witness row has {name} {got} but its witnesses give {want}" + dead_band
+            )
     return problems
 
 
@@ -447,11 +457,11 @@ def save_report(report: ReportFile, path) -> None:
     _dump(doc, path)
 
 
-def load_report(path, validate: bool = True, tols: Tolerances = DEFAULT_TOLS) -> ReportFile:
+def load_report(path, validate: bool = True) -> ReportFile:
     """Read a report; optionally re-check each row's internal identities.
 
     Validation applies :func:`estimator_row_problems` and
-    :func:`witness_row_problems` (under ``tols``) to every row.
+    :func:`witness_row_problems` (under the default tolerances) to every row.
     """
     doc = _parse_json(path)
     _check_header(doc, path)
@@ -480,7 +490,7 @@ def load_report(path, validate: bool = True, tols: Tolerances = DEFAULT_TOLS) ->
         nonclassicality=witness_rows,
     )
     if validate:
-        for row, problems in _row_problems(report, tols):
+        for row, problems in _row_problems(report, DEFAULT_TOLS):
             if problems:
                 raise ReportValidationError(
                     f"{path}: outcome {row.outcome_label!r} " + "; ".join(problems)

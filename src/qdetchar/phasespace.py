@@ -239,11 +239,7 @@ def negativity_volume(wgrid: WignerGrid, tols: Tolerances = DEFAULT_TOLS) -> flo
 
 
 def _moments(rho: np.ndarray):
-    """``(mean, cov, heavy)`` of a complex state.
-
-    ``heavy`` (mean photon number above ``dim / 4``) marks moments that the
-    truncation may have distorted; it warns once per call.
-    """
+    """Like :func:`covariance_matrix`, plus ``heavy``: ``number_mean > dim / 4``."""
     d = rho.shape[0]
     nbar = number_mean(rho)
     heavy = nbar > d / 4
@@ -258,9 +254,10 @@ def _moments(rho: np.ndarray):
     a1 = np.sum(root[1:] * np.diagonal(rho, -1))  # <a>
     a2 = np.sum(root[2:] * root[1:-1] * np.diagonal(rho, -2))  # <a^2>
     mx, mp = np.sqrt(2.0) * a1.real, np.sqrt(2.0) * a1.imag
+    cxx = nbar + 0.5 + a2.real - mx * mx
+    cpp = nbar + 0.5 - a2.real - mp * mp
     cxp = a2.imag - mx * mp
-    cov = [[nbar + 0.5 + a2.real - mx * mx, cxp], [cxp, nbar + 0.5 - a2.real - mp * mp]]
-    return np.array([mx, mp]), np.array(cov), heavy
+    return np.array([mx, mp]), np.array([[cxx, cxp], [cxp, cpp]]), heavy
 
 
 def covariance_matrix(rho: np.ndarray):
@@ -322,11 +319,7 @@ def gaussian_reference(mean: np.ndarray, cov: np.ndarray, dim: int):
     squeeze = _expm_antihermitian(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
     alpha = (mean[0] + 1j * mean[1]) / np.sqrt(2.0)
     displace = _expm_antihermitian(alpha * ad - np.conj(alpha) * a)
-    if nbar == 0.0:
-        therm = np.zeros(d)
-        therm[0] = 1.0
-    else:
-        therm = (nbar / (nbar + 1.0)) ** np.arange(d) / (nbar + 1.0)
+    therm = (nbar / (nbar + 1.0)) ** np.arange(d) / (nbar + 1.0)
     u = displace @ squeeze
     rho = u @ np.diag(therm).astype(complex) @ u.conj().T
     tr = float(np.real(np.trace(rho)))
@@ -384,10 +377,10 @@ class NonClassicalityReport:
     hudson_inconsistent: bool
 
 
-def _witness_verdicts(minw, negv, squeezed, gauss, projectivity_value, tols, thresholds):
+def _witness_verdicts(minw, negv, squeezed, gauss, proj, tols, thresholds):
     """``(is_nonclassical, hudson_inconsistent)`` from one outcome's witnesses."""
     return bool(negv > tols.neg or squeezed), bool(
-        projectivity_value >= thresholds.projectivity_min
+        proj >= thresholds.projectivity_min
         and minw >= -tols.neg
         and gauss is Gaussianity.NON_GAUSSIAN
     )

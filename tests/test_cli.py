@@ -464,7 +464,6 @@ class TestVerify:
         assert text.startswith("[FAIL] off:") and "exactly when it names a target" in text
         assert "verification FAILED (1 of 2 rows)" in err
 
-
     @pytest.fixture
     def witness_report_file(self, apd_file, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -500,6 +499,23 @@ class TestVerify:
         assert code == 2
         assert f"[FAIL] {row['outcome']}: witness row" in text and message in text
         assert "verification FAILED (1 of 4 rows)" in err
+
+    def test_witness_rows_are_checked_under_the_dead_band_in_force(
+        self, apd_file, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "report.json"
+        monkeypatch.setenv("QDETCHAR_NEG_TOL", "0.5")
+        with pytest.warns(qdetchar.TruncationWarning):
+            code, _, _ = run(
+                capsys, "characterize", str(apd_file), "--witnesses", "--out", str(out)
+            )
+        assert code == 0
+        assert run(capsys, "verify", str(out))[0] == 0
+        monkeypatch.delenv("QDETCHAR_NEG_TOL")
+        code, text, _ = run(capsys, "verify", str(out))
+        assert code == 2
+        assert "[FAIL] on: witness row has is_nonclassical False" in text
+        assert "checked with negativity dead band 1e-06, QDETCHAR_NEG_TOL" in text
 
 
 class TestConfigErrors:

@@ -8,6 +8,7 @@ import pytest
 
 from qdetchar import (
     CONVENTION,
+    DEFAULT_TOLS,
     CategoryThresholds,
     PhaseSpaceGrid,
     Povm,
@@ -34,6 +35,7 @@ from qdetchar import (
     sha256_digest,
     uniform_fock_ensemble,
     wigner,
+    witness_row_problems,
     write_wigner_grid,
 )
 from qdetchar._version import __version__
@@ -397,13 +399,19 @@ class TestReportFiles:
             load_report(path)
         assert len(load_report(path, validate=False).nonclassicality) == 1
 
-    def test_witness_rows_are_checked_under_the_given_tolerances(self, tmp_path):
-        path = self.tampered(
-            tmp_path, lambda doc: doc["nonclassicality"][0].update(min_wigner=-0.35)
-        )
-        with pytest.raises(ReportValidationError, match="min_wigner -0.35"):
+    def test_witness_rows_are_checked_under_the_default_tolerances(self, tmp_path):
+        def set_min_wigner(value):
+            return self.tampered(
+                tmp_path, lambda doc: doc["nonclassicality"][0].update(min_wigner=value)
+            )
+
+        load_report(set_min_wigner(-1.0 / np.pi - 0.5 * DEFAULT_TOLS.neg))
+        path = set_min_wigner(-0.35)
+        with pytest.raises(ReportValidationError, match=r"min_wigner -0.35 .*dead band 1e-06"):
             load_report(path)
-        assert load_report(path, tols=Tolerances(neg=0.1)).nonclassicality[0].min_wigner == -0.35
+        report = load_report(path, validate=False)
+        row = report.nonclassicality[0]
+        assert witness_row_problems(row, report, Tolerances(neg=0.1)) == []
 
     def test_identity_residuals_without_target(self):
         row = estimator_report(ideal_pnr(5).outcome("2"))
