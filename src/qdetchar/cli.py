@@ -139,7 +139,7 @@ def cmd_characterize(args, tols, thresholds):
     rows = []
     witness_rows = []
     for element in povm:
-        if element.is_null(tols.null_trace):
+        if element.is_null(tols):
             print(f"skipping null outcome {element.label!r}", file=sys.stderr)
             continue
         for label, ket in targets:
@@ -153,6 +153,7 @@ def cmd_characterize(args, tols, thresholds):
         thresholds=thresholds,
         estimators=tuple(rows),
         nonclassicality=tuple(witness_rows),
+        tolerances=tols,
     )
     save_report(report, args.out)
     for row in rows:
@@ -247,7 +248,7 @@ def cmd_retrodict(args, tols, thresholds):
 
 def cmd_verify(args, tols, thresholds):
     report = load_report(args.report, validate=False)
-    checked = _row_problems(report, tols)
+    checked = _row_problems(report)
     worst = 0.0
     failed = 0
     for row, problems in checked:

@@ -20,7 +20,6 @@ _ENV_SUFFIX = {
     "psd": "PSD_TOL",
     "norm": "NORM_TOL",
     "trace_floor": "TRACE_FLOOR",
-    "null_trace": "NULL_TRACE_TOL",
     "completeness": "COMPLETENESS_TOL",
     "neg": "NEG_TOL",
     "squeeze": "SQUEEZE_TOL",
@@ -30,28 +29,29 @@ _ENV_SUFFIX = {
 }
 
 
-def _env_overrides(cls, suffixes, environ):
-    if environ is None:
-        environ = os.environ
-    updates = {}
+def _from_env(cls, suffixes, environ):
+    """Defaults of ``cls`` with each ``QDETCHAR_*`` override applied and checked."""
+    environ = os.environ if environ is None else environ
+    settings = cls()
     for f in fields(cls):
         name = ENV_PREFIX + suffixes[f.name]
         raw = environ.get(name)
         if raw is not None:
             try:
-                updates[f.name] = float(raw)
-            except ValueError:
-                raise ValueError(f"{name}={raw!r} is not a number") from None
-    return updates
+                settings = replace(settings, **{f.name: float(raw)})
+            except ValueError as exc:
+                raise ValueError(f"{name}={raw!r}: {exc}") from None
+    return settings
 
 
-def _require_finite(obj) -> None:
-    """Reject NaN and infinite fields: every comparison against them is false."""
+def _require_valid(obj) -> None:
+    """Reject NaN, infinite and negative fields: every one is a slack or a cutoff."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if not math.isfinite(value):
+        if not 0.0 <= value < math.inf:
             raise ValueError(
-                f"{type(obj).__name__}.{f.name} must be a finite number, got {value!r}"
+                f"{type(obj).__name__}.{f.name} must be a finite, non-negative number, "
+                f"got {value!r}"
             )
 
 
@@ -70,10 +70,9 @@ class Tolerances:
     norm : float
         Slack on unit traces and unit vector norms.
     trace_floor : float
-        Outcomes with trace weight at or below this cannot be retrodicted.
-    null_trace : float
-        Elements with trace below this are flagged as null outcomes.  They
-        are kept in place, never deleted, so outcome indices stay stable.
+        Outcomes with trace weight at or below this are null: they cannot be
+        retrodicted and ``characterize`` skips them.  They are kept in place,
+        never deleted, so outcome indices stay stable.
     completeness : float
         Largest tolerated entry of ``sum(elements) - identity`` on the
         guarded subspace.
@@ -96,7 +95,6 @@ class Tolerances:
     psd: float = 1e-10
     norm: float = 1e-9
     trace_floor: float = 1e-12
-    null_trace: float = 1e-14
     completeness: float = 1e-9
     neg: float = 1e-6
     squeeze: float = 1e-6
@@ -105,12 +103,12 @@ class Tolerances:
     tail: float = 1e-6
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_valid(self)
 
     @classmethod
     def from_env(cls, environ=None) -> "Tolerances":
         """Build defaults, then apply any ``QDETCHAR_*`` overrides."""
-        return replace(cls(), **_env_overrides(cls, _ENV_SUFFIX, environ))
+        return _from_env(cls, _ENV_SUFFIX, environ)
 
 
 _THRESHOLD_SUFFIX = {
@@ -133,11 +131,11 @@ class CategoryThresholds:
     ideality_min: float = 0.99
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_valid(self)
 
     @classmethod
     def from_env(cls, environ=None) -> "CategoryThresholds":
-        return replace(cls(), **_env_overrides(cls, _THRESHOLD_SUFFIX, environ))
+        return _from_env(cls, _THRESHOLD_SUFFIX, environ)
 
 
 DEFAULT_TOLS = Tolerances()

@@ -83,9 +83,9 @@ class PovmElement:
         """``Tr(element)``, the outcome's total detection weight."""
         return float(np.real(np.trace(self.matrix)))
 
-    def is_null(self, threshold: float = DEFAULT_TOLS.null_trace) -> bool:
-        """True when the element's trace is below the null threshold."""
-        return self.trace_weight < threshold
+    def is_null(self, tols: Tolerances = DEFAULT_TOLS) -> bool:
+        """The one null rule: trace at or below ``tols.trace_floor``."""
+        return self.trace_weight <= tols.trace_floor
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +311,7 @@ def validate_povm(povm: Povm, tols: Tolerances = DEFAULT_TOLS) -> PovmValidation
                 hermiticity_defect=defect,
                 min_eigenvalue=float(w[0]),
                 max_eigenvalue=float(w[-1]),
-                is_null=e.is_null(tols.null_trace),
+                is_null=e.is_null(tols),
                 passed=passed,
             )
         )

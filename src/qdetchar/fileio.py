@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -375,26 +375,21 @@ def estimator_row_problems(row: EstimatorReport, thresholds: CategoryThresholds)
     return problems
 
 
-def witness_row_problems(
-    row: NonClassicalityReport, report: ReportFile, tols: Tolerances = DEFAULT_TOLS
-) -> list:
+def witness_row_problems(row: NonClassicalityReport, report: ReportFile) -> list:
     """Why a stored witness row is inconsistent; an empty list when it is not.
 
     ``min_wigner`` must lie in ``[-1/pi, 1/pi]`` up to ``tols.neg``, and
     ``negativity_volume`` must be finite, non-negative and zero when
     ``min_wigner >= 0``.  The row must name an outcome of the report's
-    estimator rows; that row's projectivity, the report's thresholds and
-    ``tols`` then re-derive ``is_nonclassical`` and ``hudson_inconsistent``
-    as :func:`~qdetchar.phasespace.witness_report` does.  Reports do not
-    record the ``tols.neg`` they were made with, so the problems that depend
-    on it name the value they were checked with.
+    estimator rows; that row's projectivity and the report's own thresholds
+    and tolerances ``tols`` then re-derive ``is_nonclassical`` and
+    ``hudson_inconsistent`` as :func:`~qdetchar.phasespace.witness_report`
+    does.  The problems that depend on ``tols.neg`` name its value.
     """
     problems = []
+    tols = report.tolerances
     minw, negv = row.min_wigner, row.negativity_volume
-    dead_band = (
-        f" (checked with negativity dead band {tols.neg!r}, QDETCHAR_NEG_TOL; "
-        "the report does not record the one it was made with)"
-    )
+    dead_band = f" (checked with negativity dead band {tols.neg!r})"
     if not abs(minw) <= 1.0 / math.pi + tols.neg:
         problems.append(
             f"witness row has min_wigner {minw!r} outside [-1/pi, 1/pi]" + dead_band
@@ -419,15 +414,15 @@ def witness_row_problems(
     return problems
 
 
-def _row_problems(report: ReportFile, tols: Tolerances) -> list:
+def _row_problems(report: ReportFile) -> list:
     """``(row, problems)`` for every estimator row, then every witness row."""
     checked = [(r, estimator_row_problems(r, report.thresholds)) for r in report.estimators]
-    return checked + [(r, witness_row_problems(r, report, tols)) for r in report.nonclassicality]
+    return checked + [(r, witness_row_problems(r, report)) for r in report.nonclassicality]
 
 
 @dataclass(frozen=True)
 class ReportFile:
-    """In-memory form of a characterization report file."""
+    """In-memory form of a characterization report file and its settings."""
 
     tool_version: str
     input_digest: str
@@ -435,6 +430,7 @@ class ReportFile:
     thresholds: CategoryThresholds
     estimators: tuple
     nonclassicality: tuple = ()
+    tolerances: Tolerances = DEFAULT_TOLS
 
 
 def save_report(report: ReportFile, path) -> None:
@@ -444,10 +440,8 @@ def save_report(report: ReportFile, path) -> None:
         "tool_version": report.tool_version,
         "input_digest": report.input_digest,
         "dim": report.dim,
-        "thresholds": {
-            "projectivity_min": report.thresholds.projectivity_min,
-            "ideality_min": report.thresholds.ideality_min,
-        },
+        "thresholds": asdict(report.thresholds),
+        "tolerances": asdict(report.tolerances),
         "estimators": [_estimator_to_dict(r) for r in report.estimators],
     }
     if report.nonclassicality:
@@ -457,22 +451,27 @@ def save_report(report: ReportFile, path) -> None:
     _dump(doc, path)
 
 
-def load_report(path, validate: bool = True) -> ReportFile:
-    """Read a report; optionally re-check each row's internal identities.
+def _settings_from_dict(doc: dict, key: str, cls, path):
+    """The ``thresholds`` or ``tolerances`` block; an absent field is the default."""
+    block = _expect(doc, key, dict, str(path))
+    try:
+        if not all(isinstance(value, (int, float)) for value in block.values()):
+            raise TypeError(f"fields must be numbers, got {block!r}")
+        return cls(**{name: float(value) for name, value in block.items()})
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PovmFormatError(f"{path}: malformed {key} ({exc})") from exc
 
-    Validation applies :func:`estimator_row_problems` and
-    :func:`witness_row_problems` (under the default tolerances) to every row.
+
+def load_report(path, validate: bool = True) -> ReportFile:
+    """Read a report; optionally re-check every row under its own settings.
+
+    A report without a ``tolerances`` block reads as made under the defaults.
     """
     doc = _parse_json(path)
     _check_header(doc, path)
-    thresholds_doc = _expect(doc, "thresholds", dict, str(path))
-    try:
-        thresholds = CategoryThresholds(
-            projectivity_min=float(thresholds_doc.get("projectivity_min", 0.99)),
-            ideality_min=float(thresholds_doc.get("ideality_min", 0.99)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise PovmFormatError(f"{path}: malformed thresholds ({exc})") from exc
+    thresholds = _settings_from_dict(doc, "thresholds", CategoryThresholds, path)
+    doc.setdefault("tolerances", {})
+    tolerances = _settings_from_dict(doc, "tolerances", Tolerances, path)
     rows = [
         _estimator_from_dict(entry, f"{path}: estimators[{i}]")
         for i, entry in enumerate(_expect(doc, "estimators", list, str(path)))
@@ -488,9 +487,10 @@ def load_report(path, validate: bool = True) -> ReportFile:
         thresholds=thresholds,
         estimators=tuple(rows),
         nonclassicality=witness_rows,
+        tolerances=tolerances,
     )
     if validate:
-        for row, problems in _row_problems(report, DEFAULT_TOLS):
+        for row, problems in _row_problems(report):
             if problems:
                 raise ReportValidationError(
                     f"{path}: outcome {row.outcome_label!r} " + "; ".join(problems)

@@ -226,29 +226,28 @@ def retrodictive_limit_scan(
     el = _as_element(element)
     if el.dim != d:
         raise ValueError(f"element dim {el.dim} != scan dim {d}")
-    lambdas = [float(l) for l in lambdas]
-    for lam in lambdas:
-        if not 0.0 <= lam < 1.0:
-            raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
-        if lam ** (2 * d) > tols.tail:
-            raise TailToleranceError(
-                f"lam={lam} leaves tail {lam ** (2 * d):.3g} > {tols.tail:.3g} "
-                f"at dim {d}; increase dim"
-            )
-    target = conjugate_in_fock(retrodicted_state(el, tols).state)
-    points = []
+    params = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for lam in lambdas:
-            result = heralded_closed_form(TmsvParams(lam, d), el, tols)
-            fid = uhlmann_fidelity(result.conditional_state, target)
-            points.append(
-                LimitScanPoint(
-                    lam=lam,
-                    fidelity=fid,
-                    success_probability=result.success_probability,
+            p = TmsvParams(lam, d)
+            if p.tail > tols.tail:
+                raise TailToleranceError(
+                    f"lam={p.lam} leaves tail {p.tail:.3g} > {tols.tail:.3g} "
+                    f"at dim {d}; increase dim"
                 )
+            params.append(p)
+    target = conjugate_in_fock(retrodicted_state(el, tols).state)
+    points = []
+    for p in params:
+        result = heralded_closed_form(p, el, tols)
+        points.append(
+            LimitScanPoint(
+                lam=p.lam,
+                fidelity=uhlmann_fidelity(result.conditional_state, target),
+                success_probability=result.success_probability,
             )
+        )
     fids = [pt.fidelity for pt in points]
     monotonic = all(b - a >= -1e-12 for a, b in zip(fids, fids[1:]))
     return LimitScan(points=tuple(points), fidelity_monotonic=monotonic)

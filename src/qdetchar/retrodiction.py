@@ -117,19 +117,19 @@ def _as_density(state: np.ndarray) -> np.ndarray:
     return state
 
 
-def born_probability(rho: np.ndarray, element) -> float:
+def born_probability(rho: np.ndarray, element, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Probability ``Tr(rho element)`` of the outcome firing on ``rho``.
 
     Accepts a ket or density matrix.  Values are clamped into [0, 1];
-    anything outside ``[-1e-9, 1 + 1e-9]`` signals invalid inputs and
-    raises.
+    anything outside ``[-tols.norm, 1 + tols.norm]`` signals invalid inputs
+    and raises.
     """
     el = _as_element(element)
     rho = _as_density(rho)
     if rho.shape[0] != el.dim:
         raise ValueError(f"state dim {rho.shape[0]} != element dim {el.dim}")
     val = float(np.real(np.einsum("ij,ji->", rho, el.matrix)))
-    if not -1e-9 <= val <= 1.0 + 1e-9:
+    if not -tols.norm <= val <= 1.0 + tols.norm:
         raise ValueError(f"probability {val!r} outside [0, 1]; inputs are not physical")
     return min(max(val, 0.0), 1.0)
 
@@ -139,12 +139,13 @@ def retrodicted_state(
 ) -> RetrodictedState:
     """Normalize a measurement element into the state it retrodicts.
 
-    Raises :class:`NullOutcomeError` for elements with trace at or below
-    ``tols.trace_floor``: a null outcome carries no retrodictive content.
+    Raises :class:`NullOutcomeError` for a null element (see
+    :meth:`~qdetchar.detectors.PovmElement.is_null`): a null outcome carries
+    no retrodictive content.
     """
     el = _as_element(element)
     weight = el.trace_weight
-    if weight <= tols.trace_floor:
+    if el.is_null(tols):
         raise NullOutcomeError(
             f"outcome {el.label!r} has trace {weight:.3g}; nothing to retrodict"
         )
@@ -161,10 +162,9 @@ def projectivity(retro: RetrodictedState) -> float:
 def ideality(element, tols: Tolerances = DEFAULT_TOLS) -> float:
     """``Tr(element**2) / Tr(element)``, in ``(0, 1]`` for physical elements."""
     el = _as_element(element)
-    weight = el.trace_weight
-    if weight <= tols.trace_floor:
-        raise NullOutcomeError(f"outcome {el.label!r} has trace {weight:.3g}")
-    return purity(el.matrix) / weight
+    if el.is_null(tols):
+        raise NullOutcomeError(f"outcome {el.label!r} has trace {el.trace_weight:.3g}")
+    return purity(el.matrix) / el.trace_weight
 
 
 def fidelity(retro: RetrodictedState, target: np.ndarray) -> float:
@@ -292,7 +292,7 @@ def retrodict_ensemble(
     el = povm.outcome(outcome_label)
     if ensemble.dim != povm.dim:
         raise ValueError(f"ensemble dim {ensemble.dim} != measurement dim {povm.dim}")
-    likelihoods = [born_probability(e.state, el) for e in ensemble]
+    likelihoods = [born_probability(e.state, el, tols) for e in ensemble]
     evidence = sum(l * e.prior for l, e in zip(likelihoods, ensemble))
     if evidence <= tols.trace_floor:
         raise UnreachableOutcomeError(

@@ -91,6 +91,18 @@ def apd_file(tmp_path):
 
 
 class TestCharacterize:
+    def test_outcome_at_the_trace_floor_is_skipped(self, tmp_path, capsys):
+        tiny = np.diag([5e-13, 0.0, 0.0, 0.0])
+        povm = qdetchar.Povm(
+            (qdetchar.PovmElement("tiny", tiny), qdetchar.PovmElement("rest", np.eye(4) - tiny))
+        )
+        path, out = tmp_path / "tiny.json", tmp_path / "report.json"
+        save_povm(povm, path)
+        code, _, err = run(capsys, "characterize", str(path), "--out", str(out))
+        assert code == 0
+        assert "skipping null outcome 'tiny'" in err
+        assert [r.outcome_label for r in load_report(out).estimators] == ["rest"]
+
     def test_report_and_stdout(self, apd_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, text, _ = run(
@@ -500,7 +512,7 @@ class TestVerify:
         assert f"[FAIL] {row['outcome']}: witness row" in text and message in text
         assert "verification FAILED (1 of 4 rows)" in err
 
-    def test_witness_rows_are_checked_under_the_dead_band_in_force(
+    def test_witness_rows_are_checked_under_the_reports_own_tolerances(
         self, apd_file, tmp_path, capsys, monkeypatch
     ):
         out = tmp_path / "report.json"
@@ -510,12 +522,32 @@ class TestVerify:
                 capsys, "characterize", str(apd_file), "--witnesses", "--out", str(out)
             )
         assert code == 0
-        assert run(capsys, "verify", str(out))[0] == 0
+        assert json.loads(out.read_text())["tolerances"]["neg"] == 0.5
         monkeypatch.delenv("QDETCHAR_NEG_TOL")
-        code, text, _ = run(capsys, "verify", str(out))
-        assert code == 2
-        assert "[FAIL] on: witness row has is_nonclassical False" in text
-        assert "checked with negativity dead band 1e-06, QDETCHAR_NEG_TOL" in text
+        for neg_tol in (None, "1e-9"):
+            if neg_tol is not None:
+                monkeypatch.setenv("QDETCHAR_NEG_TOL", neg_tol)
+            code, text, _ = run(capsys, "verify", str(out))
+            assert code == 0
+            assert "[ok] on: witness row consistent" in text
+            assert load_report(out).tolerances.neg == 0.5
+
+    def test_report_without_tolerances_reads_as_defaults(self, witness_report_file, capsys):
+        doc = json.loads(witness_report_file.read_text())
+        del doc["tolerances"]
+        witness_report_file.write_text(json.dumps(doc, indent=2))
+        assert load_report(witness_report_file).tolerances == qdetchar.DEFAULT_TOLS
+        code, text, _ = run(capsys, "verify", str(witness_report_file))
+        assert code == 0
+        assert "verified 4 rows" in text
+
+    def test_malformed_tolerances_exit_4(self, witness_report_file, capsys):
+        doc = json.loads(witness_report_file.read_text())
+        doc["tolerances"]["neg"] = -1.0
+        witness_report_file.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(witness_report_file))
+        assert code == 4
+        assert "malformed tolerances" in err and "non-negative" in err
 
 
 class TestConfigErrors:
@@ -526,6 +558,15 @@ class TestConfigErrors:
         code, _, err = run(capsys, "characterize", str(apd_file), "--out", str(out))
         assert code == 2
         assert err.startswith("error:") and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("var", ["QDETCHAR_NEG_TOL", "QDETCHAR_HERM_TOL"])
+    def test_negative_env_value_exits_2(self, apd_file, tmp_path, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "-1")
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "characterize", str(apd_file), "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: {var}='-1':") and "non-negative" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--projectivity-min", "--ideality-min"])

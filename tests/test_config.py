@@ -1,8 +1,11 @@
 """Tolerances and classification thresholds."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from qdetchar import CategoryThresholds, Tolerances
+from qdetchar import CategoryThresholds, Tolerances, config
 
 
 class TestConfigValues:
@@ -13,6 +16,13 @@ class TestConfigValues:
         with pytest.raises(ValueError, match="finite"):
             CategoryThresholds(ideality_min=value)
 
+    def test_negative_fields_rejected(self):
+        with pytest.raises(ValueError, match="Tolerances.herm must be a finite, non-negative"):
+            Tolerances(herm=-1e-12)
+        with pytest.raises(ValueError, match="projectivity_min must be a finite, non-negative"):
+            CategoryThresholds(projectivity_min=-0.5)
+        assert Tolerances(trace_floor=0.0).trace_floor == 0.0
+
     def test_env_values_are_checked(self):
         env = {"QDETCHAR_PROJECTIVITY_MIN": "nan"}
         with pytest.raises(ValueError, match="projectivity_min must be a finite"):
@@ -20,3 +30,11 @@ class TestConfigValues:
         with pytest.raises(ValueError, match="QDETCHAR_NEG_TOL"):
             Tolerances.from_env({"QDETCHAR_NEG_TOL": "small"})
         assert Tolerances.from_env({"QDETCHAR_NEG_TOL": "1e-3"}).neg == 1e-3
+
+
+def test_readme_configuration_names_every_variable_read():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    suffixes = [*config._ENV_SUFFIX.values(), *config._THRESHOLD_SUFFIX.values()]
+    read = {config.ENV_PREFIX + suffix for suffix in suffixes}
+    assert set(re.findall(r"QDETCHAR_[A-Z][A-Z_]*", section)) == read

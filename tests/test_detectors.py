@@ -30,6 +30,15 @@ class TestContainers:
         assert not el.is_null()
         assert PovmElement("z", np.zeros((3, 3))).is_null()
 
+    def test_outcome_at_the_trace_floor_is_null(self):
+        tiny = np.diag([5e-13, 0.0, 0.0, 0.0])
+        povm = Povm((PovmElement("tiny", tiny), PovmElement("rest", np.eye(4) - tiny)))
+        report = validate_povm(povm)
+        assert report.passed
+        assert [e.is_null for e in report.elements] == [True, False]
+        assert PovmElement("t", tiny).is_null(Tolerances(trace_floor=5e-13))
+        assert not PovmElement("t", tiny).is_null(Tolerances(trace_floor=1e-13))
+
     def test_element_matrix_is_read_only(self):
         el = PovmElement("x", np.eye(3))
         with pytest.raises(ValueError):

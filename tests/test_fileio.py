@@ -302,6 +302,41 @@ class TestReportFiles:
         save_report(back, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_settings_round_trip(self, tmp_path):
+        report = dataclasses.replace(
+            self.build(tmp_path),
+            thresholds=CategoryThresholds(projectivity_min=0.9, ideality_min=0.8),
+            tolerances=Tolerances(neg=0.25, trace_floor=0.0),
+        )
+        a = tmp_path / "r.json"
+        b = tmp_path / "r2.json"
+        save_report(report, a)
+        back = load_report(a)
+        assert (back.thresholds, back.tolerances) == (report.thresholds, report.tolerances)
+        save_report(back, b)
+        assert a.read_bytes() == b.read_bytes()
+        assert (
+            '  "thresholds": {\n    "projectivity_min": 0.9,\n    "ideality_min": 0.8\n  },\n'
+            '  "tolerances": {\n    "herm": 1e-10,'
+        ) in a.read_text()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"neg": -1.0},
+            {"nosuch": 1.0},
+            {"neg": "small"},
+            {"neg": "0.5"},
+            {"neg": None},
+            {"neg": float("nan")},
+        ],
+        ids=["negative", "unknown", "string", "numeric-string", "null", "nan"],
+    )
+    def test_bad_tolerances_are_format_errors(self, tmp_path, edit):
+        path = self.tampered(tmp_path, lambda doc: doc["tolerances"].update(edit))
+        with pytest.raises(PovmFormatError, match="malformed tolerances"):
+            load_report(path, validate=False)
+
     def test_tampered_numbers_fail_validation(self, tmp_path):
         report = self.build(tmp_path)
         path = tmp_path / "r.json"
@@ -411,7 +446,8 @@ class TestReportFiles:
             load_report(path)
         report = load_report(path, validate=False)
         row = report.nonclassicality[0]
-        assert witness_row_problems(row, report, Tolerances(neg=0.1)) == []
+        lax = dataclasses.replace(report, tolerances=Tolerances(neg=0.1))
+        assert witness_row_problems(row, lax) == []
 
     def test_identity_residuals_without_target(self):
         row = estimator_report(ideal_pnr(5).outcome("2"))

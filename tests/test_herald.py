@@ -11,6 +11,7 @@ from qdetchar import (
     HeraldImpossibleError,
     PovmElement,
     TailToleranceError,
+    Tolerances,
     TmsvParams,
     TruncationWarning,
     fock_state,
@@ -254,6 +255,15 @@ class TestLimitScan:
         el = fock_projector(0, 30)
         with pytest.raises(TailToleranceError, match="increase dim"):
             retrodictive_limit_scan(el, [0.999], 30)
+
+    def test_tail_budget_follows_tols_and_refusals_keep_their_order(self):
+        el = fock_projector(0, 30)
+        scan = retrodictive_limit_scan(el, [0.9], 30, Tolerances(tail=0.01))
+        assert [pt.lam for pt in scan.points] == [0.9]
+        with pytest.raises(TailToleranceError, match="lam=0.999 leaves tail"):
+            retrodictive_limit_scan(el, [0.5, 0.999, 1.0], 30)
+        with pytest.raises(ValueError, match=r"\[0, 1\), got 1.0"):
+            retrodictive_limit_scan(el, [0.5, 1.0, 0.999], 30)
 
     def test_rejects_mismatched_dims_and_bad_lam(self):
         el = fock_projector(0, 30)

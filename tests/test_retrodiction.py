@@ -14,6 +14,7 @@ from qdetchar import (
     PovmElement,
     ProbeEnsemble,
     ProbeEntry,
+    Tolerances,
     UnreachableOutcomeError,
     born_probability,
     classify_outcome,
@@ -63,6 +64,16 @@ class TestBornProbability:
             born_probability(fock_state(0, 3), el)
         with pytest.raises(ValueError, match="dim"):
             born_probability(fock_state(0, 4), PovmElement("e", np.eye(3)))
+
+
+    def test_bound_follows_the_norm_tolerance(self):
+        el = PovmElement("over", (1.0 + 1e-6) * np.eye(3))
+        with pytest.raises(ValueError, match="probability"):
+            born_probability(fock_state(0, 3), el)
+        assert born_probability(fock_state(0, 3), el, Tolerances(norm=1e-5)) == 1.0
+        vacuum = ProbeEnsemble((ProbeEntry(1.0, np.diag([1.0, 0.0, 0.0]), "vac"),))
+        posterior = retrodict_ensemble(Povm((el,)), "over", vacuum, Tolerances(norm=1e-5))
+        assert posterior == [("vac", 1.0)]
 
 
 class TestRetrodictedState:
