@@ -8,13 +8,13 @@ ensemble, ``verify`` re-checks a saved report's internal identities.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric guard tripped,
 4 I/O or parse failure.  Tolerance defaults honour ``QDETCHAR_*``
-environment variables.
+environment variables, read only by the subcommands that use them;
+``verify`` reads none and checks a report under its own stored settings.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +39,7 @@ from .errors import (
     UnreachableOutcomeError,
 )
 from .fileio import (
+    FORMAT_VERSION,
     ReportFile,
     _row_problems,
     estimator_identity_residuals,
@@ -49,6 +50,7 @@ from .fileio import (
     save_povm,
     save_report,
     sha256_digest,
+    write_json,
     write_wigner_grid,
 )
 from .fock import coherent_state, fock_state, squeezed_vacuum
@@ -80,7 +82,16 @@ def parse_target(spec: str, dim: int):
     raise ValueError(f"target {spec!r}: unknown kind {kind!r}")
 
 
-def cmd_model(args, tols, thresholds):
+def _thresholds(args) -> CategoryThresholds:
+    """``QDETCHAR_*`` thresholds with any ``--projectivity-min``/``--ideality-min`` on top."""
+    flags = {"projectivity_min": args.projectivity_min, "ideality_min": args.ideality_min}
+    return replace(
+        CategoryThresholds.from_env(),
+        **{name: value for name, value in flags.items() if value is not None},
+    )
+
+
+def cmd_model(args):
     kind = args.kind
     if kind == "ideal-pnr":
         povm = ideal_pnr(args.dim)
@@ -105,7 +116,7 @@ def cmd_model(args, tols, thresholds):
             raise ValueError("scaled-projector requires --target and --zeta")
         label, ket = parse_target(args.target, args.dim)
         element = scaled_projector(ket, args.zeta)
-        povm = complete_with_rest([element], tols)
+        povm = complete_with_rest([element], Tolerances.from_env())
         meta = {
             "model": kind,
             "dim": str(args.dim),
@@ -129,7 +140,8 @@ def _witnesses(element, grid, tols, thresholds):
     )
 
 
-def cmd_characterize(args, tols, thresholds):
+def cmd_characterize(args):
+    tols, thresholds = Tolerances.from_env(), _thresholds(args)
     povm = load_povm(args.povm, tols)
     digest = sha256_digest(args.povm)
     targets = [parse_target(t, povm.dim) for t in args.target] or [(None, None)]
@@ -172,7 +184,8 @@ def cmd_characterize(args, tols, thresholds):
     return 0
 
 
-def cmd_wigner(args, tols, thresholds):
+def cmd_wigner(args):
+    tols, thresholds = Tolerances.from_env(), _thresholds(args)
     povm = load_povm(args.povm, tols)
     digest = sha256_digest(args.povm)
     element = povm.outcome(args.outcome)
@@ -181,14 +194,14 @@ def cmd_wigner(args, tols, thresholds):
     write_wigner_grid(wg, args.out, source_digest=digest, outcome_label=element.label)
     sidecar = str(args.out) + ".report.json"
     doc = {
-        "format_version": "1",
+        "format_version": FORMAT_VERSION,
         "tool": "qdetchar",
         "tool_version": __version__,
         "input_digest": digest,
         "outcome": element.label,
         "witnesses": nonclassicality_to_dict(report),
     }
-    Path(sidecar).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    write_json(doc, sidecar)
     print(
         f"{element.label}: min W = {report.min_wigner:.6g}, negativity volume = "
         f"{report.negativity_volume:.6g}, squeezing = {report.squeezing_witness}, "
@@ -198,7 +211,8 @@ def cmd_wigner(args, tols, thresholds):
     return 0
 
 
-def cmd_herald(args, tols, thresholds):
+def cmd_herald(args):
+    tols = Tolerances.from_env()
     povm = load_povm(args.povm, tols)
     digest = sha256_digest(args.povm)
     element = povm.outcome(args.outcome)
@@ -227,7 +241,8 @@ def cmd_herald(args, tols, thresholds):
     return 0
 
 
-def cmd_retrodict(args, tols, thresholds):
+def cmd_retrodict(args):
+    tols = Tolerances.from_env()
     povm = load_povm(args.povm, tols)
     ensemble = load_ensemble(args.ensemble, tols)
     posterior = retrodict_ensemble(povm, args.outcome, ensemble, tols)
@@ -246,7 +261,7 @@ def cmd_retrodict(args, tols, thresholds):
     return 0
 
 
-def cmd_verify(args, tols, thresholds):
+def cmd_verify(args):
     report = load_report(args.report, validate=False)
     checked = _row_problems(report)
     worst = 0.0
@@ -343,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("report")
     p.set_defaults(func=cmd_verify)
 
-    for sp in sub.choices.values():
+    for sp in (sub.choices["characterize"], sub.choices["wigner"]):
         sp.add_argument(
             "--projectivity-min",
             type=float,
@@ -360,13 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        tols = Tolerances.from_env()
-        flags = {"projectivity_min": args.projectivity_min, "ideality_min": args.ideality_min}
-        thresholds = replace(
-            CategoryThresholds.from_env(),
-            **{name: value for name, value in flags.items() if value is not None},
-        )
-        return args.func(args, tols, thresholds)
+        return args.func(args)
     except (PovmValidationError, ReportValidationError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,12 +45,6 @@ __all__ = [
 ]
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class PovmElement:
     """One labelled outcome of a measurement.
@@ -65,6 +59,7 @@ class PovmElement:
     matrix: np.ndarray
 
     def __post_init__(self):
+        # A copy, so that later writes to the caller's array cannot reach the element.
         arr = np.array(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"element {self.label!r}: matrix must be square, got {arr.shape}")
@@ -72,7 +67,8 @@ class PovmElement:
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"element {self.label!r}: non-finite entries")
         object.__setattr__(self, "label", str(self.label))
-        object.__setattr__(self, "matrix", _freeze(arr))
+        arr.setflags(write=False)
+        object.__setattr__(self, "matrix", arr)
 
     @property
     def dim(self) -> int:

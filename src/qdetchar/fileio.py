@@ -1,10 +1,13 @@
 """On-disk formats: measurement files, ensembles, reports, Wigner grids.
 
-Measurements and ensembles are JSON with every complex entry written as an
-explicit ``[re, im]`` pair, so files diff cleanly and floats survive a
-save/load/save cycle byte for byte (Python's shortest-repr float encoding
-is exact for IEEE doubles).  Wigner grids are plain whitespace-separated
-``x p W`` rows behind ``#`` header lines, readable by ``numpy.loadtxt``.
+Every JSON file goes through one writer, :func:`write_json`: objects are
+indented by two spaces, and in measurements and ensembles each matrix row
+of explicit ``[re, im]`` pairs is one line, so files still diff cleanly,
+row by row.  Files from earlier versions, with every number on a line of
+its own, load unchanged.  Floats survive a save/load/save cycle byte for
+byte (Python's shortest-repr float encoding is exact for IEEE doubles).
+Wigner grids are plain whitespace-separated ``x p W`` rows behind ``#``
+header lines, readable by ``numpy.loadtxt``.
 
 Reports embed the SHA-256 digest of their input file and the tool version,
 so every number in them can be traced back to the bytes it came from.
@@ -44,6 +47,7 @@ from .retrodiction import (
 __all__ = [
     "FORMAT_VERSION",
     "sha256_digest",
+    "write_json",
     "save_povm",
     "load_povm",
     "save_ensemble",
@@ -71,11 +75,16 @@ def sha256_digest(path) -> str:
 
 # ---------------------------------------------------------------- helpers
 
-def _matrix_to_pairs(m: np.ndarray):
+class _Rows(list):
+    """A matrix as rows of ``(re, im)`` pairs; :func:`write_json` writes a row per line."""
+
+
+def _matrix_to_pairs(m: np.ndarray) -> _Rows:
     # ndarray.tolist() gives the same Python floats as float(z.real), so the
-    # JSON text (and a signed zero) is unchanged.
+    # JSON text (and a signed zero) is unchanged.  Each pair is a tuple, which
+    # JSON writes as a list and zip builds without a Python loop per entry.
     m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], -1).tolist()
+    return _Rows(list(zip(re, im)) for re, im in zip(m.real.tolist(), m.imag.tolist()))
 
 
 def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
@@ -169,8 +178,37 @@ def _metadata_out(metadata) -> dict:
     return {str(k): str(v) for k, v in (metadata or {}).items()}
 
 
-def _dump(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+# Without ``indent`` CPython encodes in C; with it, every value goes through
+# the pure-Python encoder.
+_compact = json.JSONEncoder(allow_nan=False).encode
+
+
+def _layout(value, newline: str) -> str:
+    """``value`` as ``json.dumps(indent=2)`` lays it out, but a matrix row per line."""
+    inner = newline + "  "
+    if isinstance(value, _Rows):
+        items, ends = map(_compact, value), "[]"
+    elif isinstance(value, dict) and value:
+        items = (_compact(k) + ": " + _layout(v, inner) for k, v in value.items())
+        ends = "{}"
+    elif isinstance(value, list) and value:
+        items, ends = (_layout(v, inner) for v in value), "[]"
+    else:
+        return _compact(value)
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
+
+
+def write_json(doc: dict, path) -> None:
+    """Write ``doc`` as the JSON text of every file this program writes.
+
+    Objects and lists are indented by two spaces, byte for byte as
+    ``json.dumps(doc, indent=2)`` writes them; each row of a matrix from
+    :func:`_matrix_to_pairs` is one compact line.  The whole text is built
+    before the file is opened, so a NaN or infinity raises ``ValueError``
+    and leaves any file at ``path`` as it was.
+    """
+    text = _layout(doc, "\n") + "\n"
+    Path(path).write_text(text)
 
 
 # ---------------------------------------------------------------- POVM files
@@ -186,7 +224,7 @@ def save_povm(povm: Povm, path) -> None:
         ],
         "metadata": _metadata_out(povm.metadata),
     }
-    _dump(doc, path)
+    write_json(doc, path)
 
 
 def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> Povm:
@@ -241,7 +279,7 @@ def save_ensemble(ensemble: ProbeEnsemble, path, metadata=None) -> None:
         ],
         "metadata": _metadata_out(metadata),
     }
-    _dump(doc, path)
+    write_json(doc, path)
 
 
 def load_ensemble(path, tols: Tolerances = DEFAULT_TOLS) -> ProbeEnsemble:
@@ -448,7 +486,7 @@ def save_report(report: ReportFile, path) -> None:
         doc["nonclassicality"] = [
             nonclassicality_to_dict(r) for r in report.nonclassicality
         ]
-    _dump(doc, path)
+    write_json(doc, path)
 
 
 def _settings_from_dict(doc: dict, key: str, cls, path):

@@ -292,9 +292,11 @@ class TestWigner:
         assert "min W" in text
         wg = read_wigner_grid(out)
         np.testing.assert_allclose(wg.min_value(), -1.0 / np.pi, atol=1e-6)
-        sidecar = json.loads((tmp_path / "w.dat.report.json").read_text())
+        sidecar_text = (tmp_path / "w.dat.report.json").read_text()
+        sidecar = json.loads(sidecar_text)
         assert sidecar["witnesses"]["is_nonclassical"] is True
         assert sidecar["witnesses"]["gaussianity"] == "NonGaussian"
+        assert sidecar_text == json.dumps(sidecar, indent=2) + "\n"
 
     def test_unknown_outcome_exits_2(self, apd_file, tmp_path, capsys):
         code, _, err = run(
@@ -575,6 +577,35 @@ class TestConfigErrors:
         code, _, err = run(capsys, "characterize", str(apd_file), flag, "inf", "--out", str(out))
         assert code == 2
         assert err.startswith("error:") and "finite" in err
+        assert not out.exists()
+
+
+class TestSettingsPerSubcommand:
+    def test_threshold_flags_are_a_usage_error_on_verify(self, apd_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        run(capsys, "characterize", str(apd_file), "--out", str(out))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(out), "--projectivity-min", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --projectivity-min" in capsys.readouterr().err
+
+    def test_bad_env_value_does_not_stop_verify(self, apd_file, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "report.json"
+        run(capsys, "characterize", str(apd_file), "--out", str(out))
+        for var in ("QDETCHAR_GAUSS_TOL", "QDETCHAR_PROJECTIVITY_MIN"):
+            monkeypatch.setenv(var, "abc")
+        code, text, _ = run(capsys, "verify", str(out))
+        assert code == 0 and "verified" in text
+
+    @pytest.mark.parametrize("var", ["QDETCHAR_GAUSS_TOL", "QDETCHAR_PROJECTIVITY_MIN"])
+    def test_bad_env_value_still_stops_characterize(
+        self, apd_file, tmp_path, capsys, monkeypatch, var
+    ):
+        monkeypatch.setenv(var, "abc")
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "characterize", str(apd_file), "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: {var}='abc':")
         assert not out.exists()
 
 

@@ -44,6 +44,14 @@ class TestContainers:
         with pytest.raises(ValueError):
             el.matrix[0, 0] = 2.0
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_element_keeps_its_own_copy(self, dtype):
+        given = np.eye(3, dtype=dtype)
+        el = PovmElement("x", given)
+        given[0, 0] = 2.0
+        assert el.matrix[0, 0] == 1.0
+        assert not el.matrix.flags.writeable and given.flags.writeable
+
     def test_element_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             PovmElement("x", np.ones((2, 3)))

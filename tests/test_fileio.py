@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qdetchar import (
     CONVENTION,
@@ -40,6 +43,22 @@ from qdetchar import (
 )
 from qdetchar._version import __version__
 from qdetchar.detectors import default_guard_levels
+from qdetchar.fileio import _matrix_to_pairs, write_json
+
+# Finite floats, with signed zeros, subnormals and values near +-1e308 forced in.
+_PARTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+# Each example overwrites the same files, so one tmp_path serves them all.
+_FIXTURE = HealthCheck.function_scoped_fixture
 
 
 class TestDigest:
@@ -269,6 +288,65 @@ class TestEnsembleFiles:
             load_ensemble(path)
 
 
+class TestJsonLayout:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[_FIXTURE])
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda d: st.lists(arrays(float, (d, d, 2), elements=_PARTS), min_size=1, max_size=3)
+        )
+    )
+    def test_random_matrices_round_trip_bit_for_bit(self, tmp_path, parts):
+        povm = Povm(
+            tuple(PovmElement(str(k), p.view(complex)[..., 0]) for k, p in enumerate(parts)),
+            guard_levels=0,
+        )
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        save_povm(povm, a)
+        back = load_povm(a, validate=False)
+        for p, element in zip(parts, back):
+            got = element.matrix.view(float).reshape(p.shape)
+            assert got.tobytes() == p.tobytes()
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(p))
+        save_povm(back, b)
+        assert a.read_bytes() == b.read_bytes()
+        text = a.read_text()
+        row_lines = [line for line in text.splitlines() if line.lstrip().startswith("[[")]
+        assert [json.loads(line.rstrip(",")) for line in row_lines] == [
+            row for p in parts for row in p.tolist()
+        ]
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[_FIXTURE])
+    @given(st.dictionaries(st.text(), _JSON_VALUES, max_size=6))
+    def test_documents_without_matrices_are_laid_out_as_indent_2(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        write_json(doc, path)
+        assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+    def test_files_in_the_earlier_indent_2_layout_load_unchanged(self, tmp_path):
+        m = np.array([[0.5, complex(-0.0, -0.0)], [complex(-0.0, 0.0), complex(0.5, -0.0)]])
+        povm = Povm((PovmElement("x", m), PovmElement("y", np.eye(2) - m)), guard_levels=0)
+        ensemble = uniform_fock_ensemble(4)
+        for save, load, obj, items in [
+            (save_povm, load_povm, povm, lambda x: [e.matrix for e in x]),
+            (save_ensemble, load_ensemble, ensemble, lambda x: [e.state for e in x]),
+        ]:
+            new = tmp_path / "new.json"
+            old = tmp_path / "old.json"
+            save(obj, new)
+            old.write_text(json.dumps(json.loads(new.read_text()), indent=2) + "\n")
+            assert old.stat().st_size > new.stat().st_size
+            for want, got in zip(items(obj), items(load(old))):
+                assert got.tobytes() == np.asarray(want, dtype=complex).tobytes()
+
+    def test_non_finite_matrix_entries_are_never_written(self, tmp_path):
+        for bad in (float("nan"), float("inf"), complex(0.0, -float("inf"))):
+            doc = {"matrix": _matrix_to_pairs(np.array([[1.0, bad], [0.0, 1.0]]))}
+            with pytest.raises(ValueError):
+                write_json(doc, tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestReportFiles:
     def build(self, tmp_path):
         povm_path = tmp_path / "apd.json"
@@ -402,6 +480,23 @@ class TestReportFiles:
         bad = dataclasses.replace(report, estimators=(row,))
         with pytest.raises(ValueError):
             save_report(bad, tmp_path / "bad.json")
+
+    def test_non_finite_number_leaves_an_existing_file_untouched(self, tmp_path):
+        report = self.build(tmp_path)
+        path = tmp_path / "r.json"
+        save_report(report, path)
+        before = path.read_bytes()
+        for bad in (float("nan"), float("-inf")):
+            row = dataclasses.replace(report.estimators[0], ideality=bad)
+            with pytest.raises(ValueError):
+                save_report(dataclasses.replace(report, estimators=(row,)), path)
+            assert path.read_bytes() == before
+
+    def test_bytes_are_the_indent_2_layout(self, tmp_path):
+        path = tmp_path / "r.json"
+        save_report(self.build(tmp_path), path)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_malformed_rows_are_format_errors(self, tmp_path):
         report = self.build(tmp_path)
