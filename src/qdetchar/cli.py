@@ -66,20 +66,23 @@ from .retrodiction import (
 
 
 def parse_target(spec: str, dim: int):
-    """Parse ``fock:n``, ``coherent:re,im`` or ``squeezed:r`` into a ket."""
+    """Parse ``fock:n``, ``coherent:re,im`` or ``squeezed:r`` into a ket; errors name ``spec``."""
     kind, sep, arg = spec.partition(":")
-    if not sep:
-        raise ValueError(f"target {spec!r}: expected kind:params")
-    if kind == "fock":
-        return spec, fock_state(int(arg), dim)
-    if kind == "coherent":
-        parts = arg.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"target {spec!r}: expected coherent:re,im")
-        return spec, coherent_state(complex(float(parts[0]), float(parts[1])), dim)
-    if kind == "squeezed":
-        return spec, squeezed_vacuum(float(arg), dim)
-    raise ValueError(f"target {spec!r}: unknown kind {kind!r}")
+    try:
+        if not sep:
+            raise ValueError("expected kind:params")
+        if kind == "fock":
+            return spec, fock_state(int(arg), dim)
+        if kind == "coherent":
+            parts = arg.split(",")
+            if len(parts) != 2:
+                raise ValueError("expected coherent:re,im")
+            return spec, coherent_state(complex(float(parts[0]), float(parts[1])), dim)
+        if kind == "squeezed":
+            return spec, squeezed_vacuum(float(arg), dim)
+        raise ValueError(f"unknown kind {kind!r}")
+    except ValueError as exc:
+        raise ValueError(f"target {spec!r}: {exc}") from None
 
 
 def _thresholds(args) -> CategoryThresholds:

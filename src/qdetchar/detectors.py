@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import PovmValidationError
-from .fock import check_dim, eig_hermitian, hermiticity_defect, hermitize
+from .fock import _unit_ket, check_dim, eig_hermitian, hermiticity_defect, hermitize
 
 __all__ = [
     "PovmElement",
@@ -201,13 +201,7 @@ def scaled_projector(psi: np.ndarray, zeta: float, label: str = "hit") -> PovmEl
     zeta = float(zeta)
     if not 0.0 < zeta <= 1.0:
         raise ValueError(f"weight must lie in (0, 1], got {zeta}")
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise ValueError("target must be a state vector")
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        raise ValueError("target vector is zero")
-    psi = psi / norm
+    psi = _unit_ket(psi, "target")
     return PovmElement(label, zeta * np.outer(psi, psi.conj()))
 
 

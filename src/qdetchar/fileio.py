@@ -10,7 +10,10 @@ Wigner grids are plain whitespace-separated ``x p W`` rows behind ``#``
 header lines, readable by ``numpy.loadtxt``.
 
 Reports embed the SHA-256 digest of their input file and the tool version,
-so every number in them can be traced back to the bytes it came from.
+so every number in them can be traced back to the bytes it came from.  The
+report schema is the record dataclasses: one writer and one reader follow the
+fields and types that ``EstimatorReport``, ``NonClassicalityReport``,
+``CategoryThresholds`` and ``Tolerances`` declare.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +41,13 @@ from .phasespace import (
     _witness_verdicts,
 )
 from .retrodiction import (
-    IDENTITY_SLACK,
     EstimatorReport,
     OutcomeCategory,
     ProbeEnsemble,
     ProbeEntry,
+    _identity_problems,
     classify_outcome,
+    estimator_identity_residuals,
 )
 
 __all__ = [
@@ -61,7 +67,6 @@ __all__ = [
     "write_wigner_grid",
     "read_wigner_grid",
     "nonclassicality_to_dict",
-    "nonclassicality_from_dict",
 ]
 
 FORMAT_VERSION = "1"
@@ -151,18 +156,29 @@ def _parse_json(path):
         raise PovmFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
+# JSON types read as each type other than the type itself; a bool is never a number.
+_JSON_TYPES = {float: (int, float), OutcomeCategory: (str,), Gaussianity: (str,)}
+
+
 def _expect(doc: dict, key: str, kind, where: str):
+    """``doc[key]`` as a ``kind``, by the one type rule of every field read here.
+
+    It must have a JSON type ``_JSON_TYPES`` gives ``kind`` (or ``kind`` itself).
+    """
     if key not in doc:
         raise PovmFormatError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        raise PovmFormatError(
-            f"{where}: field {key!r} has type {type(value).__name__}"
-        )
-    return value
+    try:
+        if type(value) not in _JSON_TYPES.get(kind, (kind,)):
+            raise TypeError(f"has type {type(value).__name__}, not {kind.__name__}")
+        return value if type(value) is kind else kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PovmFormatError(f"{where}: field {key!r}: {exc}") from None
 
 
 def _check_header(doc, path):
+    if type(doc) is not dict:
+        raise PovmFormatError(f"{path}: expected a JSON object")
     version = _expect(doc, "format_version", str, str(path))
     if version != FORMAT_VERSION:
         raise PovmFormatError(
@@ -172,6 +188,20 @@ def _check_header(doc, path):
     if dim < 2:
         raise PovmFormatError(f"{path}: dim must be at least 2, got {dim}")
     return dim
+
+
+def _labelled_matrices(doc: dict, key: str, dim: int, path):
+    """``(where, entry, label, matrix)`` for each object of the non-empty list ``doc[key]``."""
+    entries = _expect(doc, key, list, str(path))
+    if not entries:
+        raise PovmFormatError(f"{path}: {key} list is empty")
+    for i, entry in enumerate(entries):
+        where = f"{path}: {key}[{i}]"
+        if type(entry) is not dict:
+            raise PovmFormatError(f"{where}: expected an object")
+        label = _expect(entry, "label", str, where)
+        matrix = _matrix_from_pairs(_expect(entry, "matrix", list, where), dim, where)
+        yield where, entry, label, matrix
 
 
 def _metadata_out(metadata) -> dict:
@@ -236,27 +266,14 @@ def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> P
     """
     doc = _parse_json(path)
     dim = _check_header(doc, path)
-    if "guard_levels" in doc:
-        guard = _expect(doc, "guard_levels", int, str(path))
-        if not 0 <= guard < dim:
-            raise PovmFormatError(f"{path}: guard_levels {guard} outside 0..{dim - 1}")
-    else:
-        guard = default_guard_levels(dim)
-    outcomes = _expect(doc, "outcomes", list, str(path))
-    if not outcomes:
-        raise PovmFormatError(f"{path}: outcomes list is empty")
-    elements = []
-    for idx, entry in enumerate(outcomes):
-        where = f"{path}: outcomes[{idx}]"
-        if not isinstance(entry, dict):
-            raise PovmFormatError(f"{where}: expected an object")
-        label = _expect(entry, "label", str, where)
-        matrix = _matrix_from_pairs(_expect(entry, "matrix", list, where), dim, where)
-        elements.append(PovmElement(label, matrix))
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise PovmFormatError(f"{path}: metadata must be an object")
-    povm = Povm(tuple(elements), guard_levels=guard, metadata=_metadata_out(metadata))
+    doc = {"guard_levels": default_guard_levels(dim), "metadata": {}, **doc}
+    guard = _expect(doc, "guard_levels", int, str(path))
+    if not 0 <= guard < dim:
+        raise PovmFormatError(f"{path}: guard_levels {guard} outside 0..{dim - 1}")
+    outcomes = _labelled_matrices(doc, "outcomes", dim, path)
+    elements = tuple(PovmElement(label, matrix) for _, _, label, matrix in outcomes)
+    metadata = _metadata_out(_expect(doc, "metadata", dict, str(path)))
+    povm = Povm(elements, guard_levels=guard, metadata=metadata)
     if validate:
         require_valid(povm, tols)
     return povm
@@ -286,21 +303,9 @@ def load_ensemble(path, tols: Tolerances = DEFAULT_TOLS) -> ProbeEnsemble:
     """Read a probe ensemble file; each entry must be a valid density matrix."""
     doc = _parse_json(path)
     dim = _check_header(doc, path)
-    entries_doc = _expect(doc, "entries", list, str(path))
-    if not entries_doc:
-        raise PovmFormatError(f"{path}: entries list is empty")
     entries = []
-    for idx, entry in enumerate(entries_doc):
-        where = f"{path}: entries[{idx}]"
-        if not isinstance(entry, dict):
-            raise PovmFormatError(f"{where}: expected an object")
-        label = _expect(entry, "label", str, where)
-        prior = _expect(entry, "prior", (int, float), where)
-        try:
-            prior = float(prior)
-        except OverflowError:
-            raise PovmFormatError(f"{where}: prior is too large for a float") from None
-        matrix = _matrix_from_pairs(_expect(entry, "matrix", list, where), dim, where)
+    for where, entry, label, matrix in _labelled_matrices(doc, "entries", dim, path):
+        prior = _expect(entry, "prior", float, where)
         assert_density_matrix(matrix, tols, what=where)
         entries.append(ProbeEntry(prior=prior, state=matrix, label=label))
     return ProbeEnsemble(tuple(entries))
@@ -308,103 +313,95 @@ def load_ensemble(path, tols: Tolerances = DEFAULT_TOLS) -> ProbeEnsemble:
 
 # ---------------------------------------------------------------- reports
 
-def _estimator_to_dict(row: EstimatorReport) -> dict:
-    return {
-        "outcome": row.outcome_label,
-        "projectivity": row.projectivity,
-        "ideality": row.ideality,
-        "trace_weight": row.trace_weight,
-        "category": row.category.value,
-        "target": row.target,
-        "fidelity": row.fidelity,
-        "detectivity": row.detectivity,
-    }
+# A record's JSON keys are its field names, but for this one.
+_KEYS = {"outcome_label": "outcome"}
 
 
-def _estimator_from_dict(entry: dict, where: str) -> EstimatorReport:
-    try:
-        category = OutcomeCategory(entry["category"])
-        return EstimatorReport(
-            outcome_label=str(entry["outcome"]),
-            projectivity=float(entry["projectivity"]),
-            ideality=float(entry["ideality"]),
-            trace_weight=float(entry["trace_weight"]),
-            category=category,
-            target=entry.get("target"),
-            fidelity=None if entry.get("fidelity") is None else float(entry["fidelity"]),
-            detectivity=(
-                None if entry.get("detectivity") is None else float(entry["detectivity"])
-            ),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise PovmFormatError(f"{where}: malformed estimator row ({exc})") from exc
+def _schema(cls):
+    """``(name, key, kind, optional, required)`` per field of ``cls``, in order."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        args = typing.get_args(hints[f.name])  # (kind, NoneType) for Optional[kind]
+        kind = args[0] if args else hints[f.name]
+        yield f.name, _KEYS.get(f.name, f.name), kind, bool(args), f.default is MISSING
 
 
-def nonclassicality_to_dict(row: NonClassicalityReport) -> dict:
-    return {
-        "outcome": row.outcome_label,
-        "min_wigner": row.min_wigner,
-        "negativity_volume": row.negativity_volume,
-        "squeezing_witness": row.squeezing_witness,
-        "is_nonclassical": row.is_nonclassical,
-        "gaussianity": row.gaussianity.value,
-        "hudson_inconsistent": row.hudson_inconsistent,
-    }
+_SCHEMAS = {
+    cls: tuple(_schema(cls))
+    for cls in (EstimatorReport, NonClassicalityReport, CategoryThresholds, Tolerances)
+}
 
 
-def nonclassicality_from_dict(entry: dict, where: str) -> NonClassicalityReport:
-    try:
-        return NonClassicalityReport(
-            outcome_label=str(entry["outcome"]),
-            min_wigner=float(entry["min_wigner"]),
-            negativity_volume=float(entry["negativity_volume"]),
-            squeezing_witness=bool(entry["squeezing_witness"]),
-            is_nonclassical=bool(entry["is_nonclassical"]),
-            gaussianity=Gaussianity(entry["gaussianity"]),
-            hudson_inconsistent=bool(entry["hudson_inconsistent"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise PovmFormatError(f"{where}: malformed witness row ({exc})") from exc
+def _record_to_dict(record) -> dict:
+    """A record as a JSON object: its fields in declared order, an enum as its value."""
+    values = ((key, getattr(record, name)) for name, key, *_ in _SCHEMAS[type(record)])
+    return {key: v.value if isinstance(v, Enum) else v for key, v in values}
 
 
-def estimator_identity_residuals(row: EstimatorReport):
-    """Residuals of the two internal identities for one report row.
+nonclassicality_to_dict = _record_to_dict  # the ``witnesses`` block of a wigner sidecar
 
-    Returns ``(weight_residual, detectivity_residual)`` where the second is
-    ``None`` when the row carries no target metrics.
+
+def _record_from_dict(cls, doc, where: str):
+    """The ``cls`` record held by the JSON object ``doc``; errors name ``where``.
+
+    A value of the field's declared type, or ``null`` in an ``Optional``
+    field, is taken as it is; any other goes through :func:`_expect`.  An
+    absent field takes its default.
     """
-    weight_res = abs(row.ideality - row.projectivity * row.trace_weight)
-    det_res = None
-    if row.fidelity is not None and row.detectivity is not None:
-        det_res = abs(row.detectivity * row.projectivity - row.ideality * row.fidelity)
-    return weight_res, det_res
+    if type(doc) is not dict:
+        raise PovmFormatError(f"{where}: expected an object")
+    values = {}
+    for name, key, kind, optional, required in _SCHEMAS[cls]:
+        if key in doc:
+            value = doc[key]
+            taken = type(value) is kind or (value is None and optional)
+            values[name] = value if taken else _expect(doc, key, kind, where)
+        elif required:
+            raise PovmFormatError(f"{where}: missing field {key!r}")
+    if len(values) < len(doc):
+        unknown = doc.keys() - {key for _, key, *_ in _SCHEMAS[cls]}
+        raise PovmFormatError(f"{where}: unknown field {min(unknown)!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise PovmFormatError(f"{where}: {exc}") from None
 
 
-def estimator_row_problems(row: EstimatorReport, thresholds: CategoryThresholds) -> list:
+def estimator_row_problems(row: EstimatorReport, report: ReportFile) -> list:
     """Why a stored report row is inconsistent; an empty list when it is not.
 
-    A residual of either identity fails unless it is at most
-    ``IDENTITY_SLACK``, so a NaN residual fails.  The stored category must
-    be the one :func:`~qdetchar.retrodiction.classify_outcome` gives the
-    row's projectivity and ideality under the report's ``thresholds``.
-    ``fidelity`` and ``detectivity`` must be present exactly when the row
-    names a ``target``, as :func:`~qdetchar.retrodiction.estimator_report`
-    writes them, so erasing them cannot skip the detectivity identity.
+    Both estimator identities must hold to ``IDENTITY_SLACK`` (a NaN residual
+    fails).  Projectivity must lie in ``[1/dim, 1]``, trace_weight in
+    ``(trace_floor, dim]``, the rest in ``[0, 1]``, each bound widened by
+    ``2 * (norm + dim * psd)`` of the report's own tolerances: validation
+    lets a state's trace miss 1 by ``norm`` and its ``dim`` eigenvalues dip
+    below 0 by ``psd``.  The category must be the one
+    :func:`~qdetchar.retrodiction.classify_outcome` gives under the report's
+    ``thresholds``, and ``fidelity`` and ``detectivity`` must be present
+    exactly when the row names a ``target``, so erasing them cannot skip the
+    detectivity identity.
     """
-    problems = []
+    problems = _identity_problems(row)
     targeted = row.target is not None
     if (row.fidelity is not None, row.detectivity is not None) != (targeted, targeted):
         problems.append(
             "must carry fidelity and detectivity exactly when it names a target"
         )
-    weight_res, det_res = estimator_identity_residuals(row)
-    if not (weight_res <= IDENTITY_SLACK and (det_res is None or det_res <= IDENTITY_SLACK)):
-        problems.append(
-            f"breaks the estimator identities (residuals {weight_res:.3g}"
-            + (f", {det_res:.3g}" if det_res is not None else "")
-            + ")"
-        )
-    expected = classify_outcome(row.projectivity, row.ideality, thresholds)
+    dim, tols = report.dim, report.tolerances
+    slack = 2.0 * (tols.norm + dim * tols.psd)
+    for name, lo, hi in (
+        ("projectivity", 1.0 / dim, 1.0),
+        ("trace_weight", 0.0, dim),
+        ("ideality", 0.0, 1.0),
+        ("fidelity", 0.0, 1.0),
+        ("detectivity", 0.0, 1.0),
+    ):
+        value = getattr(row, name)
+        if value is not None and not lo - slack <= value <= hi + slack:
+            problems.append(f"has {name} {value!r} outside [{lo:.6g}, {hi:.6g}] at dim {dim}")
+    if not row.trace_weight > tols.trace_floor:
+        problems.append(f"has trace_weight {row.trace_weight!r}, at or below the trace floor")
+    expected = classify_outcome(row.projectivity, row.ideality, report.thresholds)
     if row.category is not expected:
         problems.append(
             f"is filed as {row.category.value} but its projectivity and ideality "
@@ -454,7 +451,7 @@ def witness_row_problems(row: NonClassicalityReport, report: ReportFile) -> list
 
 def _row_problems(report: ReportFile) -> list:
     """``(row, problems)`` for every estimator row, then every witness row."""
-    checked = [(r, estimator_row_problems(r, report.thresholds)) for r in report.estimators]
+    checked = [(r, estimator_row_problems(r, report)) for r in report.estimators]
     return checked + [(r, witness_row_problems(r, report)) for r in report.nonclassicality]
 
 
@@ -478,54 +475,40 @@ def save_report(report: ReportFile, path) -> None:
         "tool_version": report.tool_version,
         "input_digest": report.input_digest,
         "dim": report.dim,
-        "thresholds": asdict(report.thresholds),
-        "tolerances": asdict(report.tolerances),
-        "estimators": [_estimator_to_dict(r) for r in report.estimators],
+        "thresholds": _record_to_dict(report.thresholds),
+        "tolerances": _record_to_dict(report.tolerances),
+        "estimators": [_record_to_dict(r) for r in report.estimators],
     }
     if report.nonclassicality:
-        doc["nonclassicality"] = [
-            nonclassicality_to_dict(r) for r in report.nonclassicality
-        ]
+        doc["nonclassicality"] = [_record_to_dict(r) for r in report.nonclassicality]
     write_json(doc, path)
-
-
-def _settings_from_dict(doc: dict, key: str, cls, path):
-    """The ``thresholds`` or ``tolerances`` block; an absent field is the default."""
-    block = _expect(doc, key, dict, str(path))
-    try:
-        if not all(isinstance(value, (int, float)) for value in block.values()):
-            raise TypeError(f"fields must be numbers, got {block!r}")
-        return cls(**{name: float(value) for name, value in block.items()})
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise PovmFormatError(f"{path}: malformed {key} ({exc})") from exc
 
 
 def load_report(path, validate: bool = True) -> ReportFile:
     """Read a report; optionally re-check every row under its own settings.
 
-    A report without a ``tolerances`` block reads as made under the defaults.
+    A report without ``tolerances`` reads as made under the defaults; one
+    without ``nonclassicality`` or ``tool_version`` reads as empty there.
     """
     doc = _parse_json(path)
-    _check_header(doc, path)
-    thresholds = _settings_from_dict(doc, "thresholds", CategoryThresholds, path)
-    doc.setdefault("tolerances", {})
-    tolerances = _settings_from_dict(doc, "tolerances", Tolerances, path)
-    rows = [
-        _estimator_from_dict(entry, f"{path}: estimators[{i}]")
-        for i, entry in enumerate(_expect(doc, "estimators", list, str(path)))
-    ]
-    witness_rows = tuple(
-        nonclassicality_from_dict(entry, f"{path}: nonclassicality[{i}]")
-        for i, entry in enumerate(doc.get("nonclassicality", []))
-    )
+    dim = _check_header(doc, path)
+    doc = {"tool_version": "", "tolerances": {}, "nonclassicality": [], **doc}
+
+    def settings(cls, key):
+        return _record_from_dict(cls, doc.get(key), f"{path}: malformed {key}")
+
+    def records(cls, key, what):
+        entries = enumerate(_expect(doc, key, list, str(path)))
+        return tuple(_record_from_dict(cls, e, f"{path}: {key}[{i}]: {what}") for i, e in entries)
+
     report = ReportFile(
-        tool_version=str(doc.get("tool_version", "")),
-        input_digest=str(_expect(doc, "input_digest", str, str(path))),
-        dim=_expect(doc, "dim", int, str(path)),
-        thresholds=thresholds,
-        estimators=tuple(rows),
-        nonclassicality=witness_rows,
-        tolerances=tolerances,
+        tool_version=_expect(doc, "tool_version", str, str(path)),
+        input_digest=_expect(doc, "input_digest", str, str(path)),
+        dim=dim,
+        thresholds=settings(CategoryThresholds, "thresholds"),
+        estimators=records(EstimatorReport, "estimators", "malformed estimator row"),
+        nonclassicality=records(NonClassicalityReport, "nonclassicality", "malformed witness row"),
+        tolerances=settings(Tolerances, "tolerances"),
     )
     if validate:
         for row, problems in _row_problems(report):

@@ -61,15 +61,33 @@ def fock_state(n: int, dim: int) -> np.ndarray:
     return vec
 
 
+def _unit_ket(vec, what: str) -> np.ndarray:
+    """``vec`` at unit norm; a ``ValueError`` naming ``what`` unless it is finite and non-zero."""
+    vec = np.asarray(vec, dtype=complex)
+    if vec.ndim != 1:
+        raise ValueError(f"{what} must be a state vector")
+    norm = np.linalg.norm(vec)
+    if not (np.isfinite(vec).all() and 0.0 < norm < np.inf):
+        raise ValueError(f"{what} has norm {norm:.3g}, not a finite, non-zero one")
+    return vec / norm
+
+
 def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     """Coherent state with amplitude ``alpha``, renormalized after truncation.
 
     Amplitudes follow ``alpha**n / sqrt(n!)``.  Warns when the expected
     photon number ``|alpha|**2`` exceeds ``dim / 4``, the point beyond which
-    the discarded tail stops being negligible at double precision.
+    the discarded tail stops being negligible at double precision.  Refuses
+    an ``alpha`` whose truncated ket is not finite.
     """
     d = check_dim(dim)
     alpha = complex(alpha)
+    vec = np.empty(d, dtype=complex)
+    vec[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, d):
+            vec[n] = vec[n - 1] * alpha / np.sqrt(n)
+        vec = _unit_ket(vec, f"coherent state with alpha = {alpha!r} at dim {d}")
     if abs(alpha) ** 2 > d / 4:
         warnings.warn(
             f"coherent state with |alpha|^2 = {abs(alpha) ** 2:.3g} is poorly "
@@ -77,11 +95,7 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
             TruncationWarning,
             stacklevel=2,
         )
-    vec = np.empty(d, dtype=complex)
-    vec[0] = 1.0
-    for n in range(1, d):
-        vec[n] = vec[n - 1] * alpha / np.sqrt(n)
-    return vec / np.linalg.norm(vec)
+    return vec
 
 
 def squeezed_vacuum(r: float, dim: int) -> np.ndarray:
@@ -89,10 +103,12 @@ def squeezed_vacuum(r: float, dim: int) -> np.ndarray:
 
     Populates even levels with amplitudes proportional to
     ``(-tanh r)**k * sqrt((2k)!) / (2**k k!)``; the ``x`` quadrature variance
-    of the untruncated state is ``exp(-2 r) / 2``.
+    of the untruncated state is ``exp(-2 r) / 2``.  A non-finite ``r`` is refused.
     """
     d = check_dim(dim)
     r = float(r)
+    if not np.isfinite(r):
+        raise ValueError(f"squeezing parameter r = {r!r} is not finite")
     t = np.tanh(r)
     vec = np.zeros(d, dtype=complex)
     vec[0] = 1.0
@@ -101,7 +117,7 @@ def squeezed_vacuum(r: float, dim: int) -> np.ndarray:
         # ratio of successive even-level amplitudes
         amp *= -t * np.sqrt((2 * k - 1) / (2 * k))
         vec[2 * k] = amp
-    return vec / np.linalg.norm(vec)
+    return _unit_ket(vec, f"squeezed vacuum with r = {r!r} at dim {d}")
 
 
 def annihilation(dim: int) -> np.ndarray:

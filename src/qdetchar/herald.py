@@ -24,6 +24,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import HeraldImpossibleError, TailToleranceError, TruncationWarning
 from .fock import (
+    _unit_ket,
     assert_density_matrix,
     check_dim,
     conjugate_in_fock,
@@ -160,14 +161,9 @@ def heralded_state(
     joint density operator.
     """
     el = _as_element(element)
-    psi_ab = np.asarray(psi_ab, dtype=complex)
-    if psi_ab.ndim != 1:
-        raise ValueError("expected a joint ket; use heralded_state_from_joint for operators")
-    norm = np.linalg.norm(psi_ab)
-    if norm == 0.0:
-        raise ValueError("zero joint state")
-    da = _split_dims(psi_ab.size, el.dim, f"joint ket of size {psi_ab.size}")
-    psi = (psi_ab / norm).reshape(da, el.dim)
+    psi = _unit_ket(psi_ab, "joint ket")
+    da = _split_dims(psi.size, el.dim, f"joint ket of size {psi.size}")
+    psi = psi.reshape(da, el.dim)
     return _herald_result(psi @ el.matrix.T @ psi.conj().T, el, tols)
 
 

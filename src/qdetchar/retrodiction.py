@@ -39,7 +39,7 @@ import numpy as np
 from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolerances
 from .detectors import Povm, PovmElement
 from .errors import NullOutcomeError, UnreachableOutcomeError
-from .fock import assert_density_matrix, check_dim, purity
+from .fock import _unit_ket, assert_density_matrix, check_dim, purity
 
 __all__ = [
     "RetrodictedState",
@@ -58,6 +58,7 @@ __all__ = [
     "retrodict_ensemble",
     "classify_outcome",
     "estimator_report",
+    "estimator_identity_residuals",
 ]
 
 # Largest residual of the two estimator identities that still counts as holding.
@@ -109,11 +110,10 @@ def _as_density(state: np.ndarray) -> np.ndarray:
     """Accept a ket or a density matrix; return a density matrix."""
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        norm = np.linalg.norm(state)
-        if norm == 0.0:
-            raise ValueError("zero state vector")
-        state = state / norm
-        return np.outer(state, state.conj())
+        ket = _unit_ket(state, "state")
+        return np.outer(ket, ket.conj())
+    if not np.isfinite(state).all():
+        raise ValueError("density matrix has non-finite entries")
     return state
 
 
@@ -169,13 +169,7 @@ def ideality(element, tols: Tolerances = DEFAULT_TOLS) -> float:
 
 def fidelity(retro: RetrodictedState, target: np.ndarray) -> float:
     """Overlap ``<target| retro |target>`` with a pure target, in [0, 1]."""
-    target = np.asarray(target, dtype=complex)
-    if target.ndim != 1:
-        raise ValueError("target must be a state vector")
-    norm = np.linalg.norm(target)
-    if norm == 0.0:
-        raise ValueError("zero target vector")
-    target = target / norm
+    target = _unit_ket(target, "target")
     val = float(np.real(target.conj() @ retro.state @ target))
     return min(max(val, 0.0), 1.0)
 
@@ -322,6 +316,24 @@ def classify_outcome(
     return OutcomeCategory.NON_PROJECTIVE
 
 
+def estimator_identity_residuals(row: EstimatorReport):
+    """The two estimator-identity residuals of a row; the second is ``None`` without a target."""
+    weight_res = abs(row.ideality - row.projectivity * row.trace_weight)
+    det_res = None
+    if row.fidelity is not None and row.detectivity is not None:
+        det_res = abs(row.detectivity * row.projectivity - row.ideality * row.fidelity)
+    return weight_res, det_res
+
+
+def _identity_problems(row: EstimatorReport) -> list:
+    """``[]`` if each residual is at most ``IDENTITY_SLACK`` (NaN never is), else why not."""
+    weight_res, det_res = estimator_identity_residuals(row)
+    if weight_res <= IDENTITY_SLACK and (det_res is None or det_res <= IDENTITY_SLACK):
+        return []
+    shown = ", ".join(f"{r:.3g}" for r in (weight_res, det_res) if r is not None)
+    return [f"breaks the estimator identities (residuals {shown})"]
+
+
 def estimator_report(
     element,
     target: Optional[np.ndarray] = None,
@@ -339,20 +351,11 @@ def estimator_report(
     retro = retrodicted_state(el, tols)
     proj = projectivity(retro)
     ideal = ideality(el, tols)
-    if abs(ideal - proj * retro.trace_weight) > IDENTITY_SLACK:
-        raise RuntimeError(
-            f"estimator identity violated for {el.label!r}: "
-            f"ideality {ideal!r} vs projectivity*weight {proj * retro.trace_weight!r}"
-        )
     fid = det = None
     if target is not None:
         fid = fidelity(retro, target)
         det = detectivity(el, target, tols)
-        if abs(det * proj - ideal * fid) > IDENTITY_SLACK:
-            raise RuntimeError(
-                f"detectivity identity violated for {el.label!r}"
-            )
-    return EstimatorReport(
+    row = EstimatorReport(
         outcome_label=el.label,
         projectivity=proj,
         ideality=ideal,
@@ -362,3 +365,7 @@ def estimator_report(
         fidelity=fid,
         detectivity=det,
     )
+    broken = _identity_problems(row)
+    if broken:
+        raise RuntimeError(f"outcome {el.label!r} {broken[0]}")
+    return row

@@ -239,6 +239,16 @@ class TestCharacterize:
         assert err.startswith(f"error: {path}") and "outcomes[0]: entry (0,0) is not finite" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("text", ["5", '"report"', "[]", "null"])
+    def test_file_that_is_not_a_json_object_exits_4(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        report = tmp_path / "r.json"
+        for argv in (["characterize", str(path), "--out", str(report)], ["verify", str(path)]):
+            code, _, err = run(capsys, *argv)
+            assert code == 4
+            assert "expected a JSON object" in err
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,
@@ -248,6 +258,24 @@ class TestCharacterize:
             str(tmp_path / "r.json"),
         )
         assert code == 4
+
+
+class TestTargetNumbers:
+    @pytest.mark.parametrize(
+        "target", ["coherent:1e200,0", "coherent:nan,0", "coherent:0,inf", "squeezed:inf"]
+    )
+    def test_non_finite_target_exits_2_and_writes_nothing(
+        self, apd_file, tmp_path, capsys, target
+    ):
+        out = tmp_path / "out.json"
+        for argv in (
+            ["characterize", str(apd_file), "--target", target],
+            ["model", "scaled-projector", "--dim", "12", "--zeta", "0.5", "--target", target],
+        ):
+            code, _, err = run(capsys, *argv, "--out", str(out))
+            assert code == 2
+            assert err.startswith(f"error: target {target!r}:") and "finite" in err
+            assert not out.exists()
 
 
 class TestWigner:
@@ -550,6 +578,73 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(witness_report_file))
         assert code == 4
         assert "malformed tolerances" in err and "non-negative" in err
+
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (
+                lambda doc: doc["nonclassicality"][1].update(is_nonclassical="false"),
+                "is_nonclassical",
+            ),
+            (lambda doc: doc["estimators"][1].update(projectivity="0.09"), "projectivity"),
+            (lambda doc: doc["estimators"][1].update(target=7), "target"),
+            (lambda doc: doc.update(tool_version=3), "tool_version"),
+            (lambda doc: doc["estimators"][1].update(extra=1.0), "extra"),
+            (lambda doc: doc["estimators"][1].pop("category"), "category"),
+            (lambda doc: doc["thresholds"].update(ideality_min="0.5"), "ideality_min"),
+        ],
+        ids=["bool-as-string", "number-as-string", "int-target", "int-tool-version",
+             "unknown-field", "missing-field", "threshold-as-string"],
+    )
+    def test_wrong_type_exits_4_naming_the_field(self, witness_report_file, capsys, edit, field):
+        doc = json.loads(witness_report_file.read_text())
+        edit(doc)
+        witness_report_file.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(witness_report_file))
+        assert code == 4
+        assert f"field {field!r}" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(dim=2), "[FAIL] on: has projectivity 0.0933"),
+            (
+                lambda doc: doc["estimators"][1].update(
+                    fidelity=2.0, detectivity=doc["estimators"][1]["trace_weight"] * 2.0
+                ),
+                "[FAIL] on: has fidelity 2.0 outside [0, 1] at dim 12",
+            ),
+        ],
+        ids=["dim-2", "fidelity-2"],
+    )
+    def test_value_outside_its_range_fails(self, witness_report_file, capsys, edit, message):
+        doc = json.loads(witness_report_file.read_text())
+        edit(doc)
+        witness_report_file.write_text(json.dumps(doc))
+        code, text, _ = run(capsys, "verify", str(witness_report_file))
+        assert code == 2
+        assert message in text
+
+    @pytest.mark.parametrize("dim", [2, 12, 60])
+    def test_every_canonical_report_verifies(self, tmp_path, capsys, dim):
+        etas = ("0", "0.5", "1")
+        models = [["ideal-pnr"]] + [["lossy-pnr", "--eta", eta] for eta in etas]
+        models += [["apd", "--eta", eta] for eta in etas]
+        zetas = ("1e-3", "0.5", "1")  # the scaled projector's weight stands in for eta
+        models += [["scaled-projector", "--target", "fock:1", "--zeta", z] for z in zetas]
+        povm, out = tmp_path / "povm.json", tmp_path / "report.json"
+        mixed = 0
+        for model in models:
+            code, _, _ = run(capsys, "model", *model, "--dim", str(dim), "--out", str(povm))
+            assert code == 0
+            argv = ["characterize", str(povm), "--target", "fock:1", "--out", str(out)]
+            assert run(capsys, *argv)[0] == 0
+            code, text, _ = run(capsys, "verify", str(out))
+            assert code == 0, (model, text)
+            rows = load_report(out).estimators
+            mixed += any(abs(row.projectivity - 1.0 / dim) < 1e-12 for row in rows)
+        assert mixed >= 2  # the eta = 0 outcomes of the lossy counter and the APD
 
 
 class TestConfigErrors:

@@ -1,7 +1,10 @@
 """File formats: measurements, ensembles, reports, Wigner grids."""
 
 import dataclasses
+import enum
 import json
+import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +16,10 @@ from qdetchar import (
     CONVENTION,
     DEFAULT_TOLS,
     CategoryThresholds,
+    EstimatorReport,
+    Gaussianity,
+    NonClassicalityReport,
+    OutcomeCategory,
     PhaseSpaceGrid,
     Povm,
     PovmElement,
@@ -21,8 +28,10 @@ from qdetchar import (
     ReportFile,
     ReportValidationError,
     Tolerances,
+    TruncationWarning,
     estimator_identity_residuals,
     estimator_report,
+    estimator_row_problems,
     fock_state,
     ideal_pnr,
     load_ensemble,
@@ -42,8 +51,9 @@ from qdetchar import (
     write_wigner_grid,
 )
 from qdetchar._version import __version__
+from qdetchar.cli import main
 from qdetchar.detectors import default_guard_levels
-from qdetchar.fileio import _matrix_to_pairs, write_json
+from qdetchar.fileio import _SCHEMAS, _matrix_to_pairs, write_json
 
 # Finite floats, with signed zeros, subnormals and values near +-1e308 forced in.
 _PARTS = st.one_of(
@@ -544,10 +554,201 @@ class TestReportFiles:
         lax = dataclasses.replace(report, tolerances=Tolerances(neg=0.1))
         assert witness_row_problems(row, lax) == []
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(dim=2), r"projectivity 0\.\d+ outside \[0\.5, 1\] at dim 2"),
+            (
+                lambda doc: doc["estimators"][1].update(
+                    fidelity=2.0, detectivity=doc["estimators"][1]["trace_weight"] * 2.0
+                ),
+                r"fidelity 2\.0 outside \[0, 1\]",
+            ),
+            (
+                lambda doc: doc["estimators"][1].update(trace_weight=0.0, ideality=0.0),
+                "trace_weight 0.0, at or below the trace floor",
+            ),
+        ],
+        ids=["dim-2", "fidelity-2", "zero-weight"],
+    )
+    def test_values_outside_their_range_fail_validation(self, tmp_path, edit, message):
+        path = self.tampered(tmp_path, edit)
+        with pytest.raises(ReportValidationError, match=message):
+            load_report(path)
+
+    def test_range_slack_comes_from_the_stored_tolerances(self):
+        # At dim 40 the default slack is 2 * (1e-9 + 40 * 1e-10) = 1e-8.
+        report = ReportFile("", "", 40, CategoryThresholds(), ())
+
+        def projector(excess):
+            p = 1.0 + excess
+            return EstimatorReport("x", p, p, 1.0, OutcomeCategory.PROJECTIVE_IDEAL)
+
+        assert estimator_row_problems(projector(5e-9), report) == []
+        problems = estimator_row_problems(projector(2e-8), report)
+        assert [p.split()[1] for p in problems] == ["projectivity", "ideality"]
+        lax = dataclasses.replace(report, tolerances=Tolerances(norm=1e-7))
+        assert estimator_row_problems(projector(2e-8), lax) == []
+        low = 1.0 / 40 - 1e-17  # a maximally mixed state, rounded down
+        mixed = EstimatorReport("y", low, low, 1.0, OutcomeCategory.NON_PROJECTIVE)
+        assert estimator_row_problems(mixed, report) == []
+
     def test_identity_residuals_without_target(self):
         row = estimator_report(ideal_pnr(5).outcome("2"))
         weight_res, det_res = estimator_identity_residuals(row)
         assert weight_res <= 1e-12 and det_res is None
+
+
+_TEXT = st.text(max_size=12)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_SETTING = st.floats(min_value=0.0, max_value=1e300) | st.sampled_from([0.0, 5e-324, 1e-12])
+_ESTIMATOR_ROWS = st.builds(
+    EstimatorReport,
+    outcome_label=_TEXT,
+    projectivity=_FLOATS,
+    ideality=_FLOATS,
+    trace_weight=_FLOATS,
+    category=st.sampled_from(OutcomeCategory),
+    target=st.none() | _TEXT,
+    fidelity=st.none() | _FLOATS,
+    detectivity=st.none() | _FLOATS,
+)
+_WITNESS_ROWS = st.builds(
+    NonClassicalityReport,
+    outcome_label=_TEXT,
+    min_wigner=_FLOATS,
+    negativity_volume=_FLOATS,
+    squeezing_witness=st.booleans(),
+    is_nonclassical=st.booleans(),
+    gaussianity=st.sampled_from(Gaussianity),
+    hudson_inconsistent=st.booleans(),
+)
+_RECORDS = (EstimatorReport, NonClassicalityReport, CategoryThresholds, Tolerances)
+# One JSON value of each kind, for type tampers.
+_JSON_KINDS = ["x", "0.5", "", True, False, None, [], [0.5], {}, {"a": 1}, 0, 1, -2, 0.5]
+
+
+def _settings(cls):
+    return st.builds(cls, **{f.name: _SETTING for f in dataclasses.fields(cls)})
+
+
+def _field_types(cls) -> dict:
+    """Declared type per JSON key of a record (``outcome_label`` is stored as ``outcome``)."""
+    hints = typing.get_type_hints(cls)
+    return {
+        {"outcome_label": "outcome"}.get(f.name, f.name): hints[f.name]
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _takes(field_type, value) -> bool:
+    """Whether a field of ``field_type`` may hold the JSON ``value``, by the README's rule."""
+    if typing.get_origin(field_type) is typing.Union:  # Optional[...]
+        return value is None or _takes(typing.get_args(field_type)[0], value)
+    if field_type is float:
+        return type(value) in (int, float)
+    if isinstance(field_type, type) and issubclass(field_type, enum.Enum):
+        return value in [member.value for member in field_type]
+    return type(value) is field_type
+
+
+@pytest.fixture(scope="module")
+def witness_report_path(tmp_path_factory):
+    """A valid report with a target and witness rows, so no optional field is null."""
+    path = tmp_path_factory.mktemp("records") / "report.json"
+    povm = on_off_apd(0.5, 0.0, 12)
+    grid = PhaseSpaceGrid.symmetric(3.0, 21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        witnesses = tuple(nonclassicality_of_measurement(el, grid) for el in povm)
+    save_report(
+        ReportFile(
+            tool_version=__version__,
+            input_digest="sha256:" + "0" * 64,
+            dim=12,
+            thresholds=CategoryThresholds(),
+            estimators=tuple(estimator_report(el, fock_state(1, 12), "fock:1") for el in povm),
+            nonclassicality=witnesses,
+        ),
+        path,
+    )
+    assert main(["verify", str(path)]) == 0
+    return path
+
+
+class TestReportRecords:
+    """Report rows and settings blocks, written and read from their dataclasses."""
+
+    @pytest.mark.parametrize("cls", _RECORDS)
+    def test_schema_covers_every_declared_field(self, cls):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert [name for name, *_ in _SCHEMAS[cls]] == names
+        assert [key for _, key, *_ in _SCHEMAS[cls]] == list(_field_types(cls))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[_FIXTURE])
+    @given(
+        estimators=st.lists(_ESTIMATOR_ROWS, max_size=4),
+        witnesses=st.lists(_WITNESS_ROWS, max_size=3),
+        thresholds=_settings(CategoryThresholds),
+        tolerances=_settings(Tolerances),
+        tool_version=_TEXT,
+        dim=st.integers(2, 10**6),
+    )
+    def test_random_records_round_trip(
+        self, tmp_path, estimators, witnesses, thresholds, tolerances, tool_version, dim
+    ):
+        report = ReportFile(
+            tool_version, "sha256:" + "f" * 64, dim, thresholds,
+            tuple(estimators), tuple(witnesses), tolerances,
+        )
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_report(report, a)
+        back = load_report(a, validate=False)
+        records = zip(
+            (back.thresholds, back.tolerances, *back.estimators, *back.nonclassicality),
+            (thresholds, tolerances, *estimators, *witnesses),
+        )
+        for got, want in records:
+            assert type(got) is type(want)
+            for f in dataclasses.fields(want):
+                got_value, want_value = getattr(got, f.name), getattr(want, f.name)
+                assert type(got_value) is type(want_value) and got_value == want_value, f.name
+        assert back == report
+        save_report(back, b)
+        assert a.read_bytes() == b.read_bytes()
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[_FIXTURE])
+    @given(data=st.data())
+    def test_any_type_tamper_is_a_format_error(self, tmp_path, witness_report_path, data):
+        """A value of a type its field does not take, in any row or settings block, exits 4.
+
+        Every such value is refused by the reader before any row is checked.
+        Value tampers that keep the type are left to the row checks, and some
+        of them only a replay of the measurement file (a future ``verify
+        --povm``) can catch:
+        - a ``target`` label changed to another valid spec, such as ``fock:2``;
+        - an ``outcome`` label renamed the same way in its estimator and
+          witness rows, or ``input_digest`` or ``tool_version`` changed;
+        - projectivity, ideality, trace weight, fidelity and detectivity moved
+          together so that both identities, every range and the category hold;
+        - ``gaussianity`` switched between ``Gaussian`` and ``Undetermined``,
+          or ``squeezing_witness`` flipped where negativity already fires.
+        """
+        doc = json.loads(witness_report_path.read_text())
+        blocks = ["estimators", "nonclassicality", "thresholds", "tolerances"]
+        block = data.draw(st.sampled_from(blocks))
+        cls = dict(zip(blocks, _RECORDS))[block]
+        entry = doc[block]
+        if isinstance(entry, list):
+            entry = entry[data.draw(st.integers(0, len(entry) - 1))]
+        key, field_type = data.draw(st.sampled_from(sorted(_field_types(cls).items())))
+        value = data.draw(st.sampled_from([v for v in _JSON_KINDS if not _takes(field_type, v)]))
+        entry[key] = value
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PovmFormatError, match=repr(key)):
+            load_report(path, validate=False)
+        assert main(["verify", str(path)]) == 4
 
 
 class TestWignerGridFiles:

@@ -88,6 +88,25 @@ class TestConstructors:
     def test_squeezed_zero_is_vacuum(self):
         np.testing.assert_allclose(squeezed_vacuum(0.0, 10), fock_state(0, 10))
 
+    @pytest.mark.filterwarnings("error")  # no overflow warning escapes either
+    @pytest.mark.parametrize(
+        "make, value, dim",
+        [
+            (coherent_state, 1e200, 12),
+            (coherent_state, 1e200, 2),
+            (coherent_state, complex(0.5, np.nan), 12),
+            (coherent_state, np.inf, 12),
+            (coherent_state, 1e10, 60),
+            (squeezed_vacuum, np.inf, 12),
+            (squeezed_vacuum, -np.inf, 12),
+            (squeezed_vacuum, np.nan, 12),
+        ],
+    )
+    def test_non_finite_parameters_and_kets_are_refused(self, make, value, dim):
+        with pytest.raises(ValueError, match="finite") as err:
+            make(value, dim)
+        assert repr(complex(value) if make is coherent_state else float(value)) in str(err.value)
+
 
 class TestComposites:
     def test_tensor_index_convention(self):

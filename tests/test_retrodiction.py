@@ -34,6 +34,7 @@ from qdetchar import (
     scaled_projector,
     uniform_fock_ensemble,
 )
+from qdetchar import retrodiction
 from qdetchar.fock import assert_density_matrix
 
 
@@ -165,6 +166,27 @@ class TestEstimators:
         )
         with pytest.raises(ValueError):
             fidelity(retro, np.zeros(6))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_are_refused(self, bad):
+        el = on_off_apd(0.5, 0.0, 8).outcome("on")
+        ket, rho = fock_state(1, 8), np.eye(8, dtype=complex) / 8
+        ket[3] = rho[3, 3] = bad
+        for target in (ket, rho):
+            with pytest.raises(ValueError, match="finite"):
+                detectivity(el, target)
+        with pytest.raises(ValueError, match="finite"):
+            fidelity(retrodicted_state(el), ket)
+        with pytest.raises(ValueError, match="finite"):
+            estimator_report(el, np.full(8, bad), "nan")
+
+    def test_report_refuses_a_nan_residual(self, monkeypatch):
+        # NaN compares false both ways, so only a check that NaN fails can refuse it.
+        monkeypatch.setattr(retrodiction, "detectivity", lambda *args: float("nan"))
+        el = on_off_apd(0.5, 0.0, 8).outcome("on")
+        broken = r"'on' breaks the estimator identities \(residuals .*, nan\)"
+        with pytest.raises(RuntimeError, match=broken):
+            estimator_report(el, fock_state(1, 8), "fock:1")
 
 
 class TestClassification:
