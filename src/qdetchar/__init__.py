@@ -8,206 +8,28 @@ non-classicality and Gaussianity witnesses, Bayesian inference of the
 input, and the simulation of heralded state preparation through two-mode
 squeezed vacuum, whose strong-squeezing limit reproduces the conjugated
 retrodicted state.
+
+Each module's ``__all__`` is the one list of its public names; the package
+exports their union.
 """
 
+from . import config, detectors, errors, fileio, fock, herald, phasespace, retrodiction
 from ._version import __version__
-from .config import (
-    DEFAULT_THRESHOLDS,
-    DEFAULT_TOLS,
-    CategoryThresholds,
-    Tolerances,
-)
-from .detectors import (
-    Povm,
-    PovmElement,
-    PovmValidationReport,
-    complete_with_rest,
-    default_guard_levels,
-    ideal_pnr,
-    lossy_pnr,
-    on_off_apd,
-    require_valid,
-    scaled_projector,
-    validate_povm,
-)
-from .errors import (
-    HeraldImpossibleError,
-    NullOutcomeError,
-    PovmFormatError,
-    PovmValidationError,
-    QdetcharError,
-    ReportValidationError,
-    TailToleranceError,
-    TruncationWarning,
-    UnreachableOutcomeError,
-)
-from .fileio import (
-    FORMAT_VERSION,
-    ReportFile,
-    estimator_identity_residuals,
-    estimator_row_problems,
-    load_ensemble,
-    load_povm,
-    load_report,
-    read_wigner_grid,
-    save_ensemble,
-    save_povm,
-    save_report,
-    sha256_digest,
-    witness_row_problems,
-    write_wigner_grid,
-)
-from .fock import (
-    annihilation,
-    coherent_state,
-    conjugate_in_fock,
-    eig_hermitian,
-    fock_state,
-    partial_trace_b,
-    purity,
-    squeezed_vacuum,
-    tensor,
-    trace_distance,
-    uhlmann_fidelity,
-)
-from .herald import (
-    HeraldResult,
-    LimitScan,
-    TmsvParams,
-    heralded_closed_form,
-    heralded_state,
-    heralded_state_from_joint,
-    retrodictive_limit_scan,
-    tmsv,
-)
-from .phasespace import (
-    CONVENTION,
-    Gaussianity,
-    NonClassicalityReport,
-    PhaseSpaceGrid,
-    WignerGrid,
-    covariance_matrix,
-    gaussian_reference,
-    gaussianity_check,
-    negativity_volume,
-    nonclassicality_of_measurement,
-    squeezing_witness,
-    wigner,
-    witness_report,
-)
-from .retrodiction import (
-    EstimatorReport,
-    OutcomeCategory,
-    ProbeEnsemble,
-    ProbeEntry,
-    RetrodictedState,
-    born_probability,
-    classify_outcome,
-    detectivity,
-    estimator_report,
-    fidelity,
-    ideality,
-    projectivity,
-    proposition_operator,
-    retrodict_ensemble,
-    retrodicted_state,
-    uniform_fock_ensemble,
-)
+from .config import *
+from .detectors import *
+from .errors import *
+from .fileio import *
+from .fock import *
+from .herald import *
+from .phasespace import *
+from .retrodiction import *
 
-__all__ = [
-    "__version__",
-    # configuration
-    "Tolerances",
-    "CategoryThresholds",
-    "DEFAULT_TOLS",
-    "DEFAULT_THRESHOLDS",
-    # errors and warnings
-    "QdetcharError",
-    "NullOutcomeError",
-    "UnreachableOutcomeError",
-    "HeraldImpossibleError",
-    "TailToleranceError",
-    "PovmFormatError",
-    "PovmValidationError",
-    "ReportValidationError",
-    "TruncationWarning",
-    # Fock-space foundation
-    "fock_state",
-    "coherent_state",
-    "squeezed_vacuum",
-    "annihilation",
-    "tensor",
-    "partial_trace_b",
-    "conjugate_in_fock",
-    "eig_hermitian",
-    "purity",
-    "trace_distance",
-    "uhlmann_fidelity",
-    # measurements
-    "PovmElement",
-    "Povm",
-    "PovmValidationReport",
-    "default_guard_levels",
-    "ideal_pnr",
-    "lossy_pnr",
-    "on_off_apd",
-    "scaled_projector",
-    "complete_with_rest",
-    "validate_povm",
-    "require_valid",
-    # retrodiction and estimators
-    "RetrodictedState",
-    "OutcomeCategory",
-    "EstimatorReport",
-    "ProbeEntry",
-    "ProbeEnsemble",
-    "uniform_fock_ensemble",
-    "born_probability",
-    "retrodicted_state",
-    "projectivity",
-    "ideality",
-    "fidelity",
-    "detectivity",
-    "proposition_operator",
-    "retrodict_ensemble",
-    "classify_outcome",
-    "estimator_report",
-    # phase space
-    "CONVENTION",
-    "PhaseSpaceGrid",
-    "WignerGrid",
-    "Gaussianity",
-    "NonClassicalityReport",
-    "wigner",
-    "negativity_volume",
-    "covariance_matrix",
-    "squeezing_witness",
-    "gaussian_reference",
-    "gaussianity_check",
-    "witness_report",
-    "nonclassicality_of_measurement",
-    # heralding
-    "TmsvParams",
-    "HeraldResult",
-    "LimitScan",
-    "tmsv",
-    "heralded_state",
-    "heralded_state_from_joint",
-    "heralded_closed_form",
-    "retrodictive_limit_scan",
-    # files
-    "FORMAT_VERSION",
-    "ReportFile",
-    "save_povm",
-    "load_povm",
-    "save_ensemble",
-    "load_ensemble",
-    "save_report",
-    "load_report",
-    "estimator_identity_residuals",
-    "estimator_row_problems",
-    "witness_row_problems",
-    "write_wigner_grid",
-    "read_wigner_grid",
-    "sha256_digest",
-]
+__all__ = ["__version__"]
+__all__ += config.__all__
+__all__ += errors.__all__
+__all__ += fock.__all__
+__all__ += detectors.__all__
+__all__ += retrodiction.__all__
+__all__ += phasespace.__all__
+__all__ += herald.__all__
+__all__ += fileio.__all__

@@ -94,40 +94,33 @@ def _thresholds(args) -> CategoryThresholds:
     )
 
 
+# Each model kind's flags after --dim, in the order its file's metadata
+# records them.  Every one but --nu (default 0) is required.
+_MODEL_FLAGS = {
+    "ideal-pnr": (),
+    "lossy-pnr": ("eta",),
+    "apd": ("eta", "nu"),
+    "scaled-projector": ("target", "zeta"),
+}
+
+
 def cmd_model(args):
-    kind = args.kind
+    kind, flags = args.kind, _MODEL_FLAGS[args.kind]
+    if any(getattr(args, flag) is None for flag in flags):
+        required = " and ".join(f"--{flag}" for flag in flags if flag != "nu")
+        raise ValueError(f"{kind} requires {required}")
     if kind == "ideal-pnr":
         povm = ideal_pnr(args.dim)
-        meta = {"model": kind, "dim": str(args.dim)}
     elif kind == "lossy-pnr":
-        if args.eta is None:
-            raise ValueError("lossy-pnr requires --eta")
         povm = lossy_pnr(args.eta, args.dim)
-        meta = {"model": kind, "dim": str(args.dim), "eta": repr(args.eta)}
     elif kind == "apd":
-        if args.eta is None:
-            raise ValueError("apd requires --eta")
         povm = on_off_apd(args.eta, args.nu, args.dim)
-        meta = {
-            "model": kind,
-            "dim": str(args.dim),
-            "eta": repr(args.eta),
-            "nu": repr(args.nu),
-        }
-    elif kind == "scaled-projector":
-        if args.target is None or args.zeta is None:
-            raise ValueError("scaled-projector requires --target and --zeta")
-        label, ket = parse_target(args.target, args.dim)
-        element = scaled_projector(ket, args.zeta)
+    else:
+        element = scaled_projector(parse_target(args.target, args.dim)[1], args.zeta)
         povm = complete_with_rest([element], Tolerances.from_env())
-        meta = {
-            "model": kind,
-            "dim": str(args.dim),
-            "target": label,
-            "zeta": repr(args.zeta),
-        }
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown model kind {kind!r}")
+    # str of a float is its repr, and a target is stored as it was given.
+    meta = {"model": kind, "dim": str(args.dim)}
+    meta.update((flag, str(getattr(args, flag))) for flag in flags)
     povm = Povm(povm.elements, guard_levels=povm.guard_levels, metadata=meta)
     save_povm(povm, args.out)
     print(f"wrote {kind} (dim {povm.dim}, {len(povm)} outcomes) to {args.out}")
@@ -219,15 +212,10 @@ def cmd_herald(args):
     povm = load_povm(args.povm, tols)
     digest = sha256_digest(args.povm)
     element = povm.outcome(args.outcome)
-    dim = args.dim if args.dim is not None else povm.dim
-    if dim != povm.dim:
-        raise ValueError(
-            f"--dim {dim} does not match the stored measurement dim {povm.dim}"
-        )
-    scan = retrodictive_limit_scan(element, args.lam, dim, tols)
+    scan = retrodictive_limit_scan(element, args.lam, povm.dim, tols)
     lines = [
         "# qdetchar herald scan",
-        f"# source: {digest} outcome: {element.label} dim: {dim}",
+        f"# source: {digest} outcome: {element.label} dim: {povm.dim}",
         f"# fidelity_monotonic: {str(scan.fidelity_monotonic).lower()}",
         "# columns: lam fidelity success_probability",
     ]
@@ -299,9 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("model", help="build a canonical detector model file")
-    p.add_argument(
-        "kind", choices=["ideal-pnr", "lossy-pnr", "apd", "scaled-projector"]
-    )
+    p.add_argument("kind", choices=list(_MODEL_FLAGS))
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--eta", type=float, help="detection efficiency in [0, 1]")
     p.add_argument("--nu", type=float, default=0.0, help="dark-count rate in [0, 1]")
@@ -346,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="squeezing parameter in [0, 1) (repeatable)",
     )
-    p.add_argument("--dim", type=int, help="must match the stored measurement dim")
     p.add_argument("--out")
     p.set_defaults(func=cmd_herald)
 

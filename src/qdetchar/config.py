@@ -12,6 +12,8 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
+__all__ = ["Tolerances", "CategoryThresholds", "DEFAULT_TOLS", "DEFAULT_THRESHOLDS"]
+
 ENV_PREFIX = "QDETCHAR_"
 
 # Environment variable suffix per field, e.g. QDETCHAR_HERM_TOL -> herm.

@@ -32,7 +32,6 @@ from .fock import _unit_ket, check_dim, eig_hermitian, hermiticity_defect, hermi
 __all__ = [
     "PovmElement",
     "Povm",
-    "ElementValidation",
     "PovmValidationReport",
     "default_guard_levels",
     "ideal_pnr",
@@ -205,10 +204,8 @@ def scaled_projector(psi: np.ndarray, zeta: float, label: str = "hit") -> PovmEl
     return PovmElement(label, zeta * np.outer(psi, psi.conj()))
 
 
-def complete_with_rest(
-    elements, tols: Tolerances = DEFAULT_TOLS, rest_label: str = "rest"
-) -> Povm:
-    """Append the complement-to-identity outcome to a partial element list.
+def complete_with_rest(elements, tols: Tolerances = DEFAULT_TOLS) -> Povm:
+    """Append the complement-to-identity outcome ``rest`` to a partial element list.
 
     The partial sum must not exceed the identity: if the complement has an
     eigenvalue below ``-tols.psd`` the request is rejected.  Roundoff-level
@@ -230,7 +227,7 @@ def complete_with_rest(
             f"elements exceed the identity: complement eigenvalue {w[0]:.3g}"
         )
     rest = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    return Povm(elements + (PovmElement(rest_label, rest),), guard_levels=0)
+    return Povm(elements + (PovmElement("rest", rest),), guard_levels=0)
 
 
 @dataclass(frozen=True)

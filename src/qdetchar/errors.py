@@ -2,6 +2,18 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "QdetcharError",
+    "NullOutcomeError",
+    "UnreachableOutcomeError",
+    "HeraldImpossibleError",
+    "TailToleranceError",
+    "PovmFormatError",
+    "PovmValidationError",
+    "ReportValidationError",
+    "TruncationWarning",
+]
+
 
 class QdetcharError(Exception):
     """Base class for all package-specific errors."""

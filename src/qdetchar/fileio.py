@@ -24,6 +24,7 @@ import math
 import typing
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,6 @@ from .retrodiction import (
 __all__ = [
     "FORMAT_VERSION",
     "sha256_digest",
-    "write_json",
     "save_povm",
     "load_povm",
     "save_ensemble",
@@ -61,12 +61,10 @@ __all__ = [
     "ReportFile",
     "save_report",
     "load_report",
-    "estimator_identity_residuals",
     "estimator_row_problems",
     "witness_row_problems",
     "write_wigner_grid",
     "read_wigner_grid",
-    "nonclassicality_to_dict",
 ]
 
 FORMAT_VERSION = "1"
@@ -145,14 +143,14 @@ def _checked_pairs(rows, where: str) -> np.ndarray:
 
 
 def _parse_json(path):
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise PovmFormatError(
             f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer literal past Python's digit limit
+    except ValueError as exc:  # not UTF-8, or an integer literal past Python's digit limit
         raise PovmFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -281,7 +279,7 @@ def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> P
 
 # ---------------------------------------------------------------- ensembles
 
-def save_ensemble(ensemble: ProbeEnsemble, path, metadata=None) -> None:
+def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
     """Write a probe ensemble to JSON (same matrix encoding as measurements)."""
     doc = {
         "format_version": FORMAT_VERSION,
@@ -294,7 +292,7 @@ def save_ensemble(ensemble: ProbeEnsemble, path, metadata=None) -> None:
             }
             for e in ensemble
         ],
-        "metadata": _metadata_out(metadata),
+        "metadata": {},
     }
     write_json(doc, path)
 
@@ -312,6 +310,9 @@ def load_ensemble(path, tols: Tolerances = DEFAULT_TOLS) -> ProbeEnsemble:
 
 
 # ---------------------------------------------------------------- reports
+
+# The estimates an estimator row holds of its outcome, whatever its target.
+_OUTCOME_FIELDS = ("projectivity", "ideality", "trace_weight", "category")
 
 # A record's JSON keys are its field names, but for this one.
 _KEYS = {"outcome_label": "outcome"}
@@ -379,7 +380,9 @@ def estimator_row_problems(row: EstimatorReport, report: ReportFile) -> list:
     :func:`~qdetchar.retrodiction.classify_outcome` gives under the report's
     ``thresholds``, and ``fidelity`` and ``detectivity`` must be present
     exactly when the row names a ``target``, so erasing them cannot skip the
-    detectivity identity.
+    detectivity identity.  Projectivity, ideality, trace weight and category
+    describe the outcome, not the target, so each must equal that of the
+    outcome's first row in the report.
     """
     problems = _identity_problems(row)
     targeted = row.target is not None
@@ -407,6 +410,10 @@ def estimator_row_problems(row: EstimatorReport, report: ReportFile) -> list:
             f"is filed as {row.category.value} but its projectivity and ideality "
             f"give {expected.value}"
         )
+    first = report._first_rows.get(row.outcome_label, row)
+    moved = [name for name in _OUTCOME_FIELDS if getattr(row, name) != getattr(first, name)]
+    if first is not row and moved:
+        problems.append("disagrees with the outcome's first row on " + ", ".join(moved))
     return problems
 
 
@@ -416,7 +423,7 @@ def witness_row_problems(row: NonClassicalityReport, report: ReportFile) -> list
     ``min_wigner`` must lie in ``[-1/pi, 1/pi]`` up to ``tols.neg``, and
     ``negativity_volume`` must be finite, non-negative and zero when
     ``min_wigner >= 0``.  The row must name an outcome of the report's
-    estimator rows; that row's projectivity and the report's own thresholds
+    estimator rows; its first row's projectivity and the report's own thresholds
     and tolerances ``tols`` then re-derive ``is_nonclassical`` and
     ``hudson_inconsistent`` as :func:`~qdetchar.phasespace.witness_report`
     does.  The problems that depend on ``tols.neg`` name its value.
@@ -434,11 +441,12 @@ def witness_row_problems(row: NonClassicalityReport, report: ReportFile) -> list
             f"witness row has negativity_volume {negv!r}, which is not a finite "
             f"volume that fits min_wigner {minw!r}"
         )
-    proj = {r.outcome_label: r.projectivity for r in report.estimators}.get(row.outcome_label)
-    if proj is None:
+    first = report._first_rows.get(row.outcome_label)
+    if first is None:
         return problems + ["witness row names no estimator row"]
     expected = _witness_verdicts(
-        minw, negv, row.squeezing_witness, row.gaussianity, proj, tols, report.thresholds
+        minw, negv, row.squeezing_witness, row.gaussianity, first.projectivity, tols,
+        report.thresholds,
     )
     stored = (row.is_nonclassical, row.hudson_inconsistent)
     for name, got, want in zip(("is_nonclassical", "hudson_inconsistent"), stored, expected):
@@ -466,6 +474,11 @@ class ReportFile:
     estimators: tuple
     nonclassicality: tuple = ()
     tolerances: Tolerances = DEFAULT_TOLS
+
+    @cached_property
+    def _first_rows(self) -> dict:
+        """Each outcome's first estimator row, built once per report."""
+        return {row.outcome_label: row for row in reversed(self.estimators)}
 
 
 def save_report(report: ReportFile, path) -> None:

@@ -22,23 +22,17 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import TruncationWarning
 
 __all__ = [
-    "check_dim",
     "fock_state",
     "coherent_state",
     "squeezed_vacuum",
     "annihilation",
-    "number_mean",
     "tensor",
     "partial_trace_b",
     "conjugate_in_fock",
-    "dagger",
-    "hermitize",
-    "hermiticity_defect",
     "eig_hermitian",
     "purity",
     "trace_distance",
     "uhlmann_fidelity",
-    "assert_density_matrix",
 ]
 
 
@@ -153,11 +147,6 @@ def partial_trace_b(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 def conjugate_in_fock(m: np.ndarray) -> np.ndarray:
     """Entrywise complex conjugate in the number basis (transpose for Hermitian input)."""
     return np.conj(np.asarray(m, dtype=complex))
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

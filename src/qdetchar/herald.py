@@ -36,7 +36,6 @@ from .retrodiction import _as_element, retrodicted_state
 __all__ = [
     "TmsvParams",
     "HeraldResult",
-    "LimitScanPoint",
     "LimitScan",
     "tmsv",
     "heralded_state",

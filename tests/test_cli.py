@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,9 @@ class TestParseTarget:
                 parse_target(bad, 10)
 
 
+_PROJECTOR_FLAGS = "scaled-projector requires --target and --zeta"
+
+
 class TestModel:
     def test_each_kind_writes_a_loadable_file(self, tmp_path, capsys):
         cases = [
@@ -81,6 +85,43 @@ class TestModel:
         )
         assert code == 2
         assert "eta" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lossy-pnr"], "lossy-pnr requires --eta"),
+            (["apd", "--nu", "0.1"], "apd requires --eta"),
+            (["scaled-projector"], _PROJECTOR_FLAGS),
+            (["scaled-projector", "--target", "fock:1"], _PROJECTOR_FLAGS),
+            (["scaled-projector", "--zeta", "0.5"], _PROJECTOR_FLAGS),
+        ],
+        ids=["lossy-pnr", "apd", "scaled-projector", "without-zeta", "without-target"],
+    )
+    def test_missing_flag_names_every_required_flag(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "model", *argv, "--dim", "6", "--out", str(out))
+        assert code == 2 and err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, metadata",
+        [
+            (["ideal-pnr"], {}),
+            (["lossy-pnr", "--eta", "0.25"], {"eta": "0.25"}),
+            (["apd", "--eta", "1e-3"], {"eta": "0.001", "nu": "0.0"}),
+            (["apd", "--nu", "0.01", "--eta", "1"], {"eta": "1.0", "nu": "0.01"}),
+            (
+                ["scaled-projector", "--zeta", ".5", "--target", "coherent:0.5,-0.25"],
+                {"target": "coherent:0.5,-0.25", "zeta": "0.5"},
+            ),
+        ],
+        ids=["ideal-pnr", "lossy-pnr", "apd", "apd-with-nu", "scaled-projector"],
+    )
+    def test_metadata_records_each_flag_in_order(self, tmp_path, capsys, argv, metadata):
+        out = tmp_path / "x.json"
+        assert run(capsys, "model", *argv, "--dim", "6", "--out", str(out))[0] == 0
+        expected = {"model": argv[0], "dim": "6", **metadata}
+        assert list(load_povm(out).metadata.items()) == list(expected.items())
 
 
 @pytest.fixture
@@ -249,6 +290,17 @@ class TestCharacterize:
             assert code == 4
             assert "expected a JSON object" in err
 
+    @pytest.mark.parametrize("encoding", ["latin-1", "utf-16"])
+    def test_file_that_is_not_utf8_exits_4(self, apd_file, tmp_path, capsys, encoding):
+        path = tmp_path / "bad.json"
+        path.write_bytes(apd_file.read_text().replace("0.0", "0.0\u00e9", 1).encode(encoding))
+        report = tmp_path / "r.json"
+        for argv in (["characterize", str(path), "--out", str(report)], ["verify", str(path)]):
+            code, _, err = run(capsys, *argv)
+            assert code == 4
+            assert err.startswith(f"error: {path}: not valid JSON") and "utf-8" in err
+        assert not report.exists()
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,
@@ -382,20 +434,15 @@ class TestHerald:
         assert data.shape == (2, 3)
         np.testing.assert_allclose(data[:, 1], 1.0, atol=1e-12)
 
-    def test_dim_mismatch_exits_2(self, projector_file, capsys):
-        code, _, err = run(
-            capsys,
-            "herald",
-            str(projector_file),
-            "--outcome",
-            "hit",
-            "--lam",
-            "0.3",
-            "--dim",
-            "20",
-        )
-        assert code == 2
-        assert "does not match" in err
+    def test_scan_uses_the_files_dim_and_takes_no_dim_flag(self, projector_file, tmp_path, capsys):
+        argv = ["herald", str(projector_file), "--outcome", "hit", "--lam", "0.3"]
+        out = tmp_path / "scan.dat"
+        assert run(capsys, *argv, "--out", str(out))[0] == 0
+        assert " outcome: hit dim: 30\n" in out.read_text()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--dim", "20"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dim 20" in capsys.readouterr().err
 
     def test_fat_tail_exits_3(self, projector_file, capsys):
         code, _, err = run(
@@ -626,25 +673,59 @@ class TestVerify:
         assert code == 2
         assert message in text
 
-    @pytest.mark.parametrize("dim", [2, 12, 60])
-    def test_every_canonical_report_verifies(self, tmp_path, capsys, dim):
+    def test_rows_of_one_outcome_must_agree(self, apd_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["characterize", str(apd_file), "--witnesses", "--grid-points", "11"]
+        with pytest.warns(qdetchar.TruncationWarning):  # the grid outruns dim 12
+            assert run(capsys, *argv, "--target", "fock:1", "--target", "coherent:1,0",
+                       "--out", str(out))[0] == 0
+        assert run(capsys, "verify", str(out))[0] == 0
+        doc = json.loads(out.read_text())
+        row = doc["estimators"][0]  # off, fock:1; the off, coherent:1,0 row is untouched
+        assert (row["outcome"], row["target"]) == ("off", "fock:1")
+        row.update(projectivity=0.4, ideality=0.4 * row["trace_weight"])
+        out.write_text(json.dumps(doc))
+        code, text, err = run(capsys, "verify", str(out))
+        assert code == 2
+        failure = "[FAIL] off: disagrees with the outcome's first row on projectivity, ideality"
+        assert failure in text
+        assert "verification FAILED (1 of 6 rows)" in err
+
+    @staticmethod
+    def canonical_reports_verify(tmp_path, capsys, dim, targets):
+        """Every canonical model's ``characterize`` report at ``dim`` verifies.
+
+        Returns how many of them have an outcome whose projectivity is 1/dim.
+        """
         etas = ("0", "0.5", "1")
         models = [["ideal-pnr"]] + [["lossy-pnr", "--eta", eta] for eta in etas]
         models += [["apd", "--eta", eta] for eta in etas]
         zetas = ("1e-3", "0.5", "1")  # the scaled projector's weight stands in for eta
         models += [["scaled-projector", "--target", "fock:1", "--zeta", z] for z in zetas]
         povm, out = tmp_path / "povm.json", tmp_path / "report.json"
+        target_flags = [flag for target in targets for flag in ("--target", target)]
         mixed = 0
         for model in models:
             code, _, _ = run(capsys, "model", *model, "--dim", str(dim), "--out", str(povm))
             assert code == 0
-            argv = ["characterize", str(povm), "--target", "fock:1", "--out", str(out)]
+            argv = ["characterize", str(povm), *target_flags, "--out", str(out)]
             assert run(capsys, *argv)[0] == 0
             code, text, _ = run(capsys, "verify", str(out))
             assert code == 0, (model, text)
             rows = load_report(out).estimators
             mixed += any(abs(row.projectivity - 1.0 / dim) < 1e-12 for row in rows)
+        return mixed
+
+    @pytest.mark.parametrize("dim", [2, 12, 60])
+    def test_every_canonical_report_verifies(self, tmp_path, capsys, dim):
+        mixed = self.canonical_reports_verify(tmp_path, capsys, dim, ["fock:1"])
         assert mixed >= 2  # the eta = 0 outcomes of the lossy counter and the APD
+
+    @pytest.mark.parametrize("dim", [2, 12, 60])
+    def test_every_canonical_report_with_two_targets_verifies(self, tmp_path, capsys, dim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", qdetchar.TruncationWarning)  # coherent at dim 2
+            self.canonical_reports_verify(tmp_path, capsys, dim, ["fock:1", "coherent:1,0.5"])
 
 
 class TestConfigErrors:

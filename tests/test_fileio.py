@@ -3,6 +3,7 @@
 import dataclasses
 import enum
 import json
+import re
 import typing
 import warnings
 
@@ -298,6 +299,42 @@ class TestEnsembleFiles:
             load_ensemble(path)
 
 
+def _save_measurement(path):
+    save_povm(ideal_pnr(3), path)
+
+
+def _save_ensemble(path):
+    save_ensemble(uniform_fock_ensemble(3), path)
+
+
+def _save_report(path):
+    rows = tuple(estimator_report(el) for el in ideal_pnr(3))
+    save_report(ReportFile(__version__, "sha256:" + "0" * 64, 3, CategoryThresholds(), rows), path)
+
+
+class TestTextEncoding:
+    """Every JSON file is read as UTF-8; other bytes are a format error naming the file."""
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "utf-16"])
+    @pytest.mark.parametrize(
+        "save, load",
+        [(_save_measurement, load_povm), (_save_ensemble, load_ensemble),
+         (_save_report, load_report)],
+        ids=["measurement", "ensemble", "report"],
+    )
+    def test_non_utf8_file_is_a_format_error(self, tmp_path, save, load, encoding):
+        path = tmp_path / "file.json"
+        save(path)
+        # An unknown top-level key is ignored, so only the encoding differs.
+        text = path.read_text(encoding="utf-8").replace("{", '{\n  "note": "caf\u00e9",', 1)
+        path.write_bytes(text.encode("utf-8"))
+        load(path)
+        path.write_bytes(text.encode(encoding))
+        message = f"^{re.escape(str(path))}: not valid JSON: 'utf-8' codec"
+        with pytest.raises(PovmFormatError, match=message):
+            load(path)
+
+
 class TestJsonLayout:
     @settings(max_examples=60, deadline=None, suppress_health_check=[_FIXTURE])
     @given(
@@ -576,6 +613,26 @@ class TestReportFiles:
         with pytest.raises(ReportValidationError, match=message):
             load_report(path)
 
+    def test_rows_of_one_outcome_must_agree(self, tmp_path):
+        povm = on_off_apd(0.5, 0.0, 12)
+        targets = [("fock:1", fock_state(1, 12)), ("fock:2", fock_state(2, 12))]
+        rows = tuple(estimator_report(el, ket, label) for el in povm for label, ket in targets)
+        report = ReportFile("", "", 12, CategoryThresholds(), rows)
+        assert [estimator_row_problems(row, report) for row in rows] == [[]] * 4
+        first = rows[0]  # off, fock:1
+        moved = dataclasses.replace(
+            first, projectivity=0.4, ideality=0.4 * first.trace_weight,
+            detectivity=first.trace_weight * first.fidelity,
+        )
+        tampered = dataclasses.replace(report, estimators=(moved,) + rows[1:])
+        assert estimator_row_problems(moved, tampered) == []  # consistent on its own
+        problems = estimator_row_problems(rows[1], tampered)
+        assert problems == ["disagrees with the outcome's first row on projectivity, ideality"]
+        path = tmp_path / "r.json"
+        save_report(tampered, path)
+        with pytest.raises(ReportValidationError, match="outcome 'off' disagrees"):
+            load_report(path)
+
     def test_range_slack_comes_from_the_stored_tolerances(self):
         # At dim 40 the default slack is 2 * (1e-9 + 40 * 1e-10) = 1e-8.
         report = ReportFile("", "", 40, CategoryThresholds(), ())
@@ -730,7 +787,11 @@ class TestReportRecords:
         - an ``outcome`` label renamed the same way in its estimator and
           witness rows, or ``input_digest`` or ``tool_version`` changed;
         - projectivity, ideality, trace weight, fidelity and detectivity moved
-          together so that both identities, every range and the category hold;
+          together so that both identities, every range and the category hold.
+          It is caught only in a report with two or more targets, whose rows
+          of one outcome must agree on projectivity, ideality, trace weight
+          and category, and only when not all of them are moved alike; with
+          one target it is still left for the replay;
         - ``gaussianity`` switched between ``Gaussian`` and ``Undetermined``,
           or ``squeezing_witness`` flipped where negativity already fires.
         """
