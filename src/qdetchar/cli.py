@@ -106,6 +106,11 @@ _MODEL_FLAGS = {
 
 def cmd_model(args):
     kind, flags = args.kind, _MODEL_FLAGS[args.kind]
+    given = [flag for flag in ("eta", "nu", "target", "zeta") if getattr(args, flag) is not None]
+    unused = [f"--{flag}" for flag in given if flag not in flags]
+    if unused:
+        raise ValueError(f"{kind} does not use {' or '.join(unused)}")
+    args.nu = 0.0 if args.nu is None else args.nu
     if any(getattr(args, flag) is None for flag in flags):
         required = " and ".join(f"--{flag}" for flag in flags if flag != "nu")
         raise ValueError(f"{kind} requires {required}")
@@ -290,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=list(_MODEL_FLAGS))
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--eta", type=float, help="detection efficiency in [0, 1]")
-    p.add_argument("--nu", type=float, default=0.0, help="dark-count rate in [0, 1]")
+    p.add_argument("--nu", type=float, help="dark-count rate in [0, 1] (default 0)")
     p.add_argument("--target", help="fock:n | coherent:re,im | squeezed:r")
     p.add_argument("--zeta", type=float, help="weight of the scaled projector")
     p.add_argument("--out", required=True)

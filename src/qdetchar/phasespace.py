@@ -10,12 +10,12 @@ The Wigner function is evaluated through the displaced parity operator:
 ``W(x, p) = (1/pi) Tr{rho D(alpha) P D(-alpha)}`` with
 ``alpha = (x + i p)/sqrt(2)``.  Since ``P D(-alpha) = D(alpha) P``, the
 kernel collapses to ``D(2 alpha) P``, whose number-basis matrix elements
-are associated Laguerre polynomials.  The grid evaluation sums each
-off-diagonal band of that expansion in one Clenshaw pass over the Laguerre
-three-term recurrence, so a grid point costs O(dim^2) rather than O(dim^3),
-with each band's exponential prefactor kept in log space so large cutoffs
-cannot overflow.  States with no off-diagonal entries are radially symmetric
-and take a radial path that evaluates each distinct radius once.
+are associated Laguerre polynomials (Cahill and Glauber 1969).  Band k of
+that expansion contributes ``Re(T_k(|beta|^2) e^{ik theta})``, so the grid
+evaluation sums each band once per distinct radius, in one Clenshaw pass
+over the Laguerre three-term recurrence with its exponential prefactor in
+log space so large cutoffs cannot overflow, then the angle at each point by
+Horner's rule in ``e^{i theta}``: O(dim^2) per radius, O(dim) per point.
 """
 
 from __future__ import annotations
@@ -69,8 +69,11 @@ class PhaseSpaceGrid:
     n_p: int
 
     def __post_init__(self):
+        box = f"x [{self.x_min}, {self.x_max}], p [{self.p_min}, {self.p_max}]"
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
-            raise ValueError("grid extents must satisfy max > min")
+            raise ValueError(f"grid {box}: extents must satisfy max > min")
+        if not math.isfinite(2.0 * self.radius_sq):
+            raise ValueError(f"grid {box}: extents must be finite, with 2*(x^2+p^2) finite")
         if self.n_x < 2 or self.n_p < 2:
             raise ValueError("grid needs at least 2 points per axis")
 
@@ -159,15 +162,14 @@ def wigner(
     """Evaluate the Wigner function of a density matrix on a grid.
 
     Reads the diagonal and the upper triangle of ``rho``; entries of
-    magnitude at most 1e-18 are dropped.  Each off-diagonal band
-    ``rho[m, m+k]`` is summed by Clenshaw's recurrence (O(dim^2) work per
-    grid point); a state with no off-diagonal entries left takes a radial
-    path that evaluates the diagonal band once per distinct radius.
+    magnitude at most 1e-18 are dropped.  Each band ``rho[m, m+k]`` left is
+    summed by Clenshaw's recurrence once per distinct radius (O(dim^2) work
+    each), and the bands by Horner's rule in ``e^{i theta}`` at each point.
 
     Warns when the grid reaches further than the truncated basis can
-    represent (``radius**2 > 2 * dim``).  Raises if any computed value
-    breaks the quantum bound ``W >= -1/pi`` beyond ``tols.neg``, which
-    indicates the input was not a valid state.
+    represent (``radius**2 > 2 * dim``).  Raises if any computed value is
+    not a number or breaks the quantum bound ``W >= -1/pi`` beyond
+    ``tols.neg``, which indicates the input was not a valid state.
     """
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
@@ -182,35 +184,32 @@ def wigner(
         )
     rho = np.where(np.abs(rho) > _NEGLIGIBLE, rho, 0.0)
     signs = np.where(np.arange(d) % 2, -1.0, 1.0)
-    x = grid.x_axis[:, None]
-    p = grid.p_axis[None, :]
-    # beta = 2*alpha with alpha = (x + i p)/sqrt(2)
-    beta_sq = 2.0 * (x * x + p * p)
-    diag = signs * rho.diagonal().real
-    if not np.any(np.triu(rho, 1)):
-        radii, where = np.unique(beta_sq.ravel(), return_inverse=True)
-        radial = np.exp(-0.5 * radii) * _laguerre_band(diag, 0, radii)
-        acc = radial[where.reshape(beta_sq.shape)]
-    else:
-        theta = np.arctan2(p, x)
-        with np.errstate(divide="ignore"):
-            log_beta = 0.5 * np.log(beta_sq, where=beta_sq > 0.0, out=np.full_like(beta_sq, -np.inf))
-        half_b = 0.5 * beta_sq
-        acc = np.exp(-half_b) * _laguerre_band(diag, 0, beta_sq)
+    x, p = grid.x_axis[:, None], grid.p_axis[None, :]
+    # radii are |beta|^2, with beta = 2*alpha and alpha = (x + i p)/sqrt(2)
+    radii, where = np.unique((2.0 * (x * x + p * p)).ravel(), return_inverse=True)
+    where = where.reshape(grid.n_x, grid.n_p)
+    half_r = 0.5 * radii
+    acc = (np.exp(-half_r) * _laguerre_band(signs * rho.diagonal().real, 0, radii))[where]
+    if np.any(np.triu(rho, 1)):
+        log_beta = 0.5 * np.log(radii, where=radii > 0.0, out=np.full_like(radii, -np.inf))
+        table = {}  # band k's weight times its Clenshaw sum, on the radii
         for k in range(1, d):
             band = signs[: d - k] * np.diagonal(rho, k)
-            if not band.any():
-                continue
-            # with S the band's Clenshaw sum, Re(S e^{ik theta}) is
-            # Re(S) cos(k theta) + (-Im S) sin(k theta)
-            weight = 2.0 * np.exp(k * log_beta - half_b - 0.5 * math.lgamma(k + 1))
-            for part, trig in ((band.real, np.cos), (-band.imag, np.sin)):
-                if part.any():
-                    acc += _laguerre_band(part, k, beta_sq) * trig(k * theta) * weight
+            if band.any():
+                parts = ((band.real, 1.0), (band.imag, 1j))
+                sums = sum(_laguerre_band(v, k, radii) * u for v, u in parts if v.any())
+                table[k] = 2.0 * np.exp(k * log_beta - half_r - 0.5 * math.lgamma(k + 1)) * sums
+        # Re sum_k table[k] z^k with z = e^{i theta}, from the top band down
+        z = np.exp(1j * np.arctan2(p, x))
+        horner = np.zeros(where.shape, dtype=complex)
+        for k in range(max(table), 0, -1):
+            if k in table:
+                horner += table[k][where]
+            horner *= z
+        acc += horner.real
     values = acc / np.pi
-    floor = -1.0 / np.pi - tols.neg
     vmin = float(np.min(values))
-    if vmin < floor:
+    if not vmin >= -1.0 / np.pi - tols.neg:
         raise ValueError(
             f"Wigner value {vmin:.6g} below the quantum bound -1/pi; "
             "input is not a valid state"

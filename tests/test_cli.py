@@ -104,6 +104,28 @@ class TestModel:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ideal-pnr", "--eta", "0.5"], "ideal-pnr does not use --eta"),
+            (
+                ["lossy-pnr", "--eta", "0.5", "--nu", "0.3", "--zeta", "0.2"],
+                "lossy-pnr does not use --nu or --zeta",
+            ),
+            (["apd", "--eta", "0.5", "--target", "fock:1"], "apd does not use --target"),
+            (
+                ["scaled-projector", "--target", "fock:1", "--zeta", "0.5", "--nu", "0"],
+                "scaled-projector does not use --nu",
+            ),
+        ],
+        ids=["ideal-pnr", "lossy-pnr", "apd", "scaled-projector"],
+    )
+    def test_flag_the_kind_does_not_use_exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "model", *argv, "--dim", "6", "--out", str(out))
+        assert code == 2 and err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, metadata",
         [
             (["ideal-pnr"], {}),
@@ -132,6 +154,16 @@ def apd_file(tmp_path):
 
 
 class TestCharacterize:
+    @pytest.mark.parametrize("radius", ["inf", "1e200"])
+    def test_grid_that_cannot_be_evaluated_exits_2(self, apd_file, tmp_path, capsys, radius):
+        out = tmp_path / "r.json"
+        argv = ["characterize", str(apd_file), "--witnesses", "--grid-radius", radius]
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        r = float(radius)
+        assert code == 2
+        assert err.startswith(f"error: grid x [{-r}, {r}], p [{-r}, {r}]: extents")
+        assert sorted(tmp_path.iterdir()) == [apd_file]
+
     def test_outcome_at_the_trace_floor_is_skipped(self, tmp_path, capsys):
         tiny = np.diag([5e-13, 0.0, 0.0, 0.0])
         povm = qdetchar.Povm(
@@ -377,6 +409,16 @@ class TestWigner:
         assert sidecar["witnesses"]["is_nonclassical"] is True
         assert sidecar["witnesses"]["gaussianity"] == "NonGaussian"
         assert sidecar_text == json.dumps(sidecar, indent=2) + "\n"
+
+    @pytest.mark.parametrize("xmin", ["-inf", "-1e200", "nan"])
+    def test_grid_that_cannot_be_evaluated_exits_2(self, apd_file, tmp_path, capsys, xmin):
+        # -1e200 is finite, but x*x overflows to inf
+        out = tmp_path / "w.dat"
+        argv = ["wigner", str(apd_file), "--outcome", "on", f"--xmin={xmin}", "--xmax", "3"]
+        code, _, err = run(capsys, *argv, "--nx", "5", "--np", "5", "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: grid x [{float(xmin)}, 3.0], p [-6.0, 6.0]: extents")
+        assert sorted(tmp_path.iterdir()) == [apd_file]
 
     def test_unknown_outcome_exits_2(self, apd_file, tmp_path, capsys):
         code, _, err = run(

@@ -155,6 +155,20 @@ class TestGrid:
         with pytest.raises(ValueError):
             PhaseSpaceGrid.symmetric(1.0, 1)
 
+    @pytest.mark.parametrize(
+        "extents",
+        [
+            (-np.inf, 3.0, -1.0, 1.0),
+            (-1.0, 1.0, -1.0, np.inf),
+            (np.nan, 3.0, -1.0, 1.0),
+            (-1e200, 3.0, -1.0, 1.0),  # x*x overflows to inf
+            (-1.0, 1.0, 1e154, 1.2e154),  # x*x + p*p is finite, twice it is not
+        ],
+    )
+    def test_rejects_extents_that_cannot_be_evaluated(self, extents):
+        with pytest.raises(ValueError, match=r"grid x \[.*\], p \[.*\]: extents"):
+            PhaseSpaceGrid(*extents, 5, 5)
+
 
 class TestWignerValues:
     def test_vacuum_peak(self):
@@ -206,8 +220,15 @@ class TestWignerValues:
         with pytest.raises(ValueError, match="quantum bound"):
             wigner(bogus, ORIGIN)
 
+    def test_rejects_values_that_are_not_numbers(self):
+        # 2*(x^2+p^2) is finite here, but the band sums overflow to nan
+        grid = PhaseSpaceGrid(-1e100, 3.0, -1.0, 1.0, 5, 5)
+        with np.errstate(all="ignore"), pytest.warns(TruncationWarning):
+            with pytest.raises(ValueError, match="quantum bound"):
+                wigner(thermal(1.0, 6), grid)
+
     def test_rejects_non_state_input_with_coherences(self):
-        # off-diagonal entries take the band sums instead of the radial path
+        # off-diagonal entries add the angular Horner sum to the diagonal band
         bogus = np.array([[-1.0, 0.5j], [-0.5j, 2.0]])
         with pytest.raises(ValueError, match="quantum bound"):
             wigner(bogus, ORIGIN)
@@ -218,7 +239,7 @@ OFF_CENTRE = PhaseSpaceGrid(-1.0, 4.0, -3.0, 2.0, 23, 17)
 
 @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
 class TestAgainstTermwiseOracle:
-    """The Clenshaw band sums and the radial path against ``termwise_wigner``."""
+    """The band table on distinct radii and its Horner sum against ``termwise_wigner``."""
 
     def assert_matches(self, rho, grid):
         np.testing.assert_allclose(
@@ -253,12 +274,58 @@ class TestAgainstTermwiseOracle:
             retrodicted_state(lossy_pnr(0.7, 30).outcome("2")).state,
             retrodicted_state(on_off_apd(0.5, 0.02, 24).outcome("on")).state,
         ]
-        # off-diagonal dust at the kernel's cut-off keeps the radial path
+        # off-diagonal dust at the kernel's cut-off leaves no band but k = 0
         dusty = thermal(0.5, 12)
         dusty[0, 5] = dusty[5, 0] = 1e-18
         states.append(dusty)
         for rho in states:
             self.assert_matches(rho, grid)
+
+    def test_real_bands_only(self):
+        psi = np.random.default_rng(11).normal(size=14) + 0j
+        self.assert_matches(dm(psi / np.linalg.norm(psi)), OFF_CENTRE)
+
+    def test_imaginary_bands_only(self):
+        # i times a real antisymmetric matrix, small enough to stay a state
+        g = np.random.default_rng(12).normal(size=(14, 14))
+        s = g - g.T
+        rho = np.eye(14) / 14.0 + 1j * s * (0.5 / 14.0 / np.linalg.norm(s, 2))
+        self.assert_matches(rho, OFF_CENTRE)
+
+    @pytest.mark.parametrize("dim", [2, 9, 25])
+    def test_top_band_only(self, dim):
+        psi = np.zeros(dim, dtype=complex)
+        psi[[0, -1]] = [0.6, 0.8j]
+        self.assert_matches(dm(psi), OFF_CENTRE)
+
+    @pytest.mark.parametrize("grid", [ORIGIN, OFF_CENTRE])
+    def test_one_level(self, grid):
+        self.assert_matches(np.ones((1, 1), dtype=complex), grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 16),
+        st.integers(0, 2**32 - 1),
+        st.one_of(
+            # odd point counts put the origin on a node and repeat every radius
+            st.builds(
+                lambda r, n: PhaseSpaceGrid.symmetric(r, 2 * n + 1),
+                st.floats(0.25, 6.0),
+                st.integers(1, 12),
+            ),
+            st.builds(
+                lambda x, w, p, h, nx, np_: PhaseSpaceGrid(x, x + w, p, p + h, nx, np_),
+                st.floats(-6.0, 3.0),
+                st.floats(0.25, 8.0),
+                st.floats(-6.0, 3.0),
+                st.floats(0.25, 8.0),
+                st.integers(2, 24),
+                st.integers(2, 24),
+            ),
+        ),
+    )
+    def test_random_states_on_random_grids(self, dim, seed, grid):
+        self.assert_matches(random_density(np.random.default_rng(seed), dim), grid)
 
     @settings(max_examples=60, deadline=None)
     @given(
