@@ -132,34 +132,26 @@ def cmd_model(args):
     return 0
 
 
-def _witnesses(element, grid, tols, thresholds):
-    """Retrodict one outcome; return its Wigner grid and its witness row."""
-    retro = retrodicted_state(element, tols)
+def _witnesses(retro, grid, tols, thresholds):
+    """One retrodicted outcome's Wigner grid and its witness row."""
     wg = wigner(retro.state, grid, tols)
     return wg, witness_report(
-        retro.state, wg, element.label, projectivity(retro), tols, thresholds
+        retro.state, wg, retro.element.label, projectivity(retro), tols, thresholds
     )
 
 
-def cmd_characterize(args):
-    tols, thresholds = Tolerances.from_env(), _thresholds(args)
-    povm = load_povm(args.povm, tols)
-    digest = sha256_digest(args.povm)
-    targets = [parse_target(t, povm.dim) for t in args.target] or [(None, None)]
-    grid = None
-    if args.witnesses:
-        grid = PhaseSpaceGrid.symmetric(args.grid_radius, args.grid_points)
-    rows = []
-    witness_rows = []
+def _report(povm, digest, targets, grid, tols, thresholds) -> ReportFile:
+    """Retrodict each live outcome once; its estimator rows and witness row read that state."""
+    rows, witness_rows = [], []
     for element in povm:
         if element.is_null(tols):
             print(f"skipping null outcome {element.label!r}", file=sys.stderr)
             continue
-        for label, ket in targets:
-            rows.append(estimator_report(element, ket, label, thresholds, tols))
+        retro = retrodicted_state(element, tols)
+        rows.extend(estimator_report(retro, ket, label, thresholds, tols) for label, ket in targets)
         if grid is not None:
-            witness_rows.append(_witnesses(element, grid, tols, thresholds)[1])
-    report = ReportFile(
+            witness_rows.append(_witnesses(retro, grid, tols, thresholds)[1])
+    return ReportFile(
         tool_version=__version__,
         input_digest=digest,
         dim=povm.dim,
@@ -168,8 +160,18 @@ def cmd_characterize(args):
         nonclassicality=tuple(witness_rows),
         tolerances=tols,
     )
+
+
+def cmd_characterize(args):
+    tols, thresholds = Tolerances.from_env(), _thresholds(args)
+    povm = load_povm(args.povm, tols)
+    targets = [parse_target(t, povm.dim) for t in args.target] or [(None, None)]
+    grid = None
+    if args.witnesses:
+        grid = PhaseSpaceGrid.symmetric(args.grid_radius, args.grid_points)
+    report = _report(povm, sha256_digest(args.povm), targets, grid, tols, thresholds)
     save_report(report, args.out)
-    for row in rows:
+    for row in report.estimators:
         extra = ""
         if row.target is not None:
             extra = (
@@ -191,7 +193,7 @@ def cmd_wigner(args):
     digest = sha256_digest(args.povm)
     element = povm.outcome(args.outcome)
     grid = PhaseSpaceGrid(args.xmin, args.xmax, args.pmin, args.pmax, args.nx, args.np)
-    wg, report = _witnesses(element, grid, tols, thresholds)
+    wg, report = _witnesses(retrodicted_state(element, tols), grid, tols, thresholds)
     write_wigner_grid(wg, args.out, source_digest=digest, outcome_label=element.label)
     sidecar = str(args.out) + ".report.json"
     doc = {

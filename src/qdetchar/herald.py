@@ -232,7 +232,7 @@ def retrodictive_limit_scan(
                     f"at dim {d}; increase dim"
                 )
             params.append(p)
-    target = conjugate_in_fock(retrodicted_state(el, tols).state)
+    target = conjugate_in_fock(retrodicted_state(element, tols).state)
     points = []
     for p in params:
         result = heralded_closed_form(p, el, tols)

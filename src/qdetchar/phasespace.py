@@ -424,5 +424,5 @@ def nonclassicality_of_measurement(
     retro = retrodicted_state(element, tols)
     wg = wigner(retro.state, grid, tols)
     return witness_report(
-        retro.state, wg, retro.outcome_label, projectivity(retro), tols, thresholds
+        retro.state, wg, retro.element.label, projectivity(retro), tols, thresholds
     )

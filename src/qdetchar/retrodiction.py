@@ -70,7 +70,7 @@ class RetrodictedState:
     """Normalized element of a measurement, read as a preparation."""
 
     state: np.ndarray
-    outcome_label: str
+    element: PovmElement
     trace_weight: float
 
 
@@ -101,6 +101,8 @@ class EstimatorReport:
 
 
 def _as_element(element) -> PovmElement:
+    if isinstance(element, RetrodictedState):
+        return element.element
     if isinstance(element, PovmElement):
         return element
     return PovmElement("element", element)
@@ -139,10 +141,13 @@ def retrodicted_state(
 ) -> RetrodictedState:
     """Normalize a measurement element into the state it retrodicts.
 
+    A :class:`RetrodictedState` is returned as it is, not derived again.
     Raises :class:`NullOutcomeError` for a null element (see
     :meth:`~qdetchar.detectors.PovmElement.is_null`): a null outcome carries
     no retrodictive content.
     """
+    if isinstance(element, RetrodictedState):
+        return element
     el = _as_element(element)
     weight = el.trace_weight
     if el.is_null(tols):
@@ -151,7 +156,7 @@ def retrodicted_state(
         )
     rho = np.asarray(el.matrix) / weight
     assert_density_matrix(rho, tols, what=f"retrodicted state of {el.label!r}")
-    return RetrodictedState(state=rho, outcome_label=el.label, trace_weight=weight)
+    return RetrodictedState(state=rho, element=el, trace_weight=weight)
 
 
 def projectivity(retro: RetrodictedState) -> float:
@@ -347,16 +352,15 @@ def estimator_report(
     and detectivity * projectivity = ideality * fidelity when a target is
     given) are verified to ``IDENTITY_SLACK`` before the report is returned.
     """
-    el = _as_element(element)
-    retro = retrodicted_state(el, tols)
+    retro = retrodicted_state(element, tols)
     proj = projectivity(retro)
-    ideal = ideality(el, tols)
+    ideal = ideality(retro.element, tols)
     fid = det = None
     if target is not None:
         fid = fidelity(retro, target)
-        det = detectivity(el, target, tols)
+        det = detectivity(retro, target, tols)
     row = EstimatorReport(
-        outcome_label=el.label,
+        outcome_label=retro.element.label,
         projectivity=proj,
         ideality=ideal,
         trace_weight=retro.trace_weight,
@@ -367,5 +371,5 @@ def estimator_report(
     )
     broken = _identity_problems(row)
     if broken:
-        raise RuntimeError(f"outcome {el.label!r} {broken[0]}")
+        raise RuntimeError(f"outcome {retro.element.label!r} {broken[0]}")
     return row

@@ -22,6 +22,7 @@ from qdetchar import (
     save_povm,
     uniform_fock_ensemble,
 )
+from qdetchar import retrodiction
 from qdetchar.cli import main, parse_target
 from qdetchar.detectors import lossy_pnr, on_off_apd
 
@@ -218,6 +219,26 @@ class TestCharacterize:
         assert code == 0
         report = load_report(out)
         assert {w.outcome_label for w in report.nonclassicality} == {"on", "off"}
+
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    def test_each_live_outcome_is_retrodicted_once(self, tmp_path, capsys, monkeypatch):
+        checked = []
+        check = retrodiction.assert_density_matrix
+
+        def spy(rho, tols, what):
+            checked.append(what)
+            return check(rho, tols, what)
+
+        monkeypatch.setattr(retrodiction, "assert_density_matrix", spy)
+        path, out = tmp_path / "lossy.json", tmp_path / "report.json"
+        povm = lossy_pnr(0.7, 12)
+        save_povm(povm, path)
+        argv = ["characterize", str(path), "--target", "fock:1", "--target", "coherent:1,0"]
+        code, _, _ = run(capsys, *argv, "--witnesses", "--grid-points", "21", "--out", str(out))
+        assert code == 0
+        assert checked == [f"retrodicted state of {label!r}" for label in povm.labels]
+        report = load_report(out)
+        assert (len(report.estimators), len(report.nonclassicality)) == (24, 12)
 
     def test_null_outcomes_skipped_with_notice(self, tmp_path, capsys):
         povm_path = tmp_path / "blind.json"

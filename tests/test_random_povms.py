@@ -22,6 +22,7 @@ from qdetchar import (
     estimator_report,
     load_povm,
     require_valid,
+    retrodicted_state,
     save_povm,
 )
 from qdetchar.cli import main
@@ -57,6 +58,7 @@ def test_estimator_identities_hold(drawn):
     povm, ket = drawn
     for element in povm:
         row = estimator_report(element, ket, "random")
+        assert estimator_report(retrodicted_state(element), ket, "random") == row
         weight_res, det_res = estimator_identity_residuals(row)
         assert weight_res <= IDENTITY_SLACK and det_res <= IDENTITY_SLACK
 
@@ -66,7 +68,9 @@ def test_estimator_identities_hold(drawn):
 def test_detectivity_agrees_with_the_born_route(drawn):
     povm, ket = drawn
     for element in povm:
-        assert abs(detectivity(element, ket) - born_probability(ket, element)) <= 1e-12
+        born = born_probability(ket, element)
+        for source in (element, retrodicted_state(element)):
+            assert abs(detectivity(source, ket) - born) <= 1e-12
 
 
 @_EXAMPLES

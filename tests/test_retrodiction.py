@@ -99,6 +99,13 @@ class TestRetrodictedState:
         with pytest.raises(NullOutcomeError):
             retrodicted_state(PovmElement("null", np.zeros((4, 4))))
 
+    def test_a_state_is_returned_as_it_is(self):
+        el = on_off_apd(0.5, 0.0, 8).outcome("on")
+        retro = retrodicted_state(el)
+        assert retro.element is el
+        assert retrodicted_state(retro) is retro
+        assert retrodicted_state(retro, Tolerances(norm=1e-15)) is retro
+
 
 class TestEstimators:
     def test_projectivity_bounds(self, rng):
