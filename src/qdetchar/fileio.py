@@ -306,7 +306,7 @@ def load_ensemble(path, tols: Tolerances = DEFAULT_TOLS) -> ProbeEnsemble:
         prior = _expect(entry, "prior", float, where)
         assert_density_matrix(matrix, tols, what=where)
         entries.append(ProbeEntry(prior=prior, state=matrix, label=label))
-    return ProbeEnsemble(tuple(entries))
+    return ProbeEnsemble(tuple(entries), tols)
 
 
 # ---------------------------------------------------------------- reports

@@ -30,7 +30,7 @@ and are enforced as postconditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from typing import Optional
 
@@ -219,11 +219,12 @@ class ProbeEntry:
 
 @dataclass(frozen=True, eq=False)
 class ProbeEnsemble:
-    """Prior-weighted family of candidate input states."""
+    """Prior-weighted family of candidate input states; priors sum to 1 within ``tols.norm``."""
 
     entries: tuple
+    tols: InitVar[Tolerances] = DEFAULT_TOLS
 
-    def __post_init__(self):
+    def __post_init__(self, tols):
         entries = tuple(self.entries)
         if not entries:
             raise ValueError("ensemble needs at least one entry")
@@ -231,7 +232,7 @@ class ProbeEnsemble:
         if len(dims) != 1:
             raise ValueError(f"mixed entry dimensions: {sorted(dims)}")
         total = sum(e.prior for e in entries)
-        if abs(total - 1.0) > DEFAULT_TOLS.norm:
+        if abs(total - 1.0) > tols.norm:
             raise ValueError(f"priors sum to {total!r}, not 1")
         object.__setattr__(self, "entries", entries)
 

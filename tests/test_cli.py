@@ -543,6 +543,30 @@ class TestRetrodict:
         assert "\n4: 1.000000000" in text
         assert "\n4 1.0" in out.read_text()
 
+    @pytest.mark.parametrize(
+        "norm_tol, excess, expected",
+        [("1e-3", 1e-6, 0), (None, 1e-6, 2), ("1e-12", 1e-10, 2)],
+    )
+    def test_prior_sum_is_checked_under_the_tolerances_in_force(
+        self, tmp_path, capsys, monkeypatch, norm_tol, excess, expected
+    ):
+        povm_path, ens_path = tmp_path / "pnr.json", tmp_path / "ens.json"
+        run(capsys, "model", "ideal-pnr", "--dim", "3", "--out", str(povm_path))
+        save_ensemble(uniform_fock_ensemble(3), ens_path)
+        doc = json.loads(ens_path.read_text())
+        doc["entries"][1]["prior"] += excess
+        ens_path.write_text(json.dumps(doc))
+        monkeypatch.delenv("QDETCHAR_NORM_TOL", raising=False)
+        if norm_tol is not None:
+            monkeypatch.setenv("QDETCHAR_NORM_TOL", norm_tol)
+        argv = ["retrodict", str(povm_path), "--outcome", "1", "--ensemble", str(ens_path)]
+        code, text, err = run(capsys, *argv)
+        assert code == expected
+        if expected == 0:
+            assert "\n1: 1.000000000" in text
+        else:
+            assert err.startswith("error: priors sum to 1.0000")
+
     def test_unreachable_outcome_exits_3(self, tmp_path, capsys):
         povm_path = tmp_path / "pnr.json"
         ens_path = tmp_path / "ens.json"

@@ -228,6 +228,15 @@ class TestEnsembles:
         with pytest.raises(ValueError, match="priors"):
             ProbeEnsemble((e, ProbeEntry(0.6, fock_state(1, 3), "b")))
 
+    def test_prior_sum_slack_is_the_given_norm_tolerance(self):
+        entries = (
+            ProbeEntry(0.5 + 1e-6, fock_state(0, 3), "a"),
+            ProbeEntry(0.5, fock_state(1, 3), "b"),
+        )
+        with pytest.raises(ValueError, match="priors"):
+            ProbeEnsemble(entries)
+        assert len(ProbeEnsemble(entries, Tolerances(norm=1e-3))) == 2
+
     def test_uniform_fock_probe_is_maximally_mixed(self):
         ens = uniform_fock_ensemble(6)
         np.testing.assert_allclose(ens.probe_state, np.eye(6) / 6, atol=1e-15)
