@@ -148,7 +148,7 @@ def _report(povm, digest, targets, grid, tols, thresholds) -> ReportFile:
             print(f"skipping null outcome {element.label!r}", file=sys.stderr)
             continue
         retro = retrodicted_state(element, tols)
-        rows.extend(estimator_report(retro, ket, label, thresholds, tols) for label, ket in targets)
+        rows += [estimator_report(retro, ket, label, thresholds, tols) for label, ket in targets]
         if grid is not None:
             witness_rows.append(_witnesses(retro, grid, tols, thresholds)[1])
     return ReportFile(

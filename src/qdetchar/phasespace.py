@@ -69,11 +69,10 @@ class PhaseSpaceGrid:
     n_p: int
 
     def __post_init__(self):
-        box = f"x [{self.x_min}, {self.x_max}], p [{self.p_min}, {self.p_max}]"
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
-            raise ValueError(f"grid {box}: extents must satisfy max > min")
+            raise ValueError(f"grid {self._box}: extents must satisfy max > min")
         if not math.isfinite(2.0 * self.radius_sq):
-            raise ValueError(f"grid {box}: extents must be finite, with 2*(x^2+p^2) finite")
+            raise ValueError(f"grid {self._box}: extents must be finite, with 2*(x^2+p^2) finite")
         if self.n_x < 2 or self.n_p < 2:
             raise ValueError("grid needs at least 2 points per axis")
 
@@ -98,6 +97,10 @@ class PhaseSpaceGrid:
     @property
     def dp(self) -> float:
         return (self.p_max - self.p_min) / (self.n_p - 1)
+
+    @property
+    def _box(self) -> str:
+        return f"x [{self.x_min}, {self.x_max}], p [{self.p_min}, {self.p_max}]"
 
     @property
     def radius_sq(self) -> float:
@@ -167,14 +170,17 @@ def wigner(
     each), and the bands by Horner's rule in ``e^{i theta}`` at each point.
 
     Warns when the grid reaches further than the truncated basis can
-    represent (``radius**2 > 2 * dim``).  Raises if any computed value is
-    not a number or breaks the quantum bound ``W >= -1/pi`` beyond
-    ``tols.neg``, which indicates the input was not a valid state.
+    represent (``radius**2 > 2 * dim``).  Raises if ``rho`` has an entry
+    that is not finite; if the grid reaches so far that the kernel overflows,
+    naming the grid; and if a value breaks the quantum bound ``W >= -1/pi``
+    beyond ``tols.neg``, which indicates the input was not a valid state.
     """
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
     if rho.ndim != 2 or rho.shape[1] != d:
         raise ValueError(f"expected a square density matrix, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
     if grid.radius_sq > 2.0 * d:
         warnings.warn(
             f"grid reaches x^2+p^2 = {grid.radius_sq:.3g}, beyond the "
@@ -208,6 +214,11 @@ def wigner(
             horner *= z
         acc += horner.real
     values = acc / np.pi
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"grid {grid._box} reaches beyond what the Wigner kernel can evaluate "
+            f"at dim {d}; shrink the grid"
+        )
     vmin = float(np.min(values))
     if not vmin >= -1.0 / np.pi - tols.neg:
         raise ValueError(

@@ -165,6 +165,23 @@ class TestCharacterize:
         assert err.startswith(f"error: grid x [{-r}, {r}], p [{-r}, {r}]: extents")
         assert sorted(tmp_path.iterdir()) == [apd_file]
 
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    def test_grid_the_kernel_cannot_reach_exits_2_naming_the_grid(self, tmp_path, capsys):
+        path = tmp_path / "pnr60.json"
+        run(capsys, "model", "ideal-pnr", "--dim", "60", "--out", str(path))
+        argv = ["characterize", str(path), "--witnesses", "--grid-points", "11"]
+        ok = tmp_path / "r300.json"
+        assert run(capsys, *argv, "--grid-radius", "300", "--out", str(ok))[0] == 0
+        out = tmp_path / "r1000.json"
+        with np.errstate(all="ignore"):
+            code, _, err = run(capsys, *argv, "--grid-radius", "1000", "--out", str(out))
+        assert code == 2
+        assert err.endswith(
+            "error: grid x [-1000.0, 1000.0], p [-1000.0, 1000.0] reaches beyond what the "
+            "Wigner kernel can evaluate at dim 60; shrink the grid\n"
+        )
+        assert not out.exists()
+
     def test_outcome_at_the_trace_floor_is_skipped(self, tmp_path, capsys):
         tiny = np.diag([5e-13, 0.0, 0.0, 0.0])
         povm = qdetchar.Povm(
@@ -440,6 +457,20 @@ class TestWigner:
         assert code == 2
         assert err.startswith(f"error: grid x [{float(xmin)}, 3.0], p [-6.0, 6.0]: extents")
         assert sorted(tmp_path.iterdir()) == [apd_file]
+
+    def test_grid_the_kernel_cannot_reach_exits_2_naming_the_grid(self, tmp_path, capsys):
+        # 2*(x^2+p^2) is finite, but exp(-r/2) = 0 times an overflowed band sum is nan
+        path, out = tmp_path / "a.json", tmp_path / "w.dat"
+        run(capsys, "model", "apd", "--dim", "6", "--eta", "0.5", "--out", str(path))
+        argv = ["wigner", str(path), "--outcome", "on", "--xmin=-1e100", "--xmax", "3"]
+        with np.errstate(all="ignore"), pytest.warns(qdetchar.TruncationWarning):
+            code, _, err = run(capsys, *argv, "--nx", "5", "--np", "5", "--out", str(out))
+        assert code == 2
+        assert err == (
+            "error: grid x [-1e+100, 3.0], p [-6.0, 6.0] reaches beyond what the Wigner "
+            "kernel can evaluate at dim 6; shrink the grid\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_unknown_outcome_exits_2(self, apd_file, tmp_path, capsys):
         code, _, err = run(

@@ -221,11 +221,21 @@ class TestWignerValues:
             wigner(bogus, ORIGIN)
 
     def test_rejects_values_that_are_not_numbers(self):
-        # 2*(x^2+p^2) is finite here, but the band sums overflow to nan
+        # 2*(x^2+p^2) is finite here, but the band sums overflow to nan; the
+        # states are valid, so the grid is named, not the input
         grid = PhaseSpaceGrid(-1e100, 3.0, -1.0, 1.0, 5, 5)
-        with np.errstate(all="ignore"), pytest.warns(TruncationWarning):
-            with pytest.raises(ValueError, match="quantum bound"):
-                wigner(thermal(1.0, 6), grid)
+        message = r"grid x \[-1e\+100, 3.0\], p \[-1.0, 1.0\] reaches beyond what the Wigner"
+        for rho in (thermal(1.0, 6), dm(coherent_state(0.5, 6))):  # diagonal, dense
+            with np.errstate(all="ignore"), pytest.warns(TruncationWarning):
+                with pytest.raises(ValueError, match=message + " kernel can evaluate at dim 6"):
+                    wigner(rho, grid)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, entry):
+        rho = thermal(1.0, 6)
+        rho[0, 1] = entry
+        with pytest.raises(ValueError, match="non-finite entries"):
+            wigner(rho, ORIGIN)
 
     def test_rejects_non_state_input_with_coherences(self):
         # off-diagonal entries add the angular Horner sum to the diagonal band
