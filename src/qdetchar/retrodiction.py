@@ -30,7 +30,7 @@ and are enforced as postconditions.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -222,9 +222,9 @@ class ProbeEnsemble:
     """Prior-weighted family of candidate input states; priors sum to 1 within ``tols.norm``."""
 
     entries: tuple
-    tols: InitVar[Tolerances] = DEFAULT_TOLS
+    tols: Tolerances = DEFAULT_TOLS
 
-    def __post_init__(self, tols):
+    def __post_init__(self):
         entries = tuple(self.entries)
         if not entries:
             raise ValueError("ensemble needs at least one entry")
@@ -232,7 +232,7 @@ class ProbeEnsemble:
         if len(dims) != 1:
             raise ValueError(f"mixed entry dimensions: {sorted(dims)}")
         total = sum(e.prior for e in entries)
-        if abs(total - 1.0) > tols.norm:
+        if abs(total - 1.0) > self.tols.norm:
             raise ValueError(f"priors sum to {total!r}, not 1")
         object.__setattr__(self, "entries", entries)
 
