@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import PovmValidationError
-from .fock import _unit_ket, check_dim, eig_hermitian, hermiticity_defect, hermitize
+from .fock import _spectrum, _unit_ket, check_dim, eig_hermitian, hermiticity_defect
 
 __all__ = [
     "PovmElement",
@@ -285,7 +285,7 @@ def validate_povm(povm: Povm, tols: Tolerances = DEFAULT_TOLS) -> PovmValidation
     ok = True
     for e in povm:
         defect = hermiticity_defect(e.matrix)
-        w = np.linalg.eigvalsh(hermitize(e.matrix))
+        w = _spectrum(e.matrix)
         passed = (
             defect <= tols.herm
             and w[0] >= -tols.psd

@@ -14,17 +14,25 @@ so every number in them can be traced back to the bytes it came from.  The
 report schema is the record dataclasses: one writer and one reader follow the
 fields and types that ``EstimatorReport``, ``NonClassicalityReport``,
 ``CategoryThresholds`` and ``Tolerances`` declare.
+
+Readers and writers of JSON files run with Python's cyclic garbage collector
+paused, and leave it as they found it.  A dim-60 measurement is some 200,000
+lists, and each allocation of that many containers would otherwise set off
+collector passes that rescan them all.  They could reclaim nothing: a parsed
+or built document holds no reference cycles, and reference counting frees it
+before the call returns.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import typing
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +40,6 @@ import numpy as np
 from .config import DEFAULT_TOLS, CategoryThresholds, Tolerances
 from .detectors import Povm, PovmElement, default_guard_levels, require_valid
 from .errors import PovmFormatError, ReportValidationError
-from .fock import assert_density_matrix
 from .phasespace import (
     CONVENTION,
     Gaussianity,
@@ -41,6 +48,7 @@ from .phasespace import (
     WignerGrid,
     _witness_verdicts,
 )
+from .fock import assert_density_matrix
 from .retrodiction import (
     EstimatorReport,
     OutcomeCategory,
@@ -77,6 +85,22 @@ def sha256_digest(path) -> str:
 
 
 # ---------------------------------------------------------------- helpers
+
+def _without_gc(fn):
+    """``fn`` run with the cyclic collector paused, then left on or off as found."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
 
 class _Rows(list):
     """A matrix as rows of ``(re, im)`` pairs; :func:`write_json` writes a row per line."""
@@ -226,6 +250,7 @@ def _layout(value, newline: str) -> str:
     return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
+@_without_gc
 def write_json(doc: dict, path) -> None:
     """Write ``doc`` as the JSON text of every file this program writes.
 
@@ -241,6 +266,7 @@ def write_json(doc: dict, path) -> None:
 
 # ---------------------------------------------------------------- POVM files
 
+@_without_gc
 def save_povm(povm: Povm, path) -> None:
     """Write a measurement to JSON (schema version 1)."""
     doc = {
@@ -255,6 +281,7 @@ def save_povm(povm: Povm, path) -> None:
     write_json(doc, path)
 
 
+@_without_gc
 def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> Povm:
     """Read and physically validate a measurement file.
 
@@ -279,6 +306,7 @@ def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> P
 
 # ---------------------------------------------------------------- ensembles
 
+@_without_gc
 def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
     """Write a probe ensemble to JSON (same matrix encoding as measurements)."""
     doc = {
@@ -297,6 +325,7 @@ def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
     write_json(doc, path)
 
 
+@_without_gc
 def load_ensemble(path, tols: Tolerances = DEFAULT_TOLS) -> ProbeEnsemble:
     """Read a probe ensemble file; each entry must be a valid density matrix."""
     doc = _parse_json(path)
@@ -481,6 +510,7 @@ class ReportFile:
         return {row.outcome_label: row for row in reversed(self.estimators)}
 
 
+@_without_gc
 def save_report(report: ReportFile, path) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
@@ -497,6 +527,7 @@ def save_report(report: ReportFile, path) -> None:
     write_json(doc, path)
 
 
+@_without_gc
 def load_report(path, validate: bool = True) -> ReportFile:
     """Read a report; optionally re-check every row under its own settings.
 

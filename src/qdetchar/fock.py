@@ -161,6 +161,27 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
+def _spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``hermitize(m)``, as ``np.linalg.eigvalsh`` gives them.
+
+    When every off-diagonal entry of ``m`` is exactly zero, as for
+    phase-insensitive detectors and their retrodicted states, the eigenvalues
+    are the real diagonal, sorted, and no O(d^3) solve runs.  ``eigvalsh``
+    gives the same bits for such a matrix unless LAPACK rescales it (largest
+    entry below about 1e-146 or above about 1e146; it may then move a value by
+    one ulp) or the diagonal holds zeros of both signs, which LAPACK's sort
+    may order either way; the latter still goes to ``eigvalsh``.
+    """
+    m = np.asarray(m, dtype=complex)
+    diag = np.diagonal(m)
+    w = 0.5 * (diag.real + diag.real)  # the diagonal of hermitize(m), overflow included
+    signs = np.signbit(w[w == 0.0])
+    mixed_zeros = signs.any() and not signs.all()
+    if np.count_nonzero(m) == np.count_nonzero(diag) and not mixed_zeros:
+        return np.sort(w)
+    return np.linalg.eigvalsh(hermitize(m))
+
+
 def eig_hermitian(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, ascending eigenvalues.
 
@@ -220,7 +241,7 @@ def assert_density_matrix(
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > tols.norm:
         raise ValueError(f"{what}: trace {tr!r} deviates from 1 beyond {tols.norm:.3g}")
-    w = np.linalg.eigvalsh(hermitize(rho))
+    w = _spectrum(rho)
     if w[0] < -tols.psd:
         raise ValueError(f"{what}: negative eigenvalue {w[0]:.3g} beyond {tols.psd:.3g}")
     return rho
