@@ -48,12 +48,12 @@ from .phasespace import (
     WignerGrid,
     _witness_verdicts,
 )
-from .fock import assert_density_matrix
 from .retrodiction import (
     EstimatorReport,
     OutcomeCategory,
     ProbeEnsemble,
     ProbeEntry,
+    _EntryError,
     _identity_problems,
     classify_outcome,
     estimator_identity_residuals,
@@ -333,9 +333,11 @@ def load_ensemble(path, tols: Tolerances = DEFAULT_TOLS) -> ProbeEnsemble:
     entries = []
     for where, entry, label, matrix in _labelled_matrices(doc, "entries", dim, path):
         prior = _expect(entry, "prior", float, where)
-        assert_density_matrix(matrix, tols, what=where)
         entries.append(ProbeEntry(prior=prior, state=matrix, label=label))
-    return ProbeEnsemble(tuple(entries), tols)
+    try:
+        return ProbeEnsemble(tuple(entries), tols)
+    except _EntryError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------- reports

@@ -50,11 +50,12 @@ class TmsvParams:
     """Two-mode squeezed vacuum: squeezing parameter ``lam`` in [0, 1) per mode dim.
 
     Warns when the truncation tail ``lam ** (2 * dim)`` exceeds the tail
-    budget; scans treat that as a hard error.
+    budget ``tols.tail``; scans treat that as a hard error.
     """
 
     lam: float
     dim: int
+    tols: Tolerances = DEFAULT_TOLS
 
     def __post_init__(self):
         lam = float(self.lam)
@@ -63,7 +64,7 @@ class TmsvParams:
             raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "dim", d)
-        if self.tail > DEFAULT_TOLS.tail:
+        if self.tail > self.tols.tail:
             warnings.warn(
                 f"lam**(2*dim) = {self.tail:.3g} exceeds the truncation budget; "
                 f"raise dim above {d} or lower lam below {lam}",
@@ -225,7 +226,7 @@ def retrodictive_limit_scan(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for lam in lambdas:
-            p = TmsvParams(lam, d)
+            p = TmsvParams(lam, d, tols)
             if p.tail > tols.tail:
                 raise TailToleranceError(
                     f"lam={p.lam} leaves tail {p.tail:.3g} > {tols.tail:.3g} "

@@ -119,6 +119,13 @@ def _as_density(state: np.ndarray) -> np.ndarray:
     return state
 
 
+def _same_dim(what: str, state: np.ndarray, el: PovmElement) -> np.ndarray:
+    """``state`` when it has the element's dim; a ``ValueError`` naming both dims if not."""
+    if state.shape[0] != el.dim:
+        raise ValueError(f"{what} dim {state.shape[0]} != element dim {el.dim}")
+    return state
+
+
 def born_probability(rho: np.ndarray, element, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Probability ``Tr(rho element)`` of the outcome firing on ``rho``.
 
@@ -127,9 +134,7 @@ def born_probability(rho: np.ndarray, element, tols: Tolerances = DEFAULT_TOLS) 
     and raises.
     """
     el = _as_element(element)
-    rho = _as_density(rho)
-    if rho.shape[0] != el.dim:
-        raise ValueError(f"state dim {rho.shape[0]} != element dim {el.dim}")
+    rho = _same_dim("state", _as_density(rho), el)
     val = float(np.real(np.einsum("ij,ji->", rho, el.matrix)))
     if not -tols.norm <= val <= 1.0 + tols.norm:
         raise ValueError(f"probability {val!r} outside [0, 1]; inputs are not physical")
@@ -174,7 +179,7 @@ def ideality(element, tols: Tolerances = DEFAULT_TOLS) -> float:
 
 def fidelity(retro: RetrodictedState, target: np.ndarray) -> float:
     """Overlap ``<target| retro |target>`` with a pure target, in [0, 1]."""
-    target = _unit_ket(target, "target")
+    target = _same_dim("target", _unit_ket(target, "target"), retro.element)
     val = float(np.real(target.conj() @ retro.state @ target))
     return min(max(val, 0.0), 1.0)
 
@@ -188,7 +193,7 @@ def detectivity(element, target, tols: Tolerances = DEFAULT_TOLS) -> float:
     check, not a tautology.
     """
     retro = retrodicted_state(element, tols)
-    rho_t = _as_density(target)
+    rho_t = _same_dim("target", _as_density(target), retro.element)
     val = retro.trace_weight * float(np.real(np.einsum("ij,ji->", rho_t, retro.state)))
     return min(max(val, 0.0), 1.0)
 
@@ -217,9 +222,17 @@ class ProbeEntry:
         return self.state.shape[0]
 
 
+class _EntryError(ValueError):
+    """A probe entry that is not a density matrix; ``load_ensemble`` adds the file."""
+
+
 @dataclass(frozen=True, eq=False)
 class ProbeEnsemble:
-    """Prior-weighted family of candidate input states; priors sum to 1 within ``tols.norm``."""
+    """Prior-weighted family of candidate input states.
+
+    Each entry must be a density matrix and the priors must sum to 1, both
+    under ``tols``.
+    """
 
     entries: tuple
     tols: Tolerances = DEFAULT_TOLS
@@ -231,6 +244,11 @@ class ProbeEnsemble:
         dims = {e.dim for e in entries}
         if len(dims) != 1:
             raise ValueError(f"mixed entry dimensions: {sorted(dims)}")
+        for i, e in enumerate(entries):
+            try:
+                assert_density_matrix(e.state, self.tols, what=f"entries[{i}]")
+            except ValueError as exc:
+                raise _EntryError(str(exc)) from None
         total = sum(e.prior for e in entries)
         if abs(total - 1.0) > self.tols.norm:
             raise ValueError(f"priors sum to {total!r}, not 1")
