@@ -16,11 +16,11 @@ fields and types that ``EstimatorReport``, ``NonClassicalityReport``,
 ``CategoryThresholds`` and ``Tolerances`` declare.
 
 Readers and writers of JSON files run with Python's cyclic garbage collector
-paused, and leave it as they found it.  A dim-60 measurement is some 200,000
-lists, and each allocation of that many containers would otherwise set off
-collector passes that rescan them all.  They could reclaim nothing: a parsed
-or built document holds no reference cycles, and reference counting frees it
-before the call returns.
+paused, and leave it on or off as they found it.  A dim-60 measurement file
+is over 200,000 lists, and allocating that many containers would otherwise
+set off some 300 collector passes per file, full ones among them.  They
+could reclaim nothing: a parsed or built document holds no reference cycle,
+and reference counting frees it before the call returns.
 """
 
 from __future__ import annotations

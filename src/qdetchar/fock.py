@@ -168,9 +168,9 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     phase-insensitive detectors and their retrodicted states, the eigenvalues
     are the real diagonal, sorted, and no O(d^3) solve runs.  ``eigvalsh``
     gives the same bits for such a matrix unless LAPACK rescales it (largest
-    entry below about 1e-146 or above about 1e146; it may then move a value by
-    one ulp) or the diagonal holds zeros of both signs, which LAPACK's sort
-    may order either way; the latter still goes to ``eigvalsh``.
+    entry below about 1e-146 or above about 1e146), which rounds on the scale
+    of the largest entry.  A diagonal with zeros of both signs, which LAPACK's
+    sort may order either way, still goes to ``eigvalsh``.
     """
     m = np.asarray(m, dtype=complex)
     diag = np.diagonal(m)

@@ -598,6 +598,18 @@ class TestRetrodict:
         else:
             assert err.startswith("error: priors sum to 1.0000")
 
+    def test_an_entry_that_is_not_a_state_exits_2(self, tmp_path, capsys):
+        povm_path, ens_path = tmp_path / "pnr.json", tmp_path / "ens.json"
+        run(capsys, "model", "ideal-pnr", "--dim", "3", "--out", str(povm_path))
+        save_ensemble(uniform_fock_ensemble(3), ens_path)
+        doc = json.loads(ens_path.read_text())
+        doc["entries"][1]["matrix"][1][1] = [2.0, 0.0]
+        ens_path.write_text(json.dumps(doc))
+        argv = ["retrodict", str(povm_path), "--outcome", "1", "--ensemble", str(ens_path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {ens_path}: entries[1]: trace 2.0 deviates from 1")
+
     def test_unreachable_outcome_exits_3(self, tmp_path, capsys):
         povm_path = tmp_path / "pnr.json"
         ens_path = tmp_path / "ens.json"

@@ -11,15 +11,18 @@ from qdetchar import (
     Povm,
     PovmElement,
     Tolerances,
+    coherent_state,
     complete_with_rest,
     default_guard_levels,
     fock_state,
     ideal_pnr,
     lossy_pnr,
     on_off_apd,
+    retrodicted_state,
     scaled_projector,
     validate_povm,
 )
+from qdetchar.fock import _spectrum, hermitize
 
 
 class TestContainers:
@@ -186,7 +189,30 @@ class TestCompleteWithRest:
         assert np.linalg.eigvalsh(p.outcome("rest").matrix)[0] >= 0.0
 
 
+def canonical_models(dim):
+    """The four canonical devices, with the benchmark's parameters."""
+    hit = scaled_projector(coherent_state(1.0, dim), 0.6)
+    return [ideal_pnr(dim), lossy_pnr(0.7, dim), on_off_apd(0.5, 0.02, dim),
+            complete_with_rest([hit])]
+
+
 class TestValidation:
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    def test_spectra_match_eigvalsh_bit_for_bit(self):
+        # Every element and retrodicted state that validation and retrodiction check.
+        checked = 0
+        for dim in (2, 12, 60):
+            for povm in canonical_models(dim):
+                for el in povm:
+                    matrices = [el.matrix]
+                    if not el.is_null():
+                        matrices.append(retrodicted_state(el).state)
+                    for m in matrices:
+                        w = _spectrum(m)
+                        assert w.tobytes() == np.linalg.eigvalsh(hermitize(m)).tobytes()
+                        checked += 1
+        assert checked == 2 * (2 + 2 + 2 + 2) + 2 * (12 + 12 + 2 + 2) + 2 * (60 + 60 + 2 + 2)
+
     def test_random_completed_measurements_pass(self, rng):
         for _ in range(10):
             d = int(rng.integers(2, 12))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import gc
 import json
 import re
 import typing
@@ -54,6 +55,7 @@ from qdetchar import (
 from qdetchar._version import __version__
 from qdetchar.cli import main
 from qdetchar.detectors import default_guard_levels
+from qdetchar import fileio
 from qdetchar.fileio import _SCHEMAS, _matrix_to_pairs, write_json
 
 # Finite floats, with signed zeros, subnormals and values near +-1e308 forced in.
@@ -283,7 +285,7 @@ class TestEnsembleFiles:
             ],
         }
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: entries\[0\]: trace"):
             load_ensemble(path)
 
     def test_priors_checked_on_load(self, tmp_path):
@@ -310,6 +312,75 @@ def _save_ensemble(path):
 def _save_report(path):
     rows = tuple(estimator_report(el) for el in ideal_pnr(3))
     save_report(ReportFile(__version__, "sha256:" + "0" * 64, 3, CategoryThresholds(), rows), path)
+
+
+def _collections_during(fn, *args):
+    """``fn(*args)`` and the generations the cyclic collector started on during the call.
+
+    A full collection first empties the youngest generation, so the few
+    containers that the call's own arguments add cannot set one off.
+    """
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        return fn(*args), started
+    finally:
+        gc.callbacks.remove(record)
+
+
+class TestCollectorPause:
+    """Readers and writers run without cyclic collections, and restore the collector."""
+
+    def test_dim_60_file_is_read_and_written_without_a_collection(self, tmp_path):
+        # The file's document holds about 220,000 lists: hundreds of
+        # youngest-generation collections if the collector ran.
+        path = tmp_path / "p.json"
+        save_povm(lossy_pnr(0.7, 60), path)
+        povm, started = _collections_during(load_povm, path)
+        assert started == []
+        _, started = _collections_during(save_povm, povm, tmp_path / "q.json")
+        assert started == []
+        assert (tmp_path / "q.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "name",
+        ["load_povm", "load_ensemble", "load_report", "save_povm", "save_ensemble",
+         "save_report", "write_json"],
+    )
+    def test_every_reader_and_writer_keeps_its_name(self, name):
+        fn = getattr(fileio, name)
+        assert fn.__name__ == name and fn.__doc__ == fn.__wrapped__.__doc__
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+    def test_collector_state_is_restored(self, tmp_path, enabled):
+        good, malformed, unphysical = (tmp_path / n for n in ("good", "malformed", "unphysical"))
+        save_povm(ideal_pnr(3), good)
+        malformed.write_text('{"format_version": "1", "dim": 2, "outcomes": [')
+        save_povm(Povm((PovmElement("over", 2 * np.eye(2)),)), unphysical)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            load_povm(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(PovmFormatError):
+                load_povm(malformed)
+            assert gc.isenabled() is enabled
+            with pytest.raises(PovmValidationError):
+                load_povm(unphysical)
+            assert gc.isenabled() is enabled
+            save_report(ReportFile(__version__, "sha256:" + "0" * 64, 3, CategoryThresholds(),
+                                   (estimator_report(ideal_pnr(3).outcome("0")),)),
+                        tmp_path / "r.json")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestTextEncoding:

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 from conftest import random_density, random_hermitian, random_pure
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdetchar import TruncationWarning
 from qdetchar.fock import (
+    _spectrum,
     annihilation,
     assert_density_matrix,
     check_dim,
@@ -14,6 +17,7 @@ from qdetchar.fock import (
     eig_hermitian,
     fock_state,
     hermiticity_defect,
+    hermitize,
     number_mean,
     partial_trace_b,
     purity,
@@ -187,6 +191,58 @@ class TestEigHermitian:
             eig_hermitian(np.ones((2, 3)))
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[np.nan, 0], [0, 1.0]]))
+
+
+# Diagonal parts: signed zeros, subnormals and negatives forced in.  The bound
+# keeps ``x + x`` in hermitize finite.
+_REAL = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1.0, -1.0]),
+)
+_IMAG = st.floats(min_value=-1e300, max_value=1e300)
+
+
+class TestSpectrum:
+    """``_spectrum`` against ``np.linalg.eigvalsh(hermitize(m))``, its definition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_REAL, _IMAG), min_size=2, max_size=40))
+    def test_diagonal_matrices(self, parts):
+        re, im = np.array(parts).T
+        m = np.diag(re + 1j * im)
+        w = _spectrum(m)
+        lapack = np.linalg.eigvalsh(hermitize(m))
+        top = np.max(np.abs(re))
+        if 1e-140 < top < 1e140:
+            assert w.tobytes() == lapack.tobytes()
+            np.testing.assert_array_equal(w, np.sort(re))
+        else:  # LAPACK scales the matrix first, with rounding of the largest entry's order
+            np.testing.assert_allclose(w, lapack, rtol=0, atol=4 * np.finfo(float).eps * top)
+
+    def test_diagonal_input_takes_no_solve(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("eigvalsh called on a diagonal matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        m = np.diag([0.5, -0.0, 2.0, -1.0]) + 1j * np.diag([3.0, 0.0, -1.0, 0.0])
+        np.testing.assert_array_equal(_spectrum(m), [-1.0, -0.0, 0.5, 2.0])
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([1.0, 0.5, 0.25]) + np.diag([5e-324, 0.0], k=1),
+            np.diag([1.0, 0.5, 0.25]) + 1j * np.diag([5e-324], k=-2),
+            np.diag([0.0, -0.0, 1.0]),  # zeros of both signs: LAPACK's order
+        ],
+        ids=["off-diagonal real", "off-diagonal imaginary", "mixed signed zeros"],
+    )
+    def test_other_input_takes_eigvalsh(self, monkeypatch, m):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or eigvalsh(h))
+        w = _spectrum(m)
+        assert len(calls) == 1
+        assert w.tobytes() == eigvalsh(hermitize(m)).tobytes()
 
 
 class TestMetrics:

@@ -25,12 +25,14 @@ from qdetchar import (
     fock_state,
     ideal_pnr,
     ideality,
+    load_ensemble,
     lossy_pnr,
     on_off_apd,
     projectivity,
     proposition_operator,
     retrodict_ensemble,
     retrodicted_state,
+    save_ensemble,
     scaled_projector,
     uniform_fock_ensemble,
 )
@@ -187,6 +189,18 @@ class TestEstimators:
         with pytest.raises(ValueError, match="finite"):
             estimator_report(el, np.full(8, bad), "nan")
 
+    def test_wrong_dim_targets_name_both_dims(self):
+        el = ideal_pnr(4).outcome("1")
+        ket = fock_state(1, 3)
+        message = r"^target dim 3 != element dim 4$"
+        with pytest.raises(ValueError, match=message):
+            fidelity(retrodicted_state(el), ket)
+        for target in (ket, np.outer(ket, ket.conj())):
+            with pytest.raises(ValueError, match=message):
+                detectivity(el, target)
+        with pytest.raises(ValueError, match=message):
+            estimator_report(el, ket, "fock:1")
+
     def test_report_refuses_a_nan_residual(self, monkeypatch):
         # NaN compares false both ways, so only a check that NaN fails can refuse it.
         monkeypatch.setattr(retrodiction, "detectivity", lambda *args: float("nan"))
@@ -237,6 +251,39 @@ class TestEnsembles:
             ProbeEnsemble(entries)
         loose = Tolerances(norm=1e-3)
         assert ProbeEnsemble(entries, loose).tols is loose
+
+    def test_entries_must_be_states_however_built(self):
+        entries = (
+            ProbeEntry(0.5, np.diag([0.7, 0.7]), "a"),  # trace 1.4
+            ProbeEntry(0.5, np.diag([0.2, 0.2]), "b"),  # trace 0.4
+        )
+        with pytest.raises(ValueError, match=r"^entries\[0\]: trace 1\.4 deviates from 1"):
+            ProbeEnsemble(entries)
+        with pytest.raises(ValueError, match=r"^entries\[1\]: negative eigenvalue"):
+            ProbeEnsemble((entries[0], ProbeEntry(0.5, np.diag([1.5, -0.5]), "c")),
+                          Tolerances(norm=0.5))
+        loose = Tolerances(norm=0.7)
+        assert len(ProbeEnsemble(entries, loose)) == 2
+
+    def test_no_posterior_from_a_probe_state_of_trace_0_9(self):
+        entries = (ProbeEntry(0.5, np.diag([0.7, 0.7]), "a"),
+                   ProbeEntry(0.5, np.diag([0.2, 0.2]), "b"))
+        with pytest.raises(ValueError, match="trace"):
+            retrodict_ensemble(ideal_pnr(2), "1", ProbeEnsemble(entries))
+
+    def test_each_entry_is_checked_once(self, monkeypatch, tmp_path):
+        checked = []
+
+        def spy(rho, tols, what):
+            checked.append(what)
+            return assert_density_matrix(rho, tols, what)
+
+        monkeypatch.setattr(retrodiction, "assert_density_matrix", spy)
+        path = tmp_path / "e.json"
+        save_ensemble(uniform_fock_ensemble(4), path)
+        checked.clear()
+        load_ensemble(path)
+        assert checked == [f"entries[{i}]" for i in range(4)]
 
     def test_uniform_fock_probe_is_maximally_mixed(self):
         ens = uniform_fock_ensemble(6)
