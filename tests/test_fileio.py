@@ -52,10 +52,10 @@ from qdetchar import (
     witness_row_problems,
     write_wigner_grid,
 )
+from qdetchar import fileio
 from qdetchar._version import __version__
 from qdetchar.cli import main
 from qdetchar.detectors import default_guard_levels
-from qdetchar import fileio
 from qdetchar.fileio import _SCHEMAS, _matrix_to_pairs, write_json
 
 # Finite floats, with signed zeros, subnormals and values near +-1e308 forced in.
@@ -375,9 +375,7 @@ class TestCollectorPause:
             with pytest.raises(PovmValidationError):
                 load_povm(unphysical)
             assert gc.isenabled() is enabled
-            save_report(ReportFile(__version__, "sha256:" + "0" * 64, 3, CategoryThresholds(),
-                                   (estimator_report(ideal_pnr(3).outcome("0")),)),
-                        tmp_path / "r.json")
+            _save_report(tmp_path / "r.json")
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
