@@ -15,12 +15,15 @@ report schema is the record dataclasses: one writer and one reader follow the
 fields and types that ``EstimatorReport``, ``NonClassicalityReport``,
 ``CategoryThresholds`` and ``Tolerances`` declare.
 
-Readers and writers of JSON files run with Python's cyclic garbage collector
-paused, and leave it on or off as they found it.  A dim-60 measurement file
-is over 200,000 lists, and allocating that many containers would otherwise
-set off some 300 collector passes per file, full ones among them.  They
-could reclaim nothing: a parsed or built document holds no reference cycle,
-and reference counting frees it before the call returns.
+:func:`load_povm`, :func:`load_ensemble`, :func:`save_povm` and
+:func:`save_report` run with Python's cyclic garbage collector paused, and
+leave it on or off as they found it.  A dim-60 measurement file is over
+200,000 lists, and allocating that many containers would otherwise set off
+some 300 collector passes per file, full ones among them.  They could
+reclaim nothing: a parsed or built document holds no reference cycle, and
+reference counting frees it before the call returns.  The pause assumes
+that one thread at a time switches the collector: ``gc`` state is
+process-wide, so another thread's call could switch it back on mid-load.
 """
 
 from __future__ import annotations
@@ -250,7 +253,6 @@ def _layout(value, newline: str) -> str:
     return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
-@_without_gc
 def write_json(doc: dict, path) -> None:
     """Write ``doc`` as the JSON text of every file this program writes.
 
@@ -306,7 +308,6 @@ def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> P
 
 # ---------------------------------------------------------------- ensembles
 
-@_without_gc
 def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
     """Write a probe ensemble to JSON (same matrix encoding as measurements)."""
     doc = {
@@ -529,7 +530,6 @@ def save_report(report: ReportFile, path) -> None:
     write_json(doc, path)
 
 
-@_without_gc
 def load_report(path, validate: bool = True) -> ReportFile:
     """Read a report; optionally re-check every row under its own settings.
 

@@ -50,12 +50,11 @@ class TmsvParams:
     """Two-mode squeezed vacuum: squeezing parameter ``lam`` in [0, 1) per mode dim.
 
     Warns when the truncation tail ``lam ** (2 * dim)`` exceeds the tail
-    budget ``tols.tail``; scans treat that as a hard error.
+    budget; scans treat that as a hard error.
     """
 
     lam: float
     dim: int
-    tols: Tolerances = DEFAULT_TOLS
 
     def __post_init__(self):
         lam = float(self.lam)
@@ -64,7 +63,7 @@ class TmsvParams:
             raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "dim", d)
-        if self.tail > self.tols.tail:
+        if self.tail > DEFAULT_TOLS.tail:
             warnings.warn(
                 f"lam**(2*dim) = {self.tail:.3g} exceeds the truncation budget; "
                 f"raise dim above {d} or lower lam below {lam}",
@@ -226,7 +225,7 @@ def retrodictive_limit_scan(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for lam in lambdas:
-            p = TmsvParams(lam, d, tols)
+            p = TmsvParams(lam, d)
             if p.tail > tols.tail:
                 raise TailToleranceError(
                     f"lam={p.lam} leaves tail {p.tail:.3g} > {tols.tail:.3g} "

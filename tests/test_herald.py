@@ -1,7 +1,5 @@
 """Heralded preparation from two-mode squeezed vacuum and the limit scan."""
 
-import warnings
-
 import numpy as np
 import pytest
 from conftest import random_density, random_element_matrix, random_pure
@@ -85,14 +83,6 @@ class TestTmsv:
         assert TmsvParams(0.5, 10).tail == 0.5**20
         with pytest.warns(TruncationWarning, match="truncation budget"):
             TmsvParams(0.9, 20)
-
-    def test_warning_follows_the_given_tail_budget(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            params = TmsvParams(0.1, 2, Tolerances(tail=1e-3))
-        assert params.tail == pytest.approx(1e-4) and params.tols.tail == 1e-3
-        with pytest.warns(TruncationWarning, match="truncation budget"):
-            TmsvParams(0.1, 2)
 
 
 class TestPathEquivalence:
