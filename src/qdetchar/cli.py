@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from ._version import __version__
@@ -285,7 +286,9 @@ def cmd_verify(args):
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; :func:`main` reuses it on every call."""
     parser = argparse.ArgumentParser(
         prog="qdetchar",
         description="Characterize measurement devices from their POVM description.",

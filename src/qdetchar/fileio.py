@@ -584,10 +584,27 @@ def write_wigner_grid(
     )
     # The bytes of np.savetxt(path, rows, fmt="%.17g", header=header),
     # streamed one x row at a time.  Each axis value is formatted once: a
-    # row's template holds every p, "\0" stands in for its x, and only the
-    # W values are formatted per point.
-    row_template = "".join("\0 %s %%.17g\n" % ("%.17g" % p) for p in g.p_axis.tolist())
-    values = np.asarray(wgrid.values, dtype=float).reshape(g.n_x, g.n_p)
+    # row's template holds every p, and "\0" stands in for its x.  A
+    # phase-insensitive state's W depends on x^2 + p^2 alone, so its grid
+    # holds about one distinct value per radius (some 9,000 of the 40,401
+    # points of a 201^2 grid).  Such a grid formats each distinct value once,
+    # grouped by bit pattern so that +0.0 and -0.0 stay apart, and fills the
+    # templates with the strings.  Grouping costs a sort and an index per
+    # point, which only repeats earn back: on 201^2 grids it took 0.85x the
+    # per-point time at 50% distinct values, 0.95x at 60%, 1.1x at 70% and
+    # 1.36x when every value is distinct, as for a dense state.  So grouping
+    # starts at half; above it, counting the distinct values is all it costs.
+    values = np.ascontiguousarray(wgrid.values, dtype=float).reshape(g.n_x, g.n_p)
+    bits = values.view(np.int64).reshape(-1)
+    ordered = np.sort(bits)
+    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) <= bits.size:
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts = "\0".join(["%.17g"] * distinct.size) % tuple(distinct.view(float).tolist())
+        values = np.array(texts.split("\0"), dtype=object)[inverse.reshape(g.n_x, g.n_p)]
+        w_format = "%s"
+    else:
+        w_format = "%.17g"
+    row_template = "".join("\0 %s %s\n" % ("%.17g" % p, w_format) for p in g.p_axis.tolist())
     with open(path, "w") as fh:
         fh.write("# " + header.replace("\n", "\n# ") + "\n")
         for x, row in zip(g.x_axis.tolist(), values):
@@ -595,7 +612,11 @@ def write_wigner_grid(
 
 
 def read_wigner_grid(path) -> WignerGrid:
-    """Re-read a grid file written by :func:`write_wigner_grid`."""
+    """Re-read a grid file written by :func:`write_wigner_grid`.
+
+    The x and p columns must repeat the header's axes exactly, since the
+    writer's ``%.17g`` round-trips every double, and each W must be finite.
+    """
     axes = {}
     with open(path) as fh:
         for line in fh:
@@ -604,16 +625,32 @@ def read_wigner_grid(path) -> WignerGrid:
             body = line[1:].strip()
             for name in ("x_axis", "p_axis"):
                 if body.startswith(name + ":"):
-                    lo, hi, n = body.split(":", 1)[1].split()
-                    axes[name] = (float(lo), float(hi), int(n))
+                    parts = body.split(":", 1)[1].split()
+                    try:
+                        lo, hi, n = parts
+                        axes[name] = (float(lo), float(hi), int(n))
+                    except ValueError:
+                        raise PovmFormatError(
+                            f"{path}: {name} header must be 'min max points', got {parts}"
+                        ) from None
     if set(axes) != {"x_axis", "p_axis"}:
         raise PovmFormatError(f"{path}: missing axis headers")
     (x_min, x_max, n_x) = axes["x_axis"]
     (p_min, p_max, n_p) = axes["p_axis"]
-    grid = PhaseSpaceGrid(x_min, x_max, p_min, p_max, n_x, n_p)
-    data = np.loadtxt(path)
+    try:
+        grid = PhaseSpaceGrid(x_min, x_max, p_min, p_max, n_x, n_p)
+        data = np.loadtxt(path, ndmin=2)
+    except ValueError as exc:
+        raise PovmFormatError(f"{path}: {exc}") from None
     if data.shape != (n_x * n_p, 3):
         raise PovmFormatError(
             f"{path}: expected {n_x * n_p} rows of 3 columns, got {data.shape}"
         )
+    if not (
+        np.array_equal(data[:, 0], np.repeat(grid.x_axis, n_p))
+        and np.array_equal(data[:, 1], np.tile(grid.p_axis, n_x))
+    ):
+        raise PovmFormatError(f"{path}: x and p columns do not follow the axis headers")
+    if not np.isfinite(data[:, 2]).all():
+        raise PovmFormatError(f"{path}: non-finite Wigner values")
     return WignerGrid(grid=grid, values=data[:, 2].reshape(n_x, n_p))

@@ -23,7 +23,7 @@ from qdetchar import (
     uniform_fock_ensemble,
 )
 from qdetchar import retrodiction
-from qdetchar.cli import main, parse_target
+from qdetchar.cli import build_parser, main, parse_target
 from qdetchar.detectors import lossy_pnr, on_off_apd
 
 
@@ -913,6 +913,44 @@ class TestSettingsPerSubcommand:
         assert code == 2
         assert err.startswith(f"error: {var}='abc':")
         assert not out.exists()
+
+
+class TestRepeatedCalls:
+    """main() reuses one parser per process; no call's arguments reach the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_targets_do_not_carry_over(self, apd_file, tmp_path, capsys):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run(capsys, "characterize", str(apd_file), "--target", "fock:1", "--out", str(first))[0] == 0
+        assert run(capsys, "characterize", str(apd_file), "--out", str(second))[0] == 0
+        assert {r.target for r in load_report(first).estimators} == {"fock:1"}
+        assert {r.target for r in load_report(second).estimators} == {None}
+
+    def test_lam_lists_do_not_carry_over(self, apd_file, tmp_path, capsys):
+        for lams in (["0.1", "0.2", "0.3"], ["0.25"]):
+            out = tmp_path / f"scan{len(lams)}.dat"
+            flags = [arg for lam in lams for arg in ("--lam", lam)]
+            assert run(capsys, "herald", str(apd_file), "--outcome", "on", *flags, "--out", str(out))[0] == 0
+            np.testing.assert_array_equal(np.loadtxt(out, ndmin=2)[:, 0], [float(x) for x in lams])
+
+    def test_nu_does_not_carry_over(self, tmp_path, capsys):
+        for extra, nu in ((["--nu", "0.01"], "0.01"), ([], "0.0")):
+            out = tmp_path / f"apd{nu}.json"
+            assert run(capsys, "model", "apd", "--dim", "6", "--eta", "0.5", *extra, "--out", str(out))[0] == 0
+            assert load_povm(out).metadata["nu"] == nu
+
+    def test_exits_still_raise_between_calls(self, apd_file, tmp_path, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--version"])
+            assert exit_info.value.code == 0
+            with pytest.raises(SystemExit) as exit_info:
+                main(["characterize", str(apd_file), "--no-such-flag", "--out", str(tmp_path / "r.json")])
+            assert exit_info.value.code == 2
+            assert "--no-such-flag" in capsys.readouterr().err
+            assert run(capsys, "verify", str(tmp_path / "missing.json"))[0] == 4
 
 
 class TestTopLevel:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from conftest import random_density
 
 from qdetchar import (
     CONVENTION,
@@ -31,6 +32,7 @@ from qdetchar import (
     ReportValidationError,
     Tolerances,
     TruncationWarning,
+    WignerGrid,
     estimator_identity_residuals,
     estimator_report,
     estimator_row_problems,
@@ -877,6 +879,9 @@ class TestReportRecords:
         assert main(["verify", str(path)]) == 4
 
 
+_GRIDS = [PhaseSpaceGrid.symmetric(4.0, 31), PhaseSpaceGrid(-1.0, 4.0, -3.0, 2.0, 23, 17)]
+
+
 class TestWignerGridFiles:
     def test_values_survive_exactly(self, tmp_path):
         state = np.outer(fock_state(1, 15), fock_state(1, 15))
@@ -898,36 +903,119 @@ class TestWignerGridFiles:
         np.testing.assert_allclose(data[0, :2], [-2.0, -2.0])
 
     @pytest.mark.parametrize(
-        "grid",
-        [PhaseSpaceGrid.symmetric(4.0, 31), PhaseSpaceGrid(-1.0, 4.0, -3.0, 2.0, 23, 17)],
+        "grid, state",
+        [(grid, state) for state in ("fock", "dense") for grid in _GRIDS],
+        ids=["grid0", "grid1", "grid0-dense", "grid1-dense"],
     )
-    def test_bytes_match_savetxt(self, tmp_path, grid):
-        wg = wigner(np.outer(fock_state(3, 30), fock_state(3, 30)), grid)
-        values = wg.values.copy()
+    def test_bytes_match_savetxt(self, tmp_path, grid, state):
+        if state == "fock":
+            rho = np.outer(fock_state(3, 30), fock_state(3, 30))
+        else:
+            rho = random_density(np.random.default_rng(17), 16)
+        values = wigner(rho, grid).values.copy()
         values[0, :3] = [0.0, -0.0, 5e-324]  # signed zero and a subnormal
-        wg = type(wg)(grid=grid, values=values)
-        path = tmp_path / "w.dat"
-        write_wigner_grid(wg, path, source_digest="sha256:abc", outcome_label="3")
-        rows = np.column_stack(
-            [np.repeat(grid.x_axis, grid.n_p), np.tile(grid.p_axis, grid.n_x), values.reshape(-1)]
-        )
-        header = "\n".join(
-            [
-                "qdetchar wigner grid",
-                f"convention: {CONVENTION}",
-                "source: sha256:abc outcome: 3",
-                f"x_axis: {grid.x_min!r} {grid.x_max!r} {grid.n_x}",
-                f"p_axis: {grid.p_min!r} {grid.p_max!r} {grid.n_p}",
-                "columns: x p wigner",
-            ]
-        )
-        reference = tmp_path / "savetxt.dat"
-        np.savetxt(reference, rows, fmt="%.17g", header=header)
-        assert path.read_bytes() == reference.read_bytes()
+        distinct = np.unique(values.view(np.int64)).size
+        if state == "dense":  # every value distinct: the per-point path
+            assert distinct == values.size
+        elif grid.n_x == grid.n_p:  # one value per radius: the grouped path
+            assert 2 * distinct <= values.size
+        _assert_written_as_savetxt(tmp_path, WignerGrid(grid=grid, values=values))
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[_FIXTURE])
+    @given(data=st.data())
+    def test_any_finite_values_write_as_savetxt_and_read_back(self, tmp_path, data):
+        lo = data.draw(st.tuples(_EXTENT, _EXTENT))
+        width = data.draw(st.tuples(_WIDTH, _WIDTH))
+        shape = data.draw(st.tuples(st.integers(2, 9), st.integers(2, 9)))
+        grid = PhaseSpaceGrid(lo[0], lo[0] + width[0], lo[1], lo[1] + width[1], *shape)
+        pooled = data.draw(st.booleans())
+        values = data.draw(arrays(float, shape, elements=_W_POOL if pooled else _PARTS))
+        wg = WignerGrid(grid=grid, values=values)
+        path = _assert_written_as_savetxt(tmp_path, wg)
+        back = read_wigner_grid(path)
+        assert back.grid == grid
+        np.testing.assert_array_equal(back.values, values)
+        np.testing.assert_array_equal(np.signbit(back.values), np.signbit(values))
 
     def test_missing_headers_rejected(self, tmp_path):
         path = tmp_path / "w.dat"
         path.write_text("# no axes here\n0 0 0.5\n")
         with pytest.raises(PovmFormatError, match="axis"):
             read_wigner_grid(path)
+
+    @pytest.mark.parametrize(
+        "header", ["x_axis: -1.0 1.0", "x_axis: -1.0 one 3", "x_axis: -1.0 1.0 3.5"],
+        ids=["two-fields", "not-a-number", "fractional-points"],
+    )
+    def test_malformed_axis_header_rejected(self, tmp_path, header):
+        path = _small_grid_file(tmp_path)
+        path.write_text(path.read_text().replace("x_axis: -1.0 1.0 3", header))
+        with pytest.raises(PovmFormatError, match=re.escape(str(path)) + ".*x_axis"):
+            read_wigner_grid(path)
+
+    @pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, tmp_path, word):
+        path = _small_grid_file(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        x, p, _ = lines[-1].split()
+        lines[-1] = f"{x} {p} {word}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(PovmFormatError, match=re.escape(str(path)) + ".*non-finite"):
+            read_wigner_grid(path)
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["x", "p"])
+    def test_columns_off_the_header_axes_rejected(self, tmp_path, column):
+        path = _small_grid_file(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        cols = lines[-1].split()
+        cols[column] = repr(float(cols[column]) + 1e-12)
+        lines[-1] = " ".join(cols) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(PovmFormatError, match=re.escape(str(path)) + ".*axis headers"):
+            read_wigner_grid(path)
+
+    def test_grid_the_header_cannot_describe_rejected(self, tmp_path):
+        path = _small_grid_file(tmp_path)
+        path.write_text(path.read_text().replace("x_axis: -1.0 1.0 3", "x_axis: 1.0 -1.0 3"))
+        with pytest.raises(PovmFormatError, match=re.escape(str(path)) + ".*extents"):
+            read_wigner_grid(path)
+
+
+# Grid extents and widths for the round-trip property, and a pool of W values
+# that repeat, so that both of the writer's paths are drawn.
+_EXTENT = st.floats(-10.0, 10.0)
+_WIDTH = st.floats(1e-3, 20.0)
+_W_POOL = st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 0.1, -1 / np.pi])
+
+
+def _small_grid_file(tmp_path):
+    """A 3 x 2 grid file over x in [-1, 1], p in [0, 0.5]."""
+    path = tmp_path / "small.dat"
+    grid = PhaseSpaceGrid(-1.0, 1.0, 0.0, 0.5, 3, 2)
+    write_wigner_grid(WignerGrid(grid=grid, values=np.arange(6.0).reshape(3, 2) / 10), path)
+    return path
+
+
+def _assert_written_as_savetxt(tmp_path, wg):
+    """Write ``wg`` and require the bytes ``np.savetxt`` gives; return the path."""
+    grid = wg.grid
+    path = tmp_path / "w.dat"
+    write_wigner_grid(wg, path, source_digest="sha256:abc", outcome_label="3")
+    rows = np.column_stack(
+        [np.repeat(grid.x_axis, grid.n_p), np.tile(grid.p_axis, grid.n_x), wg.values.reshape(-1)]
+    )
+    header = "\n".join(
+        [
+            "qdetchar wigner grid",
+            f"convention: {CONVENTION}",
+            "source: sha256:abc outcome: 3",
+            f"x_axis: {grid.x_min!r} {grid.x_max!r} {grid.n_x}",
+            f"p_axis: {grid.p_min!r} {grid.p_max!r} {grid.n_p}",
+            "columns: x p wigner",
+        ]
+    )
+    reference = tmp_path / "savetxt.dat"
+    np.savetxt(reference, rows, fmt="%.17g", header=header)
+    assert path.read_bytes() == reference.read_bytes()
+    return path
 
