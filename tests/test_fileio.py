@@ -956,21 +956,14 @@ class TestWignerGridFiles:
     @pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
     def test_non_finite_values_rejected(self, tmp_path, word):
         path = _small_grid_file(tmp_path)
-        lines = path.read_text().splitlines(keepends=True)
-        x, p, _ = lines[-1].split()
-        lines[-1] = f"{x} {p} {word}\n"
-        path.write_text("".join(lines))
+        _set_in_last_row(path, 2, word)
         with pytest.raises(PovmFormatError, match=re.escape(str(path)) + ".*non-finite"):
             read_wigner_grid(path)
 
     @pytest.mark.parametrize("column", [0, 1], ids=["x", "p"])
     def test_columns_off_the_header_axes_rejected(self, tmp_path, column):
         path = _small_grid_file(tmp_path)
-        lines = path.read_text().splitlines(keepends=True)
-        cols = lines[-1].split()
-        cols[column] = repr(float(cols[column]) + 1e-12)
-        lines[-1] = " ".join(cols) + "\n"
-        path.write_text("".join(lines))
+        _set_in_last_row(path, column, repr([1.0, 0.5][column] + 1e-12))  # last x, last p
         with pytest.raises(PovmFormatError, match=re.escape(str(path)) + ".*axis headers"):
             read_wigner_grid(path)
 
@@ -994,6 +987,15 @@ def _small_grid_file(tmp_path):
     grid = PhaseSpaceGrid(-1.0, 1.0, 0.0, 0.5, 3, 2)
     write_wigner_grid(WignerGrid(grid=grid, values=np.arange(6.0).reshape(3, 2) / 10), path)
     return path
+
+
+def _set_in_last_row(path, column, text):
+    """Replace one field of a grid file's last ``x p W`` row."""
+    lines = path.read_text().splitlines(keepends=True)
+    cols = lines[-1].split()
+    cols[column] = text
+    lines[-1] = " ".join(cols) + "\n"
+    path.write_text("".join(lines))
 
 
 def _assert_written_as_savetxt(tmp_path, wg):
