@@ -15,15 +15,15 @@ report schema is the record dataclasses: one writer and one reader follow the
 fields and types that ``EstimatorReport``, ``NonClassicalityReport``,
 ``CategoryThresholds`` and ``Tolerances`` declare.
 
-:func:`load_povm`, :func:`load_ensemble`, :func:`save_povm` and
-:func:`save_report` run with Python's cyclic garbage collector paused, and
-leave it on or off as they found it.  A dim-60 measurement file is over
-200,000 lists, and allocating that many containers would otherwise set off
-some 300 collector passes per file, full ones among them.  They could
-reclaim nothing: a parsed or built document holds no reference cycle, and
-reference counting frees it before the call returns.  The pause assumes
-that one thread at a time switches the collector: ``gc`` state is
-process-wide, so another thread's call could switch it back on mid-load.
+:func:`load_povm`, :func:`load_ensemble` and :func:`save_povm` run with
+Python's cyclic garbage collector paused, and leave it on or off as they
+found it.  A dim-60 measurement file is over 200,000 lists, and allocating
+that many containers would otherwise set off some 300 collector passes per
+file, full ones among them.  They could reclaim nothing: a parsed or built
+document holds no reference cycle, and reference counting frees it before
+the call returns.  The pause assumes that one thread at a time switches the
+collector: ``gc`` state is process-wide, so another thread's call could
+switch it back on mid-load.
 """
 
 from __future__ import annotations
@@ -334,7 +334,10 @@ def load_ensemble(path, tols: Tolerances = DEFAULT_TOLS) -> ProbeEnsemble:
     entries = []
     for where, entry, label, matrix in _labelled_matrices(doc, "entries", dim, path):
         prior = _expect(entry, "prior", float, where)
-        entries.append(ProbeEntry(prior=prior, state=matrix, label=label))
+        try:
+            entries.append(ProbeEntry(prior=prior, state=matrix, label=label))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     try:
         return ProbeEnsemble(tuple(entries), tols)
     except _EntryError as exc:
@@ -513,7 +516,6 @@ class ReportFile:
         return {row.outcome_label: row for row in reversed(self.estimators)}
 
 
-@_without_gc
 def save_report(report: ReportFile, path) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
@@ -570,8 +572,14 @@ def load_report(path, validate: bool = True) -> ReportFile:
 def write_wigner_grid(
     wgrid: WignerGrid, path, source_digest: str = "", outcome_label: str = ""
 ) -> None:
-    """Write ``x p W`` rows behind ``#`` headers recording grid and convention."""
+    """Write ``x p W`` rows behind ``#`` headers recording grid and convention.
+
+    A NaN or infinite W raises ``ValueError`` before the file is opened, so
+    any file at ``path`` stays as it was.
+    """
     g = wgrid.grid
+    if not np.isfinite(wgrid.values).all():
+        raise ValueError(f"{path}: non-finite Wigner values; nothing written")
     header = "\n".join(
         [
             "qdetchar wigner grid",

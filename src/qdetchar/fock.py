@@ -3,8 +3,7 @@
 States are complex 1-D ``numpy`` arrays over the number basis ``|0..dim-1>``,
 operators are complex 2-D arrays.  Composite two-mode objects use the
 row-major index convention ``(i_a, i_b) -> i_a * dim_b + i_b``, which is what
-``numpy.kron`` produces, so :func:`tensor` and :func:`partial_trace_b` are
-exact inverses on product states.
+``numpy.kron`` produces.
 
 All constructors renormalize after truncation and warn through
 :class:`~qdetchar.errors.TruncationWarning` when the cutoff looks too tight
@@ -26,8 +25,6 @@ __all__ = [
     "coherent_state",
     "squeezed_vacuum",
     "annihilation",
-    "tensor",
-    "partial_trace_b",
     "conjugate_in_fock",
     "eig_hermitian",
     "purity",
@@ -124,24 +121,6 @@ def number_mean(rho: np.ndarray) -> float:
     """Mean photon number ``sum_n n rho_nn`` of a density matrix."""
     rho = np.asarray(rho)
     return float(np.real(np.sum(np.arange(rho.shape[0]) * np.diag(rho))))
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two states or two operators (mode A major)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError("tensor expects two vectors or two square matrices")
-    return np.kron(a, b)
-
-
-def partial_trace_b(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Trace out mode B of an operator on the composite space A (x) B."""
-    da, db = check_dim(dim_a), check_dim(dim_b)
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (da * db, da * db):
-        raise ValueError(f"operator shape {m.shape} does not match {da}*{db}")
-    return np.einsum("ikjk->ij", m.reshape(da, db, da, db))
 
 
 def conjugate_in_fock(m: np.ndarray) -> np.ndarray:

@@ -344,8 +344,10 @@ class Gaussianity(str, Enum):
 
 
 def _gaussianity(rho, mean, cov, heavy, tols: Tolerances) -> Gaussianity:
+    if heavy:
+        return Gaussianity.UNDETERMINED
     ref, tail = gaussian_reference(mean, cov, rho.shape[0])
-    if heavy or tail > tols.gauss_tail:
+    if tail > tols.gauss_tail:
         return Gaussianity.UNDETERMINED
     overlap = float(np.real(np.einsum("ij,ji->", rho, ref)))
     ratio = overlap / max(purity(rho), purity(ref))

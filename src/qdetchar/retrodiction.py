@@ -114,6 +114,8 @@ def _as_density(state: np.ndarray) -> np.ndarray:
     if state.ndim == 1:
         ket = _unit_ket(state, "state")
         return np.outer(ket, ket.conj())
+    if state.ndim != 2 or state.shape[0] != state.shape[1]:
+        raise ValueError(f"expected a ket or a square density matrix, got shape {state.shape}")
     if not np.isfinite(state).all():
         raise ValueError("density matrix has non-finite entries")
     return state
@@ -270,21 +272,18 @@ class ProbeEnsemble:
         return len(self.entries)
 
 
-def uniform_fock_ensemble(dim: int, count: Optional[int] = None) -> ProbeEnsemble:
-    """Uniform priors over the first ``count`` number states (default: all)."""
+def uniform_fock_ensemble(dim: int) -> ProbeEnsemble:
+    """Uniform priors over the number states ``|0..dim-1>``."""
     d = check_dim(dim)
-    n = d if count is None else int(count)
-    if not 1 <= n <= d:
-        raise ValueError(f"count {n} outside 1..{d}")
     entries = []
-    for m in range(n):
+    for m in range(d):
         rho = np.zeros((d, d), dtype=complex)
         rho[m, m] = 1.0
-        entries.append(ProbeEntry(prior=1.0 / n, state=rho, label=str(m)))
+        entries.append(ProbeEntry(prior=1.0 / d, state=rho, label=str(m)))
     return ProbeEnsemble(tuple(entries))
 
 
-def proposition_operator(entry: ProbeEntry, dim: int) -> np.ndarray:
+def proposition_operator(entry: ProbeEntry) -> np.ndarray:
     """Operator ``dim * prior * rho`` answering "was the input this state?".
 
     Pairing it with a retrodicted state under the trace reproduces the
@@ -292,7 +291,7 @@ def proposition_operator(entry: ProbeEntry, dim: int) -> np.ndarray:
     mixed; exposing both routes keeps that equivalence checkable instead of
     assumed.
     """
-    return float(dim) * entry.prior * np.asarray(entry.state)
+    return float(entry.dim) * entry.prior * entry.state
 
 
 def retrodict_ensemble(

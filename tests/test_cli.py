@@ -15,6 +15,9 @@ import pytest
 
 import qdetchar
 from qdetchar import (
+    ProbeEnsemble,
+    ProbeEntry,
+    fock_state,
     load_povm,
     load_report,
     read_wigner_grid,
@@ -610,11 +613,33 @@ class TestRetrodict:
         assert code == 2
         assert err.startswith(f"error: {ens_path}: entries[1]: trace 2.0 deviates from 1")
 
+    def test_an_out_of_range_prior_names_the_file_and_entry(self, tmp_path, capsys):
+        povm_path, ens_path = tmp_path / "pnr.json", tmp_path / "ens.json"
+        run(capsys, "model", "ideal-pnr", "--dim", "3", "--out", str(povm_path))
+        save_ensemble(uniform_fock_ensemble(3), ens_path)
+        doc = json.loads(ens_path.read_text())
+        doc["entries"][2]["prior"] = 1.5
+        ens_path.write_text(json.dumps(doc))
+        argv = ["retrodict", str(povm_path), "--outcome", "1", "--ensemble", str(ens_path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {ens_path}: entries[2]: prior must lie in [0, 1], got 1.5\n"
+
+    def test_an_ensemble_of_another_dim_exits_2(self, tmp_path, capsys):
+        povm_path, ens_path = tmp_path / "pnr.json", tmp_path / "ens.json"
+        run(capsys, "model", "ideal-pnr", "--dim", "4", "--out", str(povm_path))
+        save_ensemble(uniform_fock_ensemble(3), ens_path)
+        argv = ["retrodict", str(povm_path), "--outcome", "1", "--ensemble", str(ens_path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "ensemble dim 3 != measurement dim 4" in err
+
     def test_unreachable_outcome_exits_3(self, tmp_path, capsys):
         povm_path = tmp_path / "pnr.json"
         ens_path = tmp_path / "ens.json"
         run(capsys, "model", "ideal-pnr", "--dim", "10", "--out", str(povm_path))
-        save_ensemble(uniform_fock_ensemble(10, count=3), ens_path)
+        first_three = (ProbeEntry(1 / 3, fock_state(m, 10), str(m)) for m in range(3))
+        save_ensemble(ProbeEnsemble(tuple(first_three)), ens_path)
         code, _, err = run(
             capsys,
             "retrodict",

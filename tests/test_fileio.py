@@ -351,7 +351,7 @@ class TestCollectorPause:
         assert started == []
         assert (tmp_path / "q.json").read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("name", ["load_povm", "load_ensemble", "save_povm", "save_report"])
+    @pytest.mark.parametrize("name", ["load_povm", "load_ensemble", "save_povm"])
     def test_every_paused_reader_and_writer_keeps_its_name(self, name):
         fn = getattr(fileio, name)
         assert fn.__name__ == name and fn.__doc__ == fn.__wrapped__.__doc__
@@ -936,6 +936,17 @@ class TestWignerGridFiles:
         assert back.grid == grid
         np.testing.assert_array_equal(back.values, values)
         np.testing.assert_array_equal(np.signbit(back.values), np.signbit(values))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_are_refused_before_the_file_is_opened(self, tmp_path, value):
+        path = _small_grid_file(tmp_path)
+        before = path.read_bytes()
+        values = np.zeros((3, 3))
+        values[1, 1] = value
+        grid = WignerGrid(grid=PhaseSpaceGrid.symmetric(1.0, 3), values=values)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": non-finite Wigner values"):
+            write_wigner_grid(grid, path)
+        assert path.read_bytes() == before
 
     def test_missing_headers_rejected(self, tmp_path):
         path = tmp_path / "w.dat"

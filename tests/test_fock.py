@@ -1,4 +1,4 @@
-"""Foundation layer: state constructors, composites, eigensolver."""
+"""Foundation layer: state constructors, eigensolver."""
 
 import numpy as np
 import pytest
@@ -19,10 +19,8 @@ from qdetchar.fock import (
     hermiticity_defect,
     hermitize,
     number_mean,
-    partial_trace_b,
     purity,
     squeezed_vacuum,
-    tensor,
     trace_distance,
     uhlmann_fidelity,
 )
@@ -110,43 +108,6 @@ class TestConstructors:
         with pytest.raises(ValueError, match="finite") as err:
             make(value, dim)
         assert repr(complex(value) if make is coherent_state else float(value)) in str(err.value)
-
-
-class TestComposites:
-    def test_tensor_index_convention(self):
-        # |1>_A |2>_B lands at index 1 * dim_b + 2
-        v = tensor(fock_state(1, 3), fock_state(2, 4))
-        assert v[1 * 4 + 2] == 1.0 and np.linalg.norm(v) == 1.0
-
-    def test_tensor_trace_multiplies(self, rng):
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 5)
-        np.testing.assert_allclose(
-            np.trace(tensor(a, b)), np.trace(a) * np.trace(b), atol=1e-12
-        )
-
-    def test_tensor_rejects_mixed_ranks(self):
-        with pytest.raises(ValueError):
-            tensor(fock_state(0, 3), np.eye(3))
-
-    def test_partial_trace_inverts_tensor(self, rng):
-        for _ in range(20):
-            da = int(rng.integers(2, 7))
-            db = int(rng.integers(2, 7))
-            rho_a = random_density(rng, da)
-            rho_b = random_density(rng, db)
-            back = partial_trace_b(tensor(rho_a, rho_b), da, db)
-            np.testing.assert_allclose(back, rho_a, atol=1e-12)
-
-    def test_partial_trace_preserves_trace(self, rng):
-        m = random_hermitian(rng, 12)
-        np.testing.assert_allclose(
-            np.trace(partial_trace_b(m, 3, 4)), np.trace(m), atol=1e-12
-        )
-
-    def test_partial_trace_shape_guard(self):
-        with pytest.raises(ValueError):
-            partial_trace_b(np.eye(10), 3, 4)
 
 
 class TestConjugation:

@@ -506,9 +506,12 @@ class TestGaussianityCheck:
         assert gaussianity_check(dm(fock_state(1, 10))) is Gaussianity.UNDETERMINED
 
     def test_undetermined_when_state_is_heavy(self):
-        with pytest.warns(TruncationWarning):
-            verdict = gaussianity_check(thermal(4.0, 12))
+        # decided from the moments alone: no O(d^3) reference is built
+        with mock.patch.object(phasespace, "gaussian_reference") as reference:
+            with pytest.warns(TruncationWarning):
+                verdict = gaussianity_check(thermal(4.0, 12))
         assert verdict is Gaussianity.UNDETERMINED
+        reference.assert_not_called()
 
     @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
     def test_canonical_verdicts_and_tails_match_the_oracle_route(self):

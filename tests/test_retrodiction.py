@@ -1,5 +1,6 @@
 """Retrodicted states, estimators, taxonomy and Bayesian inference."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +11,12 @@ from qdetchar import (
     CategoryThresholds,
     NullOutcomeError,
     OutcomeCategory,
+    PhaseSpaceGrid,
     Povm,
     PovmElement,
     ProbeEnsemble,
     ProbeEntry,
+    TmsvParams,
     Tolerances,
     UnreachableOutcomeError,
     born_probability,
@@ -23,17 +26,23 @@ from qdetchar import (
     estimator_report,
     fidelity,
     fock_state,
+    heralded_closed_form,
+    heralded_state,
+    heralded_state_from_joint,
     ideal_pnr,
     ideality,
     load_ensemble,
     lossy_pnr,
+    nonclassicality_of_measurement,
     on_off_apd,
     projectivity,
     proposition_operator,
     retrodict_ensemble,
     retrodicted_state,
+    retrodictive_limit_scan,
     save_ensemble,
     scaled_projector,
+    tmsv,
     uniform_fock_ensemble,
 )
 from qdetchar import retrodiction
@@ -60,6 +69,13 @@ class TestBornProbability:
             born_probability(np.outer(v, v.conj()), el),
             atol=1e-14,
         )
+
+    @pytest.mark.parametrize("call", ["born_probability", "detectivity"])
+    def test_a_non_square_state_is_refused_by_shape(self, call):
+        el = ideal_pnr(3).outcome("1")
+        state = np.ones((3, 2)) / 3
+        with pytest.raises(ValueError, match=r"square density matrix, got shape \(3, 2\)"):
+            born_probability(state, el) if call == "born_probability" else detectivity(el, state)
 
     def test_rejects_unphysical_inputs(self):
         el = PovmElement("neg", -0.5 * np.eye(3))
@@ -107,6 +123,40 @@ class TestRetrodictedState:
         assert retro.element is el
         assert retrodicted_state(retro) is retro
         assert retrodicted_state(retro, Tolerances(norm=1e-15)) is retro
+
+
+# Each public function that takes a measurement element, called on one; the
+# state it retrodicts must give the same result.
+_TAKES_AN_ELEMENT = {
+    "ideality": ideality,
+    "born_probability": lambda el: born_probability(coherent_state(0.5, 20), el),
+    "heralded_closed_form": lambda el: heralded_closed_form(TmsvParams(0.4, 20), el),
+    "heralded_state": lambda el: heralded_state(tmsv(TmsvParams(0.4, 20)), el),
+    "heralded_state_from_joint": lambda el: heralded_state_from_joint(
+        np.kron(np.diag(np.arange(1.0, 4.0)) / 6, np.eye(20) / 20), el
+    ),
+    "retrodictive_limit_scan": lambda el: retrodictive_limit_scan(el, (0.2, 0.4), 20),
+    "nonclassicality_of_measurement": lambda el: nonclassicality_of_measurement(
+        el, PhaseSpaceGrid.symmetric(4.4, 11)
+    ),
+}
+
+
+def _same(a, b) -> bool:
+    """Equal results, compared field by field and array by array."""
+    if dataclasses.is_dataclass(a):
+        fields = dataclasses.fields(a)
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", list(_TAKES_AN_ELEMENT))
+def test_a_function_taking_an_element_also_takes_its_retrodicted_state(name):
+    el = scaled_projector(coherent_state(0.3, 20), 0.7, label="click")
+    call = _TAKES_AN_ELEMENT[name]
+    assert _same(call(retrodicted_state(el)), call(el))
 
 
 class TestEstimators:
@@ -316,7 +366,7 @@ class TestEnsembles:
 
     def test_unreachable_outcome(self):
         # probe only the first three levels; outcome 5 can never fire
-        ens = uniform_fock_ensemble(10, count=3)
+        ens = ProbeEnsemble(tuple(ProbeEntry(1 / 3, fock_state(m, 10), str(m)) for m in range(3)))
         with pytest.raises(UnreachableOutcomeError):
             retrodict_ensemble(ideal_pnr(10), "5", ens)
 
@@ -330,6 +380,7 @@ class TestEnsembles:
         posterior = dict(retrodict_ensemble(povm, "e", ens))
         retro = retrodicted_state(el)
         for entry in ens:
-            theta = proposition_operator(entry, d)
+            theta = proposition_operator(entry)
+            assert abs(np.trace(theta) - d * entry.prior) <= 1e-15
             via_retro = float(np.real(np.trace(retro.state @ theta)))
             assert abs(via_retro - posterior[entry.label]) <= 1e-10
