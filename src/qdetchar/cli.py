@@ -42,6 +42,7 @@ from .errors import (
 from .fileio import (
     FORMAT_VERSION,
     ReportFile,
+    _comment,
     _row_problems,
     estimator_identity_residuals,
     load_ensemble,
@@ -221,20 +222,20 @@ def cmd_herald(args):
     digest = sha256_digest(args.povm)
     element = povm.outcome(args.outcome)
     scan = retrodictive_limit_scan(element, args.lam, povm.dim, tols)
-    lines = [
-        "# qdetchar herald scan",
-        f"# source: {digest} outcome: {element.label} dim: {povm.dim}",
-        f"# fidelity_monotonic: {str(scan.fidelity_monotonic).lower()}",
-        "# columns: lam fidelity success_probability",
-    ]
+    text = _comment(
+        "qdetchar herald scan",
+        f"source: {digest} outcome: {element.label} dim: {povm.dim}",
+        f"fidelity_monotonic: {str(scan.fidelity_monotonic).lower()}",
+        "columns: lam fidelity success_probability",
+    )
     for pt in scan.points:
-        lines.append(f"{pt.lam!r} {pt.fidelity!r} {pt.success_probability!r}")
+        text += f"{pt.lam!r} {pt.fidelity!r} {pt.success_probability!r}\n"
         print(
             f"lam={pt.lam}: fidelity={pt.fidelity:.9f} "
             f"success={pt.success_probability:.6g}"
         )
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        Path(args.out).write_text(text)
         print(f"wrote scan to {args.out}")
     print(f"fidelity monotonic: {scan.fidelity_monotonic}")
     return 0
@@ -245,17 +246,17 @@ def cmd_retrodict(args):
     povm = load_povm(args.povm, tols)
     ensemble = load_ensemble(args.ensemble, tols)
     posterior = retrodict_ensemble(povm, args.outcome, ensemble, tols)
-    lines = [
-        "# qdetchar retrodiction posterior",
-        f"# source: {sha256_digest(args.povm)} outcome: {args.outcome}",
-        f"# ensemble: {sha256_digest(args.ensemble)}",
-        "# columns: label posterior",
-    ]
+    text = _comment(
+        "qdetchar retrodiction posterior",
+        f"source: {sha256_digest(args.povm)} outcome: {args.outcome}",
+        f"ensemble: {sha256_digest(args.ensemble)}",
+        "columns: label posterior",
+    )
     for label, prob in posterior:
-        lines.append(f"{label} {prob!r}")
+        text += f"{label} {prob!r}\n"
         print(f"{label}: {prob:.9f}")
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        Path(args.out).write_text(text)
         print(f"wrote posterior to {args.out}")
     return 0
 

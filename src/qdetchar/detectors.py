@@ -27,7 +27,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import PovmValidationError
-from .fock import _spectrum, _unit_ket, check_dim, eig_hermitian, hermiticity_defect
+from .fock import (
+    _one_dim, _spectrum, _square, _unit_ket, check_dim, eig_hermitian, hermiticity_defect
+)
 
 __all__ = [
     "PovmElement",
@@ -59,12 +61,8 @@ class PovmElement:
 
     def __post_init__(self):
         # A copy, so that later writes to the caller's array cannot reach the element.
-        arr = np.array(self.matrix, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"element {self.label!r}: matrix must be square, got {arr.shape}")
+        arr = _square(np.array(self.matrix, dtype=complex), f"element {self.label!r}")
         check_dim(arr.shape[0])
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"element {self.label!r}: non-finite entries")
         object.__setattr__(self, "label", str(self.label))
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
@@ -95,10 +93,7 @@ class Povm:
         elements = tuple(self.elements)
         if not elements:
             raise ValueError("a measurement needs at least one outcome")
-        dims = {e.dim for e in elements}
-        if len(dims) != 1:
-            raise ValueError(f"mixed element dimensions: {sorted(dims)}")
-        dim = dims.pop()
+        dim = _one_dim(elements, "element")
         guard = int(self.guard_levels)
         if not 0 <= guard < dim:
             raise ValueError(f"guard_levels {guard} outside 0..{dim - 1}")
@@ -212,22 +207,14 @@ def complete_with_rest(elements, tols: Tolerances = DEFAULT_TOLS) -> Povm:
     negative eigenvalues are clipped to zero so the completed measurement
     validates cleanly.
     """
-    elements = tuple(elements)
-    if not elements:
-        raise ValueError("need at least one element to complete")
-    d = elements[0].dim
-    total = np.zeros((d, d), dtype=complex)
-    for e in elements:
-        if e.dim != d:
-            raise ValueError("mixed element dimensions")
-        total = total + e.matrix
-    w, v = eig_hermitian(np.eye(d) - total)
+    partial = Povm(elements)
+    w, v = eig_hermitian(np.eye(partial.dim) - sum(e.matrix for e in partial))
     if w[0] < -tols.psd:
         raise ValueError(
             f"elements exceed the identity: complement eigenvalue {w[0]:.3g}"
         )
     rest = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    return Povm(elements + (PovmElement("rest", rest),), guard_levels=0)
+    return Povm(partial.elements + (PovmElement("rest", rest),), guard_levels=0)
 
 
 @dataclass(frozen=True)

@@ -569,6 +569,12 @@ def load_report(path, validate: bool = True) -> ReportFile:
 
 # ---------------------------------------------------------------- Wigner grids
 
+def _comment(*lines) -> str:
+    """``lines`` as ``#`` lines; a break (``\\n``, ``\\r``, ``\\r\\n``) in one opens a new one."""
+    text = "\n".join(lines).replace("\r\n", "\n").replace("\r", "\n")
+    return "# " + text.replace("\n", "\n# ") + "\n"
+
+
 def write_wigner_grid(
     wgrid: WignerGrid, path, source_digest: str = "", outcome_label: str = ""
 ) -> None:
@@ -580,17 +586,15 @@ def write_wigner_grid(
     g = wgrid.grid
     if not np.isfinite(wgrid.values).all():
         raise ValueError(f"{path}: non-finite Wigner values; nothing written")
-    header = "\n".join(
-        [
-            "qdetchar wigner grid",
-            f"convention: {CONVENTION}",
-            f"source: {source_digest} outcome: {outcome_label}",
-            f"x_axis: {g.x_min!r} {g.x_max!r} {g.n_x}",
-            f"p_axis: {g.p_min!r} {g.p_max!r} {g.n_p}",
-            "columns: x p wigner",
-        ]
+    header = _comment(
+        "qdetchar wigner grid",
+        f"convention: {CONVENTION}",
+        f"source: {source_digest} outcome: {outcome_label}",
+        f"x_axis: {g.x_min!r} {g.x_max!r} {g.n_x}",
+        f"p_axis: {g.p_min!r} {g.p_max!r} {g.n_p}",
+        "columns: x p wigner",
     )
-    # The bytes of np.savetxt(path, rows, fmt="%.17g", header=header),
+    # The rows of np.savetxt(path, rows, fmt="%.17g"),
     # streamed one x row at a time.  Each axis value is formatted once: a
     # row's template holds every p, and "\0" stands in for its x.  A
     # phase-insensitive state's W depends on x^2 + p^2 alone, so its grid
@@ -614,7 +618,7 @@ def write_wigner_grid(
         w_format = "%.17g"
     row_template = "".join("\0 %s %s\n" % ("%.17g" % p, w_format) for p in g.p_axis.tolist())
     with open(path, "w") as fh:
-        fh.write("# " + header.replace("\n", "\n# ") + "\n")
+        fh.write(header)
         for x, row in zip(g.x_axis.tolist(), values):
             fh.write(row_template.replace("\0", "%.17g" % x) % tuple(row.tolist()))
 

@@ -41,6 +41,37 @@ def check_dim(dim) -> int:
     return d
 
 
+def _square(m, what: str) -> np.ndarray:
+    """``m`` as a complex array; a ``ValueError`` naming ``what`` unless it is square and finite."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what}: expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what}: non-finite entries")
+    return m
+
+
+def _same_dim(a: str, x: int, b: str, y: int) -> None:
+    """A ``ValueError`` naming both dims unless ``a``'s dim ``x`` is ``b``'s dim ``y``."""
+    if x != y:
+        raise ValueError(f"{a} dim {x} != {b} dim {y}")
+
+
+def _one_dim(parts, what: str) -> int:
+    """The dim every one of ``parts`` has; a ``ValueError`` listing the dims if they differ."""
+    dims = {part.dim for part in parts}
+    if len(dims) != 1:
+        raise ValueError(f"mixed {what} dimensions: {sorted(dims)}")
+    return dims.pop()
+
+
+def _unit_trace(rho: np.ndarray, tols: Tolerances, what: str) -> None:
+    """A ``ValueError`` naming ``what`` unless ``Tr rho`` is within ``tols.norm`` of 1."""
+    tr = float(np.real(np.trace(rho)))
+    if not abs(tr - 1.0) <= tols.norm:
+        raise ValueError(f"{what}: trace {tr!r} deviates from 1 beyond {tols.norm:.3g}")
+
+
 def fock_state(n: int, dim: int) -> np.ndarray:
     """Number state ``|n>`` as a unit vector."""
     d = check_dim(dim)
@@ -61,6 +92,18 @@ def _unit_ket(vec, what: str) -> np.ndarray:
     if not (np.isfinite(vec).all() and 0.0 < norm < np.inf):
         raise ValueError(f"{what} has norm {norm:.3g}, not a finite, non-zero one")
     return vec / norm
+
+
+def _as_density(state, what: str, tols: Tolerances | None = None) -> np.ndarray:
+    """A ket, normalized, or a square, finite matrix (of unit trace under ``tols``) as a state."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1:
+        ket = _unit_ket(state, what)
+        return np.outer(ket, ket.conj())
+    rho = _square(state, what)
+    if tols is not None:
+        _unit_trace(rho, tols, what)
+    return rho
 
 
 def coherent_state(alpha: complex, dim: int) -> np.ndarray:
@@ -168,12 +211,7 @@ def eig_hermitian(m: np.ndarray):
     leak imaginary parts into the spectrum.  Returns ``(w, v)`` with
     eigenvectors in the columns of ``v``.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return np.linalg.eigh(hermitize(m))
+    return np.linalg.eigh(hermitize(_square(m, "matrix")))
 
 
 def purity(rho: np.ndarray) -> float:
@@ -209,17 +247,11 @@ def assert_density_matrix(
     rho: np.ndarray, tols: Tolerances = DEFAULT_TOLS, what: str = "state"
 ) -> np.ndarray:
     """Check Hermiticity, positivity and unit trace; raise ``ValueError`` if violated."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"{what}: expected a square matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError(f"{what}: non-finite entries")
+    rho = _square(rho, what)
     defect = hermiticity_defect(rho)
     if defect > tols.herm:
         raise ValueError(f"{what}: Hermiticity defect {defect:.3g} exceeds {tols.herm:.3g}")
-    tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > tols.norm:
-        raise ValueError(f"{what}: trace {tr!r} deviates from 1 beyond {tols.norm:.3g}")
+    _unit_trace(rho, tols, what)
     w = _spectrum(rho)
     if w[0] < -tols.psd:
         raise ValueError(f"{what}: negative eigenvalue {w[0]:.3g} beyond {tols.psd:.3g}")

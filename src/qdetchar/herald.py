@@ -24,6 +24,8 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import HeraldImpossibleError, TailToleranceError, TruncationWarning
 from .fock import (
+    _same_dim,
+    _square,
     _unit_ket,
     assert_density_matrix,
     check_dim,
@@ -140,12 +142,8 @@ def heralded_state_from_joint(
     """
     el = _as_element(element)
     db = el.dim
-    rho_ab = np.asarray(rho_ab, dtype=complex)
-    n = rho_ab.shape[0]
-    what = f"joint state of shape {rho_ab.shape}"
-    if rho_ab.shape != (n, n):
-        raise ValueError(f"{what} does not factor as A x {db}")
-    da = _split_dims(n, db, what)
+    rho_ab = _square(rho_ab, "joint state")
+    da = _split_dims(rho_ab.shape[0], db, f"joint state of shape {rho_ab.shape}")
     unnorm = np.einsum("ikjl,lk->ij", rho_ab.reshape(da, db, da, db), el.matrix)
     return _herald_result(unnorm, el, tols)
 
@@ -178,8 +176,7 @@ def heralded_closed_form(
     machine precision since both share the same truncation.
     """
     el = _as_element(element)
-    if el.dim != params.dim:
-        raise ValueError(f"element dim {el.dim} != TMSV dim {params.dim}")
+    _same_dim("element", el.dim, "TMSV", params.dim)
     lam_diag = params.lam ** np.arange(params.dim)
     filtered = lam_diag[:, None] * conjugate_in_fock(el.matrix) * lam_diag[None, :]
     return _herald_result(
@@ -219,8 +216,7 @@ def retrodictive_limit_scan(
     """
     d = check_dim(dim)
     el = _as_element(element)
-    if el.dim != d:
-        raise ValueError(f"element dim {el.dim} != scan dim {d}")
+    _same_dim("element", el.dim, "scan", d)
     params = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)

@@ -29,13 +29,7 @@ import numpy as np
 
 from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolerances
 from .errors import TruncationWarning
-from .fock import (
-    annihilation,
-    check_dim,
-    hermitize,
-    number_mean,
-    purity,
-)
+from .fock import _square, annihilation, check_dim, hermitize, number_mean, purity
 from .retrodiction import projectivity, retrodicted_state
 
 __all__ = [
@@ -175,12 +169,8 @@ def wigner(
     naming the grid; and if a value breaks the quantum bound ``W >= -1/pi``
     beyond ``tols.neg``, which indicates the input was not a valid state.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _square(rho, "state")
     d = rho.shape[0]
-    if rho.ndim != 2 or rho.shape[1] != d:
-        raise ValueError(f"expected a square density matrix, got {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has non-finite entries")
     if grid.radius_sq > 2.0 * d:
         warnings.warn(
             f"grid reaches x^2+p^2 = {grid.radius_sq:.3g}, beyond the "

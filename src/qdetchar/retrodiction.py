@@ -39,7 +39,9 @@ import numpy as np
 from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolerances
 from .detectors import Povm, PovmElement
 from .errors import NullOutcomeError, UnreachableOutcomeError
-from .fock import _unit_ket, assert_density_matrix, check_dim, purity
+from .fock import (
+    _as_density, _one_dim, _same_dim, _unit_ket, assert_density_matrix, check_dim, purity
+)
 
 __all__ = [
     "RetrodictedState",
@@ -108,35 +110,16 @@ def _as_element(element) -> PovmElement:
     return PovmElement("element", element)
 
 
-def _as_density(state: np.ndarray) -> np.ndarray:
-    """Accept a ket or a density matrix; return a density matrix."""
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        ket = _unit_ket(state, "state")
-        return np.outer(ket, ket.conj())
-    if state.ndim != 2 or state.shape[0] != state.shape[1]:
-        raise ValueError(f"expected a ket or a square density matrix, got shape {state.shape}")
-    if not np.isfinite(state).all():
-        raise ValueError("density matrix has non-finite entries")
-    return state
-
-
-def _same_dim(what: str, state: np.ndarray, el: PovmElement) -> np.ndarray:
-    """``state`` when it has the element's dim; a ``ValueError`` naming both dims if not."""
-    if state.shape[0] != el.dim:
-        raise ValueError(f"{what} dim {state.shape[0]} != element dim {el.dim}")
-    return state
-
-
 def born_probability(rho: np.ndarray, element, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Probability ``Tr(rho element)`` of the outcome firing on ``rho``.
 
-    Accepts a ket or density matrix.  Values are clamped into [0, 1];
-    anything outside ``[-tols.norm, 1 + tols.norm]`` signals invalid inputs
-    and raises.
+    Accepts a ket or a density matrix of unit trace, to ``tols.norm``.
+    Values are clamped into [0, 1]; anything outside
+    ``[-tols.norm, 1 + tols.norm]`` signals invalid inputs and raises.
     """
     el = _as_element(element)
-    rho = _same_dim("state", _as_density(rho), el)
+    rho = _as_density(rho, "state", tols)
+    _same_dim("state", rho.shape[0], "element", el.dim)
     val = float(np.real(np.einsum("ij,ji->", rho, el.matrix)))
     if not -tols.norm <= val <= 1.0 + tols.norm:
         raise ValueError(f"probability {val!r} outside [0, 1]; inputs are not physical")
@@ -181,7 +164,8 @@ def ideality(element, tols: Tolerances = DEFAULT_TOLS) -> float:
 
 def fidelity(retro: RetrodictedState, target: np.ndarray) -> float:
     """Overlap ``<target| retro |target>`` with a pure target, in [0, 1]."""
-    target = _same_dim("target", _unit_ket(target, "target"), retro.element)
+    target = _unit_ket(target, "target")
+    _same_dim("target", target.size, "element", retro.element.dim)
     val = float(np.real(target.conj() @ retro.state @ target))
     return min(max(val, 0.0), 1.0)
 
@@ -192,10 +176,12 @@ def detectivity(element, target, tols: Tolerances = DEFAULT_TOLS) -> float:
     Computed through the retrodicted state,
     ``Tr(element) * Tr(target retro)``, deliberately not through
     :func:`born_probability`; the two routes agreeing is a consistency
-    check, not a tautology.
+    check, not a tautology.  A density-matrix target must have unit trace,
+    to ``tols.norm``.
     """
     retro = retrodicted_state(element, tols)
-    rho_t = _same_dim("target", _as_density(target), retro.element)
+    rho_t = _as_density(target, "target", tols)
+    _same_dim("target", rho_t.shape[0], "element", retro.element.dim)
     val = retro.trace_weight * float(np.real(np.einsum("ij,ji->", rho_t, retro.state)))
     return min(max(val, 0.0), 1.0)
 
@@ -212,8 +198,7 @@ class ProbeEntry:
         p = float(self.prior)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"prior must lie in [0, 1], got {p}")
-        rho = _as_density(self.state)
-        rho = np.array(rho, dtype=complex)
+        rho = np.array(_as_density(self.state, f"probe entry {self.label!r}"))
         rho.setflags(write=False)
         object.__setattr__(self, "prior", p)
         object.__setattr__(self, "state", rho)
@@ -243,9 +228,7 @@ class ProbeEnsemble:
         entries = tuple(self.entries)
         if not entries:
             raise ValueError("ensemble needs at least one entry")
-        dims = {e.dim for e in entries}
-        if len(dims) != 1:
-            raise ValueError(f"mixed entry dimensions: {sorted(dims)}")
+        _one_dim(entries, "entry")
         for i, e in enumerate(entries):
             try:
                 assert_density_matrix(e.state, self.tols, what=f"entries[{i}]")
@@ -307,8 +290,7 @@ def retrodict_ensemble(
     probability under the prior-averaged probe state.
     """
     el = povm.outcome(outcome_label)
-    if ensemble.dim != povm.dim:
-        raise ValueError(f"ensemble dim {ensemble.dim} != measurement dim {povm.dim}")
+    _same_dim("ensemble", ensemble.dim, "measurement", povm.dim)
     likelihoods = [born_probability(e.state, el, tols) for e in ensemble]
     evidence = sum(l * e.prior for l, e in zip(likelihoods, ensemble))
     if evidence <= tols.trace_floor:
@@ -369,8 +351,11 @@ def estimator_report(
     The two internal identities (ideality = projectivity * trace weight,
     and detectivity * projectivity = ideality * fidelity when a target is
     given) are verified to ``IDENTITY_SLACK`` before the report is returned.
+    A target needs a ``target_label``, which the row stores to name it.
     """
     retro = retrodicted_state(element, tols)
+    if target is not None and target_label is None:
+        raise ValueError(f"outcome {retro.element.label!r}: a target needs a target_label")
     proj = projectivity(retro)
     ideal = ideality(retro.element, tols)
     fid = det = None

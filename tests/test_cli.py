@@ -15,6 +15,8 @@ import pytest
 
 import qdetchar
 from qdetchar import (
+    Povm,
+    PovmElement,
     ProbeEnsemble,
     ProbeEntry,
     fock_state,
@@ -651,6 +653,30 @@ class TestRetrodict:
         )
         assert code == 3
         assert "5" in err
+
+
+class TestTextHeaders:
+    """A line break in an outcome label stays inside the ``#`` header of each text file."""
+
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_each_text_file_loads_with_loadtxt(self, brk, tmp_path, capsys):
+        label = f"on{brk}1 2 3"
+        off, on = on_off_apd(0.5, 0.0, 12)
+        povm_path, ens_path = tmp_path / "apd.json", tmp_path / "ens.json"
+        save_povm(Povm((off, PovmElement(label, on.matrix))), povm_path)
+        save_ensemble(uniform_fock_ensemble(12), ens_path)
+        runs = {
+            "herald": (["--lam", "0.3"], (1, 3)),
+            "retrodict": (["--ensemble", str(ens_path)], (12, 2)),
+            "wigner": (["--nx", "3", "--np", "2"], (6, 3)),
+        }
+        for command, (flags, shape) in runs.items():
+            out = tmp_path / f"{command}.dat"
+            argv = [command, str(povm_path), "--outcome", label, "--out", str(out), *flags]
+            assert run(capsys, *argv)[0] == 0, command
+            assert np.loadtxt(out, ndmin=2).shape == shape, command
+        assert read_wigner_grid(tmp_path / "wigner.dat").values.shape == (3, 2)
 
 
 class TestVerify:

@@ -55,12 +55,6 @@ class TestContainers:
         assert el.matrix[0, 0] == 1.0
         assert not el.matrix.flags.writeable and given.flags.writeable
 
-    def test_element_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            PovmElement("x", np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            PovmElement("x", np.array([[np.inf, 0], [0, 1.0]]))
-
     def test_povm_rejects_duplicates_and_mixed_dims(self):
         a = PovmElement("a", 0.5 * np.eye(3))
         with pytest.raises(ValueError, match="unique"):

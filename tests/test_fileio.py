@@ -10,10 +10,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from conftest import random_density
+from conftest import random_density, random_pure
 
 from qdetchar import (
     CONVENTION,
@@ -716,6 +716,35 @@ class TestReportFiles:
         low = 1.0 / 40 - 1e-17  # a maximally mixed state, rounded down
         mixed = EstimatorReport("y", low, low, 1.0, OutcomeCategory.NON_PROJECTIVE)
         assert estimator_row_problems(mixed, report) == []
+
+    def test_a_target_needs_a_label(self):
+        el = on_off_apd(0.5, 0.0, 6).outcome("on")
+        with pytest.raises(ValueError, match=r"^outcome 'on': a target needs a target_label$"):
+            estimator_report(el, fock_state(1, 6))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=arrays(float, st.integers(2, 6), elements=st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        targeted=st.booleans(),
+        label=st.none() | st.text(max_size=12),
+    )
+    def test_every_row_estimator_report_builds_passes_its_verifier(
+        self, weights, seed, targeted, label
+    ):
+        assume(weights.sum() > 1e-6)  # well above the trace floor
+        rng = np.random.default_rng(seed)
+        d = weights.size
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        el = PovmElement("e", (q * weights) @ q.conj().T)
+        target = random_pure(rng, d) if targeted else None
+        if targeted and label is None:
+            with pytest.raises(ValueError, match="a target needs a target_label"):
+                estimator_report(el, target, label)
+            return
+        row = estimator_report(el, target, label)
+        assert (row.target is None) == (not targeted)
+        assert estimator_row_problems(row, ReportFile("", "", d, CategoryThresholds(), (row,))) == []
 
     def test_identity_residuals_without_target(self):
         row = estimator_report(ideal_pnr(5).outcome("2"))

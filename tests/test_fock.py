@@ -1,4 +1,6 @@
-"""Foundation layer: state constructors, eigensolver."""
+"""Foundation layer: state constructors, eigensolver, input refusals."""
+
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,16 @@ from conftest import random_density, random_hermitian, random_pure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdetchar import TruncationWarning
+from qdetchar import (
+    PhaseSpaceGrid,
+    PovmElement,
+    ProbeEntry,
+    TruncationWarning,
+    born_probability,
+    detectivity,
+    ideal_pnr,
+    wigner,
+)
 from qdetchar.fock import (
     _spectrum,
     annihilation,
@@ -147,12 +158,6 @@ class TestEigHermitian:
         w, _ = eig_hermitian(m)
         assert np.isrealobj(w)
 
-    def test_rejects_non_square_and_non_finite(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            eig_hermitian(np.array([[np.nan, 0], [0, 1.0]]))
-
 
 # Diagonal parts: signed zeros, subnormals and negatives forced in.  The bound
 # keeps ``x + x`` in hermitize finite.
@@ -242,3 +247,37 @@ class TestDensityMatrixGuard:
             assert_density_matrix(np.diag([1.5, -0.5]).astype(complex))
         with pytest.raises(ValueError, match="Hermiticity"):
             assert_density_matrix(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+def _with_entry(value):
+    m = np.eye(3, dtype=complex) / 3
+    m[0, 1] = value
+    return m
+
+
+class TestInputRefusals:
+    """Each public entry point that takes a matrix refuses one that is not
+    square and finite with the one wording, naming its own subject."""
+
+    TAKERS = {
+        "PovmElement": (lambda m: PovmElement("x", m), "element 'x'"),
+        "eig_hermitian": (eig_hermitian, "matrix"),
+        "assert_density_matrix": (assert_density_matrix, "state"),
+        "wigner": (lambda m: wigner(m, PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)), "state"),
+        "born_probability": (lambda m: born_probability(m, ideal_pnr(3).outcome("1")), "state"),
+        "detectivity": (lambda m: detectivity(ideal_pnr(3).outcome("1"), m), "target"),
+        "ProbeEntry": (lambda m: ProbeEntry(1.0, m, "a"), "probe entry 'a'"),
+    }
+    BAD = {
+        "non-square": (np.ones((3, 2)) / 3, "expected a square matrix, got shape (3, 2)"),
+        "nan": (_with_entry(np.nan), "non-finite entries"),
+        "inf": (_with_entry(np.inf), "non-finite entries"),
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD))
+    @pytest.mark.parametrize("taker", list(TAKERS))
+    def test_not_square_and_finite(self, taker, bad):
+        call, subject = self.TAKERS[taker]
+        matrix, reason = self.BAD[bad]
+        with pytest.raises(ValueError, match="^" + re.escape(f"{subject}: {reason}") + "$"):
+            call(matrix)

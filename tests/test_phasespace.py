@@ -230,13 +230,6 @@ class TestWignerValues:
                 with pytest.raises(ValueError, match=message + " kernel can evaluate at dim 6"):
                     wigner(rho, grid)
 
-    @pytest.mark.parametrize("entry", [np.nan, np.inf])
-    def test_rejects_non_finite_input(self, entry):
-        rho = thermal(1.0, 6)
-        rho[0, 1] = entry
-        with pytest.raises(ValueError, match="non-finite entries"):
-            wigner(rho, ORIGIN)
-
     def test_rejects_non_state_input_with_coherences(self):
         # off-diagonal entries add the angular Horner sum to the diagonal band
         bogus = np.array([[-1.0, 0.5j], [-0.5j, 2.0]])

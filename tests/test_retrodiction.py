@@ -70,12 +70,15 @@ class TestBornProbability:
             atol=1e-14,
         )
 
-    @pytest.mark.parametrize("call", ["born_probability", "detectivity"])
-    def test_a_non_square_state_is_refused_by_shape(self, call):
+    def test_a_density_matrix_must_have_unit_trace(self):
         el = ideal_pnr(3).outcome("1")
-        state = np.ones((3, 2)) / 3
-        with pytest.raises(ValueError, match=r"square density matrix, got shape \(3, 2\)"):
-            born_probability(state, el) if call == "born_probability" else detectivity(el, state)
+        with pytest.raises(ValueError, match=r"^state: trace 0\.5 deviates from 1 beyond 1e-09$"):
+            born_probability(np.diag([0, 0.5, 0]), el)
+        with pytest.raises(ValueError, match=r"^target: trace 2\.0 deviates from 1 beyond 1e-09$"):
+            detectivity(el, np.diag([0, 2.0, 0]))
+        loose = Tolerances(norm=0.6)
+        assert born_probability(np.diag([0, 0.5, 0]), el, loose) == 0.5
+        assert detectivity(el, np.diag([0, 0.5, 0]), loose) == 0.5
 
     def test_rejects_unphysical_inputs(self):
         el = PovmElement("neg", -0.5 * np.eye(3))
