@@ -245,6 +245,12 @@ def cmd_retrodict(args):
     tols = Tolerances.from_env()
     povm = load_povm(args.povm, tols)
     ensemble = load_ensemble(args.ensemble, tols)
+    for i, entry in enumerate(ensemble):  # each label is the first column of a table row
+        if entry.label.split() != [entry.label] or "#" in entry.label:
+            raise ValueError(
+                f"{args.ensemble}: entries[{i}]: label {entry.label!r} is not one word "
+                "without '#', so it cannot head a posterior row"
+            )
     posterior = retrodict_ensemble(povm, args.outcome, ensemble, tols)
     text = _comment(
         "qdetchar retrodiction posterior",

@@ -3,9 +3,11 @@
 Every JSON file goes through one writer, :func:`write_json`: objects are
 indented by two spaces, and in measurements and ensembles each matrix row
 of explicit ``[re, im]`` pairs is one line, so files still diff cleanly,
-row by row.  Files from earlier versions, with every number on a line of
-its own, load unchanged.  Floats survive a save/load/save cycle byte for
-byte (Python's shortest-repr float encoding is exact for IEEE doubles).
+row by row.  A row's text is built from the array directly, and a matrix
+whose values mostly repeat, as a diagonal one's zeros do, formats each
+distinct value once.  Files from earlier versions, with every number on a
+line of its own, load unchanged.  Floats survive a save/load/save cycle byte
+for byte (Python's shortest-repr float encoding is exact for IEEE doubles).
 Wigner grids are plain whitespace-separated ``x p W`` rows behind ``#``
 header lines, readable by ``numpy.loadtxt``.
 
@@ -15,15 +17,16 @@ report schema is the record dataclasses: one writer and one reader follow the
 fields and types that ``EstimatorReport``, ``NonClassicalityReport``,
 ``CategoryThresholds`` and ``Tolerances`` declare.
 
-:func:`load_povm`, :func:`load_ensemble` and :func:`save_povm` run with
-Python's cyclic garbage collector paused, and leave it on or off as they
-found it.  A dim-60 measurement file is over 200,000 lists, and allocating
-that many containers would otherwise set off some 300 collector passes per
-file, full ones among them.  They could reclaim nothing: a parsed or built
-document holds no reference cycle, and reference counting frees it before
-the call returns.  The pause assumes that one thread at a time switches the
-collector: ``gc`` state is process-wide, so another thread's call could
-switch it back on mid-load.
+:func:`load_povm` and :func:`load_ensemble` run with Python's cyclic
+garbage collector paused, and leave it on or off as they found it.  A dim-60
+measurement file parses into over 200,000 lists, and allocating that many
+containers would otherwise set off some 300 collector passes per file, full
+ones among them.  They could reclaim nothing: a parsed document holds no
+reference cycle, and reference counting frees it before the call returns.
+The pause assumes that one thread at a time switches the collector: ``gc``
+state is process-wide, so another thread's call could switch it back on
+mid-load.  The writers build a string per row and few containers, and run
+with the collector as they find it.
 """
 
 from __future__ import annotations
@@ -106,15 +109,41 @@ def _without_gc(fn):
 
 
 class _Rows(list):
-    """A matrix as rows of ``(re, im)`` pairs; :func:`write_json` writes a row per line."""
+    """A matrix as the JSON text of its rows; :func:`write_json` writes a row per line."""
+
+
+def _distinct_texts(values: np.ndarray, fmt: str):
+    """``(rows, fmt)``: a 2-D float array's rows, each to fill a ``fmt`` template.
+
+    Values are grouped by bit pattern, so that +0.0 and -0.0 stay apart.
+    When at most half of them are distinct, each distinct value is formatted
+    once, and the rows hold those strings, to fill ``%s``.  Otherwise they are
+    the float rows, and ``fmt`` comes back unchanged.  Grouping costs a sort
+    and a search per value, which only repeats earn back: on 201^2 Wigner
+    grids it took 0.85x the per-value time at 50% distinct values, 0.95x at
+    60%, 1.1x at 70% and 1.36x when every value is distinct.  So grouping
+    starts at half; above it, counting the distinct values is all it costs.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    ordered = np.sort(bits, axis=None)  # np.unique is 10x slower here (numpy 2.4)
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    if 2 * distinct.size > bits.size:
+        return bits.view(float), fmt
+    texts = "\0".join([fmt] * distinct.size) % tuple(distinct.view(float).tolist())
+    strings = np.array(texts.split("\0"), dtype=object)
+    return strings[np.searchsorted(distinct, bits)], "%s"
 
 
 def _matrix_to_pairs(m: np.ndarray) -> _Rows:
-    # ndarray.tolist() gives the same Python floats as float(z.real), so the
-    # JSON text (and a signed zero) is unchanged.  Each pair is a tuple, which
-    # JSON writes as a list and zip builds without a Python loop per entry.
-    m = np.asarray(m, dtype=complex)
-    return _Rows(list(zip(re, im)) for re, im in zip(m.real.tolist(), m.imag.tolist()))
+    # A complex row viewed as floats interleaves re and im, the order of its
+    # [re, im] pairs, and %r is the float text the JSON encoder writes, signed
+    # zeros included.  Like write_json, a NaN or infinity raises ValueError.
+    parts = np.ascontiguousarray(m, dtype=complex).view(float)
+    if not np.isfinite(parts).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    rows, fmt = _distinct_texts(parts, "%r")
+    template = "[[" + "], [".join([fmt + ", " + fmt] * (parts.shape[1] // 2)) + "]]"
+    return _Rows(template % tuple(row.tolist()) for row in rows)
 
 
 def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
@@ -242,7 +271,7 @@ def _layout(value, newline: str) -> str:
     """``value`` as ``json.dumps(indent=2)`` lays it out, but a matrix row per line."""
     inner = newline + "  "
     if isinstance(value, _Rows):
-        items, ends = map(_compact, value), "[]"
+        items, ends = value, "[]"
     elif isinstance(value, dict) and value:
         items = (_compact(k) + ": " + _layout(v, inner) for k, v in value.items())
         ends = "{}"
@@ -257,10 +286,11 @@ def write_json(doc: dict, path) -> None:
     """Write ``doc`` as the JSON text of every file this program writes.
 
     Objects and lists are indented by two spaces, byte for byte as
-    ``json.dumps(doc, indent=2)`` writes them; each row of a matrix from
-    :func:`_matrix_to_pairs` is one compact line.  The whole text is built
-    before the file is opened, so a NaN or infinity raises ``ValueError``
-    and leaves any file at ``path`` as it was.
+    ``json.dumps(doc, indent=2)`` writes them; each matrix row from
+    :func:`_matrix_to_pairs` is written as the compact line it holds.  The
+    whole text is built before the file is opened, so a NaN or infinity
+    raises ``ValueError`` (for a matrix, when its rows are built) and leaves
+    any file at ``path`` as it was.
     """
     text = _layout(doc, "\n") + "\n"
     Path(path).write_text(text)
@@ -268,7 +298,6 @@ def write_json(doc: dict, path) -> None:
 
 # ---------------------------------------------------------------- POVM files
 
-@_without_gc
 def save_povm(povm: Povm, path) -> None:
     """Write a measurement to JSON (schema version 1)."""
     doc = {
@@ -594,32 +623,17 @@ def write_wigner_grid(
         f"p_axis: {g.p_min!r} {g.p_max!r} {g.n_p}",
         "columns: x p wigner",
     )
-    # The rows of np.savetxt(path, rows, fmt="%.17g"),
-    # streamed one x row at a time.  Each axis value is formatted once: a
-    # row's template holds every p, and "\0" stands in for its x.  A
-    # phase-insensitive state's W depends on x^2 + p^2 alone, so its grid
-    # holds about one distinct value per radius (some 9,000 of the 40,401
-    # points of a 201^2 grid).  Such a grid formats each distinct value once,
-    # grouped by bit pattern so that +0.0 and -0.0 stay apart, and fills the
-    # templates with the strings.  Grouping costs a sort and an index per
-    # point, which only repeats earn back: on 201^2 grids it took 0.85x the
-    # per-point time at 50% distinct values, 0.95x at 60%, 1.1x at 70% and
-    # 1.36x when every value is distinct, as for a dense state.  So grouping
-    # starts at half; above it, counting the distinct values is all it costs.
-    values = np.ascontiguousarray(wgrid.values, dtype=float).reshape(g.n_x, g.n_p)
-    bits = values.view(np.int64).reshape(-1)
-    ordered = np.sort(bits)
-    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) <= bits.size:
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        texts = "\0".join(["%.17g"] * distinct.size) % tuple(distinct.view(float).tolist())
-        values = np.array(texts.split("\0"), dtype=object)[inverse.reshape(g.n_x, g.n_p)]
-        w_format = "%s"
-    else:
-        w_format = "%.17g"
+    # The rows of np.savetxt(path, rows, fmt="%.17g"), streamed one x row
+    # at a time.  Each axis value is formatted once: a row's template holds
+    # every p, and "\0" stands in for its x.  A phase-insensitive state's W
+    # depends on x^2 + p^2 alone, so its grid holds about one distinct value
+    # per radius (some 9,000 of the 40,401 points of a 201^2 grid), each of
+    # them formatted once.
+    rows, w_format = _distinct_texts(np.reshape(wgrid.values, (g.n_x, g.n_p)), "%.17g")
     row_template = "".join("\0 %s %s\n" % ("%.17g" % p, w_format) for p in g.p_axis.tolist())
     with open(path, "w") as fh:
         fh.write(header)
-        for x, row in zip(g.x_axis.tolist(), values):
+        for x, row in zip(g.x_axis.tolist(), rows):
             fh.write(row_template.replace("\0", "%.17g" % x) % tuple(row.tolist()))
 
 

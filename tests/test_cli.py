@@ -636,6 +636,42 @@ class TestRetrodict:
         assert code == 2
         assert "ensemble dim 3 != measurement dim 4" in err
 
+    @pytest.mark.parametrize(
+        "label",
+        ["a b", "c\n9 9", "", "tab\there", "#1"],
+        ids=["space", "lf", "empty", "tab", "hash"],
+    )
+    def test_a_label_that_cannot_head_a_table_row_exits_2(self, tmp_path, capsys, label):
+        povm_path, ens_path, out = tmp_path / "pnr.json", tmp_path / "ens.json", tmp_path / "r.dat"
+        run(capsys, "model", "ideal-pnr", "--dim", "3", "--out", str(povm_path))
+        labels = ["0", label, "2"]
+        entries = (ProbeEntry(1 / 3, fock_state(m, 3), labels[m]) for m in range(3))
+        save_ensemble(ProbeEnsemble(tuple(entries)), ens_path)
+        out.write_bytes(b"kept")
+        argv = ["retrodict", str(povm_path), "--outcome", "1", "--ensemble", str(ens_path)]
+        code, text, err = run(capsys, *argv, "--out", str(out))
+        assert (code, text) == (2, "")
+        assert err == (
+            f"error: {ens_path}: entries[1]: label {label!r} is not one word "
+            "without '#', so it cannot head a posterior row\n"
+        )
+        assert out.read_bytes() == b"kept"
+
+    # numpy notes that the "#" header lines hold no data when it reads strings.
+    @pytest.mark.filterwarnings("ignore:Input line 1 contained no data")
+    def test_the_posterior_table_loads_as_one_row_per_entry(self, tmp_path, capsys):
+        povm_path, ens_path, out = tmp_path / "pnr.json", tmp_path / "ens.json", tmp_path / "r.dat"
+        run(capsys, "model", "lossy-pnr", "--dim", "6", "--eta", "0.7", "--out", str(povm_path))
+        labels = ["vac", "one", "2", "n=3", "|4>", "five!"]
+        entries = (ProbeEntry(1 / 6, fock_state(m, 6), labels[m]) for m in range(6))
+        save_ensemble(ProbeEnsemble(tuple(entries)), ens_path)
+        argv = ["retrodict", str(povm_path), "--outcome", "1", "--ensemble", str(ens_path)]
+        assert run(capsys, *argv, "--out", str(out))[0] == 0
+        table = np.loadtxt(out, dtype=str, ndmin=2)
+        assert table.shape == (6, 2)
+        assert table[:, 0].tolist() == labels
+        assert table[:, 1].astype(float).sum() == pytest.approx(1.0)
+
     def test_unreachable_outcome_exits_3(self, tmp_path, capsys):
         povm_path = tmp_path / "pnr.json"
         ens_path = tmp_path / "ens.json"

@@ -351,7 +351,7 @@ class TestCollectorPause:
         assert started == []
         assert (tmp_path / "q.json").read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("name", ["load_povm", "load_ensemble", "save_povm"])
+    @pytest.mark.parametrize("name", ["load_povm", "load_ensemble"])
     def test_every_paused_reader_and_writer_keeps_its_name(self, name):
         fn = getattr(fileio, name)
         assert fn.__name__ == name and fn.__doc__ == fn.__wrapped__.__doc__
@@ -455,10 +455,47 @@ class TestJsonLayout:
 
     def test_non_finite_matrix_entries_are_never_written(self, tmp_path):
         for bad in (float("nan"), float("inf"), complex(0.0, -float("inf"))):
-            doc = {"matrix": _matrix_to_pairs(np.array([[1.0, bad], [0.0, 1.0]]))}
             with pytest.raises(ValueError):
+                doc = {"matrix": _matrix_to_pairs(np.array([[1.0, bad], [0.0, 1.0]]))}
                 write_json(doc, tmp_path / "m.json")
         assert not (tmp_path / "m.json").exists()
+
+
+# Few values, so that most matrices drawn from them repeat enough to be grouped.
+_M_POOL = st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1.0, -1 / 3])
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _encoded_rows(m):
+    """Each row of ``m`` as ``(re, im)`` tuples through the JSON encoder: the oracle."""
+    m = np.asarray(m, dtype=complex)
+    return [_encode(list(zip(re, im))) for re, im in zip(m.real.tolist(), m.imag.tolist())]
+
+
+class TestMatrixRows:
+    """Each matrix row is the JSON encoder's text, built from the array directly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_finite_matrix_gives_the_encoder_rows(self, data):
+        shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+        pooled = data.draw(st.booleans())
+        parts = data.draw(arrays(float, (*shape, 2), elements=_M_POOL if pooled else _PARTS))
+        m = parts.view(complex)[..., 0]
+        assert _matrix_to_pairs(m) == _encoded_rows(m)
+
+    @pytest.mark.parametrize("kind", ["lossy-pnr", "dense"])
+    def test_repeated_values_are_formatted_once(self, kind):
+        if kind == "lossy-pnr":  # diagonal: zeros fill the matrix, so the grouped path
+            matrices = [e.matrix for e in lossy_pnr(0.7, 60)]
+        else:  # no value repeats but the symmetric ones: the per-value path
+            matrices = [random_density(np.random.default_rng(17), 60)]
+        for m in matrices:
+            parts = m.view(float)
+            grouped = 2 * np.unique(parts.view(np.int64)).size <= parts.size
+            assert grouped is (kind == "lossy-pnr")
+            assert fileio._distinct_texts(parts, "%r")[1] == ("%s" if grouped else "%r")
+            assert _matrix_to_pairs(m) == _encoded_rows(m)
 
 
 class TestReportFiles:
