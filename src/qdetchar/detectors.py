@@ -21,7 +21,6 @@ The constructors in this module cover the three canonical kinds of device:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
@@ -50,18 +49,23 @@ __all__ = [
 class PovmElement:
     """One labelled outcome of a measurement.
 
-    The matrix is stored read-only.  Shape and finiteness are enforced here;
-    the physics (Hermiticity, positivity, boundedness) is checked by
-    :func:`validate_povm` so that defective elements can still be loaded,
-    reported on, and rejected with context.
+    The matrix is stored read-only.  It is kept without a copy when it is a
+    C-contiguous complex128 array read-only down its whole ``.base`` chain,
+    and copied otherwise, so that no write through the caller's array reaches
+    the element.  A canonical model's element is a view of the model's one
+    block and keeps it alive: ``lossy_pnr(0.5, 200).outcome("3")`` holds
+    128 MB, not 640 KB.  Shape and finiteness are enforced here; the physics
+    (Hermiticity, positivity, boundedness) is checked by :func:`validate_povm`
+    so that defective elements can still be loaded, reported on, and rejected
+    with context.
     """
 
     label: str
     matrix: np.ndarray
 
     def __post_init__(self):
-        # A copy, so that later writes to the caller's array cannot reach the element.
-        arr = _square(np.array(self.matrix, dtype=complex), f"element {self.label!r}")
+        arr = self.matrix if _frozen(self.matrix) else np.array(self.matrix, dtype=complex)
+        arr = _square(arr, f"element {self.label!r}")
         check_dim(arr.shape[0])
         object.__setattr__(self, "label", str(self.label))
         arr.setflags(write=False)
@@ -130,15 +134,28 @@ def default_guard_levels(dim: int) -> int:
     return -(-check_dim(dim) // 5)
 
 
+def _frozen(m) -> bool:
+    """Whether ``m`` is C-contiguous complex128, read-only down its ``.base`` chain to ``None``."""
+    if type(m) is not np.ndarray or m.dtype != complex or not m.flags.c_contiguous:
+        return False
+    while isinstance(m, np.ndarray) and not m.flags.writeable:
+        m = m.base
+    return m is None
+
+
+def _diagonal_povm(labels, diagonals) -> Povm:
+    """Diagonal elements from the rows of ``diagonals``, each a view of one frozen block."""
+    k, d = diagonals.shape
+    block = np.zeros((k, d, d), dtype=complex)
+    block.reshape(k, d * d)[:, :: d + 1] = diagonals
+    block.setflags(write=False)
+    return Povm(tuple(map(PovmElement, labels, block)), guard_levels=0)
+
+
 def ideal_pnr(dim: int) -> Povm:
     """Perfect photon-number resolving detector: projectors ``|n><n|``."""
     d = check_dim(dim)
-    elements = []
-    for n in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[n, n] = 1.0
-        elements.append(PovmElement(str(n), m))
-    return Povm(tuple(elements), guard_levels=0)
+    return _diagonal_povm([str(n) for n in range(d)], np.eye(d))
 
 
 def lossy_pnr(eta: float, dim: int) -> Povm:
@@ -157,13 +174,15 @@ def lossy_pnr(eta: float, dim: int) -> Povm:
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    elements = []
+    # Exact binomials C(m, n), m = n..d-1: by the hockey-stick identity each
+    # row is the running sum of the one before.  Every weight precedes the block.
+    loss = np.array([(1.0 - eta) ** k for k in range(d)])
+    weights = np.zeros((d, d))
+    row = np.ones(d, dtype=object)
     for n in range(d):
-        diag = np.zeros(d)
-        for m in range(n, d):
-            diag[m] = comb(m, n) * eta**n * (1.0 - eta) ** (m - n)
-        elements.append(PovmElement(str(n), np.diag(diag).astype(complex)))
-    return Povm(tuple(elements), guard_levels=0)
+        weights[n, n:] = row.astype(float) * eta**n * loss[: d - n]
+        row = np.cumsum(row[:-1])
+    return _diagonal_povm([str(n) for n in range(d)], weights)
 
 
 def on_off_apd(eta: float, nu: float, dim: int) -> Povm:
@@ -180,9 +199,7 @@ def on_off_apd(eta: float, nu: float, dim: int) -> Povm:
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"dark-count rate must lie in [0, 1], got {nu}")
     off = (1.0 - nu) * (1.0 - eta) ** np.arange(d)
-    el_off = PovmElement("off", np.diag(off).astype(complex))
-    el_on = PovmElement("on", np.diag(1.0 - off).astype(complex))
-    return Povm((el_off, el_on), guard_levels=0)
+    return _diagonal_povm(["off", "on"], np.array([off, 1.0 - off]))
 
 
 def scaled_projector(psi: np.ndarray, zeta: float, label: str = "hit") -> PovmElement:

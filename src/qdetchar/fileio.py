@@ -108,10 +108,6 @@ def _without_gc(fn):
     return paused
 
 
-class _Rows(list):
-    """A matrix as the JSON text of its rows; :func:`write_json` writes a row per line."""
-
-
 def _distinct_texts(values: np.ndarray, fmt: str):
     """``(rows, fmt)``: a 2-D float array's rows, each to fill a ``fmt`` template.
 
@@ -134,7 +130,7 @@ def _distinct_texts(values: np.ndarray, fmt: str):
     return strings[np.searchsorted(distinct, bits)], "%s"
 
 
-def _matrix_to_pairs(m: np.ndarray) -> _Rows:
+def _matrix_to_pairs(m: np.ndarray) -> list:
     # A complex row viewed as floats interleaves re and im, the order of its
     # [re, im] pairs, and %r is the float text the JSON encoder writes, signed
     # zeros included.  Like write_json, a NaN or infinity raises ValueError.
@@ -143,7 +139,7 @@ def _matrix_to_pairs(m: np.ndarray) -> _Rows:
         raise ValueError("Out of range float values are not JSON compliant")
     rows, fmt = _distinct_texts(parts, "%r")
     template = "[[" + "], [".join([fmt + ", " + fmt] * (parts.shape[1] // 2)) + "]]"
-    return _Rows(template % tuple(row.tolist()) for row in rows)
+    return [template % tuple(row.tolist()) for row in rows]
 
 
 def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
@@ -268,10 +264,10 @@ _compact = json.JSONEncoder(allow_nan=False).encode
 
 
 def _layout(value, newline: str) -> str:
-    """``value`` as ``json.dumps(indent=2)`` lays it out, but a matrix row per line."""
+    """``value`` as ``json.dumps(indent=2)`` lays it out, but an array's matrix row per line."""
     inner = newline + "  "
-    if isinstance(value, _Rows):
-        items, ends = value, "[]"
+    if isinstance(value, np.ndarray):
+        items, ends = _matrix_to_pairs(value), "[]"
     elif isinstance(value, dict) and value:
         items = (_compact(k) + ": " + _layout(v, inner) for k, v in value.items())
         ends = "{}"
@@ -286,13 +282,16 @@ def write_json(doc: dict, path) -> None:
     """Write ``doc`` as the JSON text of every file this program writes.
 
     Objects and lists are indented by two spaces, byte for byte as
-    ``json.dumps(doc, indent=2)`` writes them; each matrix row from
-    :func:`_matrix_to_pairs` is written as the compact line it holds.  The
-    whole text is built before the file is opened, so a NaN or infinity
-    raises ``ValueError`` (for a matrix, when its rows are built) and leaves
-    any file at ``path`` as it was.
+    ``json.dumps(doc, indent=2)`` writes them; a numpy array is a matrix of
+    ``[re, im]`` pairs, each row on one compact line from
+    :func:`_matrix_to_pairs`.  The whole text is built before the file is
+    opened, so a NaN or infinity raises ``ValueError`` naming ``path`` and
+    leaves any file there as it was.
     """
-    text = _layout(doc, "\n") + "\n"
+    try:
+        text = _layout(doc, "\n") + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     Path(path).write_text(text)
 
 
@@ -305,7 +304,7 @@ def save_povm(povm: Povm, path) -> None:
         "dim": povm.dim,
         "guard_levels": povm.guard_levels,
         "outcomes": [
-            {"label": e.label, "matrix": _matrix_to_pairs(e.matrix)} for e in povm
+            {"label": e.label, "matrix": e.matrix} for e in povm
         ],
         "metadata": _metadata_out(povm.metadata),
     }
@@ -346,7 +345,7 @@ def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
             {
                 "label": e.label,
                 "prior": float(e.prior),
-                "matrix": _matrix_to_pairs(e.state),
+                "matrix": e.state,
             }
             for e in ensemble
         ],

@@ -6,6 +6,8 @@ from math import comb
 import numpy as np
 import pytest
 from conftest import random_element_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdetchar import (
     Povm,
@@ -55,6 +57,40 @@ class TestContainers:
         assert el.matrix[0, 0] == 1.0
         assert not el.matrix.flags.writeable and given.flags.writeable
 
+    @pytest.mark.parametrize("kind", ["view-of-writable", "strided", "float"])
+    def test_element_copies_a_read_only_array_that_can_still_be_written(self, kind):
+        # A writable array is copied too: test_element_keeps_its_own_copy.
+        base = np.eye(6, dtype=float if kind == "float" else complex)
+        given = {"view-of-writable": base[:], "strided": base[::2, ::2], "float": base}[kind]
+        given.setflags(write=False)
+        if kind != "view-of-writable":
+            base.setflags(write=False)
+        el = PovmElement("x", given)
+        assert not np.shares_memory(el.matrix, base)
+        base.setflags(write=True)  # the owner of the data can always write again
+        base[0, 0] = 2.0
+        assert el.matrix[0, 0] == 1.0 and not el.matrix.flags.writeable
+
+    def test_element_keeps_a_view_of_a_frozen_block(self):
+        block = np.zeros((2, 3, 3), dtype=complex)
+        block[:, [0, 1, 2], [0, 1, 2]] = [[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]]
+        block.setflags(write=False)
+        view = block[1]
+        el = PovmElement("x", view)
+        assert el.matrix is view and np.shares_memory(el.matrix, block)
+
+    @pytest.mark.parametrize(
+        "povm", [ideal_pnr(4), lossy_pnr(0.5, 4), on_off_apd(0.5, 0.1, 4)],
+        ids=["ideal-pnr", "lossy-pnr", "apd"],
+    )
+    def test_canonical_elements_are_frozen_views_of_one_block(self, povm):
+        block = povm.elements[0].matrix.base
+        assert block.shape == (len(povm), 4, 4) and not block.flags.writeable
+        for e in povm:
+            assert e.matrix.base is block
+            with pytest.raises(ValueError):
+                e.matrix.setflags(write=True)
+
     def test_povm_rejects_duplicates_and_mixed_dims(self):
         a = PovmElement("a", 0.5 * np.eye(3))
         with pytest.raises(ValueError, match="unique"):
@@ -85,6 +121,11 @@ class TestIdealPnr:
         report = validate_povm(p)
         assert report.passed and report.completeness_residual <= 1e-12
 
+    @pytest.mark.parametrize("d", [2, 7, 60])
+    def test_each_outcome_is_a_row_of_the_identity(self, d):
+        for n, e in enumerate(ideal_pnr(d)):
+            assert e.matrix.tobytes() == np.diag(np.eye(d)[n]).astype(complex).tobytes()
+
 
 class TestLossyPnr:
     def test_binomial_thinning_entries(self):
@@ -95,6 +136,34 @@ class TestLossyPnr:
                 comb(m, 1) * Fraction(3, 5) * Fraction(2, 5) ** (m - 1)
             ) if m >= 1 else 0.0
             np.testing.assert_allclose(el1.matrix[m, m].real, expected, atol=1e-14)
+
+    @staticmethod
+    def assert_entries_are_the_per_entry_formula(eta, d):
+        """Each entry equals ``comb(m, n) * eta**n * (1.0 - eta) ** (m - n)`` bit for bit."""
+        for n, e in enumerate(lossy_pnr(eta, d)):
+            want = np.zeros((d, d), dtype=complex)
+            for m in range(n, d):
+                want[m, m] = comb(m, n) * eta**n * (1.0 - eta) ** (m - n)
+            assert e.matrix.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 1.0), st.integers(2, 60))
+    def test_entries_are_the_per_entry_formula_bit_for_bit(self, eta, d):
+        self.assert_entries_are_the_per_entry_formula(eta, d)
+
+    def test_entries_at_dim_200_are_the_per_entry_formula_bit_for_bit(self):
+        self.assert_entries_are_the_per_entry_formula(0.5, 200)
+
+    def test_weight_overflow_raises_before_the_block_is_allocated(self, monkeypatch):
+        zeros = np.zeros
+
+        def two_dim_zeros(shape, *args, **kwargs):
+            assert np.size(shape) < 3, "block allocated before every weight was computed"
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", two_dim_zeros)
+        with pytest.raises(OverflowError):  # float(comb(1030, 515)) is beyond a double
+            lossy_pnr(0.5, 1031)
 
     def test_completeness_exact_on_all_levels(self):
         for eta in (0.3, 0.6, 0.99):
@@ -128,6 +197,14 @@ class TestOnOffApd:
         total = p.outcome("off").matrix + p.outcome("on").matrix
         np.testing.assert_array_equal(total, np.eye(14))
         assert validate_povm(p).passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(2, 60))
+    def test_elements_are_the_diagonal_matrices_bit_for_bit(self, eta, nu, d):
+        off = (1.0 - nu) * (1.0 - eta) ** np.arange(d)
+        p = on_off_apd(eta, nu, d)
+        assert p.outcome("off").matrix.tobytes() == np.diag(off).astype(complex).tobytes()
+        assert p.outcome("on").matrix.tobytes() == np.diag(1 - off).astype(complex).tobytes()
 
     def test_click_probability_on_two_photons(self):
         # 1 - (1-eta)^2 at eta = 0.5 and no dark counts

@@ -460,6 +460,31 @@ class TestJsonLayout:
                 write_json(doc, tmp_path / "m.json")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("writer", ["write_json", "save_povm", "save_ensemble", "save_report"])
+    def test_a_non_finite_value_is_refused_naming_the_file(self, tmp_path, writer):
+        path = tmp_path / "kept.json"
+        path.write_bytes(b"earlier bytes\n")
+        nan = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+        if writer == "write_json":
+            call = lambda: write_json({"a": [1.0, {"b": float("inf")}]}, path)  # noqa: E731
+        elif writer == "save_povm":
+            povm = ideal_pnr(2)
+            object.__setattr__(povm.elements[0], "matrix", nan)  # past the element's own check
+            call = lambda: save_povm(povm, path)  # noqa: E731
+        elif writer == "save_ensemble":
+            ensemble = uniform_fock_ensemble(2)
+            object.__setattr__(ensemble.entries[1], "state", nan)
+            call = lambda: save_ensemble(ensemble, path)  # noqa: E731
+        else:
+            rows = tuple(estimator_report(el) for el in ideal_pnr(2))
+            rows = (dataclasses.replace(rows[0], projectivity=float("nan")),) + rows[1:]
+            report = ReportFile(__version__, "sha256:" + "0" * 64, 2, CategoryThresholds(), rows)
+            call = lambda: save_report(report, path)  # noqa: E731
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value).startswith(f"{path}: Out of range float values")
+        assert path.read_bytes() == b"earlier bytes\n"
+
 
 # Few values, so that most matrices drawn from them repeat enough to be grouped.
 _M_POOL = st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1.0, -1 / 3])
