@@ -97,34 +97,28 @@ def _thresholds(args) -> CategoryThresholds:
 
 
 # Each model kind's flags after --dim, in the order its file's metadata
-# records them.  Every one but --nu (default 0) is required.
-_MODEL_FLAGS = {
-    "ideal-pnr": (),
-    "lossy-pnr": ("eta",),
-    "apd": ("eta", "nu"),
-    "scaled-projector": ("target", "zeta"),
+# records them, and its constructor.  Every flag but --nu (default 0) is required.
+_MODELS = {
+    "ideal-pnr": ((), lambda a: ideal_pnr(a.dim)),
+    "lossy-pnr": (("eta",), lambda a: lossy_pnr(a.eta, a.dim)),
+    "apd": (("eta", "nu"), lambda a: on_off_apd(a.eta, a.nu, a.dim)),
+    "scaled-projector": (("target", "zeta"), lambda a: complete_with_rest(
+        [scaled_projector(parse_target(a.target, a.dim)[1], a.zeta)], Tolerances.from_env()
+    )),
 }
 
 
 def cmd_model(args):
-    kind, flags = args.kind, _MODEL_FLAGS[args.kind]
-    given = [flag for flag in ("eta", "nu", "target", "zeta") if getattr(args, flag) is not None]
-    unused = [f"--{flag}" for flag in given if flag not in flags]
+    kind, (flags, build) = args.kind, _MODELS[args.kind]
+    every = dict.fromkeys(flag for used, _ in _MODELS.values() for flag in used)
+    unused = [f"--{f}" for f in every if f not in flags and getattr(args, f) is not None]
     if unused:
         raise ValueError(f"{kind} does not use {' or '.join(unused)}")
     args.nu = 0.0 if args.nu is None else args.nu
     if any(getattr(args, flag) is None for flag in flags):
         required = " and ".join(f"--{flag}" for flag in flags if flag != "nu")
         raise ValueError(f"{kind} requires {required}")
-    if kind == "ideal-pnr":
-        povm = ideal_pnr(args.dim)
-    elif kind == "lossy-pnr":
-        povm = lossy_pnr(args.eta, args.dim)
-    elif kind == "apd":
-        povm = on_off_apd(args.eta, args.nu, args.dim)
-    else:
-        element = scaled_projector(parse_target(args.target, args.dim)[1], args.zeta)
-        povm = complete_with_rest([element], Tolerances.from_env())
+    povm = build(args)
     # str of a float is its repr, and a target is stored as it was given.
     meta = {"model": kind, "dim": str(args.dim)}
     meta.update((flag, str(getattr(args, flag))) for flag in flags)
@@ -304,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("model", help="build a canonical detector model file")
-    p.add_argument("kind", choices=list(_MODEL_FLAGS))
+    p.add_argument("kind", choices=list(_MODELS))
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--eta", type=float, help="detection efficiency in [0, 1]")
     p.add_argument("--nu", type=float, help="dark-count rate in [0, 1] (default 0)")

@@ -3,62 +3,52 @@
 Every guard in the library reads its slack from a :class:`Tolerances` value so
 that a single object controls the numerics end to end.  The CLI builds its
 defaults through :meth:`Tolerances.from_env`, which honours ``QDETCHAR_*``
-environment variables (one variable per field, see ``_ENV_SUFFIX``).
+environment variables: one variable per field, named in the field's
+``metadata["env"]``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 __all__ = ["Tolerances", "CategoryThresholds", "DEFAULT_TOLS", "DEFAULT_THRESHOLDS"]
 
 ENV_PREFIX = "QDETCHAR_"
 
-# Environment variable suffix per field, e.g. QDETCHAR_HERM_TOL -> herm.
-_ENV_SUFFIX = {
-    "herm": "HERM_TOL",
-    "psd": "PSD_TOL",
-    "norm": "NORM_TOL",
-    "trace_floor": "TRACE_FLOOR",
-    "completeness": "COMPLETENESS_TOL",
-    "neg": "NEG_TOL",
-    "squeeze": "SQUEEZE_TOL",
-    "gauss": "GAUSS_TOL",
-    "gauss_tail": "GAUSS_TAIL_TOL",
-    "tail": "TAIL_TOL",
-}
 
+class _Settings:
+    """The check and the environment reader shared by the settings dataclasses."""
 
-def _from_env(cls, suffixes, environ):
-    """Defaults of ``cls`` with each ``QDETCHAR_*`` override applied and checked."""
-    environ = os.environ if environ is None else environ
-    settings = cls()
-    for f in fields(cls):
-        name = ENV_PREFIX + suffixes[f.name]
-        raw = environ.get(name)
-        if raw is not None:
-            try:
-                settings = replace(settings, **{f.name: float(raw)})
-            except ValueError as exc:
-                raise ValueError(f"{name}={raw!r}: {exc}") from None
-    return settings
+    def __post_init__(self):
+        # Every field is a slack or a cutoff: NaN, infinities and negatives are refused.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{type(self).__name__}.{f.name} must be a finite, non-negative number, "
+                    f"got {value!r}"
+                )
 
-
-def _require_valid(obj) -> None:
-    """Reject NaN, infinite and negative fields: every one is a slack or a cutoff."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not 0.0 <= value < math.inf:
-            raise ValueError(
-                f"{type(obj).__name__}.{f.name} must be a finite, non-negative number, "
-                f"got {value!r}"
-            )
+    @classmethod
+    def from_env(cls, environ=None):
+        """Build defaults, then apply and check any ``QDETCHAR_*`` overrides."""
+        environ = os.environ if environ is None else environ
+        settings = cls()
+        for f in fields(cls):
+            name = ENV_PREFIX + f.metadata["env"]
+            raw = environ.get(name)
+            if raw is not None:
+                try:
+                    settings = replace(settings, **{f.name: float(raw)})
+                except ValueError as exc:
+                    raise ValueError(f"{name}={raw!r}: {exc}") from None
+        return settings
 
 
 @dataclass(frozen=True)
-class Tolerances:
+class Tolerances(_Settings):
     """Numeric slacks used by validators and witnesses.
 
     Attributes
@@ -93,34 +83,20 @@ class Tolerances:
         exceeds it.
     """
 
-    herm: float = 1e-10
-    psd: float = 1e-10
-    norm: float = 1e-9
-    trace_floor: float = 1e-12
-    completeness: float = 1e-9
-    neg: float = 1e-6
-    squeeze: float = 1e-6
-    gauss: float = 1e-3
-    gauss_tail: float = 1e-6
-    tail: float = 1e-6
-
-    def __post_init__(self):
-        _require_valid(self)
-
-    @classmethod
-    def from_env(cls, environ=None) -> "Tolerances":
-        """Build defaults, then apply any ``QDETCHAR_*`` overrides."""
-        return _from_env(cls, _ENV_SUFFIX, environ)
-
-
-_THRESHOLD_SUFFIX = {
-    "projectivity_min": "PROJECTIVITY_MIN",
-    "ideality_min": "IDEALITY_MIN",
-}
+    herm: float = field(default=1e-10, metadata={"env": "HERM_TOL"})
+    psd: float = field(default=1e-10, metadata={"env": "PSD_TOL"})
+    norm: float = field(default=1e-9, metadata={"env": "NORM_TOL"})
+    trace_floor: float = field(default=1e-12, metadata={"env": "TRACE_FLOOR"})
+    completeness: float = field(default=1e-9, metadata={"env": "COMPLETENESS_TOL"})
+    neg: float = field(default=1e-6, metadata={"env": "NEG_TOL"})
+    squeeze: float = field(default=1e-6, metadata={"env": "SQUEEZE_TOL"})
+    gauss: float = field(default=1e-3, metadata={"env": "GAUSS_TOL"})
+    gauss_tail: float = field(default=1e-6, metadata={"env": "GAUSS_TAIL_TOL"})
+    tail: float = field(default=1e-6, metadata={"env": "TAIL_TOL"})
 
 
 @dataclass(frozen=True)
-class CategoryThresholds:
+class CategoryThresholds(_Settings):
     """Cutoffs for sorting outcomes into the three-category taxonomy.
 
     An outcome is projective when its projectivity reaches
@@ -129,15 +105,8 @@ class CategoryThresholds:
     experiment.
     """
 
-    projectivity_min: float = 0.99
-    ideality_min: float = 0.99
-
-    def __post_init__(self):
-        _require_valid(self)
-
-    @classmethod
-    def from_env(cls, environ=None) -> "CategoryThresholds":
-        return _from_env(cls, _THRESHOLD_SUFFIX, environ)
+    projectivity_min: float = field(default=0.99, metadata={"env": "PROJECTIVITY_MIN"})
+    ideality_min: float = field(default=0.99, metadata={"env": "IDEALITY_MIN"})
 
 
 DEFAULT_TOLS = Tolerances()

@@ -64,11 +64,9 @@ class PovmElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = self.matrix if _frozen(self.matrix) else np.array(self.matrix, dtype=complex)
-        arr = _square(arr, f"element {self.label!r}")
+        arr = _square(_read_only(self.matrix), f"element {self.label!r}")
         check_dim(arr.shape[0])
         object.__setattr__(self, "label", str(self.label))
-        arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -143,6 +141,13 @@ def _frozen(m) -> bool:
     return m is None
 
 
+def _read_only(m) -> np.ndarray:
+    """``m`` itself when :func:`_frozen`, else a read-only complex copy of it."""
+    arr = m if _frozen(m) else np.array(m, dtype=complex)
+    arr.setflags(write=False)
+    return arr
+
+
 def _diagonal_povm(labels, diagonals) -> Povm:
     """Diagonal elements from the rows of ``diagonals``, each a view of one frozen block."""
     k, d = diagonals.shape
@@ -180,7 +185,12 @@ def lossy_pnr(eta: float, dim: int) -> Povm:
     weights = np.zeros((d, d))
     row = np.ones(d, dtype=object)
     for n in range(d):
-        weights[n, n:] = row.astype(float) * eta**n * loss[: d - n]
+        try:
+            weights[n, n:] = row.astype(float) * eta**n * loss[: d - n]
+        except OverflowError:
+            raise ValueError(
+                f"dim {d}: binomial weight C({d - 1}, {n}) overflows a float"
+            ) from None
         row = np.cumsum(row[:-1])
     return _diagonal_povm([str(n) for n in range(d)], weights)
 

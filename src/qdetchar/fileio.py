@@ -59,7 +59,6 @@ from .retrodiction import (
     OutcomeCategory,
     ProbeEnsemble,
     ProbeEntry,
-    _EntryError,
     _identity_problems,
     classify_outcome,
     estimator_identity_residuals,
@@ -368,7 +367,7 @@ def load_ensemble(path, tols: Tolerances = DEFAULT_TOLS) -> ProbeEnsemble:
             raise ValueError(f"{where}: {exc}") from None
     try:
         return ProbeEnsemble(tuple(entries), tols)
-    except _EntryError as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolerances
-from .detectors import Povm, PovmElement
+from .detectors import Povm, PovmElement, _read_only
 from .errors import NullOutcomeError, UnreachableOutcomeError
 from .fock import (
     _as_density, _one_dim, _same_dim, _unit_ket, assert_density_matrix, check_dim, purity
@@ -69,11 +69,18 @@ IDENTITY_SLACK = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class RetrodictedState:
-    """Normalized element of a measurement, read as a preparation."""
+    """Normalized element of a measurement, read as a preparation.
+
+    The state is stored read-only, kept or copied as :class:`PovmElement`
+    keeps or copies its matrix, so it stays the state that was checked.
+    """
 
     state: np.ndarray
     element: PovmElement
     trace_weight: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "state", _read_only(self.state))
 
 
 class OutcomeCategory(str, Enum):
@@ -144,7 +151,8 @@ def retrodicted_state(
         raise NullOutcomeError(
             f"outcome {el.label!r} has trace {weight:.3g}; nothing to retrodict"
         )
-    rho = np.asarray(el.matrix) / weight
+    rho = el.matrix / weight
+    rho.setflags(write=False)  # so RetrodictedState keeps it without a copy
     assert_density_matrix(rho, tols, what=f"retrodicted state of {el.label!r}")
     return RetrodictedState(state=rho, element=el, trace_weight=weight)
 
@@ -209,10 +217,6 @@ class ProbeEntry:
         return self.state.shape[0]
 
 
-class _EntryError(ValueError):
-    """A probe entry that is not a density matrix; ``load_ensemble`` adds the file."""
-
-
 @dataclass(frozen=True, eq=False)
 class ProbeEnsemble:
     """Prior-weighted family of candidate input states.
@@ -230,10 +234,7 @@ class ProbeEnsemble:
             raise ValueError("ensemble needs at least one entry")
         _one_dim(entries, "entry")
         for i, e in enumerate(entries):
-            try:
-                assert_density_matrix(e.state, self.tols, what=f"entries[{i}]")
-            except ValueError as exc:
-                raise _EntryError(str(exc)) from None
+            assert_density_matrix(e.state, self.tols, what=f"entries[{i}]")
         total = sum(e.prior for e in entries)
         if abs(total - 1.0) > self.tols.norm:
             raise ValueError(f"priors sum to {total!r}, not 1")

@@ -131,6 +131,13 @@ class TestModel:
         assert code == 2 and err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_dim_whose_weights_overflow_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["model", "lossy-pnr", "--dim", "1031", "--eta", "0.5", "--out", str(out)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: dim 1031: binomial weight")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, metadata",
         [
@@ -601,7 +608,7 @@ class TestRetrodict:
         if expected == 0:
             assert "\n1: 1.000000000" in text
         else:
-            assert err.startswith("error: priors sum to 1.0000")
+            assert err.startswith(f"error: {ens_path}: priors sum to 1.0000")
 
     def test_an_entry_that_is_not_a_state_exits_2(self, tmp_path, capsys):
         povm_path, ens_path = tmp_path / "pnr.json", tmp_path / "ens.json"

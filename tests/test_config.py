@@ -1,6 +1,7 @@
 """Tolerances and classification thresholds."""
 
 import re
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,22 @@ class TestConfigValues:
 def test_readme_configuration_names_every_variable_read():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
-    suffixes = [*config._ENV_SUFFIX.values(), *config._THRESHOLD_SUFFIX.values()]
-    read = {config.ENV_PREFIX + suffix for suffix in suffixes}
+    settings = [*fields(Tolerances), *fields(CategoryThresholds)]
+    read = {config.ENV_PREFIX + f.metadata["env"] for f in settings}
     assert set(re.findall(r"QDETCHAR_[A-Z][A-Z_]*", section)) == read
+
+
+def test_a_setting_is_read_from_the_variable_its_field_names():
+    @dataclass(frozen=True)
+    class Extended(Tolerances):
+        extra: float = field(default=2.0, metadata={"env": "EXTRA_TOL"})
+
+    assert Extended.from_env({}).extra == 2.0
+    assert Extended.from_env({"QDETCHAR_EXTRA_TOL": "0.5"}).extra == 0.5
+    with pytest.raises(ValueError, match="^QDETCHAR_EXTRA_TOL='-1': Extended.extra must be"):
+        Extended.from_env({"QDETCHAR_EXTRA_TOL": "-1"})
+
+
+def test_each_setting_has_its_own_variable():
+    names = [f.metadata["env"] for cls in (Tolerances, CategoryThresholds) for f in fields(cls)]
+    assert len(names) == len(set(names)) == 12

@@ -162,7 +162,8 @@ class TestLossyPnr:
             return zeros(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "zeros", two_dim_zeros)
-        with pytest.raises(OverflowError):  # float(comb(1030, 515)) is beyond a double
+        # float(comb(1030, 515)) is beyond a double; the refusal names the dim
+        with pytest.raises(ValueError, match=r"^dim 1031: binomial weight C\(1030, "):
             lossy_pnr(0.5, 1031)
 
     def test_completeness_exact_on_all_levels(self):

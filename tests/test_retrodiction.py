@@ -16,6 +16,7 @@ from qdetchar import (
     PovmElement,
     ProbeEnsemble,
     ProbeEntry,
+    RetrodictedState,
     TmsvParams,
     Tolerances,
     UnreachableOutcomeError,
@@ -126,6 +127,20 @@ class TestRetrodictedState:
         assert retro.element is el
         assert retrodicted_state(retro) is retro
         assert retrodicted_state(retro, Tolerances(norm=1e-15)) is retro
+
+    def test_state_cannot_be_changed_after_its_check(self):
+        retro = retrodicted_state(on_off_apd(0.5, 0.0, 8).outcome("on"))
+        before = estimator_report(retro, fock_state(1, 8), "fock:1")
+        with pytest.raises(ValueError, match="read-only"):
+            retro.state[0, 0] = 7
+        assert estimator_report(retro, fock_state(1, 8), "fock:1") == before
+
+    def test_a_state_built_directly_keeps_no_link_to_the_callers_array(self):
+        el = ideal_pnr(3).outcome("1")
+        rho = np.array(el.matrix)
+        retro = RetrodictedState(state=rho, element=el, trace_weight=1.0)
+        rho[0, 0] = 7
+        assert retro.state[0, 0] == 0 and not retro.state.flags.writeable
 
 
 # Each public function that takes a measurement element, called on one; the
