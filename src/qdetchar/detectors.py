@@ -64,7 +64,9 @@ class PovmElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _square(_read_only(self.matrix), f"element {self.label!r}")
+        arr = self.matrix if _frozen(self.matrix) else np.array(self.matrix, dtype=complex)
+        arr.setflags(write=False)
+        arr = _square(arr, f"element {self.label!r}")
         check_dim(arr.shape[0])
         object.__setattr__(self, "label", str(self.label))
         object.__setattr__(self, "matrix", arr)
@@ -139,13 +141,6 @@ def _frozen(m) -> bool:
     while isinstance(m, np.ndarray) and not m.flags.writeable:
         m = m.base
     return m is None
-
-
-def _read_only(m) -> np.ndarray:
-    """``m`` itself when :func:`_frozen`, else a read-only complex copy of it."""
-    arr = m if _frozen(m) else np.array(m, dtype=complex)
-    arr.setflags(write=False)
-    return arr
 
 
 def _diagonal_povm(labels, diagonals) -> Povm:

@@ -12,6 +12,7 @@ for the requested state.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 
@@ -215,9 +216,12 @@ def eig_hermitian(m: np.ndarray):
 
 
 def purity(rho: np.ndarray) -> float:
-    """``Tr(rho @ rho)`` for a Hermitian matrix, as a real number."""
+    """``Tr(rho @ rho)`` for a Hermitian matrix, as a real number; a ``ValueError`` unless finite."""
     rho = np.asarray(rho, dtype=complex)
-    return float(np.real(np.einsum("ij,ji->", rho, rho)))
+    val = float(np.real(np.einsum("ij,ji->", rho, rho)))
+    if not math.isfinite(val):
+        raise ValueError(f"purity {val!r} is not finite")
+    return val
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

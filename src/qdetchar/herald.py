@@ -228,6 +228,8 @@ def retrodictive_limit_scan(
                     f"at dim {d}; increase dim"
                 )
             params.append(p)
+    if not params:
+        raise ValueError("the scan is empty; give at least one lam")
     target = conjugate_in_fock(retrodicted_state(element, tols).state)
     points = []
     for p in params:

@@ -40,10 +40,7 @@ __all__ = [
     "NonClassicalityReport",
     "wigner",
     "negativity_volume",
-    "covariance_matrix",
-    "squeezing_witness",
     "gaussian_reference",
-    "gaussianity_check",
     "witness_report",
     "nonclassicality_of_measurement",
 ]
@@ -165,12 +162,13 @@ def wigner(
 
     Warns when the grid reaches further than the truncated basis can
     represent (``radius**2 > 2 * dim``).  Raises if ``rho`` has an entry
-    that is not finite; if the grid reaches so far that the kernel overflows,
-    naming the grid; and if a value breaks the quantum bound ``W >= -1/pi``
-    beyond ``tols.neg``, which indicates the input was not a valid state.
+    that is not finite, or fewer than two levels (as :func:`check_dim`); if
+    the grid reaches so far that the kernel overflows, naming the grid; and
+    if a value breaks the quantum bound ``W >= -1/pi`` beyond ``tols.neg``,
+    which indicates the input was not a valid state.
     """
     rho = _square(rho, "state")
-    d = rho.shape[0]
+    d = check_dim(rho.shape[0])
     if grid.radius_sq > 2.0 * d:
         warnings.warn(
             f"grid reaches x^2+p^2 = {grid.radius_sq:.3g}, beyond the "
@@ -239,7 +237,18 @@ def negativity_volume(wgrid: WignerGrid, tols: Tolerances = DEFAULT_TOLS) -> flo
 
 
 def _moments(rho: np.ndarray):
-    """Like :func:`covariance_matrix`, plus ``heavy``: ``number_mean > dim / 4``."""
+    """Quadrature mean vector, symmetrized 2x2 covariance matrix, and ``heavy``.
+
+    Returns ``(mean, cov, heavy)`` with ``mean = (<x>, <p>)``,
+    ``cov[0, 1] = <xp + px>/2 - <x><p>`` and ``heavy`` true when the mean
+    photon number exceeds ``dim / 4``.  The moments are built from ``<a>``,
+    ``<a^2>`` and ``<a^dag a>``, which the truncated basis holds exactly, so
+    they are exact for any state inside the basis; quadrature operators cut
+    at the top level would lose the ``a a^dag`` ladder term there and could
+    falsely break ``det cov >= 1/4``.  A heavy state still warns, since a
+    truncated stand-in for a heavier intended state has lost its tail
+    either way.
+    """
     d = rho.shape[0]
     nbar = number_mean(rho)
     heavy = nbar > d / 4
@@ -258,30 +267,6 @@ def _moments(rho: np.ndarray):
     cpp = nbar + 0.5 - a2.real - mp * mp
     cxp = a2.imag - mx * mp
     return np.array([mx, mp]), np.array([[cxx, cxp], [cxp, cpp]]), heavy
-
-
-def covariance_matrix(rho: np.ndarray):
-    """Quadrature mean vector and symmetrized 2x2 covariance matrix.
-
-    Returns ``(mean, cov)`` with ``mean = (<x>, <p>)`` and
-    ``cov[0, 1] = <xp + px>/2 - <x><p>``.  The moments are built from
-    ``<a>``, ``<a^2>`` and ``<a^dag a>``, which the truncated basis holds
-    exactly, so they are exact for any state inside the basis; quadrature
-    operators cut at the top level would lose the ``a a^dag`` ladder term
-    there and could falsely break ``det cov >= 1/4``.  Still warns when the
-    mean photon number exceeds ``dim / 4``, since a truncated stand-in
-    for a heavier intended state has lost its tail either way.
-    """
-    return _moments(np.asarray(rho, dtype=complex))[:2]
-
-
-def _squeezed(cov: np.ndarray, tols: Tolerances) -> bool:
-    return bool(np.linalg.eigvalsh(cov)[0] < 0.5 - tols.squeeze)
-
-
-def squeezing_witness(rho: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> bool:
-    """True when some quadrature variance dips below the vacuum's 1/2."""
-    return _squeezed(_moments(np.asarray(rho, dtype=complex))[1], tols)
 
 
 def _expm_antihermitian(a: np.ndarray) -> np.ndarray:
@@ -334,6 +319,13 @@ class Gaussianity(str, Enum):
 
 
 def _gaussianity(rho, mean, cov, heavy, tols: Tolerances) -> Gaussianity:
+    """Compare a state against the Gaussian state with its first two moments.
+
+    The verdict is Gaussian when the overlap ratio
+    ``Tr(rho ref) / max(Tr(rho^2), Tr(ref^2))`` reaches ``1 - tols.gauss``.
+    Undetermined is returned instead of a guess whenever truncation makes
+    either the moments or the reconstructed reference unreliable.
+    """
     if heavy:
         return Gaussianity.UNDETERMINED
     ref, tail = gaussian_reference(mean, cov, rho.shape[0])
@@ -344,18 +336,6 @@ def _gaussianity(rho, mean, cov, heavy, tols: Tolerances) -> Gaussianity:
     if ratio >= 1.0 - tols.gauss:
         return Gaussianity.GAUSSIAN
     return Gaussianity.NON_GAUSSIAN
-
-
-def gaussianity_check(rho: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Gaussianity:
-    """Compare a state against the Gaussian state with its first two moments.
-
-    The verdict is Gaussian when the overlap ratio
-    ``Tr(rho ref) / max(Tr(rho^2), Tr(ref^2))`` reaches ``1 - tols.gauss``.
-    Undetermined is returned instead of a guess whenever truncation makes
-    either the moments or the reconstructed reference unreliable.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    return _gaussianity(rho, *_moments(rho), tols)
 
 
 @dataclass(frozen=True)
@@ -396,12 +376,17 @@ def witness_report(
     tols: Tolerances = DEFAULT_TOLS,
     thresholds: CategoryThresholds = DEFAULT_THRESHOLDS,
 ) -> NonClassicalityReport:
-    """Assemble every witness for a state whose Wigner grid is already known."""
+    """Assemble every witness for a state whose Wigner grid is already known.
+
+    ``squeezing_witness`` is true when some quadrature variance dips below
+    the vacuum's 1/2 by more than ``tols.squeeze``; ``gaussianity`` compares
+    the state against the Gaussian state with its first two moments.
+    """
     state = np.asarray(state, dtype=complex)
     mean, cov, heavy = _moments(state)
     minw = wgrid.min_value()
     negv = negativity_volume(wgrid, tols)
-    squeezed = _squeezed(cov, tols)
+    squeezed = bool(np.linalg.eigvalsh(cov)[0] < 0.5 - tols.squeeze)
     gauss = _gaussianity(state, mean, cov, heavy, tols)
     nonclassical, hudson_bad = _witness_verdicts(
         minw, negv, squeezed, gauss, projectivity_value, tols, thresholds

@@ -30,14 +30,14 @@ and are enforced as postconditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolerances
-from .detectors import Povm, PovmElement, _read_only
+from .detectors import Povm, PovmElement
 from .errors import NullOutcomeError, UnreachableOutcomeError
 from .fock import (
     _as_density, _one_dim, _same_dim, _unit_ket, assert_density_matrix, check_dim, purity
@@ -71,16 +71,34 @@ IDENTITY_SLACK = 1e-9
 class RetrodictedState:
     """Normalized element of a measurement, read as a preparation.
 
-    The state is stored read-only, kept or copied as :class:`PovmElement`
-    keeps or copies its matrix, so it stays the state that was checked.
+    Built from the element alone: a :class:`PovmElement`, a matrix, or the
+    element of another state.  ``trace_weight`` is ``Tr(element)`` and
+    ``state`` is ``element / trace_weight``, derived here and never given,
+    so neither can disagree with the element.  The state is read-only and
+    checked as a density matrix under ``tols``.  Raises
+    :class:`NullOutcomeError` for a null element (see
+    :meth:`~qdetchar.detectors.PovmElement.is_null`): a null outcome carries
+    no retrodictive content.
     """
 
-    state: np.ndarray
     element: PovmElement
-    trace_weight: float
+    tols: InitVar[Tolerances] = DEFAULT_TOLS
+    state: np.ndarray = field(init=False)
+    trace_weight: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "state", _read_only(self.state))
+    def __post_init__(self, tols):
+        el = _as_element(self.element)
+        weight = el.trace_weight
+        if el.is_null(tols):
+            raise NullOutcomeError(
+                f"outcome {el.label!r} has trace {weight:.3g}; nothing to retrodict"
+            )
+        rho = el.matrix / weight
+        rho.setflags(write=False)
+        assert_density_matrix(rho, tols, what=f"retrodicted state of {el.label!r}")
+        object.__setattr__(self, "element", el)
+        object.__setattr__(self, "state", rho)
+        object.__setattr__(self, "trace_weight", weight)
 
 
 class OutcomeCategory(str, Enum):
@@ -136,25 +154,10 @@ def born_probability(rho: np.ndarray, element, tols: Tolerances = DEFAULT_TOLS) 
 def retrodicted_state(
     element, tols: Tolerances = DEFAULT_TOLS
 ) -> RetrodictedState:
-    """Normalize a measurement element into the state it retrodicts.
-
-    A :class:`RetrodictedState` is returned as it is, not derived again.
-    Raises :class:`NullOutcomeError` for a null element (see
-    :meth:`~qdetchar.detectors.PovmElement.is_null`): a null outcome carries
-    no retrodictive content.
-    """
+    """The :class:`RetrodictedState` of an element; a state is returned as it is."""
     if isinstance(element, RetrodictedState):
         return element
-    el = _as_element(element)
-    weight = el.trace_weight
-    if el.is_null(tols):
-        raise NullOutcomeError(
-            f"outcome {el.label!r} has trace {weight:.3g}; nothing to retrodict"
-        )
-    rho = el.matrix / weight
-    rho.setflags(write=False)  # so RetrodictedState keeps it without a copy
-    assert_density_matrix(rho, tols, what=f"retrodicted state of {el.label!r}")
-    return RetrodictedState(state=rho, element=el, trace_weight=weight)
+    return RetrodictedState(element, tols)
 
 
 def projectivity(retro: RetrodictedState) -> float:

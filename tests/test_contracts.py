@@ -13,6 +13,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -90,25 +91,31 @@ def _dotted(node):
 
 
 def _qdetchar_uses(tree):
-    """``(dotted name, call node or None)`` for each ``qdetchar`` name ``tree`` takes."""
+    """``(dotted name, call node or None, loaded)`` for each ``qdetchar`` name ``tree`` takes.
+
+    ``loaded`` is false for an import and true for a read as a ``Name`` or an
+    ``Attribute``; a relative import is one of the package's own modules.
+    """
     bound = {}  # local name -> the qdetchar name it is bound to
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "qdetchar":
                     bound[alias.asname or "qdetchar"] = alias.name if alias.asname else "qdetchar"
-                    yield alias.name, None
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qdetchar":
-            for alias in node.names:
-                name = bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-                yield name, None
+                    yield alias.name, None, False
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["qdetchar" if node.level else None, node.module]))
+            if module.split(".")[0] == "qdetchar":
+                for alias in node.names:
+                    name = bound[alias.asname or alias.name] = f"{module}.{alias.name}"
+                    yield name, None, False
     calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Attribute, ast.Name)) and isinstance(node.ctx, ast.Load):
             dotted = _dotted(node)
             root, _, rest = (dotted or "").partition(".")
             if root in bound:
-                yield ".".join(filter(None, [bound[root], rest])), calls.get(id(node))
+                yield ".".join(filter(None, [bound[root], rest])), calls.get(id(node)), True
 
 
 def _resolve(dotted):
@@ -137,7 +144,7 @@ def test_every_qdetchar_name_perfbench_uses_resolves_and_binds(perfbench):
     each direct call of a function takes the arguments the benchmark passes."""
     seen = set()
     for path in sorted(perfbench.glob("*.py")):
-        for dotted, call in _qdetchar_uses(ast.parse(path.read_text(encoding="utf-8"))):
+        for dotted, call, _ in _qdetchar_uses(ast.parse(path.read_text(encoding="utf-8"))):
             seen.add(dotted)
             obj, whole = _resolve(dotted)
             assert obj is not None, f"{path.name}: {dotted}"
@@ -156,3 +163,55 @@ def test_every_qdetchar_name_perfbench_uses_resolves_and_binds(perfbench):
                  "qdetchar.herald.tmsv", "qdetchar.phasespace.witness_report",
                  "qdetchar.cli.main", "qdetchar.detectors.lossy_pnr"):
         assert name in seen, name
+
+
+# Public names that no file reads beyond their own definitions, each kept for a reason.
+_UNUSED_BY_DESIGN = {
+    # The Bayes-versus-proposition-operator cross-check needs a second route to
+    # the posterior that shares no code with retrodict_ensemble; only the tests
+    # that compare the two routes call it.
+    "proposition_operator",
+    # The reader of the grid files that ``wigner`` and ``characterize
+    # --witnesses`` write; the program only writes them.
+    "read_wigner_grid",
+}
+
+
+def _user_trees():
+    """``(path, tree)`` for each file whose reads count as a use of a public name:
+    the package's modules, the demos, the benchmark and README's Python blocks."""
+    for folder in ("src/qdetchar", "demos", "perfbench"):
+        for path in sorted((_ROOT / folder).glob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+    readme = _ROOT / "README.md"
+    for block in re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S):
+        yield readme, ast.parse(block)
+
+
+def _own_reads(tree):
+    """Names a module reads bare, each outside the ``def`` or ``class`` that defines it."""
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
+                yield node.id
+
+
+def test_every_public_name_is_used_beyond_its_definition(wraps):
+    """A name in ``qdetchar.__all__`` is read, as a ``Name`` or as an
+    ``Attribute`` of a ``qdetchar`` module, somewhere beside its own
+    definition, or the benchmark wraps it by name.  A field spelt like a
+    function (``row.squeezing_witness``) is not a read of the function."""
+    home = {"__version__": _ROOT / "src/qdetchar/_version.py"}
+    for module in _MODULES:
+        for name in importlib.import_module(f"qdetchar.{module}").__all__:
+            home[name] = _ROOT / f"src/qdetchar/{module}.py"
+    modules = {"qdetchar"} | {f"qdetchar.{path.stem}" for path in (_ROOT / "src/qdetchar").glob("*.py")}
+    used = {attr for _, attr in wraps}
+    for path, tree in _user_trees():
+        for dotted, _, loaded in _qdetchar_uses(tree):
+            module, _, name = dotted.rpartition(".")
+            if loaded and module in modules:
+                used.add(name)
+        used.update(name for name in _own_reads(tree) if home.get(name) == path)
+    assert sorted(set(qdetchar.__all__) - used) == sorted(_UNUSED_BY_DESIGN)

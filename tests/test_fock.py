@@ -216,6 +216,11 @@ class TestMetrics:
         v = random_pure(rng, 7)
         np.testing.assert_allclose(purity(np.outer(v, v.conj())), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_purity_is_refused_unless_finite(self, bad):
+        with pytest.raises(ValueError, match="^purity (nan|inf) is not finite$"):
+            purity(np.full((2, 2), bad))
+
     def test_trace_distance_extremes(self):
         r0 = np.diag([1.0, 0.0]).astype(complex)
         r1 = np.diag([0.0, 1.0]).astype(complex)

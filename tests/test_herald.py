@@ -271,6 +271,8 @@ class TestLimitScan:
             retrodictive_limit_scan(el, [0.5], 20)
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             retrodictive_limit_scan(el, [1.0], 30)
+        with pytest.raises(ValueError, match="^the scan is empty; give at least one lam$"):
+            retrodictive_limit_scan(el, [], 30)
 
     def test_heralded_state_approaches_conjugate_retro(self):
         el = lossy_pnr(0.6, 70).outcome("2")

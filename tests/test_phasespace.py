@@ -14,6 +14,7 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from qdetchar import (
+    DEFAULT_TOLS,
     Gaussianity,
     PhaseSpaceGrid,
     Tolerances,
@@ -21,19 +22,17 @@ from qdetchar import (
     annihilation,
     coherent_state,
     complete_with_rest,
-    covariance_matrix,
     fock_state,
     gaussian_reference,
-    gaussianity_check,
     ideal_pnr,
     lossy_pnr,
     negativity_volume,
     nonclassicality_of_measurement,
     on_off_apd,
+    purity,
     retrodicted_state,
     scaled_projector,
     squeezed_vacuum,
-    squeezing_witness,
     wigner,
     witness_report,
 )
@@ -87,8 +86,8 @@ def termwise_wigner(rho, grid):
 def padded_moments(rho):
     """Reference moments: quadrature operators on a basis padded by two levels.
 
-    The operator route that ``covariance_matrix`` took before its ladder
-    closed form, kept as the oracle for it.
+    The operator route that the moments took before their ladder closed
+    form, kept as the oracle for it.
     """
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
@@ -107,14 +106,34 @@ def padded_moments(rho):
     return np.array([mx, mp]), np.array(cov)
 
 
+def moments(rho):
+    """``(mean, cov)`` of ``rho``, as the witnesses read them."""
+    return phasespace._moments(np.asarray(rho, dtype=complex))[:2]
+
+
+def witnesses(rho, tols=DEFAULT_TOLS):
+    """``witness_report`` of ``rho``, the one public way to its squeezing and
+    Gaussianity verdicts.
+
+    Both verdicts read only the moments, so the Wigner function is sampled
+    on the tiny grid ``ORIGIN``, and the warning that ``|W|`` has not
+    decayed on its boundary is ignored.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    w = wigner(rho, ORIGIN, tols)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"\|W\| reaches", TruncationWarning)
+        return witness_report(rho, w, "rho", purity(rho), tols)
+
+
 @contextmanager
 def oracle_route():
     """Run the phase-space module on scipy's ``expm`` and the padded moments."""
-    def moments(rho):
+    def padded(rho):
         return (*padded_moments(rho), number_mean(rho) > rho.shape[0] / 4)
 
     with mock.patch.object(phasespace, "_expm_antihermitian", expm), \
-            mock.patch.object(phasespace, "_moments", moments):
+            mock.patch.object(phasespace, "_moments", padded):
         yield
 
 
@@ -303,11 +322,13 @@ class TestAgainstTermwiseOracle:
 
     @pytest.mark.parametrize("grid", [ORIGIN, OFF_CENTRE])
     def test_one_level(self, grid):
-        self.assert_matches(np.ones((1, 1), dtype=complex), grid)
+        # refused as every other entry point refuses a truncation below 2
+        with pytest.raises(ValueError, match="^truncation dimension must be at least 2, got 1$"):
+            wigner(np.ones((1, 1), dtype=complex), grid)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(1, 16),
+        st.integers(2, 16),
         st.integers(0, 2**32 - 1),
         st.one_of(
             # odd point counts put the origin on a node and repeat every radius
@@ -332,7 +353,7 @@ class TestAgainstTermwiseOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(1, 12).flatmap(
+        st.integers(2, 12).flatmap(
             lambda d: arrays(
                 np.complex128,
                 (d, d),
@@ -370,24 +391,24 @@ class TestNegativityVolume:
 
 class TestMoments:
     def test_vacuum_covariance(self):
-        mean, cov = covariance_matrix(dm(fock_state(0, 8)))
+        mean, cov = moments(dm(fock_state(0, 8)))
         np.testing.assert_allclose(mean, [0.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(cov, np.eye(2) / 2, atol=1e-14)
 
     def test_single_photon_covariance(self):
-        _, cov = covariance_matrix(dm(fock_state(1, 8)))
+        _, cov = moments(dm(fock_state(1, 8)))
         np.testing.assert_allclose(cov, 1.5 * np.eye(2), atol=1e-14)
 
     def test_coherent_displaces_the_mean_only(self):
         alpha = 0.6 + 0.3j
-        mean, cov = covariance_matrix(dm(coherent_state(alpha, 30)))
+        mean, cov = moments(dm(coherent_state(alpha, 30)))
         np.testing.assert_allclose(
             mean, [np.sqrt(2) * alpha.real, np.sqrt(2) * alpha.imag], atol=1e-9
         )
         np.testing.assert_allclose(cov, np.eye(2) / 2, atol=1e-9)
 
     def test_squeezed_variances(self):
-        _, cov = covariance_matrix(dm(squeezed_vacuum(0.5, 60)))
+        _, cov = moments(dm(squeezed_vacuum(0.5, 60)))
         np.testing.assert_allclose(cov[0, 0], np.exp(-1.0) / 2, atol=1e-8)
         np.testing.assert_allclose(cov[1, 1], np.exp(1.0) / 2, atol=1e-8)
         np.testing.assert_allclose(cov[0, 1], 0.0, atol=1e-8)
@@ -396,33 +417,33 @@ class TestMoments:
     def test_uncertainty_relation(self, rng):
         for _ in range(50):
             d = int(rng.integers(2, 14))
-            _, cov = covariance_matrix(random_density(rng, d))
+            _, cov = moments(random_density(rng, d))
             assert np.linalg.det(cov) >= 0.25 - 1e-9
 
     def test_warns_on_heavy_states(self):
         with pytest.warns(TruncationWarning, match="mean photon"):
-            covariance_matrix(thermal(5.0, 8))
+            moments(thermal(5.0, 8))
 
     @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
     def test_matches_padded_operator_oracle(self, rng):
         states = [rho for _, rho in canonical_states()]
         states += [random_density(rng, int(rng.integers(2, 30))) for _ in range(40)]
         for rho in states:
-            for got, want in zip(covariance_matrix(rho), padded_moments(rho)):
+            for got, want in zip(moments(rho), padded_moments(rho)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestSqueezingWitness:
     def test_fires_only_below_vacuum_noise(self):
-        assert squeezing_witness(dm(squeezed_vacuum(0.5, 40)))
-        assert not squeezing_witness(dm(fock_state(0, 10)))
-        assert not squeezing_witness(dm(coherent_state(0.7, 20)))
-        assert not squeezing_witness(dm(fock_state(1, 10)))
+        assert witnesses(dm(squeezed_vacuum(0.5, 40))).squeezing_witness
+        assert not witnesses(dm(fock_state(0, 10))).squeezing_witness
+        assert not witnesses(dm(coherent_state(0.7, 20))).squeezing_witness
+        assert not witnesses(dm(fock_state(1, 10))).squeezing_witness
 
     def test_dead_band_is_adjustable(self):
         barely = dm(squeezed_vacuum(0.01, 20))
-        assert squeezing_witness(barely)
-        assert not squeezing_witness(barely, Tolerances(squeeze=0.1))
+        assert witnesses(barely).squeezing_witness
+        assert not witnesses(barely, Tolerances(squeeze=0.1)).squeezing_witness
 
 
 class TestGaussianReference:
@@ -433,7 +454,7 @@ class TestGaussianReference:
         mean = np.array([0.3, -0.2])
         ref, tail = gaussian_reference(mean, cov, 60)
         assert tail < 1e-8
-        got_mean, got_cov = covariance_matrix(ref)
+        got_mean, got_cov = moments(ref)
         np.testing.assert_allclose(got_mean, mean, atol=1e-7)
         np.testing.assert_allclose(got_cov, cov, atol=1e-7)
 
@@ -486,23 +507,23 @@ class TestGaussianReference:
 
 class TestGaussianityCheck:
     def test_gaussian_family(self):
-        assert gaussianity_check(dm(fock_state(0, 20))) is Gaussianity.GAUSSIAN
-        assert gaussianity_check(dm(coherent_state(0.8, 25))) is Gaussianity.GAUSSIAN
-        assert gaussianity_check(dm(squeezed_vacuum(0.4, 40))) is Gaussianity.GAUSSIAN
-        assert gaussianity_check(thermal(0.5, 40)) is Gaussianity.GAUSSIAN
+        assert witnesses(dm(fock_state(0, 20))).gaussianity is Gaussianity.GAUSSIAN
+        assert witnesses(dm(coherent_state(0.8, 25))).gaussianity is Gaussianity.GAUSSIAN
+        assert witnesses(dm(squeezed_vacuum(0.4, 40))).gaussianity is Gaussianity.GAUSSIAN
+        assert witnesses(thermal(0.5, 40)).gaussianity is Gaussianity.GAUSSIAN
 
     def test_single_photon_is_non_gaussian(self):
-        assert gaussianity_check(dm(fock_state(1, 30))) is Gaussianity.NON_GAUSSIAN
+        assert witnesses(dm(fock_state(1, 30))).gaussianity is Gaussianity.NON_GAUSSIAN
 
     def test_undetermined_when_reference_tail_is_fat(self):
         # same state, basis too small for the matched thermal reference
-        assert gaussianity_check(dm(fock_state(1, 10))) is Gaussianity.UNDETERMINED
+        assert witnesses(dm(fock_state(1, 10))).gaussianity is Gaussianity.UNDETERMINED
 
     def test_undetermined_when_state_is_heavy(self):
         # decided from the moments alone: no O(d^3) reference is built
         with mock.patch.object(phasespace, "gaussian_reference") as reference:
             with pytest.warns(TruncationWarning):
-                verdict = gaussianity_check(thermal(4.0, 12))
+                verdict = witnesses(thermal(4.0, 12)).gaussianity
         assert verdict is Gaussianity.UNDETERMINED
         reference.assert_not_called()
 
@@ -510,12 +531,12 @@ class TestGaussianityCheck:
     def test_canonical_verdicts_and_tails_match_the_oracle_route(self):
         verdicts = set()
         for name, rho in canonical_states():
-            mean, cov = covariance_matrix(rho)
+            mean, cov = moments(rho)
             tail = gaussian_reference(mean, cov, rho.shape[0])[1]
-            verdict = gaussianity_check(rho)
+            verdict = witnesses(rho).gaussianity
             with oracle_route():
                 want_tail = gaussian_reference(*padded_moments(rho), rho.shape[0])[1]
-                want = gaussianity_check(rho)
+                want = witnesses(rho).gaussianity
             assert verdict is want, name
             assert abs(tail - want_tail) <= 1e-12, name
             verdicts.add(verdict)

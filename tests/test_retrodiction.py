@@ -6,6 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import random_element_matrix, random_pure
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qdetchar import (
     CategoryThresholds,
@@ -135,12 +138,48 @@ class TestRetrodictedState:
             retro.state[0, 0] = 7
         assert estimator_report(retro, fock_state(1, 8), "fock:1") == before
 
-    def test_a_state_built_directly_keeps_no_link_to_the_callers_array(self):
+    def test_a_state_is_built_from_its_element_alone(self):
         el = ideal_pnr(3).outcome("1")
-        rho = np.array(el.matrix)
-        retro = RetrodictedState(state=rho, element=el, trace_weight=1.0)
-        rho[0, 0] = 7
-        assert retro.state[0, 0] == 0 and not retro.state.flags.writeable
+        with pytest.raises(TypeError):
+            RetrodictedState(state=np.eye(3) / 3, element=el, trace_weight=1.0)
+        retro = RetrodictedState(el)
+        assert retro.element is el and retro.trace_weight == 1.0
+        assert np.array_equal(retro.state, np.diag([0, 1, 0])) and not retro.state.flags.writeable
+        assert estimator_report(retro).category is OutcomeCategory.PROJECTIVE_IDEAL
+        assert RetrodictedState(retro).element is el
+        with pytest.raises(NullOutcomeError):
+            RetrodictedState(PovmElement("null", np.zeros((4, 4))))
+
+    def test_a_state_keeps_no_link_to_the_callers_array(self):
+        m = np.array(ideal_pnr(3).outcome("1").matrix)
+        retro = RetrodictedState(m)
+        m[0, 0] = 7
+        assert retro.state[0, 0] == 0 and retro.element.label == "element"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 16).flatmap(
+            lambda d: arrays(
+                np.complex128,
+                (d, d),
+                elements=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+            )
+        ),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_a_state_is_its_element_over_its_trace(self, g, scale, seed):
+        h = g @ g.conj().T
+        top = np.linalg.eigvalsh(h)[-1]
+        assume(top > 0.0)
+        el = PovmElement("r", h * (scale / top))
+        assume(not el.is_null())
+        retro = RetrodictedState(el)
+        assert retro.state.tobytes() == (el.matrix / el.trace_weight).tobytes()
+        assert retro.trace_weight == el.trace_weight
+        target = random_pure(np.random.default_rng(seed), el.dim)
+        row = estimator_report(retro, target, "t")  # never the identity check's RuntimeError
+        assert row.trace_weight == el.trace_weight
 
 
 # Each public function that takes a measurement element, called on one; the
