@@ -983,6 +983,15 @@ class TestWignerGridFiles:
         assert back.grid == wg.grid
         np.testing.assert_array_equal(back.values, wg.values)
 
+    def test_grid_built_from_numpy_scalars_reads_back(self, tmp_path):
+        # the header holds plain numbers, not "np.float64(-2.0)"
+        grid = PhaseSpaceGrid(np.float64(-2.0), np.float32(2.0), -2, 2.0, np.int64(5), 5)
+        wg = wigner(np.outer(fock_state(1, 8), fock_state(1, 8)), grid)
+        path = tmp_path / "w.dat"
+        write_wigner_grid(wg, path)
+        assert "# x_axis: -2.0 2.0 5\n# p_axis: -2.0 2.0 5\n" in path.read_text()
+        assert read_wigner_grid(path).grid == grid
+
     def test_file_is_loadtxt_compatible(self, tmp_path):
         state = np.outer(fock_state(0, 8), fock_state(0, 8))
         wg = wigner(state, PhaseSpaceGrid.symmetric(2.0, 5))

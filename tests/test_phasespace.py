@@ -1,5 +1,8 @@
 """Wigner evaluation, moments, and non-classicality witnesses."""
 
+import re
+import sys
+import threading
 import warnings
 from contextlib import contextmanager
 from unittest import mock
@@ -37,7 +40,7 @@ from qdetchar import (
     witness_report,
 )
 from qdetchar import phasespace
-from qdetchar.fock import number_mean
+from qdetchar.fock import hermitize, number_mean
 
 ORIGIN = PhaseSpaceGrid.symmetric(1.0, 3)  # tiny odd grid containing (0, 0)
 
@@ -187,6 +190,35 @@ class TestGrid:
     def test_rejects_extents_that_cannot_be_evaluated(self, extents):
         with pytest.raises(ValueError, match=r"grid x \[.*\], p \[.*\]: extents"):
             PhaseSpaceGrid(*extents, 5, 5)
+
+    @pytest.mark.parametrize("count", [3.0, 3.5, "3", True, np.float64(3.0), None])
+    @pytest.mark.parametrize("field", ["n_x", "n_p"])
+    def test_rejects_point_counts_that_are_not_integers(self, field, count):
+        counts = {"n_x": 3, "n_p": 3, field: count}
+        message = re.escape(f"grid {field} must be an integer, got {count!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, **counts)
+        with pytest.raises(ValueError, match="^grid n_x must be an integer"):
+            PhaseSpaceGrid.symmetric(1.0, count)
+
+    @pytest.mark.parametrize("extent", ["1", None, 1j, True, [1.0]])
+    @pytest.mark.parametrize("field", ["x_min", "x_max", "p_min", "p_max"])
+    def test_rejects_extents_that_are_not_real(self, field, extent):
+        extents = {"x_min": -1.0, "x_max": 2.0, "p_min": -1.0, "p_max": 2.0, field: extent}
+        with pytest.raises(ValueError, match=rf"^grid {field} must be a real number, got "):
+            PhaseSpaceGrid(**extents, n_x=3, n_p=3)
+
+    def test_stores_floats_and_ints_whatever_built_it(self):
+        # numpy scalars and int extents are accepted, and an equal grid has
+        # the same axes, bit for bit, as the one built from Python floats
+        g = PhaseSpaceGrid(np.float32(-1.5), 2, np.float64(-1.0), np.int64(3), np.int32(7), np.uint8(5))
+        want = PhaseSpaceGrid(-1.5, 2.0, -1.0, 3.0, 7, 5)
+        assert g == want
+        fields = [g.x_min, g.x_max, g.p_min, g.p_max, g.n_x, g.n_p]
+        assert [type(v) for v in fields] == [float] * 4 + [int] * 2
+        assert g.x_axis.tobytes() == want.x_axis.tobytes()
+        assert g.p_axis.tobytes() == want.p_axis.tobytes()
+        assert repr(g) == repr(want)
 
 
 class TestWignerValues:
@@ -368,6 +400,169 @@ class TestAgainstTermwiseOracle:
         self.assert_matches(h / tr, PhaseSpaceGrid(-2.5, 3.0, -1.5, 2.0, 9, 7))
 
 
+def zero_twin(grid):
+    """``grid`` with the sign of every zero extent flipped: an equal grid, hashed alike."""
+    extents = (grid.x_min, grid.x_max, grid.p_min, grid.p_max)
+    return PhaseSpaceGrid(*(-v if v == 0.0 else v for v in extents), grid.n_x, grid.n_p)
+
+
+def fresh_wigner(rho, grid):
+    """``wigner`` on a geometry built for this call alone."""
+    phasespace._cached_geometry.cache_clear()
+    try:
+        return wigner(rho, grid).values
+    finally:
+        phasespace._cached_geometry.cache_clear()
+
+
+# (min, max) of one axis: anywhere, or ending at a zero of either sign
+_AXIS_ENDS = st.one_of(
+    st.tuples(st.floats(-6.0, 3.0), st.floats(0.25, 8.0)).map(lambda t: (t[0], t[0] + t[1])),
+    st.tuples(st.floats(-6.0, -0.25), st.sampled_from([0.0, -0.0])),
+    st.tuples(st.sampled_from([0.0, -0.0]), st.floats(0.25, 6.0)),
+)
+_GRIDS = st.builds(
+    lambda x, p, n_x, n_p: PhaseSpaceGrid(*x, *p, n_x, n_p),
+    _AXIS_ENDS,
+    _AXIS_ENDS,
+    st.integers(2, 64),
+    st.integers(2, 64),
+)
+
+
+def _state(kind, dim, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return random_density(rng, dim)
+    if kind == "coherent":
+        return dm(coherent_state(complex(*rng.uniform(-1.0, 1.0, 2)), dim))
+    weights = rng.random(dim)
+    return np.diag(weights / weights.sum()).astype(complex)
+
+
+@pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+class TestGeometryCache:
+    """One grid's geometry, kept across ``wigner`` calls, against a fresh build."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        _GRIDS,
+        _GRIDS,
+        st.sampled_from(["dense", "coherent", "diagonal"]),
+        st.integers(2, 12),
+        st.integers(0, 2**32 - 1),
+        st.permutations(range(3)),
+    )
+    def test_cached_bits_match_a_fresh_build(self, grid, other, kind, dim, seed, order):
+        rho = _state(kind, dim, seed)
+        grids = [grid, zero_twin(grid), other]
+        want = [fresh_wigner(rho, g) for g in grids]
+        phasespace._cached_geometry.cache_clear()
+        for i in [*order, *order]:  # each grid met first, then again from the cache
+            assert wigner(rho, grids[i]).values.tobytes() == want[i].tobytes()
+        for g, values in zip(grids, want):
+            np.testing.assert_allclose(values, termwise_wigner(rho, g), rtol=0, atol=1e-12)
+
+    def test_signed_zero_twins_keep_their_own_angles(self):
+        # arctan2 reads the sign of a zero, so these equal grids give
+        # different bits for a state with coherences; sharing one geometry
+        # would hand the second grid the first one's values
+        neg = PhaseSpaceGrid(-3.0, -0.0, -3.0, -0.0, 30, 31)
+        pos = zero_twin(neg)
+        assert neg == pos and hash(neg) == hash(pos)
+        rho = dm(coherent_state(0.6 + 0.3j, 12))
+        want = {g.x_max.hex(): fresh_wigner(rho, g).tobytes() for g in (neg, pos)}
+        assert want[neg.x_max.hex()] != want[pos.x_max.hex()]
+        for first, second in ((neg, pos), (pos, neg)):
+            phasespace._cached_geometry.cache_clear()
+            for g in (first, second, first):
+                assert wigner(rho, g).values.tobytes() == want[g.x_max.hex()]
+
+    def test_cached_arrays_are_read_only(self):
+        grid = PhaseSpaceGrid(-1.0, 4.0, -3.0, 2.0, 23, 17)
+        wigner(dm(coherent_state(0.5, 8)), grid)
+        geo = phasespace._geometry(grid)
+        for name in ("radii", "where", "half_r", "decay", "log_beta", "phase"):
+            array = getattr(geo, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[1]
+
+    def test_diagonal_states_build_no_angular_part(self):
+        grid = PhaseSpaceGrid.symmetric(3.0, 25)
+        phasespace._cached_geometry.cache_clear()
+        wigner(thermal(0.5, 10), grid)
+        geo = phasespace._geometry(grid)
+        assert "phase" not in vars(geo) and "log_beta" not in vars(geo)
+        wigner(dm(coherent_state(0.5, 10)), grid)
+        assert phasespace._geometry(grid) is geo
+        assert "phase" in vars(geo) and "log_beta" in vars(geo)
+
+    def test_cache_is_bounded(self):
+        maxsize = phasespace._cached_geometry.cache_info().maxsize
+        assert maxsize == 8
+        phasespace._cached_geometry.cache_clear()
+        for n in range(2, 2 + 2 * maxsize):
+            wigner(thermal(0.5, 6), PhaseSpaceGrid.symmetric(2.0, n))
+        info = phasespace._cached_geometry.cache_info()
+        assert info.currsize == maxsize and info.misses == 2 * maxsize
+
+    def test_threads_sharing_the_cache_get_fresh_bits(self):
+        # threads race to build the same geometries and their lazy phases
+        grids = [PhaseSpaceGrid.symmetric(2.0 + 0.5 * i, 21 + i) for i in range(3)]
+        rho = dm(coherent_state(0.4 - 0.2j, 8))
+        want = [fresh_wigner(rho, g).tobytes() for g in grids]
+        bad = []
+
+        def work(offset):
+            for i in range(12):
+                g = (i + offset) % len(grids)
+                if wigner(rho, grids[g]).values.tobytes() != want[g]:
+                    bad.append(g)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            phasespace._cached_geometry.cache_clear()
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_interleaved_grids_give_identical_reports(self, tmp_path, capsys):
+        # characterize --witnesses on grid A, then B, then A again in one
+        # process: the reports for A match each other and a fresh process's
+        from qdetchar.cli import main
+        from qdetchar.fileio import save_povm
+
+        povms = {
+            "lossy": lossy_pnr(0.9, 12),
+            "projector": complete_with_rest([scaled_projector(coherent_state(0.6 + 0.3j, 12), 0.8)]),
+        }
+        grids = {"A": ["--grid-radius", "4", "--grid-points", "31"],
+                 "B": ["--grid-radius", "3", "--grid-points", "40"]}
+        for name, povm in povms.items():
+            path = tmp_path / f"{name}.json"
+            save_povm(povm, path)
+
+            def report(grid, run):
+                out = tmp_path / f"{name}-{grid}-{run}.json"
+                argv = ["characterize", str(path), "--witnesses", *grids[grid], "--out", str(out)]
+                assert main(argv) == 0
+                return out.read_bytes()
+
+            phasespace._cached_geometry.cache_clear()
+            first, _, again = report("A", 1), report("B", 1), report("A", 2)
+            phasespace._cached_geometry.cache_clear()
+            assert first == again == report("A", 3)
+            assert b'"negativity_volume"' in first
+        capsys.readouterr()
+
+
 class TestNegativityVolume:
     def test_vacuum_has_none(self):
         g = PhaseSpaceGrid.symmetric(5.0, 101)
@@ -485,6 +680,49 @@ class TestGaussianReference:
             want, want_tail = gaussian_reference(mean, cov, dim)
         np.testing.assert_allclose(ref, want, rtol=0, atol=1e-12)
         assert abs(tail - want_tail) <= 1e-12
+
+    @staticmethod
+    def unitary_route(mean, cov, dim):
+        """``(rho bytes, tail)`` through ``D S rho_thermal S^dag D^dag`` for any moments.
+
+        The route ``gaussian_reference`` took for every state before the
+        thermal shortcut, kept as the bit-level oracle for it.
+        """
+        w, rot = np.linalg.eigh(0.5 * (cov + cov.T))
+        nbar = max(float(np.sqrt(w[0] * w[1])), 0.5) - 0.5
+        xi = 0.25 * float(np.log(w[1] / w[0])) * np.exp(2j * float(np.arctan2(rot[1, 0], rot[0, 0])))
+        alpha = (mean[0] + 1j * mean[1]) / np.sqrt(2.0)
+        a = annihilation(dim)
+        ad = a.conj().T
+        squeeze = phasespace._expm_antihermitian(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
+        displace = phasespace._expm_antihermitian(alpha * ad - np.conj(alpha) * a)
+        therm = (nbar / (nbar + 1.0)) ** np.arange(dim) / (nbar + 1.0)
+        u = displace @ squeeze
+        rho = u @ np.diag(therm).astype(complex) @ u.conj().T
+        tr = float(np.real(np.trace(rho)))
+        return hermitize(rho / tr).tobytes(), abs(1.0 - tr) + float(np.real(rho[-1, -1]))
+
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    @pytest.mark.parametrize("dim", [2, 12, 30, 60])
+    def test_phase_insensitive_outcomes_take_the_thermal_shortcut(self, dim):
+        # a diagonal state has zero mean and an isotropic covariance, so its
+        # reference is the thermal state: the same bits as the unitary route,
+        # whose exponentials of zero matrices no longer run
+        for povm in (lossy_pnr(0.9, dim), on_off_apd(0.5, 0.02, dim), ideal_pnr(dim)):
+            for el in povm.elements:
+                mean, cov, _ = phasespace._moments(retrodicted_state(el).state)
+                with mock.patch.object(phasespace, "_expm_antihermitian", side_effect=AssertionError):
+                    rho, tail = gaussian_reference(mean, cov, dim)
+                assert (rho.tobytes(), tail) == self.unitary_route(mean, cov, dim)
+
+    @pytest.mark.parametrize("mean", [[0.0, 0.0], [0.3, 0.0], [0.0, -1e-300]])
+    def test_displaced_or_squeezed_moments_take_the_unitary_route(self, mean):
+        for cov in (0.7 * np.eye(2), np.diag([0.6, 0.7])):
+            if not any(mean) and cov[0, 0] == cov[1, 1]:
+                continue
+            rho, tail = gaussian_reference(mean, cov, 12)
+            assert (rho.tobytes(), tail) == self.unitary_route(np.array(mean), cov, 12)
+            assert np.any(np.triu(rho, 1))
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 21, 34, 60])
     def test_matches_expm_oracle(self, dim):

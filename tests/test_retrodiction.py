@@ -169,6 +169,12 @@ class TestRetrodictedState:
         st.integers(0, 2**32 - 1),
     )
     def test_a_state_is_its_element_over_its_trace(self, g, scale, seed):
+        # the element does not depend on g's scale; taking g to unit peak
+        # keeps h out of the subnormal range, where scale / top overflows
+        # (parts divided apart: complex division by a subnormal overflows too)
+        peak = np.abs(g).max()
+        assume(peak > 0.0)
+        g = g.real / peak + 1j * (g.imag / peak)
         h = g @ g.conj().T
         top = np.linalg.eigvalsh(h)[-1]
         assume(top > 0.0)
