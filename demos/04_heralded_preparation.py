@@ -39,7 +39,7 @@ print(f"herald success probability at lam = 0.5: {via_form.success_probability:.
 
 # The limit scan.  Fidelity is against the conjugated retrodicted state;
 # success probability is the price paid for pushing lam upward.
-scan = retrodictive_limit_scan(element, [0.3, 0.5, 0.7, 0.9], DIM)
+scan = retrodictive_limit_scan(element, [0.3, 0.5, 0.7, 0.9])
 print("\n  lam   fidelity   success")
 for pt in scan.points:
     print(f"  {pt.lam:.1f}   {pt.fidelity:8.4f}   {pt.success_probability:.4f}")

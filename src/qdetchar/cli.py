@@ -215,7 +215,7 @@ def cmd_herald(args):
     povm = load_povm(args.povm, tols)
     digest = sha256_digest(args.povm)
     element = povm.outcome(args.outcome)
-    scan = retrodictive_limit_scan(element, args.lam, povm.dim, tols)
+    scan = retrodictive_limit_scan(element, args.lam, tols)
     text = _comment(
         "qdetchar herald scan",
         f"source: {digest} outcome: {element.label} dim: {povm.dim}",

@@ -10,6 +10,7 @@ environment variables: one variable per field, named in the field's
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -18,18 +19,32 @@ __all__ = ["Tolerances", "CategoryThresholds", "DEFAULT_TOLS", "DEFAULT_THRESHOL
 ENV_PREFIX = "QDETCHAR_"
 
 
+def _number(value, what: str, kind=float):
+    """``value`` as a builtin ``kind``; a ``ValueError`` naming ``what`` unless it is a number.
+
+    A ``numbers.Real`` (a ``numbers.Integral`` for ``int``) is one, a bool never, and ``kind``
+    itself skips those slow ABC checks.  A real beyond the float range is an infinity.
+    """
+    rule, noun = (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a real number")
+    if type(value) is not kind and (isinstance(value, bool) or not isinstance(value, rule)):
+        raise ValueError(f"{what} must be {noun}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 class _Settings:
     """The check and the environment reader shared by the settings dataclasses."""
 
     def __post_init__(self):
         # Every field is a slack or a cutoff: NaN, infinities and negatives are refused.
         for f in fields(self):
-            value = getattr(self, f.name)
+            what = f"{type(self).__name__}.{f.name}"
+            value = _number(getattr(self, f.name), what)
             if not 0.0 <= value < math.inf:
-                raise ValueError(
-                    f"{type(self).__name__}.{f.name} must be a finite, non-negative number, "
-                    f"got {value!r}"
-                )
+                raise ValueError(f"{what} must be a finite, non-negative number, got {value!r}")
+            object.__setattr__(self, f.name, value)
 
     @classmethod
     def from_env(cls, environ=None):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, Tolerances, _number
 from .errors import PovmValidationError
 from .fock import (
     _one_dim, _spectrum, _square, _unit_ket, check_dim, eig_hermitian, hermiticity_defect
@@ -98,7 +98,7 @@ class Povm:
         if not elements:
             raise ValueError("a measurement needs at least one outcome")
         dim = _one_dim(elements, "element")
-        guard = int(self.guard_levels)
+        guard = _number(self.guard_levels, "guard_levels", int)
         if not 0 <= guard < dim:
             raise ValueError(f"guard_levels {guard} outside 0..{dim - 1}")
         labels = [e.label for e in elements]
@@ -171,7 +171,7 @@ def lossy_pnr(eta: float, dim: int) -> Povm:
     0 with the rest null (they are kept, flagged, and never deleted).
     """
     d = check_dim(dim)
-    eta = float(eta)
+    eta = _number(eta, "efficiency")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
     # Exact binomials C(m, n), m = n..d-1: by the hockey-stick identity each
@@ -197,8 +197,8 @@ def on_off_apd(eta: float, nu: float, dim: int) -> Povm:
     click element is its complement to the identity.
     """
     d = check_dim(dim)
-    eta = float(eta)
-    nu = float(nu)
+    eta = _number(eta, "efficiency")
+    nu = _number(nu, "dark-count rate")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
     if not 0.0 <= nu <= 1.0:
@@ -214,7 +214,7 @@ def scaled_projector(psi: np.ndarray, zeta: float, label: str = "hit") -> PovmEl
     retrodiction yet detecting its target only a fraction ``zeta`` of the
     time.
     """
-    zeta = float(zeta)
+    zeta = _number(zeta, "weight")
     if not 0.0 < zeta <= 1.0:
         raise ValueError(f"weight must lie in (0, 1], got {zeta}")
     psi = _unit_ket(psi, "target")

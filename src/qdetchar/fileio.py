@@ -343,7 +343,7 @@ def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
         "entries": [
             {
                 "label": e.label,
-                "prior": float(e.prior),
+                "prior": e.prior,
                 "matrix": e.state,
             }
             for e in ensemble

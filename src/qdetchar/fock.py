@@ -13,12 +13,11 @@ for the requested state.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, Tolerances, _number
 from .errors import TruncationWarning
 
 __all__ = [
@@ -36,7 +35,7 @@ __all__ = [
 
 def check_dim(dim) -> int:
     """Validate a Fock-space truncation dimension (number levels 0..dim-1)."""
-    d = operator.index(dim)
+    d = _number(dim, "truncation dimension", int)
     if d < 2:
         raise ValueError(f"truncation dimension must be at least 2, got {d}")
     return d
@@ -76,7 +75,7 @@ def _unit_trace(rho: np.ndarray, tols: Tolerances, what: str) -> None:
 def fock_state(n: int, dim: int) -> np.ndarray:
     """Number state ``|n>`` as a unit vector."""
     d = check_dim(dim)
-    n = operator.index(n)
+    n = _number(n, "level", int)
     if not 0 <= n < d:
         raise ValueError(f"level {n} outside truncation 0..{d - 1}")
     vec = np.zeros(d, dtype=complex)
@@ -141,7 +140,7 @@ def squeezed_vacuum(r: float, dim: int) -> np.ndarray:
     of the untruncated state is ``exp(-2 r) / 2``.  A non-finite ``r`` is refused.
     """
     d = check_dim(dim)
-    r = float(r)
+    r = _number(r, "squeezing parameter r")
     if not np.isfinite(r):
         raise ValueError(f"squeezing parameter r = {r!r} is not finite")
     t = np.tanh(r)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, Tolerances, _number
 from .errors import HeraldImpossibleError, TailToleranceError, TruncationWarning
 from .fock import (
     _same_dim,
@@ -59,7 +59,7 @@ class TmsvParams:
     dim: int
 
     def __post_init__(self):
-        lam = float(self.lam)
+        lam = _number(self.lam, "squeezing parameter")
         d = check_dim(self.dim)
         if not 0.0 <= lam < 1.0:
             raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
@@ -203,29 +203,25 @@ class LimitScan:
     fidelity_monotonic: bool
 
 
-def retrodictive_limit_scan(
-    element, lambdas, dim: int, tols: Tolerances = DEFAULT_TOLS
-) -> LimitScan:
+def retrodictive_limit_scan(element, lambdas, tols: Tolerances = DEFAULT_TOLS) -> LimitScan:
     """Scan squeezing values and measure convergence to the retrodictive limit.
 
-    For each ``lam`` the heralded state is compared, via Uhlmann fidelity,
-    with the complex conjugate of the element's retrodicted state (the exact
-    ``lam -> 1`` limit).  Values whose truncation tail ``lam**(2*dim)``
-    exceeds ``tols.tail`` are refused with :class:`TailToleranceError`
-    rather than silently scanned on an inadequate basis.
+    For each ``lam`` the heralded state, at the element's dim, is compared via
+    Uhlmann fidelity with the complex conjugate of the element's retrodicted
+    state (the exact ``lam -> 1`` limit).  Values whose truncation tail
+    ``lam**(2*dim)`` exceeds ``tols.tail`` are refused with
+    :class:`TailToleranceError` rather than silently scanned on an inadequate basis.
     """
-    d = check_dim(dim)
     el = _as_element(element)
-    _same_dim("element", el.dim, "scan", d)
     params = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for lam in lambdas:
-            p = TmsvParams(lam, d)
+            p = TmsvParams(lam, el.dim)
             if p.tail > tols.tail:
                 raise TailToleranceError(
                     f"lam={p.lam} leaves tail {p.tail:.3g} > {tols.tail:.3g} "
-                    f"at dim {d}; increase dim"
+                    f"at dim {p.dim}; increase dim"
                 )
             params.append(p)
     if not params:

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolerances
+from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolerances, _number
 from .errors import TruncationWarning
 from .fock import _square, annihilation, check_dim, hermitize, number_mean, purity
 from .retrodiction import projectivity, retrodicted_state
@@ -64,16 +63,9 @@ class PhaseSpaceGrid:
     def __post_init__(self):
         # Extents are stored as floats and counts as ints, so that equal grids
         # have equal axes whatever number types built them.
-        for name in ("x_min", "x_max", "p_min", "p_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"grid {name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        for name in ("n_x", "n_p"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"grid {name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for f in fields(self):
+            kind = int if f.name.startswith("n_") else float
+            object.__setattr__(self, f.name, _number(getattr(self, f.name), f"grid {f.name}", kind))
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
             raise ValueError(f"grid {self._box}: extents must satisfy max > min")
         if not math.isfinite(2.0 * self.radius_sq):
@@ -84,7 +76,7 @@ class PhaseSpaceGrid:
     @classmethod
     def symmetric(cls, radius: float, points: int) -> "PhaseSpaceGrid":
         """Square grid ``[-radius, radius]^2`` with ``points`` per axis."""
-        r = float(radius)
+        r = _number(radius, "grid radius")
         return cls(-r, r, -r, r, points, points)
 
     @property
@@ -289,7 +281,7 @@ def wigner(
     return WignerGrid(grid=grid, values=values)
 
 
-def negativity_volume(wgrid: WignerGrid, tols: Tolerances = DEFAULT_TOLS) -> float:
+def negativity_volume(wgrid: WignerGrid) -> float:
     """Doubled negative mass ``int |W| dx dp - int W dx dp``, Riemann-summed.
 
     Zero for non-negative Wigner functions.  Warns when ``|W|`` has not
@@ -363,6 +355,9 @@ def gaussian_reference(mean: np.ndarray, cov: np.ndarray, dim: int):
     cov = np.asarray(cov, dtype=float)
     if mean.shape != (2,) or cov.shape != (2, 2):
         raise ValueError("mean must be length 2 and cov 2x2")
+    for name, arr in (("mean", mean), ("cov", cov)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name}: non-finite entries")
     w, rot = np.linalg.eigh(0.5 * (cov + cov.T))
     if w[0] <= 0.0:
         raise ValueError(f"covariance not positive definite: eigenvalues {w}")
@@ -462,7 +457,7 @@ def witness_report(
     state = np.asarray(state, dtype=complex)
     mean, cov, heavy = _moments(state)
     minw = wgrid.min_value()
-    negv = negativity_volume(wgrid, tols)
+    negv = negativity_volume(wgrid)
     squeezed = bool(np.linalg.eigvalsh(cov)[0] < 0.5 - tols.squeeze)
     gauss = _gaussianity(state, mean, cov, heavy, tols)
     nonclassical, hudson_bad = _witness_verdicts(

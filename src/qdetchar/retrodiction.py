@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolerances
+from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolerances, _number
 from .detectors import Povm, PovmElement
 from .errors import NullOutcomeError, UnreachableOutcomeError
 from .fock import (
@@ -206,7 +206,7 @@ class ProbeEntry:
     label: str
 
     def __post_init__(self):
-        p = float(self.prior)
+        p = _number(self.prior, "prior")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"prior must lie in [0, 1], got {p}")
         rho = np.array(_as_density(self.state, f"probe entry {self.label!r}"))

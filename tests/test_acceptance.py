@@ -161,14 +161,14 @@ def test_criterion_4_heralding_path_equivalence():
 
 def test_criterion_5_retrodictive_limit():
     el = on_off_apd(0.5, 0.0, 80).outcome("on")
-    scan = retrodictive_limit_scan(el, [0.3, 0.6, 0.9], 80)
+    scan = retrodictive_limit_scan(el, [0.3, 0.6, 0.9])
     fids = [pt.fidelity for pt in scan.points]
     assert fids[0] < fids[1] < fids[2]
     assert scan.fidelity_monotonic
 
     for n in (0, 2, 5):
         proj = scaled_projector(fock_state(n, 80), 1.0, label=str(n))
-        flat = retrodictive_limit_scan(proj, [0.3, 0.6, 0.9], 80)
+        flat = retrodictive_limit_scan(proj, [0.3, 0.6, 0.9])
         for pt in flat.points:
             assert abs(pt.fidelity - 1.0) <= 1e-12
     print(

@@ -1,12 +1,29 @@
 """Tolerances and classification thresholds."""
 
 import re
+import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdetchar import CategoryThresholds, Tolerances, config
+from qdetchar import CategoryThresholds, ReportFile, Tolerances, config, load_report, save_report
+
+# A setting's value as a caller may give it: a Python int or float, or a numpy scalar.
+_SETTING = st.one_of(
+    st.integers(0, 10**6),
+    st.floats(0.0, 1e6),
+    st.integers(0, 10**6).map(np.int64),
+    st.floats(0.0, 1e6, width=32).map(np.float32),
+    st.floats(0.0, 1e6).map(np.float64),
+)
+
+
+def _settings(cls):
+    return st.builds(cls, **{f.name: _SETTING for f in fields(cls)})
 
 
 class TestConfigValues:
@@ -23,6 +40,18 @@ class TestConfigValues:
         with pytest.raises(ValueError, match="projectivity_min must be a finite, non-negative"):
             CategoryThresholds(projectivity_min=-0.5)
         assert Tolerances(trace_floor=0.0).trace_floor == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(tols=_settings(Tolerances), thresholds=_settings(CategoryThresholds))
+    def test_settings_of_any_number_type_round_trip_through_a_report(self, tols, thresholds):
+        report = ReportFile("", "", 2, thresholds, (), tolerances=tols)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_report(report, Path(tmp) / "report.json")
+            loaded = load_report(Path(tmp) / "report.json")
+        for made, read in ((tols, loaded.tolerances), (thresholds, loaded.thresholds)):
+            assert read == made
+            assert all(type(getattr(read, f.name)) is float for f in fields(read))
+            assert all(type(getattr(made, f.name)) is float for f in fields(made))
 
     def test_env_values_are_checked(self):
         env = {"QDETCHAR_PROJECTIVITY_MIN": "nan"}

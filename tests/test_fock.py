@@ -1,6 +1,8 @@
 """Foundation layer: state constructors, eigensolver, input refusals."""
 
+import numbers
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdetchar import (
+    CategoryThresholds,
     PhaseSpaceGrid,
+    Povm,
     PovmElement,
     ProbeEntry,
+    TmsvParams,
+    Tolerances,
     TruncationWarning,
     born_probability,
     detectivity,
     ideal_pnr,
+    lossy_pnr,
+    on_off_apd,
+    scaled_projector,
     wigner,
 )
 from qdetchar.fock import (
@@ -41,7 +50,7 @@ class TestConstructors:
     def test_check_dim_rejects_small_and_non_integer(self):
         with pytest.raises(ValueError):
             check_dim(1)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="must be an integer, got 3.5"):
             check_dim(3.5)
         assert check_dim(2) == 2
 
@@ -286,3 +295,66 @@ class TestInputRefusals:
         matrix, reason = self.BAD[bad]
         with pytest.raises(ValueError, match="^" + re.escape(f"{subject}: {reason}") + "$"):
             call(matrix)
+
+    # Each entry point that takes a scalar: a call with the scalar in one
+    # place, returning the value it stores where it stores one, the subject
+    # it names, and whether it takes a count (int) or a real (float).
+    SCALARS = {
+        "Tolerances": (lambda v: Tolerances(herm=v).herm, "Tolerances.herm", float),
+        "CategoryThresholds": (
+            lambda v: CategoryThresholds(projectivity_min=v).projectivity_min,
+            "CategoryThresholds.projectivity_min", float,
+        ),
+        "PhaseSpaceGrid extent": (
+            lambda v: PhaseSpaceGrid(-1.0, 1.0, -1.0, v, 3, 3).p_max, "grid p_max", float
+        ),
+        "PhaseSpaceGrid count": (
+            lambda v: PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, v, 3).n_x, "grid n_x", int
+        ),
+        "PhaseSpaceGrid.symmetric radius": (
+            lambda v: PhaseSpaceGrid.symmetric(v, 3).x_max, "grid radius", float
+        ),
+        "PhaseSpaceGrid.symmetric points": (
+            lambda v: PhaseSpaceGrid.symmetric(1.0, v).n_p, "grid n_x", int
+        ),
+        "check_dim": (check_dim, "truncation dimension", int),
+        "fock_state level": (lambda v: fock_state(v, 4), "level", int),
+        "fock_state dim": (lambda v: fock_state(1, v), "truncation dimension", int),
+        "Povm.guard_levels": (
+            lambda v: Povm(ideal_pnr(4).elements, guard_levels=v).guard_levels,
+            "guard_levels", int,
+        ),
+        "lossy_pnr eta": (lambda v: lossy_pnr(v, 3), "efficiency", float),
+        "on_off_apd eta": (lambda v: on_off_apd(v, 0.0, 3), "efficiency", float),
+        "on_off_apd nu": (lambda v: on_off_apd(0.5, v, 3), "dark-count rate", float),
+        "scaled_projector": (lambda v: scaled_projector(fock_state(0, 3), v), "weight", float),
+        "squeezed_vacuum": (lambda v: squeezed_vacuum(v, 5), "squeezing parameter r", float),
+        "ProbeEntry.prior": (lambda v: ProbeEntry(v, np.eye(2) / 2, "a").prior, "prior", float),
+        "TmsvParams.lam": (lambda v: TmsvParams(v, 30).lam, "squeezing parameter", float),
+        "TmsvParams.dim": (lambda v: TmsvParams(0.1, v).dim, "truncation dimension", int),
+    }
+    NOT_REAL = [True, "0.5", None]
+    NOUNS = {int: "an integer", float: "a real number"}
+
+    @pytest.mark.parametrize("taker", list(SCALARS))
+    def test_one_type_rule_for_every_scalar(self, taker):
+        call, subject, kind = self.SCALARS[taker]
+        for bad in self.NOT_REAL + ([3.5, np.float64(3.0)] if kind is int else []):
+            message = f"{subject} must be {self.NOUNS[kind]}, got {bad!r}"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                call(bad)
+        # numpy scalars are numbers, stored as the builtin type
+        good = np.int64(3) if kind is int else np.float32(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            stored = call(good)
+        if isinstance(stored, numbers.Number):
+            assert type(stored) is kind and stored == good
+
+    def test_a_real_beyond_the_float_range_meets_the_range_check(self):
+        with pytest.raises(ValueError, match=r"^efficiency must lie in \[0, 1\], got inf$"):
+            lossy_pnr(10**400, 3)
+        with pytest.raises(ValueError, match=r"^prior must lie in \[0, 1\], got -inf$"):
+            ProbeEntry(-(10**400), np.eye(2) / 2, "a")
+        with pytest.raises(ValueError, match="^Tolerances.herm must be a finite, non-negative"):
+            Tolerances(herm=10**400)

@@ -668,6 +668,13 @@ class TestGaussianReference:
         with pytest.raises(ValueError, match="2x2"):
             gaussian_reference([0, 0, 0], np.eye(3), 10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_moments_naming_them(self, bad):
+        with pytest.raises(ValueError, match="^mean: non-finite entries$"):
+            gaussian_reference([0.0, bad], np.eye(2), 10)
+        with pytest.raises(ValueError, match="^cov: non-finite entries$"):
+            gaussian_reference([0.0, 0.0], np.array([[1.0, bad], [bad, 1.0]]), 10)
+
     @staticmethod
     def assert_matches_expm(alpha, xi, nbar, dim):
         """The eigendecomposition exponential against scipy's ``expm``."""

@@ -198,7 +198,7 @@ _TAKES_AN_ELEMENT = {
     "heralded_state_from_joint": lambda el: heralded_state_from_joint(
         np.kron(np.diag(np.arange(1.0, 4.0)) / 6, np.eye(20) / 20), el
     ),
-    "retrodictive_limit_scan": lambda el: retrodictive_limit_scan(el, (0.2, 0.4), 20),
+    "retrodictive_limit_scan": lambda el: retrodictive_limit_scan(el, (0.2, 0.4)),
     "nonclassicality_of_measurement": lambda el: nonclassicality_of_measurement(
         el, PhaseSpaceGrid.symmetric(4.4, 11)
     ),
