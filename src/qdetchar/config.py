@@ -19,19 +19,28 @@ __all__ = ["Tolerances", "CategoryThresholds", "DEFAULT_TOLS", "DEFAULT_THRESHOL
 ENV_PREFIX = "QDETCHAR_"
 
 
+# The number each builtin kind accepts, and its name in a refusal.
+_KINDS = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a real number"),
+    complex: (numbers.Complex, "a complex number"),
+}
+
+
 def _number(value, what: str, kind=float):
     """``value`` as a builtin ``kind``; a ``ValueError`` naming ``what`` unless it is a number.
 
-    A ``numbers.Real`` (a ``numbers.Integral`` for ``int``) is one, a bool never, and ``kind``
-    itself skips those slow ABC checks.  A real beyond the float range is an infinity.
+    A ``numbers.Real`` (a ``numbers.Integral`` for ``int``, a ``numbers.Complex`` for
+    ``complex``) is one, a bool never, and ``kind`` itself skips those slow ABC checks.  A
+    real beyond the float range is an infinity.
     """
-    rule, noun = (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a real number")
+    rule, noun = _KINDS[kind]
     if type(value) is not kind and (isinstance(value, bool) or not isinstance(value, rule)):
         raise ValueError(f"{what} must be {noun}, got {value!r}")
     try:
         return kind(value)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return kind(math.inf if value > 0 else -math.inf)
 
 
 class _Settings:

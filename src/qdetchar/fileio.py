@@ -3,11 +3,13 @@
 Every JSON file goes through one writer, :func:`write_json`: objects are
 indented by two spaces, and in measurements and ensembles each matrix row
 of explicit ``[re, im]`` pairs is one line, so files still diff cleanly,
-row by row.  A row's text is built from the array directly, and a matrix
-whose values mostly repeat, as a diagonal one's zeros do, formats each
-distinct value once.  Files from earlier versions, with every number on a
-line of its own, load unchanged.  Floats survive a save/load/save cycle byte
-for byte (Python's shortest-repr float encoding is exact for IEEE doubles).
+row by row.  A row's text is built from the array directly, each distinct
+row once: every repeat of a row, such as the zero rows of a diagonal matrix,
+reuses its text.  A matrix whose values mostly repeat, as a diagonal one's
+zeros do, formats each distinct value once.  Files from earlier versions,
+with every number on a line of its own, load unchanged.  Floats survive a
+save/load/save cycle byte for byte (Python's shortest-repr float encoding is
+exact for IEEE doubles).
 Wigner grids are plain whitespace-separated ``x p W`` rows behind ``#``
 header lines, readable by ``numpy.loadtxt``.
 
@@ -133,12 +135,19 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
     # A complex row viewed as floats interleaves re and im, the order of its
     # [re, im] pairs, and %r is the float text the JSON encoder writes, signed
     # zeros included.  Like write_json, a NaN or infinity raises ValueError.
+    # Each distinct row is formatted once, and its text serves every repeat:
+    # a diagonal matrix has one zero row and its diagonal rows.  Rows are
+    # keyed by their bytes, so a -0.0 keeps a row apart from one with 0.0.
     parts = np.ascontiguousarray(m, dtype=complex).view(float)
     if not np.isfinite(parts).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    rows, fmt = _distinct_texts(parts, "%r")
+    keys = [row.tobytes() for row in parts]
+    unique = dict.fromkeys(keys)
+    distinct = np.frombuffer(b"".join(unique), dtype=float).reshape(len(unique), parts.shape[1])
+    rows, fmt = _distinct_texts(distinct, "%r")
     template = "[[" + "], [".join([fmt + ", " + fmt] * (parts.shape[1] // 2)) + "]]"
-    return [template % tuple(row.tolist()) for row in rows]
+    texts = dict(zip(unique, [template % tuple(row.tolist()) for row in rows]))
+    return [texts[key] for key in keys]
 
 
 def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:

@@ -115,7 +115,7 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     an ``alpha`` whose truncated ket is not finite.
     """
     d = check_dim(dim)
-    alpha = complex(alpha)
+    alpha = _number(alpha, "amplitude alpha", complex)
     vec = np.empty(d, dtype=complex)
     vec[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):

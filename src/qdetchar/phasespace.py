@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -131,6 +132,18 @@ class WignerGrid:
 _NEGLIGIBLE = 1e-18
 
 
+def _warn_truncation(message: str) -> None:
+    """A :class:`TruncationWarning` naming the first caller outside this module.
+
+    So ``wigner``, ``negativity_volume`` and ``witness_report`` each point at
+    the line that called into phase-space code, however deep the warning is.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, TruncationWarning, stacklevel=level)
+
+
 def _laguerre_band(coeffs: np.ndarray, k: int, z: np.ndarray) -> np.ndarray:
     """Clenshaw sum ``sum_m coeffs[m] * sqrt(m! k! / (m+k)!) * L_m^k(z)``.
 
@@ -238,11 +251,9 @@ def wigner(
     rho = _square(rho, "state")
     d = check_dim(rho.shape[0])
     if grid.radius_sq > 2.0 * d:
-        warnings.warn(
+        _warn_truncation(
             f"grid reaches x^2+p^2 = {grid.radius_sq:.3g}, beyond the "
-            f"resolvable region ~2*dim = {2 * d} of this truncation",
-            TruncationWarning,
-            stacklevel=2,
+            f"resolvable region ~2*dim = {2 * d} of this truncation"
         )
     rho = np.where(np.abs(rho) > _NEGLIGIBLE, rho, 0.0)
     signs = np.where(np.arange(d) % 2, -1.0, 1.0)
@@ -290,11 +301,9 @@ def negativity_volume(wgrid: WignerGrid) -> float:
     """
     edge = wgrid.boundary_max_abs()
     if edge > 1e-6:
-        warnings.warn(
+        _warn_truncation(
             f"|W| reaches {edge:.3g} on the grid boundary; negativity volume "
-            "may be truncated",
-            TruncationWarning,
-            stacklevel=2,
+            "may be truncated"
         )
     v = wgrid.values
     vol = float(np.sum(np.abs(v) - v)) * wgrid.grid.dx * wgrid.grid.dp
@@ -318,11 +327,9 @@ def _moments(rho: np.ndarray):
     nbar = number_mean(rho)
     heavy = nbar > d / 4
     if heavy:
-        warnings.warn(
+        _warn_truncation(
             f"mean photon number {nbar:.3g} is large for "
-            f"truncation {d}; moments may be unreliable",
-            TruncationWarning,
-            stacklevel=3,
+            f"truncation {d}; moments may be unreliable"
         )
     root = np.sqrt(np.arange(d))
     a1 = np.sum(root[1:] * np.diagonal(rho, -1))  # <a>

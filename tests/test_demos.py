@@ -4,11 +4,12 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from qdetchar import save_ensemble, uniform_fock_ensemble
+from qdetchar import TruncationWarning, cli, save_ensemble, uniform_fock_ensemble
 from qdetchar.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +44,13 @@ def _readme_block(section, lang):
     return body.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
 
 
+# The README's two witness commands run at dim 12 on the default radius-6
+# grid, which reaches past what that truncation resolves.  Each warns once of
+# the grid, of the heavy "on" state's moments and of |W| on the grid boundary,
+# and each warning names the CLI line that made the call.
+_WITNESS_WARNINGS = ["grid reaches", "mean photon number", "|W| reaches"]
+
+
 def test_readme_examples_run_unchanged(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(_readme_block("Quick start", "python"), {})
@@ -52,4 +60,11 @@ def test_readme_examples_run_unchanged(tmp_path, monkeypatch, capsys):
     for line in lines:
         argv = shlex.split(line, comments=True)
         assert argv[0] == "qdetchar"
-        assert main(argv[1:]) == 0, (line, capsys.readouterr().err)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert main(argv[1:]) == 0, (line, capsys.readouterr().err)
+        expected = _WITNESS_WARNINGS if "--witnesses" in argv or argv[1] == "wigner" else []
+        assert len(caught) == len(expected), (line, [str(w.message) for w in caught])
+        for w, start in zip(caught, expected):
+            assert w.category is TruncationWarning and str(w.message).startswith(start), line
+            assert w.filename == cli.__file__, (line, w.filename, w.lineno)

@@ -522,6 +522,40 @@ class TestMatrixRows:
             assert fileio._distinct_texts(parts, "%r")[1] == ("%s" if grouped else "%r")
             assert _matrix_to_pairs(m) == _encoded_rows(m)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_drawn_from_a_small_pool_give_the_encoder_rows(self, data):
+        # Rows repeat, and some differ from the zero row only in the sign of a
+        # zero or by the smallest subnormal, so each must keep its own text.
+        width = data.draw(st.integers(1, 6))
+        zero = np.zeros(2 * width)
+        signed, tiny = zero.copy(), zero.copy()
+        signed[data.draw(st.integers(0, 2 * width - 1))] = -0.0
+        tiny[data.draw(st.integers(0, 2 * width - 1))] = 5e-324
+        drawn = data.draw(st.lists(arrays(float, 2 * width, elements=_PARTS), max_size=2))
+        pool = [zero, signed, tiny, *drawn]
+        picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=10))
+        m = np.array([pool[i] for i in picks]).view(complex)
+        assert _matrix_to_pairs(m) == _encoded_rows(m)
+
+    @pytest.mark.parametrize("model", ["ideal-pnr", "lossy-pnr"])
+    def test_each_distinct_row_is_formatted_once(self, model, monkeypatch):
+        # A diagonal element has one zero row, shared by every level below its
+        # first non-zero weight, and one row per level that carries a weight.
+        povm = ideal_pnr(60) if model == "ideal-pnr" else lossy_pnr(0.7, 60)
+        seen, distinct_texts = [], fileio._distinct_texts
+
+        def spy(values, fmt):
+            seen.append(values.shape)
+            return distinct_texts(values, fmt)
+
+        monkeypatch.setattr(fileio, "_distinct_texts", spy)
+        for n, element in enumerate(povm):
+            seen.clear()
+            assert _matrix_to_pairs(element.matrix) == _encoded_rows(element.matrix)
+            rows = 2 if model == "ideal-pnr" else 60 - n + (n > 0)
+            assert seen == [(rows, 120)], element.label
+
 
 class TestReportFiles:
     def build(self, tmp_path):

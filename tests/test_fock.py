@@ -332,9 +332,10 @@ class TestInputRefusals:
         "ProbeEntry.prior": (lambda v: ProbeEntry(v, np.eye(2) / 2, "a").prior, "prior", float),
         "TmsvParams.lam": (lambda v: TmsvParams(v, 30).lam, "squeezing parameter", float),
         "TmsvParams.dim": (lambda v: TmsvParams(0.1, v).dim, "truncation dimension", int),
+        "coherent_state alpha": (lambda v: coherent_state(v, 5), "amplitude alpha", complex),
     }
     NOT_REAL = [True, "0.5", None]
-    NOUNS = {int: "an integer", float: "a real number"}
+    NOUNS = {int: "an integer", float: "a real number", complex: "a complex number"}
 
     @pytest.mark.parametrize("taker", list(SCALARS))
     def test_one_type_rule_for_every_scalar(self, taker):
@@ -344,12 +345,22 @@ class TestInputRefusals:
             with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 call(bad)
         # numpy scalars are numbers, stored as the builtin type
-        good = np.int64(3) if kind is int else np.float32(0.5)
+        good = {int: np.int64(3), float: np.float32(0.5), complex: np.complex64(0.5j)}[kind]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             stored = call(good)
         if isinstance(stored, numbers.Number):
             assert type(stored) is kind and stored == good
+
+    def test_a_complex_amplitude_is_any_complex_number_but_a_bool_or_a_string(self):
+        for bad in ("0.5+0.5j", True, np.bool_(True), [0.5]):
+            with pytest.raises(ValueError, match="^amplitude alpha must be a complex number"):
+                coherent_state(bad, 5)
+        want = coherent_state(0.5 + 0.25j, 5)
+        for good in (np.complex128(0.5 + 0.25j), np.complex64(0.5 + 0.25j)):
+            assert np.array_equal(coherent_state(good, 5), want)
+        assert np.array_equal(coherent_state(np.float32(0.5), 5), coherent_state(0.5, 5))
+        assert np.array_equal(coherent_state(1, 5), coherent_state(1.0 + 0.0j, 5))
 
     def test_a_real_beyond_the_float_range_meets_the_range_check(self):
         with pytest.raises(ValueError, match=r"^efficiency must lie in \[0, 1\], got inf$"):

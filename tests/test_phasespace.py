@@ -583,6 +583,27 @@ class TestNegativityVolume:
         with pytest.warns(TruncationWarning, match="boundary"):
             negativity_volume(w)
 
+    @pytest.mark.parametrize(
+        "route", ["negativity_volume", "witness_report", "nonclassicality_of_measurement"]
+    )
+    def test_the_boundary_warning_names_the_caller(self, route):
+        # However deep in phase-space code it is raised, the warning points at
+        # the line that made the call, here in this file.
+        g = PhaseSpaceGrid.symmetric(1.5, 31)
+        rho = dm(fock_state(1, 10))
+        w = wigner(rho, g)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if route == "negativity_volume":
+                negativity_volume(w)
+            elif route == "witness_report":
+                witness_report(rho, w, "1", 1.0)
+            else:
+                nonclassicality_of_measurement(ideal_pnr(10).outcome("1"), g)
+        boundary = [x for x in caught if "grid boundary" in str(x.message)]
+        assert len(boundary) == 1 and boundary[0].category is TruncationWarning
+        assert boundary[0].filename == __file__
+
 
 class TestMoments:
     def test_vacuum_covariance(self):
