@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import warnings
+
 __all__ = [
     "QdetcharError",
     "NullOutcomeError",
@@ -57,3 +60,17 @@ class ReportValidationError(QdetcharError):
 
 class TruncationWarning(UserWarning):
     """The Fock-space cutoff is likely too small for the requested object."""
+
+
+def _warn_truncation(message: str) -> None:
+    """A :class:`TruncationWarning` naming the first caller outside the calling module.
+
+    The walk skips every frame that runs under the calling module's globals,
+    a dataclass-generated ``__init__`` among them, so a warning raised however
+    deep in a module points at the line that called into it.
+    """
+    frame, level = sys._getframe(1), 2
+    module = frame.f_globals.get("__name__")
+    while frame is not None and frame.f_globals.get("__name__") == module:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, TruncationWarning, stacklevel=level)

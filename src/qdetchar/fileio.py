@@ -20,11 +20,14 @@ fields and types that ``EstimatorReport``, ``NonClassicalityReport``,
 ``CategoryThresholds`` and ``Tolerances`` declare.
 
 :func:`load_povm` and :func:`load_ensemble` run with Python's cyclic
-garbage collector paused, and leave it on or off as they found it.  A dim-60
-measurement file parses into over 200,000 lists, and allocating that many
-containers would otherwise set off some 300 collector passes per file, full
-ones among them.  They could reclaim nothing: a parsed document holds no
-reference cycle, and reference counting frees it before the call returns.
+garbage collector paused, and leave it on or off as they found it.  Each
+matrix becomes one numpy array as soon as the parser closes its entry's
+object, so that entry's ``[re, im]`` lists are freed before the next entry is
+read, and a file's pairs never all exist as Python objects at once.  The
+lists are still built, though, over 200,000 of them for a dim-60 file, and
+allocating that many containers would otherwise set off some 300 collector
+passes per file, full ones among them.  They could reclaim nothing: a parsed
+entry holds no reference cycle, and reference counting frees it at once.
 The pause assumes that one thread at a time switches the collector: ``gc``
 state is process-wide, so another thread's call could switch it back on
 mid-load.  The writers build a string per row and few containers, and run
@@ -150,25 +153,57 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
     return [texts[key] for key in keys]
 
 
-def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
-    """Complex ``dim x dim`` matrix from rows of ``[re, im]`` pairs.
+def _pairs_array(rows):
+    """``rows`` as one ``(n, n, 2)`` array of booleans, integers or floats, else ``None``.
 
-    Each part must be a finite JSON number; ``true`` and ``false`` are read
-    as 1 and 0.  Anything else (a string, ``null``, a nested list, a missing
-    part, an integer too large for a float, ``NaN`` or ``Infinity``) is a
-    :class:`PovmFormatError` naming the first such entry.
+    ``None`` when numpy cannot read them so: a ragged or non-square matrix, an
+    entry that is not a flat pair, a part that is not a JSON number, or an
+    integer beyond 64 bits.
     """
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise PovmFormatError(f"{where}: expected {dim} matrix rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise PovmFormatError(f"{where}: row {i} must hold {dim} entries")
     try:
         parts = np.array(rows)
     except ValueError:  # ragged: some entry is not a flat pair
-        parts = None
-    if parts is None or parts.shape != (dim, dim, 2) or parts.dtype.kind not in "biuf":
-        parts = _checked_pairs(rows, where)
+        return None
+    n = len(parts)
+    if parts.shape != (n, n, 2) or parts.dtype.kind not in "biuf":
+        return None
+    return parts
+
+
+def _matrix_hook(obj: dict) -> dict:
+    """``obj``, its ``matrix`` made one array if it is a labelled entry's that numpy reads.
+
+    Runs as the parser closes each object, so an entry's lists are freed
+    before the next entry is read.  Anything :func:`_pairs_array` refuses stays
+    a list, for :func:`_matrix_from_pairs` to name the fault.
+    """
+    if type(obj.get("label")) is str and type(obj.get("matrix")) is list:
+        parts = _pairs_array(obj["matrix"])
+        if parts is not None:
+            obj["matrix"] = parts
+    return obj
+
+
+def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
+    """Complex ``dim x dim`` matrix from rows of ``[re, im]`` pairs.
+
+    ``rows`` is the parsed list, or the array :func:`_matrix_hook` already
+    made of it.  Each part must be a finite JSON number; ``true`` and
+    ``false`` are read as 1 and 0.  Anything else (a string, ``null``, a
+    nested list, a missing part, an integer too large for a float, ``NaN`` or
+    ``Infinity``) is a :class:`PovmFormatError` naming the first such entry.
+    """
+    if len(rows) != dim:
+        raise PovmFormatError(f"{where}: expected {dim} matrix rows")
+    if type(rows) is np.ndarray:  # square pairs, from _pairs_array
+        parts = rows
+    else:
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != dim:
+                raise PovmFormatError(f"{where}: row {i} must hold {dim} entries")
+        parts = _pairs_array(rows)
+        if parts is None:
+            parts = _checked_pairs(rows, where)
     parts = np.ascontiguousarray(parts, dtype=float)
     if not np.isfinite(parts).all():
         i, j = np.argwhere(~np.isfinite(parts).all(axis=-1))[0]
@@ -202,10 +237,11 @@ def _checked_pairs(rows, where: str) -> np.ndarray:
     return out
 
 
-def _parse_json(path):
-    data = Path(path).read_bytes()
+def _parse_json(path, object_hook=None):
     try:
-        return json.loads(data.decode("utf-8"))
+        # The bytes are freed once decoded, so the parse holds one copy of the text.
+        text = Path(path).read_bytes().decode("utf-8")
+        return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise PovmFormatError(
             f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
@@ -258,7 +294,10 @@ def _labelled_matrices(doc: dict, key: str, dim: int, path):
         if type(entry) is not dict:
             raise PovmFormatError(f"{where}: expected an object")
         label = _expect(entry, "label", str, where)
-        matrix = _matrix_from_pairs(_expect(entry, "matrix", list, where), dim, where)
+        rows = entry.get("matrix")
+        if type(rows) is not np.ndarray:
+            rows = _expect(entry, "matrix", list, where)
+        matrix = _matrix_from_pairs(rows, dim, where)
         yield where, entry, label, matrix
 
 
@@ -327,7 +366,7 @@ def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> P
     default (top fifth of the space guarded).  Validation failures raise
     :class:`~qdetchar.errors.PovmValidationError` carrying the full report.
     """
-    doc = _parse_json(path)
+    doc = _parse_json(path, _matrix_hook)
     dim = _check_header(doc, path)
     doc = {"guard_levels": default_guard_levels(dim), "metadata": {}, **doc}
     guard = _expect(doc, "guard_levels", int, str(path))
@@ -365,7 +404,7 @@ def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
 @_without_gc
 def load_ensemble(path, tols: Tolerances = DEFAULT_TOLS) -> ProbeEnsemble:
     """Read a probe ensemble file; each entry must be a valid density matrix."""
-    doc = _parse_json(path)
+    doc = _parse_json(path, _matrix_hook)
     dim = _check_header(doc, path)
     entries = []
     for where, entry, label, matrix in _labelled_matrices(doc, "entries", dim, path):

@@ -13,12 +13,11 @@ for the requested state.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances, _number
-from .errors import TruncationWarning
+from .errors import _warn_truncation
 
 __all__ = [
     "fock_state",
@@ -123,11 +122,9 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
             vec[n] = vec[n - 1] * alpha / np.sqrt(n)
         vec = _unit_ket(vec, f"coherent state with alpha = {alpha!r} at dim {d}")
     if abs(alpha) ** 2 > d / 4:
-        warnings.warn(
+        _warn_truncation(
             f"coherent state with |alpha|^2 = {abs(alpha) ** 2:.3g} is poorly "
-            f"represented at truncation {d}",
-            TruncationWarning,
-            stacklevel=2,
+            f"represented at truncation {d}"
         )
     return vec
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances, _number
-from .errors import HeraldImpossibleError, TailToleranceError, TruncationWarning
+from .errors import HeraldImpossibleError, TailToleranceError, TruncationWarning, _warn_truncation
 from .fock import (
     _same_dim,
     _square,
@@ -66,11 +66,9 @@ class TmsvParams:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "dim", d)
         if self.tail > DEFAULT_TOLS.tail:
-            warnings.warn(
+            _warn_truncation(
                 f"lam**(2*dim) = {self.tail:.3g} exceeds the truncation budget; "
-                f"raise dim above {d} or lower lam below {lam}",
-                TruncationWarning,
-                stacklevel=2,
+                f"raise dim above {d} or lower lam below {lam}"
             )
 
     @property

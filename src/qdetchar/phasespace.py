@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
-import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolerances, _number
-from .errors import TruncationWarning
+from .errors import _warn_truncation
 from .fock import _square, annihilation, check_dim, hermitize, number_mean, purity
 from .retrodiction import projectivity, retrodicted_state
 
@@ -130,18 +128,6 @@ class WignerGrid:
 
 # Matrix entries at or below this magnitude contribute nothing to the kernel.
 _NEGLIGIBLE = 1e-18
-
-
-def _warn_truncation(message: str) -> None:
-    """A :class:`TruncationWarning` naming the first caller outside this module.
-
-    So ``wigner``, ``negativity_volume`` and ``witness_report`` each point at
-    the line that called into phase-space code, however deep the warning is.
-    """
-    frame, level = sys._getframe(1), 2
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, TruncationWarning, stacklevel=level)
 
 
 def _laguerre_band(coeffs: np.ndarray, k: int, z: np.ndarray) -> np.ndarray:

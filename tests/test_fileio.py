@@ -5,6 +5,7 @@ import enum
 import gc
 import json
 import re
+import tracemalloc
 import typing
 import warnings
 
@@ -377,6 +378,127 @@ class TestCollectorPause:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+
+# Any value a JSON number parses to: integers past 64 bits and past the float
+# range, NaN, infinities and a signed zero included; and any JSON value made of them.
+_JSON_PARTS = (
+    st.booleans() | st.integers() | st.floats() | st.sampled_from([2**64 + 1, 10**400, -0.0])
+)
+_ANY_JSON = st.recursive(
+    _JSON_PARTS | st.none() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _retyped(draw, rows):
+    """``rows`` of ``[re, im]`` pairs, each 0 or 1 drawn as a float, an int or a bool."""
+    return [[[draw(st.sampled_from([v, int(v), bool(v)])) if v in (0, 1) else v for v in pair]
+             for pair in row] for row in rows]
+
+
+def _stand_ins(rows):
+    """Values to put in place of the matrix ``rows``: its own parts retyped, a square
+    matrix of any JSON numbers one size either side of it, or any JSON value."""
+    square = st.sampled_from([len(rows) - 1, len(rows), len(rows) + 1]).flatmap(
+        lambda n: st.lists(st.lists(st.lists(_JSON_PARTS, min_size=2, max_size=2),
+                                    min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    return _retyped(rows) | square | _ANY_JSON
+
+
+class TestMatricesReadAsTheirEntriesClose:
+    """Each matrix becomes an array as the parser closes its entry; the reading is unchanged."""
+
+    @pytest.mark.parametrize(
+        "save, load",
+        [(lambda path: save_povm(lossy_pnr(0.7, 30), path), load_povm),
+         (lambda path: save_ensemble(uniform_fock_ensemble(30), path), load_ensemble)],
+        ids=["lossy-pnr-30", "uniform-fock-30"],
+    )
+    def test_a_dim_30_file_loads_without_holding_its_pairs(self, tmp_path, save, load):
+        # Each file is 0.34 MB of text and its matrices take 0.45 MB.  Holding
+        # every [re, im] pair as a list of two floats at once peaked at 4.6 MB.
+        path = tmp_path / "file.json"
+        save(path)
+        load(path)  # once untraced, so that imports and caches do not count
+        tracemalloc.start()
+        try:
+            load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("load, key", [(load_povm, "outcomes"), (load_ensemble, "entries")])
+    def test_a_square_matrix_of_the_wrong_dim_keeps_its_message(self, tmp_path, load, key):
+        path = tmp_path / "file.json"
+        eye3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+        path.write_text(json.dumps({
+            "format_version": "1",
+            "dim": 2,
+            key: [{"label": "x", "prior": 1.0, "matrix": eye3}],
+        }))
+        with pytest.raises(PovmFormatError, match=rf"{key}\[0\]: expected 2 matrix rows$"):
+            load(path)
+
+    def test_an_outcome_with_an_extra_key_loads_as_before(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "format_version": "1",
+            "dim": 2,
+            "guard_levels": 0,
+            "outcomes": [{"label": "x", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "note": "kept"},
+                         {"label": "y", "matrix": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}],
+        }))
+        povm = load_povm(path)
+        assert povm.labels == ("x", "y")
+        np.testing.assert_array_equal(povm.outcome("x").matrix, np.diag([1.0, 0.0]))
+
+    def test_a_labelled_matrix_inside_metadata_is_kept_as_its_array_text(self, tmp_path):
+        # Any object with a string label and a list matrix becomes an array,
+        # wherever it sits; metadata values are kept as their str().
+        path = tmp_path / "p.json"
+        save_povm(ideal_pnr(2), path)
+        doc = json.loads(path.read_text())
+        doc["metadata"] = {"nested": {"label": "z", "matrix": [[[1, 0]]]}, "plain": [[[1, 0]]]}
+        path.write_text(json.dumps(doc))
+        assert load_povm(path).metadata == {
+            "nested": "{'label': 'z', 'matrix': array([[[1, 0]]])}",
+            "plain": "[[[1, 0]]]",
+        }
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[_FIXTURE])
+    @given(data=st.data(), dim=st.sampled_from([2, 3]), index=st.sampled_from([0, 1]))
+    def test_any_value_in_place_of_a_matrix_loads_exactly_or_is_refused_by_name(
+        self, tmp_path, data, dim, index
+    ):
+        cases = [
+            (save_povm, ideal_pnr(dim), "outcomes", lambda path: load_povm(path).elements),
+            (save_ensemble, uniform_fock_ensemble(dim), "entries",
+             lambda path: [e.state for e in load_ensemble(path)]),
+        ]
+        for save, obj, key, matrices in cases:
+            path = tmp_path / "file.json"
+            save(obj, path)
+            doc = json.loads(path.read_text())
+            value = data.draw(_stand_ins(doc[key][index]["matrix"]), label=key)
+            doc[key][index]["matrix"] = value
+            path.write_text(json.dumps(doc))
+            try:
+                loaded = matrices(path)[index]
+            except (PovmFormatError, PovmValidationError, ValueError) as exc:
+                if isinstance(exc, PovmValidationError):  # its report names each outcome
+                    assert exc.report is not None
+                else:
+                    assert f"{key}[{index}]: " in str(exc), str(exc)
+                continue
+            loaded = getattr(loaded, "matrix", loaded)
+            expected = np.asarray(value, dtype=float).view(complex)[..., 0]
+            assert loaded.shape == expected.shape
+            assert loaded.tobytes() == expected.tobytes()
 
 
 class TestTextEncoding:

@@ -80,8 +80,9 @@ class TestConstructors:
             np.testing.assert_allclose(v[n] / v[n - 1], alpha / np.sqrt(n), atol=1e-12)
 
     def test_coherent_truncation_warning(self):
-        with pytest.warns(TruncationWarning):
+        with pytest.warns(TruncationWarning) as caught:
             coherent_state(3.0, 12)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_constructors_unit_norm(self, rng):
         for _ in range(25):

@@ -84,6 +84,13 @@ class TestTmsv:
         with pytest.warns(TruncationWarning, match="truncation budget"):
             TmsvParams(0.9, 20)
 
+    def test_the_budget_warning_names_the_caller(self):
+        # The dataclass-generated __init__ runs under herald's globals, so the
+        # warning passes over it (its file reads "<string>") to this line.
+        with pytest.warns(TruncationWarning, match="truncation budget") as caught:
+            TmsvParams(0.9, 5)
+        assert [w.filename for w in caught] == [__file__]
+
 
 class TestPathEquivalence:
     # tail warnings are irrelevant here: both routes share the truncation
