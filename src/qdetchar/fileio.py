@@ -153,33 +153,24 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
     return [texts[key] for key in keys]
 
 
-def _pairs_array(rows):
-    """``rows`` as one ``(n, n, 2)`` array of booleans, integers or floats, else ``None``.
-
-    ``None`` when numpy cannot read them so: a ragged or non-square matrix, an
-    entry that is not a flat pair, a part that is not a JSON number, or an
-    integer beyond 64 bits.
-    """
-    try:
-        parts = np.array(rows)
-    except ValueError:  # ragged: some entry is not a flat pair
-        return None
-    n = len(parts)
-    if parts.shape != (n, n, 2) or parts.dtype.kind not in "biuf":
-        return None
-    return parts
-
-
 def _matrix_hook(obj: dict) -> dict:
-    """``obj``, its ``matrix`` made one array if it is a labelled entry's that numpy reads.
+    """``obj``, a labelled entry's ``matrix`` made one array where numpy reads it so.
 
     Runs as the parser closes each object, so an entry's lists are freed
-    before the next entry is read.  Anything :func:`_pairs_array` refuses stays
-    a list, for :func:`_matrix_from_pairs` to name the fault.
+    before the next entry is read.  The array is ``(n, n, 2)``, of booleans,
+    integers or floats.  Any other matrix stays a list, for
+    :func:`_matrix_from_pairs` to name the fault: a ragged or non-square
+    matrix, an entry that is not a flat pair, a part that is not a JSON
+    number, or an integer beyond 64 bits.
     """
-    if type(obj.get("label")) is str and type(obj.get("matrix")) is list:
-        parts = _pairs_array(obj["matrix"])
-        if parts is not None:
+    rows = obj.get("matrix")
+    if type(obj.get("label")) is str and type(rows) is list:
+        try:
+            parts = np.array(rows)
+        except ValueError:  # ragged: some entry is not a flat pair
+            return obj
+        n = len(parts)
+        if parts.shape == (n, n, 2) and parts.dtype.kind in "biuf":
             obj["matrix"] = parts
     return obj
 
@@ -187,23 +178,22 @@ def _matrix_hook(obj: dict) -> dict:
 def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
     """Complex ``dim x dim`` matrix from rows of ``[re, im]`` pairs.
 
-    ``rows`` is the parsed list, or the array :func:`_matrix_hook` already
-    made of it.  Each part must be a finite JSON number; ``true`` and
-    ``false`` are read as 1 and 0.  Anything else (a string, ``null``, a
-    nested list, a missing part, an integer too large for a float, ``NaN`` or
-    ``Infinity``) is a :class:`PovmFormatError` naming the first such entry.
+    ``rows`` is the array :func:`_matrix_hook` made of them, or the parsed
+    list it left, which is checked entry by entry.  Each part must be a
+    finite JSON number; ``true`` and ``false`` are read as 1 and 0.  Anything
+    else (a string, ``null``, a nested list, a missing part, an integer too
+    large for a float, ``NaN`` or ``Infinity``) is a :class:`PovmFormatError`
+    naming the first such entry.
     """
     if len(rows) != dim:
         raise PovmFormatError(f"{where}: expected {dim} matrix rows")
-    if type(rows) is np.ndarray:  # square pairs, from _pairs_array
+    if type(rows) is np.ndarray:
         parts = rows
     else:
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != dim:
                 raise PovmFormatError(f"{where}: row {i} must hold {dim} entries")
-        parts = _pairs_array(rows)
-        if parts is None:
-            parts = _checked_pairs(rows, where)
+        parts = _checked_pairs(rows, where)
     parts = np.ascontiguousarray(parts, dtype=float)
     if not np.isfinite(parts).all():
         i, j = np.argwhere(~np.isfinite(parts).all(axis=-1))[0]
@@ -215,9 +205,8 @@ def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
 def _checked_pairs(rows, where: str) -> np.ndarray:
     """The pairs as floats, one entry at a time; names the first bad entry.
 
-    Reached only when numpy cannot read the rows as one numeric array: for
-    malformed entries, and for integers beyond 64 bits that still fit a
-    float.
+    Reached only for rows :func:`_matrix_hook` left as lists: for malformed
+    entries, and for integers beyond 64 bits that still fit a float.
     """
     out = np.empty((len(rows), len(rows), 2))
     for i, row in enumerate(rows):
@@ -305,6 +294,27 @@ def _metadata_out(metadata) -> dict:
     return {str(k): str(v) for k, v in (metadata or {}).items()}
 
 
+def _metadata_in(doc: dict, path) -> dict:
+    """``doc``'s metadata as :func:`_metadata_out` keeps it, read from the file's text.
+
+    Where :func:`_matrix_hook` made an array of a labelled matrix nested in
+    it, the metadata is read again from a parse without the hook, so each
+    value keeps the text of the list it was, in full.
+    """
+    metadata = _expect(doc, "metadata", dict, str(path))
+    stack = list(metadata.values())
+    while stack:
+        value = stack.pop()
+        if type(value) is np.ndarray:
+            metadata = _parse_json(path)["metadata"]
+            break
+        if type(value) is dict:
+            stack.extend(value.values())
+        elif type(value) is list:
+            stack.extend(value)
+    return _metadata_out(metadata)
+
+
 # Without ``indent`` CPython encodes in C; with it, every value goes through
 # the pure-Python encoder.
 _compact = json.JSONEncoder(allow_nan=False).encode
@@ -374,7 +384,7 @@ def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> P
         raise PovmFormatError(f"{path}: guard_levels {guard} outside 0..{dim - 1}")
     outcomes = _labelled_matrices(doc, "outcomes", dim, path)
     elements = tuple(PovmElement(label, matrix) for _, _, label, matrix in outcomes)
-    metadata = _metadata_out(_expect(doc, "metadata", dict, str(path)))
+    metadata = _metadata_in(doc, path)
     povm = Povm(elements, guard_levels=guard, metadata=metadata)
     if validate:
         require_valid(povm, tols)

@@ -457,18 +457,22 @@ class TestMatricesReadAsTheirEntriesClose:
         assert povm.labels == ("x", "y")
         np.testing.assert_array_equal(povm.outcome("x").matrix, np.diag([1.0, 0.0]))
 
-    def test_a_labelled_matrix_inside_metadata_is_kept_as_its_array_text(self, tmp_path):
-        # Any object with a string label and a list matrix becomes an array,
-        # wherever it sits; metadata values are kept as their str().
+    @pytest.mark.parametrize("n", [1, 24])
+    def test_a_labelled_matrix_inside_metadata_keeps_its_list_text(self, tmp_path, n):
+        # The hook makes an array of any object with a string label and a list
+        # matrix, wherever it sits; metadata values still keep the str() of the
+        # list in full, past numpy's 1000-element summary and its 8 digits.
+        rows = [[[i + j / 7, -j / 3] for j in range(n)] for i in range(n)]
+        rows[0][0] = [1, 0]
         path = tmp_path / "p.json"
         save_povm(ideal_pnr(2), path)
         doc = json.loads(path.read_text())
-        doc["metadata"] = {"nested": {"label": "z", "matrix": [[[1, 0]]]}, "plain": [[[1, 0]]]}
+        doc["metadata"] = {"nested": {"label": "z", "matrix": rows}, "plain": rows}
         path.write_text(json.dumps(doc))
-        assert load_povm(path).metadata == {
-            "nested": "{'label': 'z', 'matrix': array([[[1, 0]]])}",
-            "plain": "[[[1, 0]]]",
-        }
+        expected = {"nested": str({"label": "z", "matrix": rows}), "plain": str(rows)}
+        assert load_povm(path).metadata == expected
+        save_povm(load_povm(path), path)
+        assert load_povm(path).metadata == expected
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[_FIXTURE])
     @given(data=st.data(), dim=st.sampled_from([2, 3]), index=st.sampled_from([0, 1]))
