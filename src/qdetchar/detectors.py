@@ -97,13 +97,10 @@ class Povm:
         elements = tuple(self.elements)
         if not elements:
             raise ValueError("a measurement needs at least one outcome")
-        dim = _one_dim(elements, "element")
+        dim = _one_dim(elements, "outcome")
         guard = _number(self.guard_levels, "guard_levels", int)
         if not 0 <= guard < dim:
             raise ValueError(f"guard_levels {guard} outside 0..{dim - 1}")
-        labels = [e.label for e in elements]
-        if len(set(labels)) != len(labels):
-            raise ValueError("outcome labels must be unique")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "guard_levels", guard)
         object.__setattr__(self, "metadata", dict(self.metadata))

@@ -17,7 +17,10 @@ Reports embed the SHA-256 digest of their input file and the tool version,
 so every number in them can be traced back to the bytes it came from.  The
 report schema is the record dataclasses: one writer and one reader follow the
 fields and types that ``EstimatorReport``, ``NonClassicalityReport``,
-``CategoryThresholds`` and ``Tolerances`` declare.
+``CategoryThresholds`` and ``Tolerances`` declare.  Every field of every
+JSON file is read by one type rule, :func:`_expect`; a measurement's
+``metadata`` is an object of strings, and any other value is a format error
+naming the file and the key.
 
 :func:`load_povm` and :func:`load_ensemble` run with Python's cyclic
 garbage collector paused, and leave it on or off as they found it.  Each
@@ -253,7 +256,9 @@ def _expect(doc: dict, key: str, kind, where: str):
     value = doc[key]
     try:
         if type(value) not in _JSON_TYPES.get(kind, (kind,)):
-            raise TypeError(f"has type {type(value).__name__}, not {kind.__name__}")
+            # An array is a JSON list that _matrix_hook converted as it was parsed.
+            name = "list" if type(value) is np.ndarray else type(value).__name__
+            raise TypeError(f"has type {name}, not {kind.__name__}")
         return value if type(value) is kind else kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise PovmFormatError(f"{where}: field {key!r}: {exc}") from None
@@ -292,27 +297,6 @@ def _labelled_matrices(doc: dict, key: str, dim: int, path):
 
 def _metadata_out(metadata) -> dict:
     return {str(k): str(v) for k, v in (metadata or {}).items()}
-
-
-def _metadata_in(doc: dict, path) -> dict:
-    """``doc``'s metadata as :func:`_metadata_out` keeps it, read from the file's text.
-
-    Where :func:`_matrix_hook` made an array of a labelled matrix nested in
-    it, the metadata is read again from a parse without the hook, so each
-    value keeps the text of the list it was, in full.
-    """
-    metadata = _expect(doc, "metadata", dict, str(path))
-    stack = list(metadata.values())
-    while stack:
-        value = stack.pop()
-        if type(value) is np.ndarray:
-            metadata = _parse_json(path)["metadata"]
-            break
-        if type(value) is dict:
-            stack.extend(value.values())
-        elif type(value) is list:
-            stack.extend(value)
-    return _metadata_out(metadata)
 
 
 # Without ``indent`` CPython encodes in C; with it, every value goes through
@@ -384,8 +368,13 @@ def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> P
         raise PovmFormatError(f"{path}: guard_levels {guard} outside 0..{dim - 1}")
     outcomes = _labelled_matrices(doc, "outcomes", dim, path)
     elements = tuple(PovmElement(label, matrix) for _, _, label, matrix in outcomes)
-    metadata = _metadata_in(doc, path)
-    povm = Povm(elements, guard_levels=guard, metadata=metadata)
+    metadata = _expect(doc, "metadata", dict, str(path))
+    for key in metadata:
+        _expect(metadata, key, str, f"{path}: metadata")
+    try:
+        povm = Povm(elements, guard_levels=guard, metadata=metadata)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if validate:
         require_valid(povm, tols)
     return povm

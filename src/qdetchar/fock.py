@@ -57,10 +57,12 @@ def _same_dim(a: str, x: int, b: str, y: int) -> None:
 
 
 def _one_dim(parts, what: str) -> int:
-    """The dim every one of ``parts`` has; a ``ValueError`` listing the dims if they differ."""
+    """The dim all ``parts`` share; a ``ValueError`` if their dims differ or a label repeats."""
     dims = {part.dim for part in parts}
     if len(dims) != 1:
         raise ValueError(f"mixed {what} dimensions: {sorted(dims)}")
+    if len({part.label for part in parts}) != len(parts):
+        raise ValueError(f"{what} labels must be unique")
     return dims.pop()
 
 

@@ -2,6 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+# Any value a JSON number parses to: integers past 64 bits and past the float
+# range, NaN, infinities and a signed zero included; and any JSON value made of them.
+JSON_PARTS = (
+    st.booleans() | st.integers() | st.floats() | st.sampled_from([2**64 + 1, 10**400, -0.0])
+)
+ANY_JSON = st.recursive(
+    JSON_PARTS | st.none() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
 
 
 def random_hermitian(rng, dim):

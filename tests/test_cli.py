@@ -12,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import ANY_JSON
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qdetchar
 from qdetchar import (
@@ -306,19 +309,23 @@ class TestCharacterize:
         assert by_label["on"].category.value == "ProjectiveNonIdeal"
         assert by_label["off"].category.value == "ProjectiveNonIdeal"
 
-    def test_overcomplete_file_exits_2(self, tmp_path, capsys):
-        el = [[[0.75, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.75, 0.0]]]
-        path = tmp_path / "over.json"
+    @pytest.mark.parametrize(
+        "labels, weight, message",
+        [(("a", "b"), 0.75, "0.5"),
+         (("0", "0"), 0.5, "error: {path}: outcome labels must be unique\n")],
+        ids=["overcomplete", "repeated-label"],
+    )
+    def test_a_file_the_measurement_refuses_exits_2(self, tmp_path, capsys, labels, weight, message):
+        # two elements summing to 2 * weight * identity
+        el = [[[weight, 0.0], [0.0, 0.0]], [[0.0, 0.0], [weight, 0.0]]]
+        path = tmp_path / "p.json"
         path.write_text(
             json.dumps(
                 {
                     "format_version": "1",
                     "dim": 2,
                     "guard_levels": 0,
-                    "outcomes": [
-                        {"label": "a", "matrix": el},
-                        {"label": "b", "matrix": el},
-                    ],
+                    "outcomes": [{"label": label, "matrix": el} for label in labels],
                 }
             )
         )
@@ -326,7 +333,7 @@ class TestCharacterize:
             capsys, "characterize", str(path), "--out", str(tmp_path / "r.json")
         )
         assert code == 2
-        assert "0.5" in err
+        assert message.format(path=path) in err
 
     def test_unparseable_file_exits_4(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
@@ -392,6 +399,49 @@ class TestCharacterize:
             str(tmp_path / "r.json"),
         )
         assert code == 4
+
+
+# Where a mutation puts its value in a saved lossy_pnr(0.7, 3) file: each header
+# field, the metadata and one of its values, the outcome list, one outcome, its
+# label, its matrix, one row of it and one [re, im] pair.
+_MUTATION_SITES = [
+    ("format_version",), ("dim",), ("guard_levels",), ("metadata",), ("metadata", "eta"),
+    ("outcomes",), ("outcomes", 1), ("outcomes", 1, "label"), ("outcomes", 1, "matrix"),
+    ("outcomes", 1, "matrix", 2), ("outcomes", 1, "matrix", 2, 0),
+]
+
+
+class TestMutatedMeasurementFiles:
+    @pytest.fixture
+    def canonical(self, tmp_path, capsys):
+        path = tmp_path / "pnr.json"
+        run(capsys, "model", "lossy-pnr", "--dim", "3", "--eta", "0.7", "--out", str(path))
+        return path.read_text()
+
+    # A dim-3 file is too small for the default grid and moments, by design:
+    # the property is about exit codes.  Each example overwrites the same
+    # files, so one tmp_path serves them all.
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(site=st.sampled_from(_MUTATION_SITES), value=ANY_JSON)
+    def test_any_value_at_any_site_exits_with_a_code(
+        self, tmp_path, capsys, canonical, site, value
+    ):
+        doc = json.loads(canonical)
+        *parents, last = site
+        parent = doc
+        for key in parents:
+            parent = parent[key]
+        parent[last] = value
+        path, out = tmp_path / "mutated.json", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        for argv in (
+            ["characterize", str(path), "--out", str(out)],
+            ["wigner", str(path), "--outcome", "1", "--nx", "5", "--np", "5", "--out", str(out)],
+            ["herald", str(path), "--outcome", "1", "--lam", "0.3"],
+        ):
+            assert run(capsys, *argv)[0] in (0, 2, 3, 4), argv
 
 
 class TestTargetNumbers:
@@ -633,6 +683,18 @@ class TestRetrodict:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err == f"error: {ens_path}: entries[2]: prior must lie in [0, 1], got 1.5\n"
+
+    def test_a_repeated_entry_label_exits_2_naming_the_file(self, tmp_path, capsys):
+        povm_path, ens_path = tmp_path / "pnr.json", tmp_path / "ens.json"
+        run(capsys, "model", "ideal-pnr", "--dim", "3", "--out", str(povm_path))
+        save_ensemble(uniform_fock_ensemble(3), ens_path)
+        doc = json.loads(ens_path.read_text())
+        doc["entries"][1]["label"] = "0"
+        ens_path.write_text(json.dumps(doc))
+        argv = ["retrodict", str(povm_path), "--outcome", "1", "--ensemble", str(ens_path)]
+        code, text, err = run(capsys, *argv)
+        assert (code, text) == (2, "")
+        assert err == f"error: {ens_path}: entry labels must be unique\n"
 
     def test_an_ensemble_of_another_dim_exits_2(self, tmp_path, capsys):
         povm_path, ens_path = tmp_path / "pnr.json", tmp_path / "ens.json"

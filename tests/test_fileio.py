@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from conftest import random_density, random_pure
+from conftest import ANY_JSON, JSON_PARTS, random_density, random_pure
 
 from qdetchar import (
     CONVENTION,
@@ -380,18 +380,6 @@ class TestCollectorPause:
             (gc.enable if was else gc.disable)()
 
 
-# Any value a JSON number parses to: integers past 64 bits and past the float
-# range, NaN, infinities and a signed zero included; and any JSON value made of them.
-_JSON_PARTS = (
-    st.booleans() | st.integers() | st.floats() | st.sampled_from([2**64 + 1, 10**400, -0.0])
-)
-_ANY_JSON = st.recursive(
-    _JSON_PARTS | st.none() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=12,
-)
-
-
 @st.composite
 def _retyped(draw, rows):
     """``rows`` of ``[re, im]`` pairs, each 0 or 1 drawn as a float, an int or a bool."""
@@ -403,10 +391,10 @@ def _stand_ins(rows):
     """Values to put in place of the matrix ``rows``: its own parts retyped, a square
     matrix of any JSON numbers one size either side of it, or any JSON value."""
     square = st.sampled_from([len(rows) - 1, len(rows), len(rows) + 1]).flatmap(
-        lambda n: st.lists(st.lists(st.lists(_JSON_PARTS, min_size=2, max_size=2),
+        lambda n: st.lists(st.lists(st.lists(JSON_PARTS, min_size=2, max_size=2),
                                     min_size=n, max_size=n), min_size=n, max_size=n)
     )
-    return _retyped(rows) | square | _ANY_JSON
+    return _retyped(rows) | square | ANY_JSON
 
 
 class TestMatricesReadAsTheirEntriesClose:
@@ -457,22 +445,32 @@ class TestMatricesReadAsTheirEntriesClose:
         assert povm.labels == ("x", "y")
         np.testing.assert_array_equal(povm.outcome("x").matrix, np.diag([1.0, 0.0]))
 
-    @pytest.mark.parametrize("n", [1, 24])
-    def test_a_labelled_matrix_inside_metadata_keeps_its_list_text(self, tmp_path, n):
-        # The hook makes an array of any object with a string label and a list
-        # matrix, wherever it sits; metadata values still keep the str() of the
-        # list in full, past numpy's 1000-element summary and its 8 digits.
-        rows = [[[i + j / 7, -j / 3] for j in range(n)] for i in range(n)]
-        rows[0][0] = [1, 0]
+    @pytest.mark.parametrize(
+        "metadata, key, kind",
+        [({"nested": {"label": "z", "matrix": [[[1, 0]]]}}, "nested", "dict"),
+         ({"plain": [[[1, 0]]]}, "plain", "list"),
+         ({"flag": True}, "flag", "bool"),
+         ({"eta": 0.7}, "eta", "float"),
+         ({"note": None}, "note", "NoneType"),
+         ({"label": "z", "matrix": [[[1, 0]]]}, "matrix", "list")],
+        ids=["labelled-matrix", "list", "true", "number", "null", "itself-a-labelled-matrix"],
+    )
+    def test_a_metadata_value_that_is_not_a_string_is_refused_by_key(
+        self, tmp_path, capsys, metadata, key, kind
+    ):
+        # Metadata values are read by the type rule of every field, so none can
+        # hold a matrix the hook made an array of.  Metadata that is itself a
+        # labelled matrix names its matrix by its JSON type, a list.
         path = tmp_path / "p.json"
         save_povm(ideal_pnr(2), path)
         doc = json.loads(path.read_text())
-        doc["metadata"] = {"nested": {"label": "z", "matrix": rows}, "plain": rows}
+        doc["metadata"] = {"source": "kept", **metadata}
         path.write_text(json.dumps(doc))
-        expected = {"nested": str({"label": "z", "matrix": rows}), "plain": str(rows)}
-        assert load_povm(path).metadata == expected
-        save_povm(load_povm(path), path)
-        assert load_povm(path).metadata == expected
+        message = f"{path}: metadata: field {key!r}: has type {kind}, not str"
+        with pytest.raises(PovmFormatError, match=f"^{re.escape(message)}$"):
+            load_povm(path)
+        assert main(["characterize", str(path), "--out", str(tmp_path / "r.json")]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[_FIXTURE])
     @given(data=st.data(), dim=st.sampled_from([2, 3]), index=st.sampled_from([0, 1]))

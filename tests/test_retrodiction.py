@@ -355,6 +355,11 @@ class TestEnsembles:
         with pytest.raises(ValueError, match="priors"):
             ProbeEnsemble((e, ProbeEntry(0.6, fock_state(1, 3), "b")))
 
+    def test_labels_must_be_unique(self):
+        entries = (ProbeEntry(0.5, fock_state(0, 3), "0"), ProbeEntry(0.5, fock_state(1, 3), "0"))
+        with pytest.raises(ValueError, match="^entry labels must be unique$"):
+            ProbeEnsemble(entries)
+
     def test_prior_sum_slack_is_the_given_norm_tolerance(self):
         entries = (
             ProbeEntry(0.5 + 1e-6, fock_state(0, 3), "a"),
