@@ -18,23 +18,24 @@ so every number in them can be traced back to the bytes it came from.  The
 report schema is the record dataclasses: one writer and one reader follow the
 fields and types that ``EstimatorReport``, ``NonClassicalityReport``,
 ``CategoryThresholds`` and ``Tolerances`` declare.  Every field of every
-JSON file is read by one type rule, :func:`_expect`; a measurement's
-``metadata`` is an object of strings, and any other value is a format error
-naming the file and the key.
+JSON file is read by one type rule, :func:`_expect`.
 
-:func:`load_povm` and :func:`load_ensemble` run with Python's cyclic
-garbage collector paused, and leave it on or off as they found it.  Each
-matrix becomes one numpy array as soon as the parser closes its entry's
-object, so that entry's ``[re, im]`` lists are freed before the next entry is
-read, and a file's pairs never all exist as Python objects at once.  The
-lists are still built, though, over 200,000 of them for a dim-60 file, and
-allocating that many containers would otherwise set off some 300 collector
-passes per file, full ones among them.  They could reclaim nothing: a parsed
-entry holds no reference cycle, and reference counting frees it at once.
-The pause assumes that one thread at a time switches the collector: ``gc``
-state is process-wide, so another thread's call could switch it back on
-mid-load.  The writers build a string per row and few containers, and run
-with the collector as they find it.
+Measurements and ensembles are files of labelled ``[re, im]`` matrices, read
+by :func:`_read_labelled` and written by :func:`_write_labelled`; in both,
+``metadata`` is an object of strings, and any other value is a format error
+naming the file and the key.  The reader pauses Python's cyclic garbage
+collector, and leaves it on or off as it found it.  Each matrix becomes one
+numpy array as soon as the parser closes its entry's object, so that entry's
+``[re, im]`` lists are freed before the next entry is read, and a file's
+pairs never all exist as Python objects at once.  The lists are still built,
+though, over 200,000 of them for a dim-60 file, and allocating that many
+containers would otherwise set off some 300 collector passes per file, full
+ones among them.  They could reclaim nothing: a parsed entry holds no
+reference cycle, and reference counting frees it at once.  The pause assumes
+that one thread at a time switches the collector: ``gc`` state is
+process-wide, so another thread's call could switch it back on mid-load.  The
+writers build a string per row and few containers, and run with the collector
+as they find it.
 """
 
 from __future__ import annotations
@@ -201,7 +202,9 @@ def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
     if not np.isfinite(parts).all():
         i, j = np.argwhere(~np.isfinite(parts).all(axis=-1))[0]
         raise PovmFormatError(f"{where}: entry ({i},{j}) is not finite")
-    # A view, not re + 1j*im, which would turn an imaginary -0.0 into +0.0.
+    # A read-only view, which PovmElement keeps without a copy; re + 1j*im
+    # would turn an imaginary -0.0 into +0.0.
+    parts.setflags(write=False)
     return parts.view(complex)[..., 0]
 
 
@@ -278,11 +281,18 @@ def _check_header(doc, path):
     return dim
 
 
-def _labelled_matrices(doc: dict, key: str, dim: int, path):
-    """``(where, entry, label, matrix)`` for each object of the non-empty list ``doc[key]``."""
+@_without_gc
+def _read_labelled(path, key: str):
+    """``(doc, dim, entries)``: ``(where, entry, label, matrix)`` per object of ``doc[key]``.
+
+    ``doc["metadata"]`` is an object of strings, ``{}`` when the file has none.
+    """
+    doc = _parse_json(path, _matrix_hook)
+    dim = _check_header(doc, path)
     entries = _expect(doc, key, list, str(path))
     if not entries:
         raise PovmFormatError(f"{path}: {key} list is empty")
+    labelled = []
     for i, entry in enumerate(entries):
         where = f"{path}: {key}[{i}]"
         if type(entry) is not dict:
@@ -291,12 +301,18 @@ def _labelled_matrices(doc: dict, key: str, dim: int, path):
         rows = entry.get("matrix")
         if type(rows) is not np.ndarray:
             rows = _expect(entry, "matrix", list, where)
-        matrix = _matrix_from_pairs(rows, dim, where)
-        yield where, entry, label, matrix
+        labelled.append((where, entry, label, _matrix_from_pairs(rows, dim, where)))
+    doc = {"metadata": {}, **doc}
+    for name in _expect(doc, "metadata", dict, str(path)):
+        _expect(doc["metadata"], name, str, f"{path}: metadata")
+    return doc, dim, labelled
 
 
-def _metadata_out(metadata) -> dict:
-    return {str(k): str(v) for k, v in (metadata or {}).items()}
+def _write_labelled(path, dim: int, key: str, entries: list, metadata, **fields) -> None:
+    """Write a measurement or ensemble file: the header, ``fields``, ``entries`` under ``key``."""
+    metadata = {str(k): str(v) for k, v in metadata.items()}
+    write_json({"format_version": FORMAT_VERSION, "dim": dim, **fields, key: entries,
+                "metadata": metadata}, path)
 
 
 # Without ``indent`` CPython encodes in C; with it, every value goes through
@@ -340,19 +356,11 @@ def write_json(doc: dict, path) -> None:
 
 def save_povm(povm: Povm, path) -> None:
     """Write a measurement to JSON (schema version 1)."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "dim": povm.dim,
-        "guard_levels": povm.guard_levels,
-        "outcomes": [
-            {"label": e.label, "matrix": e.matrix} for e in povm
-        ],
-        "metadata": _metadata_out(povm.metadata),
-    }
-    write_json(doc, path)
+    outcomes = [{"label": e.label, "matrix": e.matrix} for e in povm]
+    _write_labelled(path, povm.dim, "outcomes", outcomes, povm.metadata,
+                    guard_levels=povm.guard_levels)
 
 
-@_without_gc
 def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> Povm:
     """Read and physically validate a measurement file.
 
@@ -360,19 +368,14 @@ def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> P
     default (top fifth of the space guarded).  Validation failures raise
     :class:`~qdetchar.errors.PovmValidationError` carrying the full report.
     """
-    doc = _parse_json(path, _matrix_hook)
-    dim = _check_header(doc, path)
-    doc = {"guard_levels": default_guard_levels(dim), "metadata": {}, **doc}
+    doc, dim, outcomes = _read_labelled(path, "outcomes")
+    doc = {"guard_levels": default_guard_levels(dim), **doc}
     guard = _expect(doc, "guard_levels", int, str(path))
     if not 0 <= guard < dim:
         raise PovmFormatError(f"{path}: guard_levels {guard} outside 0..{dim - 1}")
-    outcomes = _labelled_matrices(doc, "outcomes", dim, path)
     elements = tuple(PovmElement(label, matrix) for _, _, label, matrix in outcomes)
-    metadata = _expect(doc, "metadata", dict, str(path))
-    for key in metadata:
-        _expect(metadata, key, str, f"{path}: metadata")
     try:
-        povm = Povm(elements, guard_levels=guard, metadata=metadata)
+        povm = Povm(elements, guard_levels=guard, metadata=doc["metadata"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if validate:
@@ -384,29 +387,15 @@ def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> P
 
 def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
     """Write a probe ensemble to JSON (same matrix encoding as measurements)."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "dim": ensemble.dim,
-        "entries": [
-            {
-                "label": e.label,
-                "prior": e.prior,
-                "matrix": e.state,
-            }
-            for e in ensemble
-        ],
-        "metadata": {},
-    }
-    write_json(doc, path)
+    entries = [{"label": e.label, "prior": e.prior, "matrix": e.state} for e in ensemble]
+    _write_labelled(path, ensemble.dim, "entries", entries, {})
 
 
-@_without_gc
 def load_ensemble(path, tols: Tolerances = DEFAULT_TOLS) -> ProbeEnsemble:
     """Read a probe ensemble file; each entry must be a valid density matrix."""
-    doc = _parse_json(path, _matrix_hook)
-    dim = _check_header(doc, path)
+    _, _, labelled = _read_labelled(path, "entries")
     entries = []
-    for where, entry, label, matrix in _labelled_matrices(doc, "entries", dim, path):
+    for where, entry, label, matrix in labelled:
         prior = _expect(entry, "prior", float, where)
         try:
             entries.append(ProbeEntry(prior=prior, state=matrix, label=label))

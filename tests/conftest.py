@@ -40,6 +40,16 @@ def random_pure(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def pytest_collection_modifyitems(items):
+    """Fail any test on a warning that it neither expects nor filters.
+
+    The mark goes first among each test's own, so the test's and its class's
+    and module's ``filterwarnings`` marks are applied after it and win.
+    """
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings("error"), append=False)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

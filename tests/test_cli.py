@@ -401,6 +401,17 @@ class TestCharacterize:
         assert code == 4
 
 
+def _mutated(text, site, value):
+    """The JSON document ``text`` with ``value`` put at ``site``, a path of keys."""
+    doc = json.loads(text)
+    *parents, last = site
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    parent[last] = value
+    return json.dumps(doc)
+
+
 # Where a mutation puts its value in a saved lossy_pnr(0.7, 3) file: each header
 # field, the metadata and one of its values, the outcome list, one outcome, its
 # label, its matrix, one row of it and one [re, im] pair.
@@ -428,20 +439,43 @@ class TestMutatedMeasurementFiles:
     def test_any_value_at_any_site_exits_with_a_code(
         self, tmp_path, capsys, canonical, site, value
     ):
-        doc = json.loads(canonical)
-        *parents, last = site
-        parent = doc
-        for key in parents:
-            parent = parent[key]
-        parent[last] = value
         path, out = tmp_path / "mutated.json", tmp_path / "out"
-        path.write_text(json.dumps(doc))
+        path.write_text(_mutated(canonical, site, value))
         for argv in (
             ["characterize", str(path), "--out", str(out)],
             ["wigner", str(path), "--outcome", "1", "--nx", "5", "--np", "5", "--out", str(out)],
             ["herald", str(path), "--outcome", "1", "--lam", "0.3"],
         ):
             assert run(capsys, *argv)[0] in (0, 2, 3, 4), argv
+
+
+# Where a mutation puts its value in a saved uniform_fock_ensemble(3) file: each
+# header field, the metadata and one value in it, the entry list, one entry, its
+# label, prior and matrix, one row of it and one [re, im] pair.
+_ENSEMBLE_SITES = [
+    ("format_version",), ("dim",), ("metadata",), ("metadata", "note"),
+    ("entries",), ("entries", 1), ("entries", 1, "label"), ("entries", 1, "prior"),
+    ("entries", 1, "matrix"), ("entries", 1, "matrix", 2), ("entries", 1, "matrix", 2, 0),
+]
+
+
+class TestMutatedEnsembleFiles:
+    @pytest.fixture
+    def canonical(self, tmp_path):
+        save_povm(lossy_pnr(0.7, 3), tmp_path / "pnr.json")
+        save_ensemble(uniform_fock_ensemble(3), tmp_path / "ens.json")
+        return (tmp_path / "ens.json").read_text()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(site=st.sampled_from(_ENSEMBLE_SITES), value=ANY_JSON)
+    def test_any_value_at_any_site_exits_with_a_code(
+        self, tmp_path, capsys, canonical, site, value
+    ):
+        path = tmp_path / "mutated.json"
+        path.write_text(_mutated(canonical, site, value))
+        argv = ["retrodict", str(tmp_path / "pnr.json"), "--outcome", "1", "--ensemble", str(path)]
+        assert run(capsys, *argv)[0] in (0, 2, 3, 4)
 
 
 class TestTargetNumbers:

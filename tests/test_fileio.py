@@ -110,6 +110,15 @@ class TestPovmFiles:
         for orig, back in zip(povm, loaded):
             np.testing.assert_array_equal(orig.matrix, back.matrix)
 
+    def test_loaded_elements_keep_the_decoded_matrices_without_a_copy(self, tmp_path):
+        # Each decoded matrix is a read-only complex view of the parsed pairs,
+        # which PovmElement keeps as it is rather than copying.
+        path = tmp_path / "apd.json"
+        save_povm(on_off_apd(0.5, 0.01, 7), path)
+        for element in load_povm(path):
+            assert not element.matrix.flags.writeable
+            assert not element.matrix.flags.owndata
+
     def test_guard_defaults_when_absent(self, tmp_path):
         path = tmp_path / "p.json"
         save_povm(ideal_pnr(10), path)
@@ -342,20 +351,18 @@ class TestCollectorPause:
     """Readers and writers run without cyclic collections, and restore the collector."""
 
     def test_dim_60_file_is_read_and_written_without_a_collection(self, tmp_path):
-        # The file's document holds about 220,000 lists: hundreds of
+        # Each file's document holds about 220,000 lists: hundreds of
         # youngest-generation collections if the collector ran.
-        path = tmp_path / "p.json"
+        path, ens_path = tmp_path / "p.json", tmp_path / "e.json"
         save_povm(lossy_pnr(0.7, 60), path)
         povm, started = _collections_during(load_povm, path)
         assert started == []
         _, started = _collections_during(save_povm, povm, tmp_path / "q.json")
         assert started == []
         assert (tmp_path / "q.json").read_bytes() == path.read_bytes()
-
-    @pytest.mark.parametrize("name", ["load_povm", "load_ensemble"])
-    def test_every_paused_reader_and_writer_keeps_its_name(self, name):
-        fn = getattr(fileio, name)
-        assert fn.__name__ == name and fn.__doc__ == fn.__wrapped__.__doc__
+        save_ensemble(uniform_fock_ensemble(60), ens_path)
+        _, started = _collections_during(load_ensemble, ens_path)
+        assert started == []
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
     def test_collector_state_is_restored(self, tmp_path, enabled):
@@ -363,10 +370,13 @@ class TestCollectorPause:
         save_povm(ideal_pnr(3), good)
         malformed.write_text('{"format_version": "1", "dim": 2, "outcomes": [')
         save_povm(Povm((PovmElement("over", 2 * np.eye(2)),)), unphysical)
+        save_ensemble(uniform_fock_ensemble(3), tmp_path / "ensemble")
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
             load_povm(good)
+            assert gc.isenabled() is enabled
+            load_ensemble(tmp_path / "ensemble")
             assert gc.isenabled() is enabled
             with pytest.raises(PovmFormatError):
                 load_povm(malformed)
@@ -455,21 +465,26 @@ class TestMatricesReadAsTheirEntriesClose:
          ({"label": "z", "matrix": [[[1, 0]]]}, "matrix", "list")],
         ids=["labelled-matrix", "list", "true", "number", "null", "itself-a-labelled-matrix"],
     )
+    @pytest.mark.parametrize("measurement", [True, False], ids=["measurement", "ensemble"])
     def test_a_metadata_value_that_is_not_a_string_is_refused_by_key(
-        self, tmp_path, capsys, metadata, key, kind
+        self, tmp_path, capsys, metadata, key, kind, measurement
     ):
         # Metadata values are read by the type rule of every field, so none can
         # hold a matrix the hook made an array of.  Metadata that is itself a
         # labelled matrix names its matrix by its JSON type, a list.
-        path = tmp_path / "p.json"
-        save_povm(ideal_pnr(2), path)
+        povm_path, ens_path = tmp_path / "p.json", tmp_path / "e.json"
+        save_povm(ideal_pnr(2), povm_path)
+        save_ensemble(uniform_fock_ensemble(2), ens_path)
+        path = povm_path if measurement else ens_path
         doc = json.loads(path.read_text())
         doc["metadata"] = {"source": "kept", **metadata}
         path.write_text(json.dumps(doc))
         message = f"{path}: metadata: field {key!r}: has type {kind}, not str"
         with pytest.raises(PovmFormatError, match=f"^{re.escape(message)}$"):
-            load_povm(path)
-        assert main(["characterize", str(path), "--out", str(tmp_path / "r.json")]) == 4
+            (load_povm if measurement else load_ensemble)(path)
+        argv = (["characterize", str(path), "--out", str(tmp_path / "r.json")] if measurement
+                else ["retrodict", str(povm_path), "--outcome", "1", "--ensemble", str(path)])
+        assert main(argv) == 4
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[_FIXTURE])
