@@ -27,7 +27,8 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances, _number
 from .errors import PovmValidationError
 from .fock import (
-    _one_dim, _spectrum, _square, _unit_ket, check_dim, eig_hermitian, hermiticity_defect
+    _frozen, _one_dim, _spectrum, _square, _unit_ket, check_dim, eig_hermitian,
+    hermiticity_defect,
 )
 
 __all__ = [
@@ -64,9 +65,7 @@ class PovmElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = self.matrix if _frozen(self.matrix) else np.array(self.matrix, dtype=complex)
-        arr.setflags(write=False)
-        arr = _square(arr, f"element {self.label!r}")
+        arr = _square(_frozen(self.matrix), f"element {self.label!r}")
         check_dim(arr.shape[0])
         object.__setattr__(self, "label", str(self.label))
         object.__setattr__(self, "matrix", arr)
@@ -129,15 +128,6 @@ class Povm:
 def default_guard_levels(dim: int) -> int:
     """Guard the top fifth of the space (rounded up) for loaded measurements."""
     return -(-check_dim(dim) // 5)
-
-
-def _frozen(m) -> bool:
-    """Whether ``m`` is C-contiguous complex128, read-only down its ``.base`` chain to ``None``."""
-    if type(m) is not np.ndarray or m.dtype != complex or not m.flags.c_contiguous:
-        return False
-    while isinstance(m, np.ndarray) and not m.flags.writeable:
-        m = m.base
-    return m is None
 
 
 def _diagonal_povm(labels, diagonals) -> Povm:

@@ -66,6 +66,20 @@ def _one_dim(parts, what: str) -> int:
     return dims.pop()
 
 
+def _frozen(m) -> np.ndarray:
+    """``m`` if it is C-contiguous complex128, read-only down its ``.base`` chain to
+    ``None``; else a read-only complex copy.  No caller can write to what it returns."""
+    if type(m) is np.ndarray and m.dtype == complex and m.flags.c_contiguous:
+        base = m
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None:
+            return m
+    m = np.array(m, dtype=complex)
+    m.setflags(write=False)
+    return m
+
+
 def _unit_trace(rho: np.ndarray, tols: Tolerances, what: str) -> None:
     """A ``ValueError`` naming ``what`` unless ``Tr rho`` is within ``tols.norm`` of 1."""
     tr = float(np.real(np.trace(rho)))

@@ -40,7 +40,7 @@ from .config import DEFAULT_THRESHOLDS, DEFAULT_TOLS, CategoryThresholds, Tolera
 from .detectors import Povm, PovmElement
 from .errors import NullOutcomeError, UnreachableOutcomeError
 from .fock import (
-    _as_density, _one_dim, _same_dim, _unit_ket, assert_density_matrix, check_dim, purity
+    _as_density, _frozen, _one_dim, _same_dim, _unit_ket, assert_density_matrix, check_dim, purity
 )
 
 __all__ = [
@@ -209,8 +209,7 @@ class ProbeEntry:
         p = _number(self.prior, "prior")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"prior must lie in [0, 1], got {p}")
-        rho = np.array(_as_density(self.state, f"probe entry {self.label!r}"))
-        rho.setflags(write=False)
+        rho = _frozen(_as_density(self.state, f"probe entry {self.label!r}"))
         object.__setattr__(self, "prior", p)
         object.__setattr__(self, "state", rho)
         object.__setattr__(self, "label", str(self.label))

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ANY_JSON
-from hypothesis import HealthCheck, given, settings
+from conftest import ANY_JSON, ENSEMBLE_SITES, MEASUREMENT_SITES, mutated
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qdetchar
@@ -401,27 +401,6 @@ class TestCharacterize:
         assert code == 4
 
 
-def _mutated(text, site, value):
-    """The JSON document ``text`` with ``value`` put at ``site``, a path of keys."""
-    doc = json.loads(text)
-    *parents, last = site
-    parent = doc
-    for key in parents:
-        parent = parent[key]
-    parent[last] = value
-    return json.dumps(doc)
-
-
-# Where a mutation puts its value in a saved lossy_pnr(0.7, 3) file: each header
-# field, the metadata and one of its values, the outcome list, one outcome, its
-# label, its matrix, one row of it and one [re, im] pair.
-_MUTATION_SITES = [
-    ("format_version",), ("dim",), ("guard_levels",), ("metadata",), ("metadata", "eta"),
-    ("outcomes",), ("outcomes", 1), ("outcomes", 1, "label"), ("outcomes", 1, "matrix"),
-    ("outcomes", 1, "matrix", 2), ("outcomes", 1, "matrix", 2, 0),
-]
-
-
 class TestMutatedMeasurementFiles:
     @pytest.fixture
     def canonical(self, tmp_path, capsys):
@@ -435,28 +414,18 @@ class TestMutatedMeasurementFiles:
     @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(site=st.sampled_from(_MUTATION_SITES), value=ANY_JSON)
+    @given(site=st.sampled_from(MEASUREMENT_SITES), value=ANY_JSON)
     def test_any_value_at_any_site_exits_with_a_code(
         self, tmp_path, capsys, canonical, site, value
     ):
         path, out = tmp_path / "mutated.json", tmp_path / "out"
-        path.write_text(_mutated(canonical, site, value))
+        path.write_text(mutated(canonical, site, value))
         for argv in (
             ["characterize", str(path), "--out", str(out)],
             ["wigner", str(path), "--outcome", "1", "--nx", "5", "--np", "5", "--out", str(out)],
             ["herald", str(path), "--outcome", "1", "--lam", "0.3"],
         ):
             assert run(capsys, *argv)[0] in (0, 2, 3, 4), argv
-
-
-# Where a mutation puts its value in a saved uniform_fock_ensemble(3) file: each
-# header field, the metadata and one value in it, the entry list, one entry, its
-# label, prior and matrix, one row of it and one [re, im] pair.
-_ENSEMBLE_SITES = [
-    ("format_version",), ("dim",), ("metadata",), ("metadata", "note"),
-    ("entries",), ("entries", 1), ("entries", 1, "label"), ("entries", 1, "prior"),
-    ("entries", 1, "matrix"), ("entries", 1, "matrix", 2), ("entries", 1, "matrix", 2, 0),
-]
 
 
 class TestMutatedEnsembleFiles:
@@ -468,14 +437,48 @@ class TestMutatedEnsembleFiles:
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(site=st.sampled_from(_ENSEMBLE_SITES), value=ANY_JSON)
+    @given(site=st.sampled_from(ENSEMBLE_SITES), value=ANY_JSON)
     def test_any_value_at_any_site_exits_with_a_code(
         self, tmp_path, capsys, canonical, site, value
     ):
         path = tmp_path / "mutated.json"
-        path.write_text(_mutated(canonical, site, value))
+        path.write_text(mutated(canonical, site, value))
         argv = ["retrodict", str(tmp_path / "pnr.json"), "--outcome", "1", "--ensemble", str(path)]
         assert run(capsys, *argv)[0] in (0, 2, 3, 4)
+
+
+# Where a mutation puts its value in a saved `characterize --witnesses` report of
+# lossy_pnr(0.7, 3): each header field, the thresholds and tolerances and one
+# field of each, the estimator rows, one row and one of its fields, and the
+# witness rows and one field of one of them.
+_REPORT_SITES = [
+    ("format_version",), ("tool",), ("tool_version",), ("input_digest",), ("dim",),
+    ("thresholds",), ("thresholds", "projectivity_min"), ("tolerances",), ("tolerances", "norm"),
+    ("estimators",), ("estimators", 1), ("estimators", 1, "projectivity"),
+    ("nonclassicality",), ("nonclassicality", 1, "min_wigner"),
+]
+
+
+class TestMutatedReportFiles:
+    @pytest.fixture
+    def canonical(self, tmp_path):
+        save_povm(lossy_pnr(0.7, 3), tmp_path / "pnr.json")
+        report = tmp_path / "report.json"
+        with pytest.warns(qdetchar.TruncationWarning):  # the default grid outruns dim 3
+            assert main(["characterize", str(tmp_path / "pnr.json"), "--witnesses",
+                         "--out", str(report)]) == 0
+        return report.read_text()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(site=st.sampled_from(_REPORT_SITES), value=ANY_JSON)
+    @example(site=("dim",), value=10**400)  # crashed the range checks with an OverflowError
+    def test_any_value_at_any_site_exits_with_a_code(
+        self, tmp_path, capsys, canonical, site, value
+    ):
+        path = tmp_path / "mutated.json"
+        path.write_text(mutated(canonical, site, value))
+        assert run(capsys, "verify", str(path))[0] in (0, 2, 3, 4)
 
 
 class TestTargetNumbers:

@@ -5,6 +5,7 @@ import enum
 import gc
 import json
 import re
+import sys
 import tracemalloc
 import typing
 import warnings
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from conftest import ANY_JSON, JSON_PARTS, random_density, random_pure
+from conftest import (
+    ANY_JSON, ENSEMBLE_SITES, JSON_PARTS, MEASUREMENT_SITES, mutated, random_density, random_pure
+)
 
 from qdetchar import (
     CONVENTION,
@@ -287,6 +290,13 @@ class TestEnsembleFiles:
         save_ensemble(load_ensemble(a), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_loaded_entries_keep_the_decoded_matrices_without_a_copy(self, tmp_path):
+        path = tmp_path / "e.json"
+        save_ensemble(uniform_fock_ensemble(4), path)
+        for entry in load_ensemble(path):
+            assert not entry.state.flags.writeable
+            assert not entry.state.flags.owndata
+
     def test_entries_must_be_states(self, tmp_path):
         path = tmp_path / "e.json"
         doc = {
@@ -351,11 +361,15 @@ class TestCollectorPause:
     """Readers and writers run without cyclic collections, and restore the collector."""
 
     def test_dim_60_file_is_read_and_written_without_a_collection(self, tmp_path):
-        # Each file's document holds about 220,000 lists: hundreds of
-        # youngest-generation collections if the collector ran.
-        path, ens_path = tmp_path / "p.json", tmp_path / "e.json"
+        # A file holding a null is parsed as written, into about 220,000
+        # lists: hundreds of youngest-generation collections if the
+        # collector ran.  Zero pairs parsed as null leave about 5,500.
+        path, ens_path, null_path = tmp_path / "p.json", tmp_path / "e.json", tmp_path / "n.json"
         save_povm(lossy_pnr(0.7, 60), path)
         povm, started = _collections_during(load_povm, path)
+        assert started == []
+        save_povm(Povm(povm.elements, metadata={"note": "null"}), null_path)
+        _, started = _collections_during(load_povm, null_path)
         assert started == []
         _, started = _collections_during(save_povm, povm, tmp_path / "q.json")
         assert started == []
@@ -516,6 +530,110 @@ class TestMatricesReadAsTheirEntriesClose:
             expected = np.asarray(value, dtype=float).view(complex)[..., 0]
             assert loaded.shape == expected.shape
             assert loaded.tobytes() == expected.tobytes()
+
+
+def _same(a, b) -> bool:
+    """Whether two parsed documents are equal: arrays as floats and floats by their bits."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.shape == b.shape
+                and np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes())
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return repr(a) == repr(b)
+
+
+def _parses(monkeypatch):
+    """The texts ``json.loads`` is given from now on."""
+    texts, loads = [], json.loads
+
+    def spy(text, **kwargs):
+        texts.append(text)
+        return loads(text, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    return texts
+
+
+# The writer's zero entry, as a value and as the text of a label, key or value.
+_ZEROS = st.sampled_from([[0.0, 0.0], "[0.0, 0.0]", "x[0.0, 0.0]"])
+
+
+class TestZeroPairsParsedAsNull:
+    """Each stored zero pair is parsed as one ``null``; what is read does not change."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("zeros")
+        save_povm(lossy_pnr(0.7, 3), path / "p.json")
+        save_ensemble(uniform_fock_ensemble(3), path / "e.json")
+        return [((path / "p.json").read_text(), MEASUREMENT_SITES + [("metadata", "[0.0, 0.0]")]),
+                ((path / "e.json").read_text(), ENSEMBLE_SITES + [("metadata", "[0.0, 0.0]")])]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), value=_ZEROS | ANY_JSON)
+    def test_any_value_at_any_site_parses_as_the_text_itself(self, files, data, value):
+        text, sites = data.draw(st.sampled_from(files), label="file")
+        text = mutated(text, data.draw(st.sampled_from(sites), label="site"), value)
+        try:
+            expected = json.loads(text, object_hook=fileio._matrix_hook)
+        except Exception as exc:  # noqa: BLE001 - the parse below must raise the same
+            with pytest.raises(type(exc)) as raised:
+                fileio._loads_labelled(text)
+            assert str(raised.value) == str(exc)
+        else:
+            assert _same(fileio._loads_labelled(text), expected)
+
+    def test_a_diagonal_file_is_parsed_once_without_its_zero_pairs(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.json"
+        save_povm(ideal_pnr(12), path)
+        texts = _parses(monkeypatch)
+        povm = load_povm(path)
+        assert len(texts) == 1 and fileio._ZERO_PAIR not in texts[0]
+        np.testing.assert_array_equal(povm.outcome("3").matrix, np.diag(np.arange(12) == 3))
+
+    def test_a_file_holding_null_is_parsed_once_from_its_text(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.json"
+        save_povm(Povm(ideal_pnr(3).elements, metadata={"note": "null"}), path)
+        texts = _parses(monkeypatch)
+        assert load_povm(path).metadata == {"note": "null"}
+        assert texts == [path.read_text()]
+
+    def test_a_label_holding_a_zero_pair_keeps_its_text(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.json"
+        pnr = ideal_pnr(3)
+        save_povm(Povm((PovmElement("[0.0, 0.0]", pnr.elements[0].matrix), *pnr.elements[1:])),
+                  path)
+        texts = _parses(monkeypatch)
+        povm = load_povm(path)
+        assert povm.labels == ("[0.0, 0.0]", "1", "2")
+        assert len(texts) == 2 and texts[1] == path.read_text()  # the rewrite, then the text
+        for back, element in zip(povm, pnr):
+            assert back.matrix.tobytes() == element.matrix.tobytes()
+
+    def test_a_syntax_error_after_zero_pairs_names_its_own_line_and_column(self, tmp_path):
+        rows = ",\n".join(["[" + ", ".join(["[0.0, 0.0]"] * 10) + "]"] * 10)
+        text = ('{"format_version": "1", "dim": 10, "outcomes": [{"label": "0", "matrix": [\n'
+                + rows + "\n]} oops]}")
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        with pytest.raises(json.JSONDecodeError) as raised:
+            json.loads(text)
+        exc = raised.value
+        message = f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
+        with pytest.raises(PovmFormatError, match=f"^{re.escape(message)}$"):
+            load_povm(path)
+        assert (exc.lineno, exc.colno) == (12, 4)
+
+    def test_the_writer_writes_the_zero_pair_the_reader_replaces(self):
+        # Files saved so far hold this text; were the writer's float text to
+        # change, _ZERO_PAIR would follow it and those files would lose the route.
+        assert fileio._ZERO_PAIR == "[0.0, 0.0]"
+        pair = fileio._ZERO_PAIR
+        assert _matrix_to_pairs(np.zeros((2, 2))) == [f"[{pair}, {pair}]"] * 2
 
 
 class TestTextEncoding:
@@ -774,6 +892,13 @@ class TestReportFiles:
         with pytest.raises(ReportValidationError, match="identities"):
             load_report(path)
         assert load_report(path, validate=False).dim == 40
+
+    @pytest.mark.parametrize("dim", [2**63, 10**400], ids=["2**63", "10**400"])
+    def test_a_dim_no_array_can_have_is_a_format_error(self, tmp_path, dim):
+        path = self.tampered(tmp_path, lambda doc: doc.update(dim=dim))
+        message = f"{path}: dim must be at most {sys.maxsize}, got {dim}"
+        with pytest.raises(PovmFormatError, match=f"^{re.escape(message)}$"):
+            load_report(path)
 
     def tampered(self, tmp_path, edit):
         path = tmp_path / "r.json"

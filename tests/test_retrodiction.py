@@ -360,6 +360,22 @@ class TestEnsembles:
         with pytest.raises(ValueError, match="^entry labels must be unique$"):
             ProbeEnsemble(entries)
 
+    @pytest.mark.parametrize("kind", ["complex", "float", "view-of-writable", "ket"])
+    def test_an_entry_keeps_no_link_to_the_callers_array(self, kind):
+        base = fock_state(1, 3) if kind == "ket" else np.diag([0.0, 1.0, 0.0]).astype(
+            float if kind == "float" else complex)
+        given = base[:] if kind == "view-of-writable" else base
+        given.setflags(write=kind != "view-of-writable")
+        entry = ProbeEntry(1.0, given, "1")
+        base[1] = 0.0
+        assert entry.state[1, 1] == 1.0 and not entry.state.flags.writeable
+        assert not np.shares_memory(entry.state, base)
+
+    def test_an_entry_keeps_a_frozen_state_as_it_is(self):
+        state = np.diag([0.0, 1.0, 0.0]).astype(complex)
+        state.setflags(write=False)
+        assert ProbeEntry(1.0, state, "1").state is state
+
     def test_prior_sum_slack_is_the_given_norm_tolerance(self):
         entries = (
             ProbeEntry(0.5 + 1e-6, fock_state(0, 3), "a"),
