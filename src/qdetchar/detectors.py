@@ -267,12 +267,15 @@ class PovmValidationReport:
         return "\n".join(lines)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_povm(povm: Povm, tols: Tolerances = DEFAULT_TOLS) -> PovmValidationReport:
     """Check Hermiticity, positivity, boundedness and completeness.
 
     Completeness is enforced only on the unguarded levels
     ``0 .. dim - guard_levels - 1``; the guarded top of the space is where a
-    truncated description of a real device is allowed to leak.
+    truncated description of a real device is allowed to leak.  An entry
+    near the float limit overflows, without a warning, to an infinite or NaN
+    defect, eigenvalue or residual, and so fails its check.
     """
     d = povm.dim
     checked = d - povm.guard_levels

@@ -214,7 +214,12 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     mixed_zeros = signs.any() and not signs.all()
     if np.count_nonzero(m) == np.count_nonzero(diag) and not mixed_zeros:
         return np.sort(w)
-    return np.linalg.eigvalsh(hermitize(m))
+    h = hermitize(m)
+    if np.isfinite(h).all():
+        return np.linalg.eigvalsh(h)
+    # m + m^dag overflowed, which LAPACK cannot take: solve a quarter of m,
+    # which cannot overflow, and scale back, overflow included.
+    return 4.0 * np.linalg.eigvalsh(hermitize(0.25 * m))
 
 
 def eig_hermitian(m: np.ndarray):
@@ -259,10 +264,15 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assert_density_matrix(
     rho: np.ndarray, tols: Tolerances = DEFAULT_TOLS, what: str = "state"
 ) -> np.ndarray:
-    """Check Hermiticity, positivity and unit trace; raise ``ValueError`` if violated."""
+    """Check Hermiticity, positivity and unit trace; raise ``ValueError`` if violated.
+
+    An entry near the float limit overflows, without a warning, to an
+    infinite or NaN defect, trace or eigenvalue, and so fails its check.
+    """
     rho = _square(rho, what)
     defect = hermiticity_defect(rho)
     if defect > tols.herm:

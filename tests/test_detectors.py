@@ -326,6 +326,18 @@ class TestValidation:
         assert not validate_povm(p).passed
         assert validate_povm(p, Tolerances(psd=1e-6, completeness=1e-6)).passed
 
+    # A finite entry near the float limit: the defect, the diagonal spectrum
+    # and the completeness sum overflowed with a RuntimeWarning, and an
+    # overflowed Hermitian part made eigvalsh raise LinAlgError.
+    @pytest.mark.parametrize("i, j, value", [(0, 0, 9e307), (0, 0, 9e307j), (0, 1, 1e308),
+                                             (0, 1, 1.7e308 + 1.7e308j)],
+                             ids=["diagonal", "imaginary-diagonal", "off-diagonal", "complex"])
+    def test_an_entry_near_the_float_limit_fails_without_a_warning(self, i, j, value):
+        m = np.zeros((3, 3), dtype=complex)
+        m[i, j] = m[j, i] = value
+        report = validate_povm(Povm((PovmElement("a", m), PovmElement("b", m))))
+        assert not report.passed and not report.elements[0].passed
+
     def test_summary_mentions_residual(self):
         p = Povm((PovmElement("a", 0.5 * np.eye(2)),))
         assert "completeness residual 0.5" in validate_povm(p).summary()

@@ -263,6 +263,19 @@ class TestDensityMatrixGuard:
         with pytest.raises(ValueError, match="Hermiticity"):
             assert_density_matrix(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    # A NaN spectrum passed the eigenvalue check, so the off-diagonal case was
+    # accepted as a state.
+    @pytest.mark.parametrize("i, j, value, message",
+                             [(1, 1, 9e307, "trace"), (1, 1, 9e307j, "Hermiticity"),
+                              (0, 1, 1e308, "negative eigenvalue -1e[+]308 ")],
+                             ids=["real", "imaginary", "off-diagonal"])
+    def test_an_entry_near_the_float_limit_is_refused_without_a_warning(self, i, j, value,
+                                                                          message):
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        rho[i, j] = rho[j, i] = value
+        with pytest.raises(ValueError, match=f"^state: {message}"):
+            assert_density_matrix(rho)
+
 
 def _with_entry(value):
     m = np.eye(3, dtype=complex) / 3
