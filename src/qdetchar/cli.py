@@ -44,7 +44,6 @@ from .fileio import (
     ReportFile,
     _comment,
     _row_problems,
-    estimator_identity_residuals,
     load_ensemble,
     load_povm,
     load_report,
@@ -60,6 +59,7 @@ from .herald import retrodictive_limit_scan
 from .phasespace import PhaseSpaceGrid, wigner, witness_report
 from .retrodiction import (
     EstimatorReport,
+    estimator_identity_residuals,
     estimator_report,
     projectivity,
     retrodict_ensemble,

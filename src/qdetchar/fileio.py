@@ -30,22 +30,16 @@ Python objects at once.  Each zero pair the writer stored, ``[0.0, 0.0]``, is
 parsed as one ``null`` that the same step fills in as zeros
 (:func:`_loads_labelled`), so a dim-60 ideal or lossy PNR file parses into
 3,721 or 5,491 lists instead of 219,661, and into the same arrays bit for
-bit; the file's bytes and every refusal stay as they were.  The reader
-pauses Python's cyclic garbage collector, and leaves it on or off as it
-found it.  It is there for the files parsed without that rewrite, such as
-dense ones or any holding a ``null``: a dim-60 file read that way still
-builds over 200,000 lists, which would set off some 300 collector passes,
-full ones among them, and they could reclaim nothing: a parsed entry holds
-no reference cycle, and reference counting frees it at once.  The pause
-assumes that one thread at a time switches the collector: ``gc`` state is
-process-wide, so another thread's call could switch it back on mid-load.
-The writers build a string per row and few containers, and run with the
-collector as they find it.
+bit; the file's bytes and every refusal stay as they were.  A file parsed
+as written, a dense one or one holding a ``null``, builds a list per pair.
+Readers and writers leave Python's cyclic garbage collector as they find
+it: a dense dim-30 file sets off 4 youngest-generation passes and reads
+about as fast as with the collector paused, and the writers build a string
+per row and few containers.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import math
@@ -53,7 +47,7 @@ import sys
 import typing
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from functools import cached_property, partial, wraps
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +70,6 @@ from .retrodiction import (
     ProbeEntry,
     _identity_problems,
     classify_outcome,
-    estimator_identity_residuals,
 )
 
 __all__ = [
@@ -105,22 +98,6 @@ def sha256_digest(path) -> str:
 
 
 # ---------------------------------------------------------------- helpers
-
-def _without_gc(fn):
-    """``fn`` run with the cyclic collector paused, then left on or off as found."""
-
-    @wraps(fn)
-    def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return fn(*args, **kwargs)
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            gc.enable()
-
-    return paused
-
 
 def _distinct_texts(values: np.ndarray, fmt: str):
     """``(rows, fmt)``: a 2-D float array's rows, each to fill a ``fmt`` template.
@@ -357,7 +334,6 @@ def _check_header(doc, path):
     return dim
 
 
-@_without_gc
 def _read_labelled(path, key: str):
     """``(doc, dim, entries)``: ``(where, entry, label, matrix)`` per object of ``doc[key]``.
 
@@ -437,7 +413,7 @@ def save_povm(povm: Povm, path) -> None:
                     guard_levels=povm.guard_levels)
 
 
-def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> Povm:
+def load_povm(path, tols: Tolerances = DEFAULT_TOLS) -> Povm:
     """Read and physically validate a measurement file.
 
     Files written without an explicit ``guard_levels`` get the conservative
@@ -454,8 +430,7 @@ def load_povm(path, tols: Tolerances = DEFAULT_TOLS, validate: bool = True) -> P
         povm = Povm(elements, guard_levels=guard, metadata=doc["metadata"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if validate:
-        require_valid(povm, tols)
+    require_valid(povm, tols)
     return povm
 
 
@@ -600,7 +575,9 @@ def witness_row_problems(row: NonClassicalityReport, report: ReportFile) -> list
     estimator rows; its first row's projectivity and the report's own thresholds
     and tolerances ``tols`` then re-derive ``is_nonclassical`` and
     ``hudson_inconsistent`` as :func:`~qdetchar.phasespace.witness_report`
-    does.  The problems that depend on ``tols.neg`` name its value.
+    does.  The problems that depend on ``tols.neg`` name its value.  An
+    outcome has one witness row: a row that repeats an earlier witness row's
+    outcome is a problem.
     """
     problems = []
     tols = report.tolerances
@@ -615,6 +592,8 @@ def witness_row_problems(row: NonClassicalityReport, report: ReportFile) -> list
             f"witness row has negativity_volume {negv!r}, which is not a finite "
             f"volume that fits min_wigner {minw!r}"
         )
+    if report._first_witness_rows.get(row.outcome_label, row) is not row:
+        problems.append("witness row repeats the outcome of an earlier witness row")
     first = report._first_rows.get(row.outcome_label)
     if first is None:
         return problems + ["witness row names no estimator row"]
@@ -653,6 +632,11 @@ class ReportFile:
     def _first_rows(self) -> dict:
         """Each outcome's first estimator row, built once per report."""
         return {row.outcome_label: row for row in reversed(self.estimators)}
+
+    @cached_property
+    def _first_witness_rows(self) -> dict:
+        """Each outcome's first witness row, built once per report."""
+        return {row.outcome_label: row for row in reversed(self.nonclassicality)}
 
 
 def save_report(report: ReportFile, path) -> None:

@@ -4,18 +4,36 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example
 from hypothesis import strategies as st
+
+# JSON numbers at the edges a reader must handle: an integer past 64 bits, one
+# past the float range, and a signed zero.
+EDGE_PARTS = (2**64 + 1, 10**400, -0.0)
 
 # Any value a JSON number parses to: integers past 64 bits and past the float
 # range, NaN, infinities and a signed zero included; and any JSON value made of them.
-JSON_PARTS = (
-    st.booleans() | st.integers() | st.floats() | st.sampled_from([2**64 + 1, 10**400, -0.0])
-)
+JSON_PARTS = st.booleans() | st.integers() | st.floats() | st.sampled_from(EDGE_PARTS)
 ANY_JSON = st.recursive(
     JSON_PARTS | st.none() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=12,
 )
+
+
+def every_edge_at_every_site(sites):
+    """Stack an ``@example`` of each of ``EDGE_PARTS`` at each of ``sites`` on a property.
+
+    Drawn at random, an edge value reaches any one site too rarely.
+    """
+
+    def stacked(test):
+        for site in sites:
+            for value in EDGE_PARTS:
+                test = example(site=site, value=value)(test)
+        return test
+
+    return stacked
 
 
 def mutated(text, site, value):

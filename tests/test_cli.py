@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ANY_JSON, ENSEMBLE_SITES, MEASUREMENT_SITES, mutated
-from hypothesis import HealthCheck, example, given, settings
+from conftest import (
+    ANY_JSON, ENSEMBLE_SITES, MEASUREMENT_SITES, every_edge_at_every_site, mutated
+)
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qdetchar
@@ -22,6 +24,7 @@ from qdetchar import (
     PovmElement,
     ProbeEnsemble,
     ProbeEntry,
+    ReportValidationError,
     fock_state,
     load_povm,
     load_report,
@@ -415,6 +418,7 @@ class TestMutatedMeasurementFiles:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(site=st.sampled_from(MEASUREMENT_SITES), value=ANY_JSON)
+    @every_edge_at_every_site(MEASUREMENT_SITES)
     def test_any_value_at_any_site_exits_with_a_code(
         self, tmp_path, capsys, canonical, site, value
     ):
@@ -438,6 +442,7 @@ class TestMutatedEnsembleFiles:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(site=st.sampled_from(ENSEMBLE_SITES), value=ANY_JSON)
+    @every_edge_at_every_site(ENSEMBLE_SITES)
     def test_any_value_at_any_site_exits_with_a_code(
         self, tmp_path, capsys, canonical, site, value
     ):
@@ -472,7 +477,7 @@ class TestMutatedReportFiles:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(site=st.sampled_from(_REPORT_SITES), value=ANY_JSON)
-    @example(site=("dim",), value=10**400)  # crashed the range checks with an OverflowError
+    @every_edge_at_every_site(_REPORT_SITES)  # 10**400 at dim crashed the range checks
     def test_any_value_at_any_site_exits_with_a_code(
         self, tmp_path, capsys, canonical, site, value
     ):
@@ -911,6 +916,26 @@ class TestVerify:
         assert code == 2
         assert f"[FAIL] {row['outcome']}: witness row" in text and message in text
         assert "verification FAILED (1 of 4 rows)" in err
+
+    def test_a_second_witness_row_for_one_outcome_fails(self, tmp_path, capsys):
+        save_povm(lossy_pnr(0.7, 4), tmp_path / "pnr.json")
+        out = tmp_path / "report.json"
+        with pytest.warns(qdetchar.TruncationWarning):  # the default grid outruns dim 4
+            assert run(capsys, "characterize", str(tmp_path / "pnr.json"), "--witnesses",
+                       "--out", str(out))[0] == 0
+        doc = json.loads(out.read_text())
+        first = next(r for r in doc["nonclassicality"] if r["outcome"] == "0")
+        doc["nonclassicality"].append(
+            dict(first, min_wigner=0.25, negativity_volume=0.0, is_nonclassical=False)
+        )
+        out.write_text(json.dumps(doc))
+        code, text, err = run(capsys, "verify", str(out))
+        assert code == 2
+        failed = [line for line in text.splitlines() if line.startswith("[FAIL]")]
+        assert failed == ["[FAIL] 0: witness row repeats the outcome of an earlier witness row"]
+        assert "verification FAILED (1 of 9 rows)" in err
+        with pytest.raises(ReportValidationError, match="repeats the outcome"):
+            load_report(out)
 
     def test_witness_rows_are_checked_under_the_reports_own_tolerances(
         self, apd_file, tmp_path, capsys, monkeypatch
