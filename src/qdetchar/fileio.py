@@ -11,7 +11,12 @@ with every number on a line of its own, load unchanged.  Floats survive a
 save/load/save cycle byte for byte (Python's shortest-repr float encoding is
 exact for IEEE doubles).
 Wigner grids are plain whitespace-separated ``x p W`` rows behind ``#``
-header lines, readable by ``numpy.loadtxt``.
+header lines, readable by ``numpy.loadtxt``: the bytes of
+``numpy.savetxt(fmt="%.17g")``, built in numpy about 4,096 points at a time.
+Each W text comes from :func:`_g17`, which gives ``"%.17g" % v`` exactly
+without a Python call per value (a Dekker product against exact powers of
+ten, checked against a rounding margin), and hands the few values that
+margin cannot decide to CPython's own ``%.17g``.
 
 Reports embed the SHA-256 digest of their input file and the tool version,
 so every number in them can be traced back to the bytes it came from.  The
@@ -27,11 +32,12 @@ naming the file and the key.  Each matrix becomes one numpy array as soon as
 the parser closes its entry's object, so that entry's ``[re, im]`` lists are
 freed before the next entry is read, and a file's pairs never all exist as
 Python objects at once.  Each zero pair the writer stored, ``[0.0, 0.0]``, is
-parsed as one ``null`` that the same step fills in as zeros
-(:func:`_loads_labelled`), so a dim-60 ideal or lossy PNR file parses into
-3,721 or 5,491 lists instead of 219,661, and into the same arrays bit for
-bit; the file's bytes and every refusal stay as they were.  A file parsed
-as written, a dense one or one holding a ``null``, builds a list per pair.
+parsed as one word, ``null`` or else ``true`` or ``false``, that the same
+step fills in as zeros (:func:`_loads_labelled`), so a dim-60 ideal or lossy
+PNR file parses into 3,721 or 5,491 lists instead of 219,661, and into the
+same arrays bit for bit; the file's bytes and every refusal stay as they
+were.  A file parsed as written, a dense one or one holding all three
+words, builds a list per pair.
 Readers and writers leave Python's cyclic garbage collector as they find
 it: a dense dim-30 file sets off 4 youngest-generation passes and reads
 about as fast as with the collector paused, and the writers build a string
@@ -47,7 +53,7 @@ import sys
 import typing
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -99,26 +105,42 @@ def sha256_digest(path) -> str:
 
 # ---------------------------------------------------------------- helpers
 
-def _distinct_texts(values: np.ndarray, fmt: str):
-    """``(rows, fmt)``: a 2-D float array's rows, each to fill a ``fmt`` template.
+def _distinct(values: np.ndarray):
+    """``(distinct, index)`` if at most half of the values are distinct, else ``None``.
 
-    Values are grouped by bit pattern, so that +0.0 and -0.0 stay apart.
-    When at most half of them are distinct, each distinct value is formatted
-    once, and the rows hold those strings, to fill ``%s``.  Otherwise they are
-    the float rows, and ``fmt`` comes back unchanged.  Grouping costs a sort
-    and a search per value, which only repeats earn back: on 201^2 Wigner
-    grids it took 0.85x the per-value time at 50% distinct values, 0.95x at
-    60%, 1.1x at 70% and 1.36x when every value is distinct.  So grouping
-    starts at half; above it, counting the distinct values is all it costs.
+    Values are grouped by bit pattern, so that +0.0 and -0.0 stay apart:
+    ``distinct`` holds each pattern once, as floats, and ``distinct[index]``
+    gives back ``values``.  A caller formats each distinct value once and
+    lets its text serve every repeat.  Grouping costs a sort and a search per
+    value, which only repeats earn back.  As the median of paired CPU-time
+    ratios, grouped over per value, the ``%r`` rows of a 60 x 120 matrix
+    took 0.73x at 50% distinct values and 1.27x at 100%; writing a 201^2
+    Wigner grid took 1.19x at 50% and 1.53x at 100% on shuffled values, and
+    0.90x and 1.03x on the benchmark's diagonal grids (22-23% distinct).  So
+    grouping starts at half; above it, counting the distinct values is all
+    it costs.
     """
     bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
     ordered = np.sort(bits, axis=None)  # np.unique is 10x slower here (numpy 2.4)
     distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
     if 2 * distinct.size > bits.size:
-        return bits.view(float), fmt
-    texts = "\0".join([fmt] * distinct.size) % tuple(distinct.view(float).tolist())
-    strings = np.array(texts.split("\0"), dtype=object)
-    return strings[np.searchsorted(distinct, bits)], "%s"
+        return None
+    return distinct.view(float), np.searchsorted(distinct, bits)
+
+
+def _distinct_texts(values: np.ndarray, fmt: str):
+    """``(rows, fmt)``: a 2-D float array's rows, each to fill a ``fmt`` template.
+
+    When :func:`_distinct` groups the values, each distinct one is formatted
+    once, and the rows hold those strings, to fill ``%s``.  Otherwise they are
+    the float rows, and ``fmt`` comes back unchanged.
+    """
+    grouped = _distinct(values)
+    if grouped is None:
+        return np.ascontiguousarray(values, dtype=float), fmt
+    distinct, index = grouped
+    texts = "\0".join([fmt] * distinct.size) % tuple(distinct.tolist())
+    return np.array(texts.split("\0"), dtype=object)[index], "%s"
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
@@ -140,11 +162,13 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
     return [texts[key] for key in keys]
 
 
-# The text the writer gives a zero entry, ``[0.0, 0.0]``; the reader parses it as ``null``.
+# The text the writer gives a zero entry, ``[0.0, 0.0]``; the reader parses it
+# as the first of these words that the file does not hold, here with its value.
 _ZERO_PAIR = _matrix_to_pairs(np.zeros((1, 1)))[0][1:-1]
+_STAND_INS = {"null": None, "true": True, "false": False}
 
 
-def _matrix_hook(obj: dict, filled: list | None = None) -> dict:
+def _matrix_hook(obj: dict, filled: list | None = None, zero=None) -> dict:
     """``obj``, a labelled entry's ``matrix`` made one array where numpy reads it so.
 
     Runs as the parser closes each object, so an entry's lists are freed
@@ -153,13 +177,14 @@ def _matrix_hook(obj: dict, filled: list | None = None) -> dict:
     :func:`_matrix_from_pairs` to name the fault: a ragged or non-square
     matrix, an entry that is not a flat pair, a part that is not a JSON
     number, or an integer beyond 64 bits.  Given ``filled``, a one-item
-    count, the text is :func:`_loads_labelled`'s rewrite: a ``None`` entry is
-    a zero pair, and each one filled in is added to the count.
+    count, the text is :func:`_loads_labelled`'s rewrite: an entry that is
+    the stand-in ``zero`` itself is a zero pair, and each one filled in is
+    added to the count.
     """
     rows = obj.get("matrix")
     if type(obj.get("label")) is str and type(rows) is list:
         if filled is not None:
-            parts = _zeros_filled(rows, filled)
+            parts = _zeros_filled(rows, filled, zero)
             if parts is not None:
                 obj["matrix"] = parts
             return obj
@@ -173,26 +198,28 @@ def _matrix_hook(obj: dict, filled: list | None = None) -> dict:
     return obj
 
 
-def _zeros_filled(rows: list, filled: list):
-    """``rows`` as an ``(n, n, 2)`` float array, each ``None`` entry a zero pair.
+def _zeros_filled(rows: list, filled: list, zero=None):
+    """``rows`` as an ``(n, n, 2)`` float array, each entry that is ``zero`` a zero pair.
 
     The matrix is taken by :func:`_matrix_hook`'s rule, ``n >= 1`` lists of
     ``n`` entries, and its other entries by one ``np.array``, which must give
     flat pairs of booleans, integers or floats.  Otherwise it is ``None``,
-    and ``filled`` is left as it was.
+    and ``filled`` is left as it was.  Entries are matched by identity: a
+    bare ``1`` equals ``True`` but is no stand-in.
     """
     n = len(rows)
     if not n:
         return None
-    found = []  # the flat index of each entry that is not None
+    found = []  # the flat index of each entry that is not the stand-in
     for i, row in enumerate(rows):
         if type(row) is not list or len(row) != n:
             return None
-        count = row.count(None)
-        if count == n - 1 and row[i] is not None:  # a diagonal entry alone, found at once
+        # None equals no JSON value but itself, so list.count matches it by identity
+        count = row.count(None) if zero is None else sum(v is zero for v in row)
+        if count == n - 1 and row[i] is not zero:  # a diagonal entry alone, found at once
             found.append(i * n + i)
         elif count < n:
-            found += [i * n + j for j, v in enumerate(row) if v is not None]
+            found += [i * n + j for j, v in enumerate(row) if v is not zero]
     out = np.zeros((n, n, 2))  # owns its data, so PovmElement keeps it without a copy
     if found:
         try:
@@ -260,22 +287,26 @@ def _checked_pairs(rows, where: str) -> np.ndarray:
 
 
 def _loads_labelled(text: str):
-    """``json.loads(text, object_hook=_matrix_hook)``, parsing each zero pair as ``null``.
+    """``json.loads(text, object_hook=_matrix_hook)``, parsing each zero pair as one word.
 
     A ``null`` is one token where ``[0.0, 0.0]`` is a list and two floats.
-    The rewrite is taken only for a text with no ``null`` at all, and kept
-    only when the hook filled in as many zero pairs as were replaced: ``null``
-    cannot overlap itself, so then every replaced pair was a matrix entry,
-    and no label, key or string was touched.  Otherwise, or when the rewrite
-    does not parse, the text itself is parsed, so every refusal keeps its
-    wording, line and column.
+    The stand-in is the first of ``null``, ``true`` and ``false`` that the
+    text does not hold anywhere, so a label or note reading ``null`` keeps
+    the route.  The rewrite is kept only when the hook filled in as many zero
+    pairs as were replaced: the word cannot overlap itself, and each value
+    filled in is the stand-in itself, so then every replaced pair was a
+    matrix entry, and no label, key or string was touched.  Otherwise, when
+    the text holds all three words, or when the rewrite does not parse, the
+    text itself is parsed, so every refusal keeps its wording, line and
+    column.
     """
-    count = 0 if "null" in text else text.count(_ZERO_PAIR)
+    word = next((w for w in _STAND_INS if w not in text), None)
+    count = text.count(_ZERO_PAIR) if word else 0
     if count:
         filled = [0]
         try:
-            doc = json.loads(text.replace(_ZERO_PAIR, "null"),
-                             object_hook=partial(_matrix_hook, filled=filled))
+            doc = json.loads(text.replace(_ZERO_PAIR, word), object_hook=partial(
+                _matrix_hook, filled=filled, zero=_STAND_INS[word]))
             if filled[0] == count:
                 return doc
         except (ValueError, RecursionError):
@@ -692,6 +723,158 @@ def load_report(path, validate: bool = True) -> ReportFile:
 
 # ---------------------------------------------------------------- Wigner grids
 
+# A "%.17g" text formatted in numpy is a row of four little-endian uint64
+# words, 32 byte slots in the order of the text, and dropping the NULs of
+# the slots it leaves empty gives the text.  Word 0 holds the sign, "0." and
+# up to three zeros (the lead of fixed notation below 1), the first digit
+# and a slot for a point after it; words 1 and 2 the other 16 digits; and
+# word 3 the exponent, "e", its sign and two or three digits.  In fixed
+# notation from 10 up, the point comes later: the digits after it move up
+# one slot, into word 3, which that notation leaves empty.
+_G17_WIDTH = 32
+_BLOCK = 4096  # values formatted, and grid points written, at a time
+# Decimal exponents k, 10**k <= |v| < 10**(k+1), that _g17 formats itself;
+# within them no product in _scaled over- or underflows.
+_K_MIN, _K_MAX = -280, 290
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+
+
+def _split(x: np.ndarray):
+    """Veltkamp's split: ``(high, low)``, each of 26 significant bits, with sum ``x``."""
+    c = _SPLIT * x
+    high = c - (c - x)
+    return high, x - high
+
+
+@cache
+def _g17_tables():
+    """``(powers, heads, tails, digits, trailing, keep, point_after)`` for :func:`_g17`.
+
+    Built at its first call, not at import.  The first three are indexed by
+    ``k - _K_MIN``, for ``_K_MIN <= k <= _K_MAX``.  A column of ``powers``
+    holds ``hi``, ``lo`` and ``_split(hi)`` for ``10**(16 - k)``: ``hi`` is
+    the double nearest the power and ``lo`` the double nearest the rest,
+    each by exact integer arithmetic.  ``heads[negative]`` holds the sign and
+    lead slots of a text's word 0, and ``tails`` its word 3, the exponent.
+    Per four-digit group "0000" to "9999", ``digits`` holds its ASCII digits
+    as the low half of a word, and ``trailing`` its trailing zeros (4 for
+    "0000").  ``keep[c]`` masks the first ``c`` bytes of a word.  Row ``k``
+    of ``point_after`` gives slots 8-24 of fixed notation, d1 to dk, the
+    point, then d(k+1) to d16, as columns of ``[d1 .. d16, NUL, "."]``.
+    """
+    ks = range(_K_MIN, _K_MAX + 1)
+    powers = []
+    for k in ks:
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        hi = num / den  # int / int is correctly rounded
+        a, b = hi.as_integer_ratio()
+        powers.append((hi, (num * b - a * den) / (den * b)))
+    powers = np.array(powers)
+    heads = [sign + (b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"") for sign in (b"", b"-")
+             for k in ks]
+    tails = [b"" if -4 <= k <= 16 else b"e%+03d" % k for k in ks]
+    groups = np.arange(10_000)
+    digits = ((groups[:, None] // [1000, 100, 10, 1] % 10 + 48) << [0, 8, 16, 24]).sum(axis=1)
+    return (np.vstack([powers.T, *_split(powers[:, 0])]),
+            np.array(heads, dtype="S6").astype("S8").view("<u8").reshape(2, -1),
+            np.array(tails, dtype="S8").view("<u8"),
+            digits.astype("<u8"),
+            sum(groups % 10**i == 0 for i in range(1, 5)).astype(np.int8),
+            np.array([(1 << 8 * c) - 1 for c in range(9)], dtype="<u8"),
+            np.array([[*range(k), 17, *range(k, 16)] for k in range(17)]))
+
+
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """``(whole, frac)``: the integer and fractional parts of ``a * 10**(16 - k)``.
+
+    The product with ``hi + lo`` is Dekker's exact two-product with ``hi``
+    plus ``a * lo``; its error is below 1e-14, so ``whole`` is exact and the
+    rounding is decided whenever ``frac`` lies more than that from 1/2.
+    """
+    hi, lo, hi_high, hi_low = _g17_tables()[0][:, k - _K_MIN]
+    a_high, a_low = _split(a)
+    p = a * hi  # an integer: at least 2**53 wherever the result is used
+    t = a_high * hi_high
+    t -= p
+    t += a_high * hi_low
+    t += a_low * hi_high
+    t += a_low * hi_low
+    t += a * lo
+    whole = np.floor(t)
+    t -= whole
+    return p.astype(np.int64) + whole.astype(np.int64), t
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """``(n, _G17_WIDTH)`` bytes: row ``i`` is ``b"%.17g" % values[i]`` in its slots.
+
+    A value is formatted here in five steps: its decimal exponent ``k`` from
+    ``log10``; the 17-digit integer ``round(|v| * 10**(16 - k))`` by
+    :func:`_scaled`; its digits from a table of four-digit groups; the trailing zeros that
+    ``%g`` drops left out; and the slots of its sign and exponent from
+    tables, one row per (sign, ``k``) class.  That is ``%g``'s layout: fixed
+    notation for ``-4 <= k < 17``, exponent notation otherwise.  The value
+    is taken only where the result is provably ``%.17g``: ``k`` within
+    ``_K_MIN.._K_MAX``, the integer within ``[10**16, 10**17)`` (so that
+    ``log10`` found the decade and the rounding did not carry out of it),
+    and the fraction rounded off more than 1e-9 from 1/2.  CPython's own
+    ``%.17g`` formats every other value: zeros, subnormals, near-ties,
+    carries and extremes.
+    """
+    values = np.ascontiguousarray(values, dtype=float).ravel()
+    out = np.empty((values.size, _G17_WIDTH), np.uint8)
+    for start in range(0, values.size, _BLOCK):
+        _g17_block(values[start: start + _BLOCK], out[start: start + _BLOCK])
+    return out
+
+
+def _g17_block(v: np.ndarray, out: np.ndarray) -> None:
+    _, heads, tails, digits4, trailing_zeros, keep, point_after = _g17_tables()
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(a))
+    taken = (k >= _K_MIN) & (k <= _K_MAX)
+    a = np.where(taken, a, 1.0)
+    k = np.where(taken, k, 0.0).astype(np.int64)
+    whole, frac = _scaled(a, k)
+    n = whole + (frac > 0.5)
+    # Outside [10**16, 10**17), log10 missed the decade, or the rounding
+    # carried into the next one: CPython formats those few.
+    taken &= (whole >= 10**16) & (n < 10**17) & (abs(frac - 0.5) > 1e-9)
+    n = np.where(taken, n, 10**16)
+    high, low = (part.astype(np.int32) for part in np.divmod(n, 10**8))
+    groups = [high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
+    significant = np.full(v.size, 17, np.int8)
+    ends = np.flatnonzero(low % 10 == 0)
+    zeros = 0  # trailing zeros: "0000" groups at the end, then the zeros before them
+    for group in groups:
+        trailing = trailing_zeros[group[ends]]
+        zeros = np.where(trailing == 4, zeros + 4, trailing)
+    significant[ends] -= zeros
+    fixed = (k >= -4) & (k <= 16)
+    before = np.where(fixed, k + 1, 1)  # digits before the point; %g keeps them all
+    words = out.view("<u8")
+    words[:, 0] = heads[(v < 0).astype(np.intp), k - _K_MIN]
+    words[:, 0] |= (high // 10**8 + 48).astype("<u8") << 48
+    words[:, 0] |= ((significant > 1) & (before == 1)).astype("<u8") * (ord(".") << 56)
+    words[:, 1] = digits4[groups[0]] | digits4[groups[1]] << 32
+    words[:, 2] = digits4[groups[2]] | digits4[groups[3]] << 32
+    words[:, 3] = tails[k - _K_MIN]
+    kept = np.maximum(significant, before) - 1  # of the digits in words 1 and 2
+    cut = np.flatnonzero(kept < 16)
+    words[cut, 1] &= keep[np.minimum(kept[cut], 8)]
+    words[cut, 2] &= keep[np.maximum(kept[cut] - 8, 0)]
+    inner = np.flatnonzero((before > 1) & (significant > before))  # a point after d1 or later
+    if inner.size:
+        digits = np.zeros((inner.size, 18), np.uint8)
+        digits[:, :16], digits[:, 17] = out[inner, 8:24], ord(".")
+        out[inner, 8:25] = np.take_along_axis(digits, point_after[k[inner]], axis=1)
+    rest = np.flatnonzero(~taken)
+    if rest.size:
+        texts = [b"%.17g" % x for x in v[rest].tolist()]
+        out[rest] = np.array(texts, dtype=f"S{_G17_WIDTH}").view(np.uint8).reshape(-1, _G17_WIDTH)
+
+
 def _comment(*lines) -> str:
     """``lines`` as ``#`` lines; a break (``\\n``, ``\\r``, ``\\r\\n``) in one opens a new one."""
     text = "\n".join(lines).replace("\r\n", "\n").replace("\r", "\n")
@@ -717,18 +900,32 @@ def write_wigner_grid(
         f"p_axis: {g.p_min!r} {g.p_max!r} {g.n_p}",
         "columns: x p wigner",
     )
-    # The rows of np.savetxt(path, rows, fmt="%.17g"), streamed one x row
-    # at a time.  Each axis value is formatted once: a row's template holds
-    # every p, and "\0" stands in for its x.  A phase-insensitive state's W
-    # depends on x^2 + p^2 alone, so its grid holds about one distinct value
-    # per radius (some 9,000 of the 40,401 points of a 201^2 grid), each of
-    # them formatted once.
-    rows, w_format = _distinct_texts(np.reshape(wgrid.values, (g.n_x, g.n_p)), "%.17g")
-    row_template = "".join("\0 %s %s\n" % ("%.17g" % p, w_format) for p in g.p_axis.tolist())
+    # The rows of np.savetxt(path, rows, fmt="%.17g"), built _BLOCK points at
+    # a time as fixed-width bytes, x | p | W | newline, with NULs where a text
+    # leaves its field short, which are then dropped.  Each axis value is
+    # formatted once.  A phase-insensitive state's W depends on x^2 + p^2
+    # alone, so its grid holds about one distinct value per radius (some
+    # 9,000 of the 40,401 points of a 201^2 grid), each of them formatted once.
+    xs, ps = (np.array([b"%.17g" % t for t in axis.tolist()]).view(np.uint8).reshape(axis.size, -1)
+              for axis in (g.x_axis, g.p_axis))
+    values = np.ascontiguousarray(wgrid.values, dtype=float)
+    grouped = _distinct(values)
+    if grouped is not None:
+        texts, index = _g17(grouped[0]), grouped[1]
+    wx, wp = xs.shape[1], ps.shape[1]
+    rows = max(1, _BLOCK // g.n_p)
     with open(path, "w") as fh:
         fh.write(header)
-        for x, row in zip(g.x_axis.tolist(), rows):
-            fh.write(row_template.replace("\0", "%.17g" % x) % tuple(row.tolist()))
+        for start in range(0, g.n_x, rows):
+            block = slice(start, start + rows)
+            w = _g17(values[block]) if grouped is None else texts[index[block]]
+            lines = np.empty((len(xs[block]), g.n_p, wx + wp + _G17_WIDTH + 3), np.uint8)
+            lines[..., :wx] = xs[block, None]
+            lines[..., wx] = lines[..., wx + wp + 1] = ord(" ")
+            lines[..., wx + 1: wx + wp + 1] = ps
+            lines[..., wx + wp + 2: -1] = w.reshape(*lines.shape[:2], _G17_WIDTH)
+            lines[..., -1] = ord("\n")
+            fh.write(lines.tobytes().translate(None, b"\0").decode())
 
 
 def read_wigner_grid(path) -> WignerGrid:

@@ -108,10 +108,25 @@ class PhaseSpaceGrid:
 
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
-    """Wigner values on a grid; ``values[i, j] = W(x_i, p_j)``."""
+    """Wigner values on a grid; ``values[i, j] = W(x_i, p_j)``.
+
+    ``values`` must be a real numeric array of shape ``(n_x, n_p)``; anything
+    else (complex, flat, of objects or of another size) is a ``ValueError``
+    naming that shape.
+    """
 
     grid: PhaseSpaceGrid
     values: np.ndarray
+
+    def __post_init__(self):
+        shape = (self.grid.n_x, self.grid.n_p)
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "iuf" or values.shape != shape:
+            raise ValueError(
+                f"Wigner values must be a real array of shape {shape}, "
+                f"got {values.dtype} values of shape {values.shape}"
+            )
+        object.__setattr__(self, "values", values)
 
     def riemann_sum(self) -> float:
         """Plain Riemann approximation of ``int W dx dp`` over the grid."""

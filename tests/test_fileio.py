@@ -552,20 +552,27 @@ def _parses(monkeypatch):
     return texts
 
 
-# The writer's zero entry, as a value and as the text of a label, key or value.
-_ZEROS = st.sampled_from([[0.0, 0.0], "[0.0, 0.0]", "x[0.0, 0.0]"])
+# The writer's zero entry, as a value and as the text of a label, key or value,
+# and the words that stand in for it, as strings.
+_ZEROS = st.sampled_from([[0.0, 0.0], "[0.0, 0.0]", "x[0.0, 0.0]", "null", "true", "false"])
 
 
 class TestZeroPairsParsedAsNull:
-    """Each stored zero pair is parsed as one ``null``; what is read does not change."""
+    """Each stored zero pair is parsed as one stand-in word; what is read does not change."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
+        # The third file holds null, so true stands in, and a label that is a zero pair.
         path = tmp_path_factory.mktemp("zeros")
-        save_povm(lossy_pnr(0.7, 3), path / "p.json")
+        pnr = lossy_pnr(0.7, 3)
+        save_povm(pnr, path / "p.json")
         save_ensemble(uniform_fock_ensemble(3), path / "e.json")
-        return [((path / "p.json").read_text(), MEASUREMENT_SITES + [("metadata", "[0.0, 0.0]")]),
-                ((path / "e.json").read_text(), ENSEMBLE_SITES + [("metadata", "[0.0, 0.0]")])]
+        outcomes = (PovmElement("[0.0, 0.0]", pnr.elements[0].matrix), *pnr.elements[1:])
+        save_povm(Povm(outcomes, metadata={**pnr.metadata, "note": "null"}), path / "n.json")
+        sites = MEASUREMENT_SITES + [("metadata", "[0.0, 0.0]")]
+        return [((path / "p.json").read_text(), sites),
+                ((path / "e.json").read_text(), ENSEMBLE_SITES + [("metadata", "[0.0, 0.0]")]),
+                ((path / "n.json").read_text(), sites)]
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), value=_ZEROS | ANY_JSON)
@@ -589,12 +596,48 @@ class TestZeroPairsParsedAsNull:
         assert len(texts) == 1 and fileio._ZERO_PAIR not in texts[0]
         np.testing.assert_array_equal(povm.outcome("3").matrix, np.diag(np.arange(12) == 3))
 
-    def test_a_file_holding_null_is_parsed_once_from_its_text(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("words", [["null"], ["null", "true"]], ids=["null", "null-true"])
+    def test_a_file_holding_null_is_parsed_once_without_its_zero_pairs(
+        self, tmp_path, monkeypatch, words
+    ):
+        # The stand-in is the first word the file does not hold: true, then false.
         path = tmp_path / "p.json"
-        save_povm(Povm(ideal_pnr(3).elements, metadata={"note": "null"}), path)
+        pnr = ideal_pnr(3)
+        outcomes = (PovmElement(words[0], pnr.elements[0].matrix), *pnr.elements[1:])
+        save_povm(Povm(outcomes, metadata={"note": " ".join(words)}), path)
         texts = _parses(monkeypatch)
-        assert load_povm(path).metadata == {"note": "null"}
+        povm = load_povm(path)
+        assert povm.labels == (words[0], "1", "2") and povm.metadata == {"note": " ".join(words)}
+        assert len(texts) == 1 and fileio._ZERO_PAIR not in texts[0]
+        for back, element in zip(povm, pnr):
+            assert back.matrix.tobytes() == element.matrix.tobytes()
+
+    def test_a_file_holding_every_stand_in_is_parsed_once_from_its_text(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "p.json"
+        save_povm(Povm(ideal_pnr(3).elements, metadata={"note": "null true false"}), path)
+        texts = _parses(monkeypatch)
+        assert load_povm(path).metadata == {"note": "null true false"}
         assert texts == [path.read_text()]
+
+    @pytest.mark.parametrize(
+        "note, bare", [("null", "1"), ("null", "1.0"), ("null true", "0"), ("null true", "0.0")]
+    )
+    def test_a_bare_number_equal_to_the_stand_in_is_no_zero_pair(self, tmp_path, note, bare):
+        # With true (or false) as the stand-in, a bare 1 (or 0) in a matrix
+        # equals it.  Were it counted as a zero pair, it would make up for the
+        # label's replaced pair, and the rewrite would be kept, label changed.
+        pnr = ideal_pnr(3)
+        outcomes = (PovmElement(fileio._ZERO_PAIR, pnr.elements[0].matrix), *pnr.elements[1:])
+        path = tmp_path / "p.json"
+        save_povm(Povm(outcomes, metadata={"note": note}), path)
+        text = path.read_text()
+        row = text.index("[[", text.index('"label": "1"'))
+        text = text[:row] + text[row:].replace(fileio._ZERO_PAIR, bare, 1)
+        expected = json.loads(text, object_hook=fileio._matrix_hook)
+        assert expected["outcomes"][0]["label"] == fileio._ZERO_PAIR
+        assert _same(fileio._loads_labelled(text), expected)
 
     def test_a_label_holding_a_zero_pair_keeps_its_text(self, tmp_path, monkeypatch):
         path = tmp_path / "p.json"
@@ -1314,6 +1357,14 @@ class TestWignerGridFiles:
             assert 2 * distinct <= values.size
         _assert_written_as_savetxt(tmp_path, WignerGrid(grid=grid, values=values))
 
+    @pytest.mark.parametrize("n_x, n_p", [(97, 100), (3, 5000)], ids=["partial-block", "wide-rows"])
+    def test_grids_that_end_inside_a_block_match_savetxt(self, tmp_path, n_x, n_p):
+        # 4096 // 100 = 40 x rows a block, so the last block holds 17; a row of
+        # 5000 points is a block of its own, its values formatted in two parts.
+        grid = PhaseSpaceGrid(-1.0, 2.0, -0.5, 0.5, n_x, n_p)
+        values = np.random.default_rng(5).normal(scale=0.1, size=(n_x, n_p))
+        _assert_written_as_savetxt(tmp_path, WignerGrid(grid=grid, values=values))
+
     @settings(max_examples=80, deadline=None, suppress_health_check=[_FIXTURE])
     @given(data=st.data())
     def test_any_finite_values_write_as_savetxt_and_read_back(self, tmp_path, data):
@@ -1329,6 +1380,19 @@ class TestWignerGridFiles:
         assert back.grid == grid
         np.testing.assert_array_equal(back.values, values)
         np.testing.assert_array_equal(np.signbit(back.values), np.signbit(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.zeros((3, 3), complex), np.zeros(9), np.zeros((3, 3), object), np.zeros((2, 2))],
+        ids=["complex", "flat", "object", "wrong-size"],
+    )
+    def test_malformed_values_are_refused_where_they_enter(self, tmp_path, values):
+        path = _small_grid_file(tmp_path)
+        before = path.read_bytes()
+        grid = PhaseSpaceGrid.symmetric(1.0, 3)
+        with pytest.raises(ValueError, match=re.escape("real array of shape (3, 3)")):
+            write_wigner_grid(WignerGrid(grid=grid, values=values), path)
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_values_are_refused_before_the_file_is_opened(self, tmp_path, value):
@@ -1376,6 +1440,65 @@ class TestWignerGridFiles:
         path.write_text(path.read_text().replace("x_axis: -1.0 1.0 3", "x_axis: 1.0 -1.0 3"))
         with pytest.raises(PovmFormatError, match=re.escape(str(path)) + ".*extents"):
             read_wigner_grid(path)
+
+
+def _g17_texts(values) -> list:
+    """The texts of ``fileio._g17``, each row with its NULs dropped."""
+    return [row.tobytes().replace(b"\0", b"") for row in fileio._g17(np.asarray(values, float))]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestPercent17g:
+    """``fileio._g17`` gives the bytes of ``b"%.17g" % v`` for every finite double."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(float, st.integers(1, 40), elements=_FINITE))
+    def test_any_finite_double(self, values):
+        assert _g17_texts(values) == [b"%.17g" % v for v in values.tolist()]
+
+    def test_a_million_random_bit_patterns(self):
+        bits = np.random.default_rng(2010).integers(0, 2**64, 1_050_000, dtype=np.uint64)
+        values = bits.view(float)
+        values = values[np.isfinite(values)]  # both signs, every exponent
+        assert values.size > 10**6 and (values < 0).any() and (values > 0).any()
+        rows = np.zeros((values.size, fileio._G17_WIDTH + 1), np.uint8)
+        rows[:, :-1], rows[:, -1] = fileio._g17(values), ord("\n")
+        expected = "\n".join(["%.17g"] * values.size) % tuple(values.tolist()) + "\n"
+        assert rows.tobytes().translate(None, b"\0").decode() == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0.0, 5e-324, 1.7976931348623157e308,
+            -2.2250738585072014e-308,  # the longest text, 24 bytes
+            1e-14, 1e-79,  # 17 digits round up to 10**17: the next decade
+            0.0001, 9.999999999999999e-05, 1e-05,  # fixed notation to k = -4, then exponent
+            1e16, 12345678901234568.0, 1e17, 1.2345678901234568e17,  # fixed to k = 16
+            2.0**-25, 123456789012345.625,  # exact ties, rounded half to even
+            0.5, 123.0, 100.5, 1e22, 9.5,
+        ],
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+", "-"])
+    def test_edge_values(self, value, sign):
+        assert _g17_texts([sign * value]) == [b"%.17g" % (sign * value)]
+
+    def test_a_log10_one_ulp_low_still_gives_the_text(self, monkeypatch):
+        # Such a log10 puts the carries 1e-14 and 1e-79 in their true decade,
+        # where 17 digits round up to 10**17: CPython must format them.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+        values = [10.0**n for n in range(-300, 300)] + [1e-14, 1e-79, 0.1, 0.3, 123.456]
+        values += [float(np.nextafter(v, d)) for v in values for d in (0.0, np.inf)]
+        assert _g17_texts(values) == [b"%.17g" % v for v in values]
+
+    def test_powers_of_two_and_ten(self):
+        # Exact products, ties among them, and every decade's edge.
+        values = [2.0**n for n in range(-1074, 1024)] + [10.0**n for n in range(-323, 309)]
+        values += [float(np.nextafter(v, d)) for v in values for d in (0.0, np.inf)]
+        values = np.array([v for v in values if np.isfinite(v)])
+        assert _g17_texts(values) == [b"%.17g" % v for v in values.tolist()]
 
 
 # Grid extents and widths for the round-trip property, and a pool of W values
