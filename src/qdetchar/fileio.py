@@ -54,6 +54,8 @@ import typing
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cache, cached_property, partial
+from itertools import repeat
+from operator import is_
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +217,7 @@ def _zeros_filled(rows: list, filled: list, zero=None):
         if type(row) is not list or len(row) != n:
             return None
         # None equals no JSON value but itself, so list.count matches it by identity
-        count = row.count(None) if zero is None else sum(v is zero for v in row)
+        count = row.count(None) if zero is None else sum(map(is_, row, repeat(zero)))
         if count == n - 1 and row[i] is not zero:  # a diagonal entry alone, found at once
             found.append(i * n + i)
         elif count < n:

@@ -6,16 +6,16 @@ Convention, fixed for the whole package and recorded in exported files:
 ``int W dx dp = 1``.  The vacuum then has ``W(0,0) = 1/pi`` and covariance
 ``diag(1/2, 1/2)``, and every state obeys ``W >= -1/pi``.
 
-The Wigner function is evaluated through the displaced parity operator:
-``W(x, p) = (1/pi) Tr{rho D(alpha) P D(-alpha)}`` with
-``alpha = (x + i p)/sqrt(2)``.  Since ``P D(-alpha) = D(alpha) P``, the
-kernel collapses to ``D(2 alpha) P``, whose number-basis matrix elements
-are associated Laguerre polynomials (Cahill and Glauber 1969).  Band k of
-that expansion contributes ``Re(T_k(|beta|^2) e^{ik theta})``, so the grid
-evaluation sums each band once per distinct radius, in one Clenshaw pass
-over the Laguerre three-term recurrence with its exponential prefactor in
-log space so large cutoffs cannot overflow, then the angle at each point by
-Horner's rule in ``e^{i theta}``: O(dim^2) per radius, O(dim) per point.
+The Wigner function ``W(x, p) = (1/pi) int <x+y|rho|x-y> e^{-2ipy} dy`` is
+evaluated on a grid along one of two exact paths.  A state with coherences
+takes the separable one: the 50:50 beam splitter turns each
+``<x+y|m><n|x-y>`` into products of Hermite functions of ``sqrt2 x`` and
+``sqrt2 y``, the Fourier transform in ``y`` maps each ``h_k`` onto itself,
+so ``W = pi^{-1/2} h(sqrt2 x)^T M h(sqrt2 p)``, two matrix products:
+O(dim^3 + dim (n_x + n_p) + n_x dim n_p).  A state without coherences is
+radial, ``W = (1/pi) sum_m (-1)^m rho[m, m] e^{-r^2} L_m(2 r^2)`` (Cahill and
+Glauber 1969), summed by Clenshaw's recurrence once per distinct radius of
+the grid: O(dim) per radius.
 """
 
 from __future__ import annotations
@@ -145,25 +145,22 @@ class WignerGrid:
 _NEGLIGIBLE = 1e-18
 
 
-def _laguerre_band(coeffs: np.ndarray, k: int, z: np.ndarray) -> np.ndarray:
-    """Clenshaw sum ``sum_m coeffs[m] * sqrt(m! k! / (m+k)!) * L_m^k(z)``.
+def _laguerre_sum(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Clenshaw sum ``sum_m coeffs[m] * L_m(z)``.
 
-    The normalized Laguerre functions ``psi_m = sqrt(m! k! / (m+k)!) L_m^k``
-    obey ``psi_{m+1} = a_m psi_m + b_m psi_{m-1}`` with
-    ``a_m = (2m + 1 + k - z) / sqrt((m+1)(m+1+k))``,
-    ``b_m = -sqrt(m (m+k) / ((m+1)(m+1+k)))`` and ``psi_0 = 1``; the
-    normalization keeps the work arrays near unit scale for any ``k``.
+    The Laguerre polynomials obey
+    ``L_{m+1} = ((2m + 1 - z) L_m - m L_{m-1}) / (m + 1)`` with ``L_0 = 1``.
     ``coeffs`` is real, and the three work arrays are updated in place.
     """
     b1 = np.zeros_like(z)
     b2 = np.zeros_like(z)
     step = np.empty_like(z)
     for m in range(len(coeffs) - 1, -1, -1):
-        norm = np.sqrt((m + 1.0) * (m + 1.0 + k))
-        np.subtract(2.0 * m + 1.0 + k, z, out=step)
+        norm = m + 1.0
+        np.subtract(2.0 * m + 1.0, z, out=step)
         step *= b1
         step /= norm
-        b2 *= -norm / np.sqrt((m + 2.0) * (m + 2.0 + k))
+        b2 *= -norm / (m + 2.0)
         b2 += step
         b2 += coeffs[m]
         b1, b2 = b2, b1
@@ -176,54 +173,117 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class _Geometry:
-    """The state-independent part of the Wigner kernel on one grid.
+    """The state-independent part of the diagonal Wigner kernel on one grid.
 
     ``radii`` are the grid's distinct ``|beta|^2 = 2 (x^2 + p^2)`` in
-    ascending order and ``where[i, j]`` the index of point ``(x_i, p_j)``
-    among them.  ``log_beta`` and the phase ``e^{i theta}`` serve only the
-    off-diagonal bands, so they are built when a state with such a band
-    first meets the grid.  Every array is read-only.
+    ascending order, ``where[i, j]`` the index of point ``(x_i, p_j)``
+    among them and ``decay`` is ``e^{-radii/2}``.  Every array is read-only.
     """
 
     def __init__(self, grid: PhaseSpaceGrid):
-        self.grid = grid
         x, p = grid.x_axis[:, None], grid.p_axis[None, :]
         # radii are |beta|^2, with beta = 2*alpha and alpha = (x + i p)/sqrt(2)
         radii, where = np.unique((2.0 * (x * x + p * p)).ravel(), return_inverse=True)
         self.radii = _read_only(radii)
         self.where = _read_only(where.reshape(grid.n_x, grid.n_p))
-        self.half_r = _read_only(0.5 * radii)
-        self.decay = _read_only(np.exp(-self.half_r))
-
-    @functools.cached_property
-    def log_beta(self) -> np.ndarray:
-        radii = self.radii
-        return _read_only(0.5 * np.log(radii, where=radii > 0.0, out=np.full_like(radii, -np.inf)))
-
-    @functools.cached_property
-    def phase(self) -> np.ndarray:
-        x, p = self.grid.x_axis[:, None], self.grid.p_axis[None, :]
-        return _read_only(np.exp(1j * np.arctan2(p, x)))
+        self.decay = _read_only(np.exp(-0.5 * radii))
 
 
-# Grids kept by _cached_geometry: about 1.3 MB each at 201^2 once ``phase`` is built.
+# Grids kept by _cached_geometry: at most about 1 MB each at 201^2 (0.5 MB when
+# the grid is centred on the origin, so that its radii repeat).
 _GEOMETRIES = 8
 
 
 @functools.lru_cache(maxsize=_GEOMETRIES)
-def _cached_geometry(grid: PhaseSpaceGrid, zero_signs: tuple) -> _Geometry:
+def _cached_geometry(grid: PhaseSpaceGrid) -> _Geometry:
     return _Geometry(grid)
 
 
-def _geometry(grid: PhaseSpaceGrid) -> _Geometry:
-    """``grid``'s :class:`_Geometry`, built once while it stays among the last few used.
+# Once a bound on the Hermite recurrence's mantissas passes this, they are scaled back to at most 1.
+_RESCALE = 2.0**500
 
-    An extent of -0.0 equals 0.0, so two grids that differ only there
-    compare equal and hash alike, yet ``arctan2`` tells their axes apart;
-    the extents' signs join the cache key.
+
+def _hermite_functions(s: np.ndarray, count: int) -> np.ndarray:
+    """Rows ``h_0 .. h_{count-1}`` of the normalized Hermite functions at ``s``.
+
+    ``h_{n+1} = sqrt(2/(n+1)) s h_n - sqrt(n/(n+1)) h_{n-1}`` runs on
+    mantissas, with each point's power of two kept apart and started from
+    ``log2 h_0 = -s^2 / (2 ln 2) - log2(pi) / 4``.  So a far point whose
+    ``h_0`` underflows still reaches the higher functions that do not.  A
+    bound on the mantissas grows by ``sqrt(2/(n+1)) max|s| + 1`` a step, and
+    they are rescaled when it passes ``_RESCALE``; since ``|s| < 2^512`` on
+    any valid grid, none overflows.
     """
-    extents = (grid.x_min, grid.x_max, grid.p_min, grid.p_max)
-    return _cached_geometry(grid, tuple(math.copysign(1.0, v) for v in extents))
+    log2_h0 = s * s * (-0.5 / math.log(2.0)) - 0.25 * math.log2(math.pi)
+    exps = np.maximum(np.floor(log2_h0), -(2.0**40)).astype(np.int64)
+    cur = np.exp2(log2_h0 - exps)
+    prev = np.zeros_like(s)
+    out = np.empty((count, s.size))
+    np.ldexp(cur, exps, out=out[0])
+    reach, bound = float(np.max(np.abs(s))), 2.0
+    for n in range(1, count):
+        step = math.sqrt(2.0 / n)
+        prev, cur = cur, step * s * cur - math.sqrt((n - 1.0) / n) * prev
+        bound *= step * reach + 1.0
+        if bound > _RESCALE:
+            shift = np.maximum(np.frexp(cur)[1], 0)
+            cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
+            exps += shift
+            bound = max(float(np.max(np.abs(cur))), float(np.max(np.abs(prev))), 1.0)
+        np.ldexp(cur, exps, out=out[n])
+    return out
+
+
+def _separable_weights(rho: np.ndarray) -> np.ndarray:
+    """The real ``(2d-1)^2`` matrix ``M`` of ``W = pi^{-1/2} h(sqrt2 x)^T M h(sqrt2 p)``.
+
+    ``<x+y|m><n|x-y>`` is the two-mode Fock function ``h_m(x+y) h_n(x-y)``.
+    The 50:50 beam splitter, a 45 degree turn of ``(x+y, x-y)``, takes it to
+    ``sum_k B_N[m, k] h_{N-k}(sqrt2 x) h_k(sqrt2 y)`` with ``N = m + n``, and
+    the Fourier transform in ``y`` turns ``h_k(sqrt2 y)`` into
+    ``sqrt(pi) (-i)^k h_k(sqrt2 p)``.  So
+    ``M[N-k, k] = Re((-i)^k sum_m rho[m, N-m] B_N[m, k])``.
+
+    ``B_N`` is built level by level from both parents,
+    ``B_{N+1}[m, k] = (sqrt(m) (sqrt(N+1-k) B_N[m-1, k] + sqrt(k) B_N[m-1, k-1])
+    + sqrt(n) (sqrt(N+1-k) B_N[m, k] - sqrt(k) B_N[m, k-1])) / (sqrt2 (N+1))``
+    with ``n = N+1-m``, which keeps the blocks orthogonal where either
+    parent alone loses it.  Each level keeps only the rows ``m`` that ``rho``
+    has at that ``N`` and is folded into ``M`` as it is made: O(d^3) work,
+    O(d^2) memory.  ``rho[m, N-m]`` below the diagonal is read as the
+    conjugate of its mirror, so only the upper triangle is read.
+    """
+    d = rho.shape[0]
+    size = 2 * d - 1
+    levels = np.zeros((size, d), dtype=complex)  # levels[N, m] = rho[m, N-m]
+    rows = np.arange(d)[:, None]
+    levels[rows + rows.T, rows] = np.triu(rho) + np.triu(rho, 1).conj().T
+    parts = np.stack([levels.real, levels.imag], axis=1)
+    folded = np.empty((size, 2, size))  # folded[N, :, k]: sum_m rho[m, N-m] B_N[m, k]
+    root = np.sqrt(np.arange(size + 1.0))
+    rev = root[::-1]  # rev[size - j] = sqrt(j)
+    block = np.ones((1, 1))
+    for n in range(size):
+        lo, hi = max(0, n - d + 1), min(n, d - 1)
+        np.matmul(parts[n, :, lo : hi + 1], block, out=folded[n, :, : n + 1])
+        if n + 1 == size:
+            break
+        # B_N / (sqrt2 (N+1)) on rows lo-1 .. hi+1 and columns k = -1 .. N+1, zero-padded
+        pad = np.zeros((hi - lo + 3, n + 3))
+        np.multiply(block, 1.0 / (math.sqrt(2.0) * (n + 1)), out=pad[1:-1, 1:-1])
+        # stay[., k] = sqrt(N+1-k) B_N[., k] and move[., k] = sqrt(k) B_N[., k-1], k = 0 .. N+1
+        stay, move = rev[size - n - 1 :] * pad[:, 1:], root[: n + 2] * pad[:, :-1]
+        new_lo, new_hi = max(0, n + 2 - d), min(n + 1, d - 1)
+        # new row m reads padded row m-1 (its a parent) times sqrt(m), and row m
+        # (its b parent) times sqrt(N+1-m)
+        a, b = slice(new_lo - lo, new_hi - lo + 1), slice(new_lo - lo + 1, new_hi - lo + 2)
+        block = root[new_lo : new_hi + 1, None] * (stay[a] + move[a])
+        block += rev[size - n - 1 + new_lo : size - n + new_hi, None] * (stay[b] - move[b])
+    # Re((-i)^k (re + i im)) is re, im, -re, -im as k = 0, 1, 2, 3 mod 4
+    n, k = np.tril_indices(size)
+    weights = np.zeros((size, size))
+    weights[n - k, k] = np.where(k % 4 < 2, 1.0, -1.0) * folded[n, k % 2, k]
+    return weights
 
 
 def wigner(
@@ -232,15 +292,19 @@ def wigner(
     """Evaluate the Wigner function of a density matrix on a grid.
 
     Reads the diagonal and the upper triangle of ``rho``; entries of
-    magnitude at most 1e-18 are dropped.  Each band ``rho[m, m+k]`` left is
-    summed by Clenshaw's recurrence once per distinct radius (O(dim^2) work
-    each), and the bands by Horner's rule in ``e^{i theta}`` at each point.
+    magnitude at most 1e-18 are dropped.
 
-    The grid's geometry (its distinct radii, each point's index among them,
-    and the phase ``e^{i theta}`` once a state with coherences needs it) is
-    computed once per grid and kept for the last 8 grids used: about 1.3 MB
-    each at 201^2, so at most about 10 MB.  Later states on a kept grid
-    reuse it, and give the same bits as a first call.
+    A state with coherences is evaluated as
+    ``W = pi^{-1/2} h(sqrt2 x)^T M h(sqrt2 p)``, with the Hermite functions
+    ``h_0 .. h_{2d-2}`` on each axis and the ``(2d-1)^2`` matrix ``M`` from
+    the 50:50 beam-splitter blocks: O(d^3 + d (n_x + n_p) + n_x d n_p),
+    two matrix products.  A state without coherences needs only the radial
+    sum ``sum_m (-1)^m rho[m, m] e^{-z/2} L_m(z)`` with ``z = 2 (x^2 + p^2)``,
+    taken by Clenshaw's recurrence once per distinct radius: O(d) each.
+    Its grid's geometry (the distinct radii and each point's index among
+    them) is computed once per grid and kept for the last 8 grids used: at
+    most about 1 MB each at 201^2, so at most about 8 MB.  Later states on a
+    kept grid reuse it, and give the same bits as a first call.
 
     Warns when the grid reaches further than the truncated basis can
     represent (``radius**2 > 2 * dim``).  Raises if ``rho`` has an entry
@@ -257,28 +321,16 @@ def wigner(
             f"resolvable region ~2*dim = {2 * d} of this truncation"
         )
     rho = np.where(np.abs(rho) > _NEGLIGIBLE, rho, 0.0)
-    signs = np.where(np.arange(d) % 2, -1.0, 1.0)
-    geo = _geometry(grid)
-    radii, where, half_r = geo.radii, geo.where, geo.half_r
-    acc = (geo.decay * _laguerre_band(signs * rho.diagonal().real, 0, radii))[where]
     if np.any(np.triu(rho, 1)):
-        log_beta = geo.log_beta
-        table = {}  # band k's weight times its Clenshaw sum, on the radii
-        for k in range(1, d):
-            band = signs[: d - k] * np.diagonal(rho, k)
-            if band.any():
-                parts = ((band.real, 1.0), (band.imag, 1j))
-                sums = sum(_laguerre_band(v, k, radii) * u for v, u in parts if v.any())
-                table[k] = 2.0 * np.exp(k * log_beta - half_r - 0.5 * math.lgamma(k + 1)) * sums
-        # Re sum_k table[k] z^k with z = e^{i theta}, from the top band down
-        z = geo.phase
-        horner = np.zeros(where.shape, dtype=complex)
-        for k in range(max(table), 0, -1):
-            if k in table:
-                horner += table[k][where]
-            horner *= z
-        acc += horner.real
-    values = acc / np.pi
+        hx = _hermite_functions(math.sqrt(2.0) * grid.x_axis, 2 * d - 1)
+        square = (grid.x_min, grid.x_max, grid.n_x) == (grid.p_min, grid.p_max, grid.n_p)
+        hp = hx if square else _hermite_functions(math.sqrt(2.0) * grid.p_axis, 2 * d - 1)
+        values = (hx.T @ _separable_weights(rho)) @ hp / math.sqrt(np.pi)
+    else:
+        geo = _cached_geometry(grid)
+        signs = np.where(np.arange(d) % 2, -1.0, 1.0)
+        radial = geo.decay * _laguerre_sum(signs * rho.diagonal().real, geo.radii)
+        values = radial[geo.where] / np.pi
     if not np.isfinite(values).all():
         raise ValueError(
             f"grid {grid._box} reaches beyond what the Wigner kernel can evaluate "

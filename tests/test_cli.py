@@ -1188,7 +1188,7 @@ class TestTopLevel:
         project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
         assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
         test_extra = {d.split(">")[0] for d in project["optional-dependencies"]["test"]}
-        assert test_extra == {"pytest", "scipy", "hypothesis"}
+        assert test_extra == {"pytest", "scipy", "hypothesis", "mpmath"}
 
         env = dict(os.environ)
         package_root = str(Path(qdetchar.__file__).resolve().parents[1])

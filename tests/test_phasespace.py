@@ -8,6 +8,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
 from conftest import random_density
 from hypothesis import assume, given, settings
@@ -272,17 +273,34 @@ class TestWignerValues:
             wigner(bogus, ORIGIN)
 
     def test_rejects_values_that_are_not_numbers(self):
-        # 2*(x^2+p^2) is finite here, but the band sums overflow to nan; the
-        # states are valid, so the grid is named, not the input
+        # 2*(x^2+p^2) is finite here, but the radial sum of a diagonal state
+        # overflows to nan; the state is valid, so the grid is named, not the input
         grid = PhaseSpaceGrid(-1e100, 3.0, -1.0, 1.0, 5, 5)
         message = r"grid x \[-1e\+100, 3.0\], p \[-1.0, 1.0\] reaches beyond what the Wigner"
-        for rho in (thermal(1.0, 6), dm(coherent_state(0.5, 6))):  # diagonal, dense
-            with np.errstate(all="ignore"), pytest.warns(TruncationWarning):
-                with pytest.raises(ValueError, match=message + " kernel can evaluate at dim 6"):
-                    wigner(rho, grid)
+        with np.errstate(all="ignore"), pytest.warns(TruncationWarning):
+            with pytest.raises(ValueError, match=message + " kernel can evaluate at dim 6"):
+                wigner(thermal(1.0, 6), grid)
+        # a state with coherences reads Hermite functions, which reach 0 there
+        with pytest.warns(TruncationWarning):
+            w = wigner(dm(coherent_state(0.5, 30)), grid).values
+        truth = oracles.gaussian_wigner(0.5, 0.0, grid.x_axis, grid.p_axis)
+        assert not w[:-1].any() and not truth[:-1].any()
+        np.testing.assert_allclose(w, truth, rtol=0, atol=16 * oracles.EPS / np.pi)
+
+    def test_reads_the_upper_triangle_alone(self):
+        # garbage below the diagonal changes no bit, on either path
+        rng = np.random.default_rng(31)
+        grid = PhaseSpaceGrid(-2.0, 3.0, -2.5, 1.5, 23, 17)
+        low = np.tril_indices(9, -1)
+        for rho in (random_density(rng, 9), thermal(0.7, 9)):
+            hermitian = np.triu(rho) + np.triu(rho, 1).conj().T
+            garbage = hermitian.copy()
+            garbage[low] = rng.normal(size=low[0].size) + 1j * rng.normal(size=low[0].size)
+            want = wigner(hermitian, grid).values.tobytes()
+            assert wigner(garbage, grid).values.tobytes() == want
 
     def test_rejects_non_state_input_with_coherences(self):
-        # off-diagonal entries add the angular Horner sum to the diagonal band
+        # off-diagonal entries send the state down the separable path
         bogus = np.array([[-1.0, 0.5j], [-0.5j, 2.0]])
         with pytest.raises(ValueError, match="quantum bound"):
             wigner(bogus, ORIGIN)
@@ -293,7 +311,7 @@ OFF_CENTRE = PhaseSpaceGrid(-1.0, 4.0, -3.0, 2.0, 23, 17)
 
 @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
 class TestAgainstTermwiseOracle:
-    """The band table on distinct radii and its Horner sum against ``termwise_wigner``."""
+    """Both paths of the kernel, separable and radial, against ``termwise_wigner``."""
 
     def assert_matches(self, rho, grid):
         np.testing.assert_allclose(
@@ -311,7 +329,7 @@ class TestAgainstTermwiseOracle:
         self.assert_matches(random_density(rng, dim), OFF_CENTRE)
 
     def test_sparse_bands(self):
-        # only bands 0 and 3 are present, so the other bands are skipped
+        # only bands 0 and 3 of rho are non-zero
         rng = np.random.default_rng(3)
         psi = np.zeros(20, dtype=complex)
         psi[[1, 4, 7, 10]] = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -400,6 +418,64 @@ class TestAgainstTermwiseOracle:
         self.assert_matches(h / tr, PhaseSpaceGrid(-2.5, 3.0, -1.5, 2.0, 9, 7))
 
 
+TRUTH_GRID = PhaseSpaceGrid.symmetric(6.0, 121)
+
+
+@pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+class TestAgainstTruth:
+    """Each path against the truth in ``oracles``, within a budget in eps of 1/pi.
+
+    Every state here lies inside its basis to below eps, so the whole error
+    is the kernel's.  The separable path (states with coherences) is held to
+    16 eps against the closed-form Gaussians; it reads 3.9 (coherent) and 3.5
+    (displaced thermal) eps.  The radial path (states without) is held near
+    what it reads against 60-digit sums at the origin and 63 sampled points:
+    0.2 eps for |0>, 7.9 for |20>, 248 for |59> (its worst point being the
+    origin) and 0.3 for a lossy PNR outcome.
+    """
+
+    @pytest.mark.parametrize("dim", [40, 60])
+    def test_coherent_states(self, dim):
+        alpha = 0.7 - 0.4j
+        w = wigner(dm(coherent_state(alpha, dim)), TRUTH_GRID).values
+        truth = oracles.gaussian_wigner(alpha, 0.0, TRUTH_GRID.x_axis, TRUTH_GRID.p_axis)
+        np.testing.assert_allclose(w, truth, rtol=0, atol=16 * oracles.EPS / np.pi)
+
+    @pytest.mark.parametrize("dim", [40, 60])
+    def test_displaced_thermal_states(self, dim):
+        alpha, nbar = 0.5 + 0.3j, 0.4
+        w = wigner(oracles.displaced_thermal(alpha, nbar, dim), TRUTH_GRID).values
+        truth = oracles.gaussian_wigner(alpha, nbar, TRUTH_GRID.x_axis, TRUTH_GRID.p_axis)
+        np.testing.assert_allclose(w, truth, rtol=0, atol=16 * oracles.EPS / np.pi)
+
+    @pytest.mark.parametrize(
+        ("weights", "budget"),
+        [
+            (np.eye(60)[0], 1),
+            (np.eye(60)[20], 10),
+            (np.eye(60)[59], 320),
+            (retrodicted_state(lossy_pnr(0.7, 30).outcome("2")).state.diagonal().real, 2),
+        ],
+        ids=["fock-0", "fock-20", "fock-59", "lossy-pnr-30"],
+    )
+    def test_diagonal_states(self, weights, budget):
+        w = wigner(np.diag(weights).astype(complex), TRUTH_GRID).values
+        rng = np.random.default_rng(64)
+        points = [(60, 60), *zip(rng.integers(0, 121, 63), rng.integers(0, 121, 63))]
+        x, p = TRUTH_GRID.x_axis, TRUTH_GRID.p_axis
+        truth = [oracles.fock_wigner(weights, x[i], p[j]) for i, j in points]
+        got = [w[i, j] for i, j in points]
+        np.testing.assert_allclose(got, truth, rtol=0, atol=budget * oracles.EPS / np.pi)
+
+    def test_hermite_functions_reach_past_the_underflow_of_h0(self):
+        # h_0 underflows beyond |s| = 38.6, where h_399 is still 1e-163 at s = 45
+        s = np.array([0.0, -3.7, 25.0, 38.5, 45.0, 60.0])
+        orders = [0, 1, 57, 200, 399]
+        table = phasespace._hermite_functions(s, 400)[orders]
+        truth = [[oracles.hermite_function(n, v) for v in s] for n in orders]
+        np.testing.assert_allclose(table, truth, rtol=1e-12, atol=1e-310)
+
+
 def zero_twin(grid):
     """``grid`` with the sign of every zero extent flipped: an equal grid, hashed alike."""
     extents = (grid.x_min, grid.x_max, grid.p_min, grid.p_max)
@@ -463,39 +539,28 @@ class TestGeometryCache:
         for g, values in zip(grids, want):
             np.testing.assert_allclose(values, termwise_wigner(rho, g), rtol=0, atol=1e-12)
 
-    def test_signed_zero_twins_keep_their_own_angles(self):
-        # arctan2 reads the sign of a zero, so these equal grids give
-        # different bits for a state with coherences; sharing one geometry
-        # would hand the second grid the first one's values
+    def test_signed_zero_twins_give_identical_bits(self):
+        # no path reads an angle, so equal grids that differ only in the sign
+        # of a zero extent give the same bits, in any order, cached or fresh
         neg = PhaseSpaceGrid(-3.0, -0.0, -3.0, -0.0, 30, 31)
         pos = zero_twin(neg)
         assert neg == pos and hash(neg) == hash(pos)
-        rho = dm(coherent_state(0.6 + 0.3j, 12))
-        want = {g.x_max.hex(): fresh_wigner(rho, g).tobytes() for g in (neg, pos)}
-        assert want[neg.x_max.hex()] != want[pos.x_max.hex()]
-        for first, second in ((neg, pos), (pos, neg)):
-            phasespace._cached_geometry.cache_clear()
-            for g in (first, second, first):
-                assert wigner(rho, g).values.tobytes() == want[g.x_max.hex()]
+        for rho in (dm(coherent_state(0.6 + 0.3j, 12)), thermal(0.5, 12)):
+            want = fresh_wigner(rho, neg).tobytes()
+            assert fresh_wigner(rho, pos).tobytes() == want
+            for first, second in ((neg, pos), (pos, neg)):
+                phasespace._cached_geometry.cache_clear()
+                for g in (first, second, first):
+                    assert wigner(rho, g).values.tobytes() == want
 
     def test_cached_arrays_are_read_only(self):
         grid = PhaseSpaceGrid(-1.0, 4.0, -3.0, 2.0, 23, 17)
-        wigner(dm(coherent_state(0.5, 8)), grid)
-        geo = phasespace._geometry(grid)
-        for name in ("radii", "where", "half_r", "decay", "log_beta", "phase"):
+        wigner(thermal(0.5, 8), grid)
+        geo = phasespace._cached_geometry(grid)
+        for name in ("radii", "where", "decay"):
             array = getattr(geo, name)
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[1]
-
-    def test_diagonal_states_build_no_angular_part(self):
-        grid = PhaseSpaceGrid.symmetric(3.0, 25)
-        phasespace._cached_geometry.cache_clear()
-        wigner(thermal(0.5, 10), grid)
-        geo = phasespace._geometry(grid)
-        assert "phase" not in vars(geo) and "log_beta" not in vars(geo)
-        wigner(dm(coherent_state(0.5, 10)), grid)
-        assert phasespace._geometry(grid) is geo
-        assert "phase" in vars(geo) and "log_beta" in vars(geo)
 
     def test_cache_is_bounded(self):
         maxsize = phasespace._cached_geometry.cache_info().maxsize
@@ -507,9 +572,10 @@ class TestGeometryCache:
         assert info.currsize == maxsize and info.misses == 2 * maxsize
 
     def test_threads_sharing_the_cache_get_fresh_bits(self):
-        # threads race to build the same geometries and their lazy phases
+        # threads race to build the same geometries, which only states
+        # without coherences read
         grids = [PhaseSpaceGrid.symmetric(2.0 + 0.5 * i, 21 + i) for i in range(3)]
-        rho = dm(coherent_state(0.4 - 0.2j, 8))
+        rho = thermal(0.6, 8)
         want = [fresh_wigner(rho, g).tobytes() for g in grids]
         bad = []
 
