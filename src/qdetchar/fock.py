@@ -28,7 +28,6 @@ __all__ = [
     "eig_hermitian",
     "purity",
     "trace_distance",
-    "uhlmann_fidelity",
 ]
 
 
@@ -245,23 +244,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of ``rho - sigma``."""
     w, _ = eig_hermitian(np.asarray(rho) - np.asarray(sigma))
     return 0.5 * float(np.sum(np.abs(w)))
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = eig_hermitian(m)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Fidelity ``(Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2`` between two states.
-
-    Uses the squared ("probability") convention, so for a pure ``sigma =
-    |psi><psi|`` it reduces to ``<psi| rho |psi>``.  Clamped into [0, 1].
-    """
-    root = _psd_sqrt(rho)
-    w, _ = eig_hermitian(root @ np.asarray(sigma, dtype=complex) @ root)
-    val = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-    return min(max(val, 0.0), 1.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -12,6 +12,15 @@ One reference per path of ``phasespace.wigner``:
 - ``hermite_function`` is ``h_n(s)`` at 60 digits, the truth for the
   Hermite table the separable path is built on.
 
+And one for ``herald.retrodictive_limit_scan``, whose fidelity is a closed
+form in the element's diagonal:
+
+- ``uhlmann_fidelity`` is ``(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2`` by two
+  Hermitian eigendecompositions in numpy; on nearly singular states its
+  matrix root loses about half the digits.
+- ``scan_fidelity`` is the same eigen route at 50 digits in mpmath, on the
+  heralded state and its limit built there from the element, rounded once.
+
 Errors against them are stated in units of ``EPS``.
 """
 
@@ -68,3 +77,51 @@ def hermite_function(n: int, s: float, digits: int = 60) -> float:
         s = mpmath.mpf(s)
         norm = mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
         return float(mpmath.hermite(n, s) * mpmath.exp(-s * s / 2) / norm)
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian positive semidefinite matrix, negative eigenvalues clipped."""
+    m = np.asarray(m, dtype=complex)
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Fidelity ``(Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2`` between two states.
+
+    The squared convention: for a pure ``sigma = |psi><psi|`` it is
+    ``<psi| rho |psi>``.  Clamped into [0, 1].
+    """
+    root = _psd_sqrt(rho)
+    w = np.linalg.eigvalsh(root @ np.asarray(sigma, dtype=complex) @ root)
+    val = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+    return min(max(val, 0.0), 1.0)
+
+
+def scan_fidelity(element, lam: float, digits: int = 50) -> float:
+    """The fidelity of the state heralded by ``element`` at ``lam`` to its limit, in mpmath.
+
+    ``rho = Lam Ebar Lam / Tr(...)`` and ``sigma = Ebar / Tr Ebar``, with
+    ``Ebar`` the Hermitian part of ``conj(element)`` and ``Lam = diag(lam^n)``,
+    are built from the given floats at ``digits`` digits, and
+    ``uhlmann_fidelity`` is taken there by two eigendecompositions, then
+    rounded once.  The Hermitian part is taken first because a root is not
+    Lipschitz at 0: an asymmetry of 1e-17 in a float element moves the root
+    of a nearly singular ``rho`` by about 3e-9.
+    """
+    with mpmath.workdps(digits):
+        ebar = mpmath.matrix(np.conj(np.asarray(element, dtype=complex)).tolist())
+        ebar = (ebar + ebar.H) / 2
+        d = ebar.rows
+        lam_n = mpmath.diag([mpmath.mpf(lam) ** n for n in range(d)])
+        rho = lam_n * ebar * lam_n
+        rho /= sum(rho[n, n] for n in range(d))
+        sigma = ebar / sum(ebar[n, n] for n in range(d))
+
+        def root(m):
+            w, v = mpmath.eighe(m)
+            return v * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * v.H
+
+        r = root(rho)
+        w, _ = mpmath.eighe(r * sigma * r)
+        return float(mpmath.fsum(mpmath.sqrt(max(x, 0)) for x in w) ** 2)
