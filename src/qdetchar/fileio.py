@@ -5,18 +5,18 @@ indented by two spaces, and in measurements and ensembles each matrix row
 of explicit ``[re, im]`` pairs is one line, so files still diff cleanly,
 row by row.  A row's text is built from the array directly, each distinct
 row once: every repeat of a row, such as the zero rows of a diagonal matrix,
-reuses its text.  A matrix whose values mostly repeat, as a diagonal one's
-zeros do, formats each distinct value once.  Files from earlier versions,
-with every number on a line of its own, load unchanged.  Floats survive a
-save/load/save cycle byte for byte (Python's shortest-repr float encoding is
-exact for IEEE doubles).
+reuses its text.  Each float is ``repr``'s text, the one ``json.dumps``
+writes, from :func:`_r17`.  Files from earlier versions, with every number on
+a line of its own, load unchanged.  Floats survive a save/load/save cycle
+byte for byte (Python's shortest-repr float encoding is exact for IEEE
+doubles).
 Wigner grids are plain whitespace-separated ``x p W`` rows behind ``#``
 header lines, readable by ``numpy.loadtxt``: the bytes of
 ``numpy.savetxt(fmt="%.17g")``, built in numpy about 4,096 points at a time.
-Each W text comes from :func:`_g17`, which gives ``"%.17g" % v`` exactly
-without a Python call per value (a Dekker product against exact powers of
-ten, checked against a rounding margin), and hands the few values that
-margin cannot decide to CPython's own ``%.17g``.
+Each W text comes from :func:`_g17`.  It and :func:`_r17` give
+``"%.17g" % v`` and ``repr(v)`` exactly without a Python call per value (a
+Dekker product against exact powers of ten, checked against a rounding
+margin), and hand the few values that margin cannot decide to CPython.
 
 Reports embed the SHA-256 digest of their input file and the tool version,
 so every number in them can be traced back to the bytes it came from.  The
@@ -105,69 +105,301 @@ def sha256_digest(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
+# ---------------------------------------------------------------- float text
+
+# A float's text formatted in numpy is a row of four little-endian uint64
+# words, 32 byte slots in the order of the text, and dropping the NULs of
+# the slots it leaves empty gives the text.  Word 0 holds the sign, "0." and
+# up to three zeros (the lead of fixed notation below 1), the first digit
+# and a slot for a point after it; words 1 and 2 the other 16 digits; and
+# word 3 the exponent, "e", its sign and two or three digits.  In fixed
+# notation from 10 up, the point comes later: the digits after it move up
+# one slot, into word 3, which that notation leaves empty.
+_G17_WIDTH = 32
+_BLOCK = 4096  # values formatted, and grid points written, at a time
+# Decimal exponents k, 10**k <= |v| < 10**(k+1), that the formatter takes
+# itself; within them no product in _scaled over- or underflows.
+_K_MIN, _K_MAX = -280, 290
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+_MARGIN = 1e-9  # how far from a tie a rounding or a read-back must be to be decided
+
+
+def _split(x: np.ndarray):
+    """Veltkamp's split: ``(high, low)``, each of 26 significant bits, with sum ``x``."""
+    c = _SPLIT * x
+    high = c - (c - x)
+    return high, x - high
+
+
+@cache
+def _g17_tables():
+    """``(powers, heads, tails, digits, trailing, keep, point_after, zeros)`` for :func:`_texts`.
+
+    Built at its first call, not at import.  The first three are indexed by
+    ``k - _K_MIN``, for ``_K_MIN <= k <= _K_MAX``.  A column of ``powers``
+    holds ``hi``, ``lo`` and ``_split(hi)`` for ``10**(16 - k)``: ``hi`` is
+    the double nearest the power and ``lo`` the double nearest the rest,
+    each by exact integer arithmetic.  ``heads[negative]`` holds the sign and
+    lead slots of a text's word 0, and ``tails`` its word 3, the exponent
+    (which fixed notation leaves out).  Per four-digit group "0000" to
+    "9999", ``digits`` holds its ASCII digits as the low half of a word, and
+    ``trailing`` its trailing zeros (4 for "0000").  ``keep[c]`` masks the
+    first ``c`` bytes of a word.  Row ``k`` of ``point_after`` gives slots
+    8-24 of fixed notation, d1 to dk, the point, then d(k+1) to d16, as
+    columns of ``[d1 .. d16, NUL, "."]``.  ``zeros[negative]`` is the row of
+    ``repr(0.0)`` or ``repr(-0.0)``.
+    """
+    ks = range(_K_MIN, _K_MAX + 1)
+    powers = []
+    for k in ks:
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        hi = num / den  # int / int is correctly rounded
+        a, b = hi.as_integer_ratio()
+        powers.append((hi, (num * b - a * den) / (den * b)))
+    powers = np.array(powers)
+    heads = [sign + (b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"") for sign in (b"", b"-")
+             for k in ks]
+    groups = np.arange(10_000)
+    digits = ((groups[:, None] // [1000, 100, 10, 1] % 10 + 48) << [0, 8, 16, 24]).sum(axis=1)
+    return (np.vstack([powers.T, *_split(powers[:, 0])]),
+            np.array(heads, dtype="S6").astype("S8").view("<u8").reshape(2, -1),
+            np.array([b"e%+03d" % k for k in ks], dtype="S8").view("<u8"),
+            digits.astype("<u8"),
+            sum(groups % 10**i == 0 for i in range(1, 5)).astype(np.int8),
+            np.array([(1 << 8 * c) - 1 for c in range(9)], dtype="<u8"),
+            np.array([[*range(k), 17, *range(k, 16)] for k in range(17)]),
+            np.array([b"0.0", b"-0.0"], dtype=f"S{_G17_WIDTH}").view(f"V{_G17_WIDTH}"))
+
+
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """``(whole, frac)``: the integer and fractional parts of ``a * 10**(16 - k)``.
+
+    The product with ``hi + lo`` is Dekker's exact two-product with ``hi``
+    plus ``a * lo``; its error is below 1e-14, so ``whole`` is exact and the
+    rounding is decided whenever ``frac`` lies more than that from 1/2.
+    """
+    hi, lo, hi_high, hi_low = _g17_tables()[0][:, k - _K_MIN]
+    a_high, a_low = _split(a)
+    p = a * hi  # an integer: at least 2**53 wherever the result is used
+    t = a_high * hi_high
+    t -= p
+    t += a_high * hi_low
+    t += a_low * hi_high
+    t += a_low * hi_low
+    t += a * lo
+    whole = np.floor(t)
+    t -= whole
+    return p.astype(np.int64) + whole.astype(np.int64), t
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """``(n, _G17_WIDTH)`` bytes: row ``i`` is ``b"%.17g" % values[i]`` in its slots.
+
+    The 17 digits are ``round(|v| * 10**(16 - k))``, taken where the
+    fraction rounded off lies more than ``_MARGIN`` from 1/2 and the rounding
+    does not carry out of the decade; :func:`_texts` lays them out.
+    """
+    return _texts(values, shortest=False)
+
+
+def _r17(values: np.ndarray) -> np.ndarray:
+    """``(n, _G17_WIDTH)`` bytes: row ``i`` is ``repr(values[i])``, as ASCII, in its slots.
+
+    That is the text ``json.dumps`` writes for a float: the fewest digits
+    whose decimal reads back as ``v`` (the Steele-White and Ryu criterion),
+    and of those the decimal nearest ``v``.  :func:`_shortest_digits` finds
+    them from :func:`_scaled`'s ``whole + frac``, ``|v| * 10**(16 - k)``, and
+    from ``h = spacing(|v|) / 2 * hi``, half the gap to the neighbouring
+    doubles in the same units.  ``whole + frac`` lies within 1e-14 of the
+    true product, and ``h``, at most 11.1, within 2e-15 of its true value,
+    so every comparison of the two whose sides differ by more than
+    ``_MARGIN`` is exact.  Zeros are ``0.0`` and ``-0.0`` from a table; every
+    other value that :func:`_texts` cannot decide goes to CPython's ``repr``.
+    """
+    values = np.ascontiguousarray(values, dtype=float).ravel()
+    out = _g17_tables()[7][np.signbit(values).view(np.int8)]  # one 32-byte item per text
+    nonzero = np.flatnonzero(values)  # a diagonal matrix is mostly zeros
+    out[nonzero] = _texts(values[nonzero], shortest=True).view(out.dtype)[:, 0]
+    return out.view(np.uint8).reshape(-1, _G17_WIDTH)
+
+
+def _texts(values: np.ndarray, shortest: bool) -> np.ndarray:
+    """The rows of :func:`_r17` (``shortest``) or :func:`_g17`, formatted a block at a time."""
+    values = np.ascontiguousarray(values, dtype=float).ravel()
+    out = np.empty((values.size, _G17_WIDTH), np.uint8)
+    for start in range(0, values.size, _BLOCK):
+        _text_block(values[start: start + _BLOCK], out[start: start + _BLOCK], shortest)
+    return out
+
+
+def _trailing_zeros(x: np.ndarray) -> np.ndarray:
+    """The trailing decimal zeros of each positive integer of ``x``, counted in its last 16 digits."""
+    table = _g17_tables()[4]
+    zeros = np.zeros(x.size, np.int8)
+    ends = np.flatnonzero(x % 10 == 0)
+    high, low = np.divmod(x[ends], 10**8)
+    count = 0  # "0000" groups at the end, then the zeros before them
+    for group in (high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4):
+        trailing = table[group]
+        count = np.where(trailing == 4, count + 4, trailing)
+    zeros[ends] = count
+    return zeros
+
+
+def _shortest_digits(a, whole, frac, half_gap):
+    """``(n, significant, decided)``: :func:`_r17`'s digits, as a 17-digit integer and a count.
+
+    In units of the 17th digit, the decimals that read back as ``v`` are the
+    integers within ``half_gap`` of ``whole + frac``, ``lo`` to ``hi``.  A
+    multiple of ``10**j`` lies among them when ``hi % 10**j <= hi - lo``, which
+    is at most 22: so ``j`` is 0 or 1 by the last two digits of ``hi``, and
+    from 2 up, 2 plus the trailing zeros of ``hi // 100``.  With the largest
+    such ``j`` the text has ``17 - j`` digits, ``whole + frac`` rounded to a
+    multiple of ``10**j``: the nearest one lies among them, since they are
+    centred on it.  A value is not ``decided`` when ``lo`` or ``hi`` or the
+    rounding is within ``_MARGIN`` of a tie, when the rounding carries out of
+    the decade, or when it is a power of two, whose lower gap is half its
+    upper one.
+    """
+    below, above = frac - half_gap, frac + half_gap
+    lo = whole + np.floor(below).astype(np.int64) + 1
+    hi = whole + np.ceil(above).astype(np.int64) - 1
+    span = hi - lo
+    two = hi % 100 <= span
+    j = (hi % 10 <= span).astype(np.int64) + two
+    j[two] = np.minimum(j[two] + _trailing_zeros(hi[two] // 100), 16)
+    unit = 10**j
+    q, r = np.divmod(whole, unit)
+    off = (r - unit / 2) + frac  # from the tie between the two nearest multiples
+    q += off > 0
+    decided = (a.view(np.int64) & (2**52 - 1)) != 0
+    decided &= (abs(off) > _MARGIN) & (q < 10 ** (17 - j))
+    for end in (below, above):
+        decided &= abs(end - np.round(end)) > _MARGIN
+    return q * unit, 17 - j, decided
+
+
+def _text_block(v: np.ndarray, out: np.ndarray, shortest: bool) -> None:
+    """Format one block of :func:`_texts` into ``out``.
+
+    A value is formatted here in five steps: its decimal exponent ``k`` from
+    ``log10``; a 17-digit integer ``n`` from :func:`_scaled`, either the
+    rounded ``|v| * 10**(16 - k)`` or, for ``repr``, :func:`_shortest_digits`;
+    its digits from a table of four-digit groups; the trailing zeros left out,
+    which ``%g`` drops and ``repr`` never has; and the slots of its sign and
+    exponent from tables, one row per (sign, ``k``) class.  ``%g`` uses fixed
+    notation for ``-4 <= k < 17``, ``repr`` for ``-4 <= k < 16`` and adds
+    ``.0`` to a whole number; both use exponent notation otherwise.  The
+    value is taken only where ``k`` lies within ``_K_MIN.._K_MAX`` (which
+    leaves out zeros, subnormals and extremes), where ``n / 10**16`` has one
+    digit before the point (so that ``log10`` found the decade), and where
+    the digits are decided; CPython formats every other value.
+    """
+    powers, heads, tails, digits4, _, keep, point_after, _ = _g17_tables()
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(a))
+    taken = (k >= _K_MIN) & (k <= _K_MAX)
+    a = np.where(taken, a, 1.0)
+    k = np.where(taken, k, 0.0).astype(np.int64)
+    whole, frac = _scaled(a, k)
+    taken &= (whole >= 10**16) & (whole < 10**17)
+    if shortest:
+        half_gap = np.spacing(a) * (0.5 * powers[0, k - _K_MIN])
+        n, significant, decided = _shortest_digits(a, whole, frac, half_gap)
+    else:
+        n = whole + (frac > 0.5)
+        decided = (n < 10**17) & (abs(frac - 0.5) > _MARGIN)
+    taken &= decided
+    n = np.where(taken, n, 10**16)
+    if not shortest:
+        significant = 17 - _trailing_zeros(n)
+    high, low = (part.astype(np.int32) for part in np.divmod(n, 10**8))
+    groups = [high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
+    fixed = (k >= -4) & (k <= (15 if shortest else 16))
+    before = np.where(fixed, k + 1, 1)  # digits before the point; both keep them all
+    whole_number = shortest & fixed & (significant <= before)  # repr adds ".0"
+    words = out.view("<u8")
+    words[:, 0] = heads[(v < 0).astype(np.intp), k - _K_MIN]
+    words[:, 0] |= (high // 10**8 + 48).astype("<u8") << 48
+    point = (before == 1) & ((significant > 1) | whole_number)
+    words[:, 0] |= point.astype("<u8") * (ord(".") << 56)
+    words[:, 1] = digits4[groups[0]] | digits4[groups[1]] << 32
+    words[:, 2] = digits4[groups[2]] | digits4[groups[3]] << 32
+    words[:, 3] = np.where(fixed, 0, tails[k - _K_MIN])
+    kept = np.maximum(significant, before) - 1  # of the digits in words 1 and 2
+    cut = np.flatnonzero(kept < 16)
+    words[cut, 1] &= keep[np.minimum(kept[cut], 8)]
+    words[cut, 2] &= keep[np.maximum(kept[cut] - 8, 0)]
+    inner = np.flatnonzero((before > 1) & ((significant > before) | whole_number))
+    if inner.size:  # a point after d2 or later
+        digits = np.zeros((inner.size, 18), np.uint8)
+        digits[:, :16], digits[:, 17] = out[inner, 8:24], ord(".")
+        out[inner, 8:25] = np.take_along_axis(digits, point_after[k[inner]], axis=1)
+    zero = np.flatnonzero(whole_number)  # the "0" after the point: slot 8, or 9 + k
+    out[zero, np.where(k[zero] == 0, 8, 9 + k[zero])] = ord("0")
+    rest = np.flatnonzero(~taken)
+    if rest.size:
+        out[rest] = _by_cpython(v[rest].tolist(), shortest)
+
+
+def _by_cpython(values: list, shortest: bool) -> np.ndarray:
+    """CPython's ``repr`` (``shortest``) or ``%.17g`` of the values the formatter leaves."""
+    texts = [repr(x).encode() for x in values] if shortest else [b"%.17g" % x for x in values]
+    return np.array(texts, dtype=f"S{_G17_WIDTH}").view(np.uint8).reshape(-1, _G17_WIDTH)
+
+
 # ---------------------------------------------------------------- helpers
 
-def _distinct(values: np.ndarray):
-    """``(distinct, index)`` if at most half of the values are distinct, else ``None``.
-
-    Values are grouped by bit pattern, so that +0.0 and -0.0 stay apart:
-    ``distinct`` holds each pattern once, as floats, and ``distinct[index]``
-    gives back ``values``.  A caller formats each distinct value once and
-    lets its text serve every repeat.  Grouping costs a sort and a search per
-    value, which only repeats earn back.  As the median of paired CPU-time
-    ratios, grouped over per value, the ``%r`` rows of a 60 x 120 matrix
-    took 0.73x at 50% distinct values and 1.27x at 100%; writing a 201^2
-    Wigner grid took 1.19x at 50% and 1.53x at 100% on shuffled values, and
-    0.90x and 1.03x on the benchmark's diagonal grids (22-23% distinct).  So
-    grouping starts at half; above it, counting the distinct values is all
-    it costs.
-    """
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
-    ordered = np.sort(bits, axis=None)  # np.unique is 10x slower here (numpy 2.4)
-    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
-    if 2 * distinct.size > bits.size:
-        return None
-    return distinct.view(float), np.searchsorted(distinct, bits)
-
-
-def _distinct_texts(values: np.ndarray, fmt: str):
-    """``(rows, fmt)``: a 2-D float array's rows, each to fill a ``fmt`` template.
-
-    When :func:`_distinct` groups the values, each distinct one is formatted
-    once, and the rows hold those strings, to fill ``%s``.  Otherwise they are
-    the float rows, and ``fmt`` comes back unchanged.
-    """
-    grouped = _distinct(values)
-    if grouped is None:
-        return np.ascontiguousarray(values, dtype=float), fmt
-    distinct, index = grouped
-    texts = "\0".join([fmt] * distinct.size) % tuple(distinct.tolist())
-    return np.array(texts.split("\0"), dtype=object)[index], "%s"
-
-
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    # A complex row viewed as floats interleaves re and im, the order of its
-    # [re, im] pairs, and %r is the float text the JSON encoder writes, signed
-    # zeros included.  Like write_json, a NaN or infinity raises ValueError.
-    # Each distinct row is formatted once, and its text serves every repeat:
-    # a diagonal matrix has one zero row and its diagonal rows.  Rows are
-    # keyed by their bytes, so a -0.0 keeps a row apart from one with 0.0.
-    parts = np.ascontiguousarray(m, dtype=complex).view(float)
-    if not np.isfinite(parts).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    keys = [row.tobytes() for row in parts]
-    unique = dict.fromkeys(keys)
-    distinct = np.frombuffer(b"".join(unique), dtype=float).reshape(len(unique), parts.shape[1])
-    rows, fmt = _distinct_texts(distinct, "%r")
-    template = "[[" + "], [".join([fmt + ", " + fmt] * (parts.shape[1] // 2)) + "]]"
-    texts = dict(zip(unique, [template % tuple(row.tolist()) for row in rows]))
-    return [texts[key] for key in keys]
-
-
-# The text the writer gives a zero entry, ``[0.0, 0.0]``; the reader parses it
-# as the first of these words that the file does not hold, here with its value.
-_ZERO_PAIR = _matrix_to_pairs(np.zeros((1, 1)))[0][1:-1]
+# The text the writer gives a zero entry; the reader parses it as the first
+# of these words that the file does not hold, here with its value.
+_ZERO_PAIR = "[0.0, 0.0]"
 _STAND_INS = {"null": None, "true": True, "false": False}
+
+
+def _matrix_to_pairs(matrices: list) -> list:
+    """Per matrix, its rows of ``[re, im]`` pairs as compact JSON lines, from one :func:`_r17` call."""
+    # A complex row viewed as floats interleaves re and im, the order of its
+    # [re, im] pairs, and repr is the float text the JSON encoder writes, signed
+    # zeros included.  Like write_json, a NaN or infinity raises ValueError.
+    # Each distinct row is formatted once, and its text serves every repeat: a
+    # diagonal matrix has one zero row and its diagonal rows, and the matrices
+    # of a file share their zero row.  Rows are keyed by their bytes, so a -0.0
+    # keeps a row apart from one with 0.0, and rows of two widths stay apart.
+    # A pair other than [0.0, 0.0] fills a fixed-width slot, "[", re, ", ", im
+    # and "], ", with a newline for the space where a run of such pairs ends;
+    # dropping the NULs and splitting at the newlines gives each run's text.  A
+    # row joins those runs and its runs of zero pairs, so a diagonal row takes
+    # a few string operations however wide it is.
+    parts = [np.ascontiguousarray(m, dtype=complex).view(float) for m in matrices]
+    if not all(np.isfinite(p).all() for p in parts):
+        raise ValueError("Out of range float values are not JSON compliant")
+    keys = [p.view(f"V{p.shape[1] * 8}").ravel().tolist() for p in parts]  # each row's bytes
+    unique = dict.fromkeys(key for rows in keys for key in rows)
+    pairs = np.frombuffer(b"".join(unique), dtype=float).reshape(-1, 2)
+    zero = ~pairs.view(np.int64).any(axis=1)
+    widths = np.array([len(key) // 16 for key in unique], dtype=np.intp)
+    row = np.zeros(len(pairs) + 1, bool)  # where a row starts, and the end
+    row[np.cumsum(widths) - widths] = row[-1] = True
+    run = row.copy()  # where a run of zero or of other pairs starts, and the end
+    run[1:-1] |= zero[1:] != zero[:-1]
+    w = _G17_WIDTH
+    texts = _r17(pairs[~zero]).reshape(-1, 2, w)
+    slots = np.empty((len(texts), 2 * w + 6), np.uint8)
+    slots[:, 0] = ord("[")
+    slots[:, 1: w + 1] = texts[:, 0]
+    slots[:, w + 1: w + 3] = np.frombuffer(b", ", np.uint8)
+    slots[:, w + 3: 2 * w + 3] = texts[:, 1]
+    slots[:, 2 * w + 3:] = np.frombuffer(b"], ", np.uint8)
+    slots[run[1:][~zero], -1] = ord("\n")
+    runs = iter(slots.tobytes().translate(None, b"\0").decode("ascii").split("\n"))
+    starts = np.flatnonzero(run)
+    pieces = [", ".join([_ZERO_PAIR] * n) + "," if z else next(runs)  # each ends in ","
+              for z, n in zip(zero[starts[:-1]].tolist(), np.diff(starts).tolist())]
+    firsts = np.flatnonzero(row[starts]).tolist()  # each row's first run, and the end
+    lines = dict(zip(unique, ("[" + " ".join(pieces[i:j])[:-1] + "]"
+                              for i, j in zip(firsts, firsts[1:]))))
+    return [[lines[key] for key in rows] for rows in keys]
 
 
 def _matrix_hook(obj: dict, filled: list | None = None, zero=None) -> dict:
@@ -405,16 +637,44 @@ def _write_labelled(path, dim: int, key: str, entries: list, metadata, **fields)
 _compact = json.JSONEncoder(allow_nan=False).encode
 
 
-def _layout(value, newline: str) -> str:
-    """``value`` as ``json.dumps(indent=2)`` lays it out, but an array's matrix row per line."""
+def _arrays(value) -> list:
+    """The numpy arrays in ``value``, in the order :func:`_layout` meets them."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return [array for item in items for array in _arrays(item)]
+
+
+# Matrix entries whose rows are built at a time: a dim-60 file's 60 matrices
+# in four calls, and a larger matrix alone, so the slots stay a few megabytes.
+_BATCH = 2**16
+
+
+def _matrix_rows(arrays: list) -> list:
+    """:func:`_matrix_to_pairs` of ``arrays``, taken ``_BATCH`` entries (or one array) at a time."""
+    rows, batch, size = [], [], 0
+    for array in arrays:
+        if batch and size + array.size > _BATCH:
+            rows += _matrix_to_pairs(batch)
+            batch, size = [], 0
+        batch.append(array)
+        size += array.size
+    return rows + _matrix_to_pairs(batch) if batch else rows
+
+
+def _layout(value, newline: str, rows) -> str:
+    """``value`` as ``json.dumps(indent=2)`` lays it out, but an array's matrix row per line.
+
+    ``rows`` yields each array's row texts, in the order of :func:`_arrays`.
+    """
     inner = newline + "  "
     if isinstance(value, np.ndarray):
-        items, ends = _matrix_to_pairs(value), "[]"
+        items, ends = next(rows), "[]"
     elif isinstance(value, dict) and value:
-        items = (_compact(k) + ": " + _layout(v, inner) for k, v in value.items())
+        items = (_compact(k) + ": " + _layout(v, inner, rows) for k, v in value.items())
         ends = "{}"
     elif isinstance(value, list) and value:
-        items, ends = (_layout(v, inner) for v in value), "[]"
+        items, ends = (_layout(v, inner, rows) for v in value), "[]"
     else:
         return _compact(value)
     return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
@@ -425,13 +685,13 @@ def write_json(doc: dict, path) -> None:
 
     Objects and lists are indented by two spaces, byte for byte as
     ``json.dumps(doc, indent=2)`` writes them; a numpy array is a matrix of
-    ``[re, im]`` pairs, each row on one compact line from
-    :func:`_matrix_to_pairs`.  The whole text is built before the file is
-    opened, so a NaN or infinity raises ``ValueError`` naming ``path`` and
-    leaves any file there as it was.
+    ``[re, im]`` pairs, each row on one compact line, and
+    :func:`_matrix_rows` builds the rows of many arrays at once.  The
+    whole text is built before the file is opened, so a NaN or infinity
+    raises ``ValueError`` naming ``path`` and leaves any file there as it was.
     """
     try:
-        text = _layout(doc, "\n") + "\n"
+        text = _layout(doc, "\n", iter(_matrix_rows(_arrays(doc)))) + "\n"
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     Path(path).write_text(text)
@@ -725,158 +985,6 @@ def load_report(path, validate: bool = True) -> ReportFile:
 
 # ---------------------------------------------------------------- Wigner grids
 
-# A "%.17g" text formatted in numpy is a row of four little-endian uint64
-# words, 32 byte slots in the order of the text, and dropping the NULs of
-# the slots it leaves empty gives the text.  Word 0 holds the sign, "0." and
-# up to three zeros (the lead of fixed notation below 1), the first digit
-# and a slot for a point after it; words 1 and 2 the other 16 digits; and
-# word 3 the exponent, "e", its sign and two or three digits.  In fixed
-# notation from 10 up, the point comes later: the digits after it move up
-# one slot, into word 3, which that notation leaves empty.
-_G17_WIDTH = 32
-_BLOCK = 4096  # values formatted, and grid points written, at a time
-# Decimal exponents k, 10**k <= |v| < 10**(k+1), that _g17 formats itself;
-# within them no product in _scaled over- or underflows.
-_K_MIN, _K_MAX = -280, 290
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
-
-
-def _split(x: np.ndarray):
-    """Veltkamp's split: ``(high, low)``, each of 26 significant bits, with sum ``x``."""
-    c = _SPLIT * x
-    high = c - (c - x)
-    return high, x - high
-
-
-@cache
-def _g17_tables():
-    """``(powers, heads, tails, digits, trailing, keep, point_after)`` for :func:`_g17`.
-
-    Built at its first call, not at import.  The first three are indexed by
-    ``k - _K_MIN``, for ``_K_MIN <= k <= _K_MAX``.  A column of ``powers``
-    holds ``hi``, ``lo`` and ``_split(hi)`` for ``10**(16 - k)``: ``hi`` is
-    the double nearest the power and ``lo`` the double nearest the rest,
-    each by exact integer arithmetic.  ``heads[negative]`` holds the sign and
-    lead slots of a text's word 0, and ``tails`` its word 3, the exponent.
-    Per four-digit group "0000" to "9999", ``digits`` holds its ASCII digits
-    as the low half of a word, and ``trailing`` its trailing zeros (4 for
-    "0000").  ``keep[c]`` masks the first ``c`` bytes of a word.  Row ``k``
-    of ``point_after`` gives slots 8-24 of fixed notation, d1 to dk, the
-    point, then d(k+1) to d16, as columns of ``[d1 .. d16, NUL, "."]``.
-    """
-    ks = range(_K_MIN, _K_MAX + 1)
-    powers = []
-    for k in ks:
-        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
-        hi = num / den  # int / int is correctly rounded
-        a, b = hi.as_integer_ratio()
-        powers.append((hi, (num * b - a * den) / (den * b)))
-    powers = np.array(powers)
-    heads = [sign + (b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"") for sign in (b"", b"-")
-             for k in ks]
-    tails = [b"" if -4 <= k <= 16 else b"e%+03d" % k for k in ks]
-    groups = np.arange(10_000)
-    digits = ((groups[:, None] // [1000, 100, 10, 1] % 10 + 48) << [0, 8, 16, 24]).sum(axis=1)
-    return (np.vstack([powers.T, *_split(powers[:, 0])]),
-            np.array(heads, dtype="S6").astype("S8").view("<u8").reshape(2, -1),
-            np.array(tails, dtype="S8").view("<u8"),
-            digits.astype("<u8"),
-            sum(groups % 10**i == 0 for i in range(1, 5)).astype(np.int8),
-            np.array([(1 << 8 * c) - 1 for c in range(9)], dtype="<u8"),
-            np.array([[*range(k), 17, *range(k, 16)] for k in range(17)]))
-
-
-def _scaled(a: np.ndarray, k: np.ndarray):
-    """``(whole, frac)``: the integer and fractional parts of ``a * 10**(16 - k)``.
-
-    The product with ``hi + lo`` is Dekker's exact two-product with ``hi``
-    plus ``a * lo``; its error is below 1e-14, so ``whole`` is exact and the
-    rounding is decided whenever ``frac`` lies more than that from 1/2.
-    """
-    hi, lo, hi_high, hi_low = _g17_tables()[0][:, k - _K_MIN]
-    a_high, a_low = _split(a)
-    p = a * hi  # an integer: at least 2**53 wherever the result is used
-    t = a_high * hi_high
-    t -= p
-    t += a_high * hi_low
-    t += a_low * hi_high
-    t += a_low * hi_low
-    t += a * lo
-    whole = np.floor(t)
-    t -= whole
-    return p.astype(np.int64) + whole.astype(np.int64), t
-
-
-def _g17(values: np.ndarray) -> np.ndarray:
-    """``(n, _G17_WIDTH)`` bytes: row ``i`` is ``b"%.17g" % values[i]`` in its slots.
-
-    A value is formatted here in five steps: its decimal exponent ``k`` from
-    ``log10``; the 17-digit integer ``round(|v| * 10**(16 - k))`` by
-    :func:`_scaled`; its digits from a table of four-digit groups; the trailing zeros that
-    ``%g`` drops left out; and the slots of its sign and exponent from
-    tables, one row per (sign, ``k``) class.  That is ``%g``'s layout: fixed
-    notation for ``-4 <= k < 17``, exponent notation otherwise.  The value
-    is taken only where the result is provably ``%.17g``: ``k`` within
-    ``_K_MIN.._K_MAX``, the integer within ``[10**16, 10**17)`` (so that
-    ``log10`` found the decade and the rounding did not carry out of it),
-    and the fraction rounded off more than 1e-9 from 1/2.  CPython's own
-    ``%.17g`` formats every other value: zeros, subnormals, near-ties,
-    carries and extremes.
-    """
-    values = np.ascontiguousarray(values, dtype=float).ravel()
-    out = np.empty((values.size, _G17_WIDTH), np.uint8)
-    for start in range(0, values.size, _BLOCK):
-        _g17_block(values[start: start + _BLOCK], out[start: start + _BLOCK])
-    return out
-
-
-def _g17_block(v: np.ndarray, out: np.ndarray) -> None:
-    _, heads, tails, digits4, trailing_zeros, keep, point_after = _g17_tables()
-    a = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.floor(np.log10(a))
-    taken = (k >= _K_MIN) & (k <= _K_MAX)
-    a = np.where(taken, a, 1.0)
-    k = np.where(taken, k, 0.0).astype(np.int64)
-    whole, frac = _scaled(a, k)
-    n = whole + (frac > 0.5)
-    # Outside [10**16, 10**17), log10 missed the decade, or the rounding
-    # carried into the next one: CPython formats those few.
-    taken &= (whole >= 10**16) & (n < 10**17) & (abs(frac - 0.5) > 1e-9)
-    n = np.where(taken, n, 10**16)
-    high, low = (part.astype(np.int32) for part in np.divmod(n, 10**8))
-    groups = [high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
-    significant = np.full(v.size, 17, np.int8)
-    ends = np.flatnonzero(low % 10 == 0)
-    zeros = 0  # trailing zeros: "0000" groups at the end, then the zeros before them
-    for group in groups:
-        trailing = trailing_zeros[group[ends]]
-        zeros = np.where(trailing == 4, zeros + 4, trailing)
-    significant[ends] -= zeros
-    fixed = (k >= -4) & (k <= 16)
-    before = np.where(fixed, k + 1, 1)  # digits before the point; %g keeps them all
-    words = out.view("<u8")
-    words[:, 0] = heads[(v < 0).astype(np.intp), k - _K_MIN]
-    words[:, 0] |= (high // 10**8 + 48).astype("<u8") << 48
-    words[:, 0] |= ((significant > 1) & (before == 1)).astype("<u8") * (ord(".") << 56)
-    words[:, 1] = digits4[groups[0]] | digits4[groups[1]] << 32
-    words[:, 2] = digits4[groups[2]] | digits4[groups[3]] << 32
-    words[:, 3] = tails[k - _K_MIN]
-    kept = np.maximum(significant, before) - 1  # of the digits in words 1 and 2
-    cut = np.flatnonzero(kept < 16)
-    words[cut, 1] &= keep[np.minimum(kept[cut], 8)]
-    words[cut, 2] &= keep[np.maximum(kept[cut] - 8, 0)]
-    inner = np.flatnonzero((before > 1) & (significant > before))  # a point after d1 or later
-    if inner.size:
-        digits = np.zeros((inner.size, 18), np.uint8)
-        digits[:, :16], digits[:, 17] = out[inner, 8:24], ord(".")
-        out[inner, 8:25] = np.take_along_axis(digits, point_after[k[inner]], axis=1)
-    rest = np.flatnonzero(~taken)
-    if rest.size:
-        texts = [b"%.17g" % x for x in v[rest].tolist()]
-        out[rest] = np.array(texts, dtype=f"S{_G17_WIDTH}").view(np.uint8).reshape(-1, _G17_WIDTH)
-
-
 def _comment(*lines) -> str:
     """``lines`` as ``#`` lines; a break (``\\n``, ``\\r``, ``\\r\\n``) in one opens a new one."""
     text = "\n".join(lines).replace("\r\n", "\n").replace("\r", "\n")
@@ -905,22 +1013,17 @@ def write_wigner_grid(
     # The rows of np.savetxt(path, rows, fmt="%.17g"), built _BLOCK points at
     # a time as fixed-width bytes, x | p | W | newline, with NULs where a text
     # leaves its field short, which are then dropped.  Each axis value is
-    # formatted once.  A phase-insensitive state's W depends on x^2 + p^2
-    # alone, so its grid holds about one distinct value per radius (some
-    # 9,000 of the 40,401 points of a 201^2 grid), each of them formatted once.
+    # formatted once.
     xs, ps = (np.array([b"%.17g" % t for t in axis.tolist()]).view(np.uint8).reshape(axis.size, -1)
               for axis in (g.x_axis, g.p_axis))
     values = np.ascontiguousarray(wgrid.values, dtype=float)
-    grouped = _distinct(values)
-    if grouped is not None:
-        texts, index = _g17(grouped[0]), grouped[1]
     wx, wp = xs.shape[1], ps.shape[1]
     rows = max(1, _BLOCK // g.n_p)
     with open(path, "w") as fh:
         fh.write(header)
         for start in range(0, g.n_x, rows):
             block = slice(start, start + rows)
-            w = _g17(values[block]) if grouped is None else texts[index[block]]
+            w = _g17(values[block])
             lines = np.empty((len(xs[block]), g.n_p, wx + wp + _G17_WIDTH + 3), np.uint8)
             lines[..., :wx] = xs[block, None]
             lines[..., wx] = lines[..., wx + wp + 1] = ord(" ")

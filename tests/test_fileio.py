@@ -670,7 +670,7 @@ class TestZeroPairsParsedAsNull:
         # change, _ZERO_PAIR would follow it and those files would lose the route.
         assert fileio._ZERO_PAIR == "[0.0, 0.0]"
         pair = fileio._ZERO_PAIR
-        assert _matrix_to_pairs(np.zeros((2, 2))) == [f"[{pair}, {pair}]"] * 2
+        assert _matrix_to_pairs([np.zeros((2, 2))]) == [[f"[{pair}, {pair}]"] * 2]
 
 
 class TestTextEncoding:
@@ -751,7 +751,7 @@ class TestJsonLayout:
     def test_non_finite_matrix_entries_are_never_written(self, tmp_path):
         for bad in (float("nan"), float("inf"), complex(0.0, -float("inf"))):
             with pytest.raises(ValueError):
-                doc = {"matrix": _matrix_to_pairs(np.array([[1.0, bad], [0.0, 1.0]]))}
+                doc = {"matrix": _matrix_to_pairs([np.array([[1.0, bad], [0.0, 1.0]])])}
                 write_json(doc, tmp_path / "m.json")
         assert not (tmp_path / "m.json").exists()
 
@@ -781,7 +781,7 @@ class TestJsonLayout:
         assert path.read_bytes() == b"earlier bytes\n"
 
 
-# Few values, so that most matrices drawn from them repeat enough to be grouped.
+# Few values, so that rows drawn from them repeat, within a matrix and across matrices.
 _M_POOL = st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1.0, -1 / 3])
 _encode = json.JSONEncoder(allow_nan=False).encode
 
@@ -797,25 +797,50 @@ class TestMatrixRows:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_any_finite_matrix_gives_the_encoder_rows(self, data):
-        shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
-        pooled = data.draw(st.booleans())
-        parts = data.draw(arrays(float, (*shape, 2), elements=_M_POOL if pooled else _PARTS))
-        m = parts.view(complex)[..., 0]
-        assert _matrix_to_pairs(m) == _encoded_rows(m)
+    def test_any_finite_matrices_give_the_encoder_rows(self, data):
+        # One call takes several matrices, of different shapes, as write_json does.
+        matrices = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+            pooled = data.draw(st.booleans())
+            parts = data.draw(arrays(float, (*shape, 2), elements=_M_POOL if pooled else _PARTS))
+            matrices.append(parts.view(complex)[..., 0])
+        assert _matrix_to_pairs(matrices) == [_encoded_rows(m) for m in matrices]
+
+    @pytest.mark.parametrize("kind", ["dense", "diagonal", "signed-zero", "subnormal"])
+    def test_seeded_matrices_give_the_encoder_rows(self, kind):
+        rng = np.random.default_rng(33)
+        m = random_density(rng, 60)
+        if kind == "diagonal":
+            m = np.diag(rng.uniform(0.0, 1.0, 60) ** 9)  # 1 to 1e-80 or so, fixed and exponent
+        elif kind == "signed-zero":
+            m = np.where(rng.random((60, 60)) < 0.5, m, complex(-0.0, -0.0))
+            m[::7] = complex(0.0, -0.0)
+        elif kind == "subnormal":
+            m = m * 1e-310
+        assert _matrix_to_pairs([m]) == [_encoded_rows(m)]
+        assert _matrix_to_pairs([m, m.T, -m]) == [_encoded_rows(x) for x in (m, m.T, -m)]
 
     @pytest.mark.parametrize("kind", ["lossy-pnr", "dense"])
-    def test_repeated_values_are_formatted_once(self, kind):
-        if kind == "lossy-pnr":  # diagonal: zeros fill the matrix, so the grouped path
+    def test_zeros_are_filled_in_not_formatted(self, kind, monkeypatch):
+        # The zeros of a diagonal matrix take their text from a table; only the
+        # other values of its distinct rows reach the digit engine.
+        if kind == "lossy-pnr":
             matrices = [e.matrix for e in lossy_pnr(0.7, 60)]
-        else:  # no value repeats but the symmetric ones: the per-value path
+        else:  # no zeros but the imaginary diagonal
             matrices = [random_density(np.random.default_rng(17), 60)]
-        for m in matrices:
-            parts = m.view(float)
-            grouped = 2 * np.unique(parts.view(np.int64)).size <= parts.size
-            assert grouped is (kind == "lossy-pnr")
-            assert fileio._distinct_texts(parts, "%r")[1] == ("%s" if grouped else "%r")
-            assert _matrix_to_pairs(m) == _encoded_rows(m)
+        seen, texts = [], fileio._texts
+
+        def spy(values, shortest):
+            seen.append(values.size)
+            return texts(values, shortest)
+
+        monkeypatch.setattr(fileio, "_texts", spy)
+        for n, m in enumerate(matrices):
+            seen.clear()
+            assert _matrix_to_pairs([m]) == [_encoded_rows(m)]
+            # the diagonal below the first weight is zero; the dense diagonal is real
+            assert seen == ([60 - n] if kind == "lossy-pnr" else [7200 - 60])
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -831,25 +856,40 @@ class TestMatrixRows:
         pool = [zero, signed, tiny, *drawn]
         picks = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=10))
         m = np.array([pool[i] for i in picks]).view(complex)
-        assert _matrix_to_pairs(m) == _encoded_rows(m)
+        assert _matrix_to_pairs([m]) == [_encoded_rows(m)]
 
     @pytest.mark.parametrize("model", ["ideal-pnr", "lossy-pnr"])
-    def test_each_distinct_row_is_formatted_once(self, model, monkeypatch):
+    def test_each_distinct_row_is_formatted_once(self, model, monkeypatch, tmp_path):
         # A diagonal element has one zero row, shared by every level below its
-        # first non-zero weight, and one row per level that carries a weight.
+        # first non-zero weight, and one row per level that carries a weight:
+        # 2 distinct rows for ideal PNR, 61 - n for lossy PNR (60 for n = 0).
+        # The zero pairs are no number's text, so only the one non-zero pair
+        # of each other distinct row reaches the formatter.
         povm = ideal_pnr(60) if model == "ideal-pnr" else lossy_pnr(0.7, 60)
-        seen, distinct_texts = [], fileio._distinct_texts
+        seen, r17 = [], fileio._r17
 
-        def spy(values, fmt):
-            seen.append(values.shape)
-            return distinct_texts(values, fmt)
+        def spy(values):
+            seen.append(np.ravel(values).tolist())
+            return r17(values)
 
-        monkeypatch.setattr(fileio, "_distinct_texts", spy)
+        monkeypatch.setattr(fileio, "_r17", spy)
         for n, element in enumerate(povm):
             seen.clear()
-            assert _matrix_to_pairs(element.matrix) == _encoded_rows(element.matrix)
-            rows = 2 if model == "ideal-pnr" else 60 - n + (n > 0)
-            assert seen == [(rows, 120)], element.label
+            assert _matrix_to_pairs([element.matrix]) == [_encoded_rows(element.matrix)]
+            weights = np.diag(element.matrix)[np.diag(element.matrix) != 0]
+            assert seen == [weights.view(float).tolist()], element.label
+        seen.clear()
+        save_povm(povm, tmp_path / "m.json")  # four batches of at most 18 elements (_BATCH entries)
+        assert len(seen) == 4 and sum(map(len, seen)) == 2 * (60 if model == "ideal-pnr" else 60 * 61 // 2)
+
+    def test_a_repeated_row_is_formatted_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        rows = (rng.normal(size=(3, 20)) + 1j * rng.normal(size=(3, 20)))[rng.integers(0, 3, 20)]
+        rows[rng.integers(0, 20)] = 0.0
+        seen, r17 = [], fileio._r17
+        monkeypatch.setattr(fileio, "_r17", lambda values: seen.append(values.size) or r17(values))
+        assert _matrix_to_pairs([rows, rows[::-1]]) == [_encoded_rows(rows), _encoded_rows(rows[::-1])]
+        assert seen == [2 * 20 * len({r.tobytes() for r in rows if r.any()})]
 
 
 class TestReportFiles:
@@ -1501,8 +1541,85 @@ class TestPercent17g:
         assert _g17_texts(values) == [b"%.17g" % v for v in values.tolist()]
 
 
+def _r17_texts(values) -> list:
+    """The texts of ``fileio._r17``, each row with its NULs dropped."""
+    return [row.tobytes().replace(b"\0", b"") for row in fileio._r17(np.asarray(values, float))]
+
+
+def _neighbours(values) -> np.ndarray:
+    """``values`` and the doubles on either side of each, the finite ones."""
+    values = np.asarray(values, float)
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    return values[np.isfinite(values)]
+
+
+class TestRepr:
+    """``fileio._r17`` gives the bytes of ``repr(v)``, the JSON encoder's float text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(float, st.integers(1, 40), elements=_FINITE))
+    def test_any_finite_double(self, values):
+        assert _r17_texts(values) == [repr(v).encode() for v in values.tolist()]
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(1983).integers(0, 2**64, 100_000, dtype=np.uint64)
+        values = bits.view(float)
+        values = values[np.isfinite(values)]  # both signs, every exponent
+        rows = np.zeros((values.size, fileio._G17_WIDTH + 1), np.uint8)
+        rows[:, :-1], rows[:, -1] = fileio._r17(values), ord("\n")
+        expected = "\n".join(map(repr, values.tolist())) + "\n"
+        assert rows.tobytes().translate(None, b"\0").decode() == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            1e16, 9999999999999998.0, 1e15, 1234567890123456.8,  # fixed notation to 1e16
+            1e-5, 0.0001, 9.999999999999999e-05,  # and from 1e-4
+            0.1 + 0.2, 0.1, 1 / 3, 2 / 3, 100.0, 123.0, 5.0, 9.5, 1e22, 1e23,
+            1e-14, 1e-79,  # just below a power of ten: log10 gives the next decade
+        ],
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+", "-"])
+    def test_edge_values(self, value, sign):
+        assert _r17_texts([sign * value]) == [repr(sign * value).encode()]
+
+    def test_powers_of_two_and_ten(self):
+        # A power of two's lower gap is half its upper one; a power of ten is
+        # one digit, whose double lies just above or below it.
+        values = [2.0**n for n in range(-1074, 1024)] + [10.0**n for n in range(-323, 309)]
+        values = _neighbours(values)
+        assert _r17_texts(values) == [repr(v).encode() for v in values.tolist()]
+
+    def test_short_decimals_and_their_neighbours(self):
+        # Few digits, which the shortest search shortens furthest.
+        digits = (1, 2, 5, 9, 25, 123, 999, 1001, 4503599627370497, 9999999999999999)
+        values = _neighbours([float(f"{d}e{e}") for d in digits for e in range(-300, 300)])
+        assert _r17_texts(values) == [repr(v).encode() for v in values.tolist()]
+
+    def test_a_log10_one_ulp_low_still_gives_the_text(self, monkeypatch):
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+        values = _neighbours([10.0**n for n in range(-300, 300)] + [1e-14, 1e-79, 0.1, 0.3, 123.456])
+        assert _r17_texts(values) == [repr(v).encode() for v in values.tolist()]
+
+    def test_a_dense_matrix_sends_few_values_to_cpython(self, monkeypatch):
+        # Were the formatter to hand most values back, saving would slow to
+        # CPython's per-value repr without any output changing.
+        seen, by_cpython = [], fileio._by_cpython
+
+        def spy(values, shortest):
+            seen.extend(values)
+            return by_cpython(values, shortest)
+
+        monkeypatch.setattr(fileio, "_by_cpython", spy)
+        m = random_density(np.random.default_rng(60), 60)
+        assert _matrix_to_pairs([m]) == [_encoded_rows(m)]
+        assert len(seen) < 0.02 * 2 * m.size
+
+
 # Grid extents and widths for the round-trip property, and a pool of W values
-# that repeat, so that both of the writer's paths are drawn.
+# that repeat.
 _EXTENT = st.floats(-10.0, 10.0)
 _WIDTH = st.floats(1e-3, 20.0)
 _W_POOL = st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 0.1, -1 / np.pi])
