@@ -13,7 +13,10 @@ doubles).
 Wigner grids are plain whitespace-separated ``x p W`` rows behind ``#``
 header lines, readable by ``numpy.loadtxt``: the bytes of
 ``numpy.savetxt(fmt="%.17g")``, built in numpy about 4,096 points at a time.
-Each W text comes from :func:`_g17`.  It and :func:`_r17` give
+Each W text comes from :func:`_g17`: once per distinct radius for a grid the
+kernel made of a state without coherences, whose radial map it carries and
+whose values still match that map bit for bit, and once per point for any
+other grid.  It and :func:`_r17` give
 ``"%.17g" % v`` and ``repr(v)`` exactly without a Python call per value (a
 Dekker product against exact powers of ten, checked against a rounding
 margin), and hand the few values that margin cannot decide to CPython.
@@ -662,22 +665,36 @@ def _matrix_rows(arrays: list) -> list:
     return rows + _matrix_to_pairs(batch) if batch else rows
 
 
-def _layout(value, newline: str, rows) -> str:
-    """``value`` as ``json.dumps(indent=2)`` lays it out, but an array's matrix row per line.
+def _layout(value, newline: str, rows, out: list) -> None:
+    """Append to ``out`` the pieces of ``value`` as ``json.dumps(indent=2)`` lays it out.
 
-    ``rows`` yields each array's row texts, in the order of :func:`_arrays`.
+    An array is a matrix, one row per line; ``rows`` yields each array's row
+    texts, in the order of :func:`_arrays`.  Every level appends to the one
+    list ``out``, so the caller's single join copies each piece once.
     """
     inner = newline + "  "
     if isinstance(value, np.ndarray):
-        items, ends = next(rows), "[]"
+        sep = "[" + inner
+        for row in next(rows):
+            out += (sep, row)
+            sep = "," + inner
+        out += (newline, "]")
     elif isinstance(value, dict) and value:
-        items = (_compact(k) + ": " + _layout(v, inner, rows) for k, v in value.items())
-        ends = "{}"
+        sep = "{" + inner
+        for k, v in value.items():
+            out += (sep, _compact(k), ": ")
+            _layout(v, inner, rows, out)
+            sep = "," + inner
+        out += (newline, "}")
     elif isinstance(value, list) and value:
-        items, ends = (_layout(v, inner, rows) for v in value), "[]"
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _layout(v, inner, rows, out)
+            sep = "," + inner
+        out += (newline, "]")
     else:
-        return _compact(value)
-    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
+        out.append(_compact(value))
 
 
 def write_json(doc: dict, path) -> None:
@@ -686,15 +703,18 @@ def write_json(doc: dict, path) -> None:
     Objects and lists are indented by two spaces, byte for byte as
     ``json.dumps(doc, indent=2)`` writes them; a numpy array is a matrix of
     ``[re, im]`` pairs, each row on one compact line, and
-    :func:`_matrix_rows` builds the rows of many arrays at once.  The
-    whole text is built before the file is opened, so a NaN or infinity
+    :func:`_matrix_rows` builds the rows of many arrays at once.
+    :func:`_layout` collects the text's pieces in one list, joined once.
+    The whole text is built before the file is opened, so a NaN or infinity
     raises ``ValueError`` naming ``path`` and leaves any file there as it was.
     """
+    pieces = []
     try:
-        text = _layout(doc, "\n", iter(_matrix_rows(_arrays(doc)))) + "\n"
+        _layout(doc, "\n", iter(_matrix_rows(_arrays(doc))), pieces)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    Path(path).write_text(text)
+    pieces.append("\n")
+    Path(path).write_text("".join(pieces))
 
 
 # ---------------------------------------------------------------- POVM files
@@ -996,12 +1016,23 @@ def write_wigner_grid(
 ) -> None:
     """Write ``x p W`` rows behind ``#`` headers recording grid and convention.
 
-    A NaN or infinite W raises ``ValueError`` before the file is opened, so
-    any file at ``path`` stays as it was.
+    The bytes are those of ``np.savetxt(fmt="%.17g")``.  A grid that carries
+    the kernel's radial map, ``values == per_radius[where]`` bit for bit
+    (signed zeros included), has its W texts formatted once per radius and
+    gathered through ``where``; any other grid, or one whose values were
+    changed after :func:`~qdetchar.phasespace.wigner` returned, is formatted
+    point by point.  A NaN or infinite W raises ``ValueError`` before the
+    file is opened, so any file at ``path`` stays as it was.
     """
     g = wgrid.grid
     if not np.isfinite(wgrid.values).all():
         raise ValueError(f"{path}: non-finite Wigner values; nothing written")
+    values = np.ascontiguousarray(wgrid.values, dtype=float)
+    texts = where = None
+    if wgrid._radial is not None:
+        per_radius, where = wgrid._radial
+        if np.array_equal(per_radius[where].view(np.int64), values.view(np.int64)):
+            texts = _g17(per_radius)
     header = _comment(
         "qdetchar wigner grid",
         f"convention: {CONVENTION}",
@@ -1012,18 +1043,17 @@ def write_wigner_grid(
     )
     # The rows of np.savetxt(path, rows, fmt="%.17g"), built _BLOCK points at
     # a time as fixed-width bytes, x | p | W | newline, with NULs where a text
-    # leaves its field short, which are then dropped.  Each axis value is
-    # formatted once.
+    # leaves its field short, which are then dropped.  Each axis value, and
+    # on the radial route each radius's W, is formatted once.
     xs, ps = (np.array([b"%.17g" % t for t in axis.tolist()]).view(np.uint8).reshape(axis.size, -1)
               for axis in (g.x_axis, g.p_axis))
-    values = np.ascontiguousarray(wgrid.values, dtype=float)
     wx, wp = xs.shape[1], ps.shape[1]
     rows = max(1, _BLOCK // g.n_p)
     with open(path, "w") as fh:
         fh.write(header)
         for start in range(0, g.n_x, rows):
             block = slice(start, start + rows)
-            w = _g17(values[block])
+            w = _g17(values[block]) if texts is None else texts[where[block]]
             lines = np.empty((len(xs[block]), g.n_p, wx + wp + _G17_WIDTH + 3), np.uint8)
             lines[..., :wx] = xs[block, None]
             lines[..., wx] = lines[..., wx + wp + 1] = ord(" ")

@@ -49,6 +49,7 @@ from qdetchar import (
     nonclassicality_of_measurement,
     on_off_apd,
     read_wigner_grid,
+    retrodicted_state,
     save_ensemble,
     save_povm,
     save_report,
@@ -58,7 +59,7 @@ from qdetchar import (
     witness_row_problems,
     write_wigner_grid,
 )
-from qdetchar import fileio
+from qdetchar import fileio, phasespace
 from qdetchar._version import __version__
 from qdetchar.cli import main
 from qdetchar.detectors import default_guard_levels
@@ -1388,12 +1389,14 @@ class TestWignerGridFiles:
             rho = np.outer(fock_state(3, 30), fock_state(3, 30))
         else:
             rho = random_density(np.random.default_rng(17), 16)
-        values = wigner(rho, grid).values.copy()
+        wg = wigner(rho, grid)
+        _assert_written_as_savetxt(tmp_path, wg)  # as the kernel made it
+        values = wg.values.copy()
         values[0, :3] = [0.0, -0.0, 5e-324]  # signed zero and a subnormal
         distinct = np.unique(values.view(np.int64)).size
-        if state == "dense":  # every value distinct: the per-point path
+        if state == "dense":  # every value distinct
             assert distinct == values.size
-        elif grid.n_x == grid.n_p:  # one value per radius: the grouped path
+        elif grid.n_x == grid.n_p:  # a centred grid: one value per radius, each repeated
             assert 2 * distinct <= values.size
         _assert_written_as_savetxt(tmp_path, WignerGrid(grid=grid, values=values))
 
@@ -1420,6 +1423,75 @@ class TestWignerGridFiles:
         assert back.grid == grid
         np.testing.assert_array_equal(back.values, values)
         np.testing.assert_array_equal(np.signbit(back.values), np.signbit(values))
+
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    @settings(max_examples=60, deadline=None, suppress_health_check=[_FIXTURE])
+    @given(data=st.data())
+    def test_any_kernel_grid_writes_as_savetxt(self, tmp_path, data):
+        # A diagonal state's grid carries the kernel's radial map and a dense
+        # state's does not; both must give np.savetxt's bytes.
+        dim = data.draw(st.integers(2, 24), label="dim")
+        if data.draw(st.booleans(), label="diagonal"):
+            weights = data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0),
+                                         min_size=dim, max_size=dim).filter(lambda w: sum(w) > 0))
+            rho = np.diag(np.array(weights) / sum(weights))
+        else:
+            rho = random_density(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), dim)
+        half = data.draw(st.tuples(st.floats(0.5, 6.0), st.floats(0.5, 6.0)), label="half-widths")
+        centre = (0.0, 0.0) if data.draw(st.booleans(), label="centred") else data.draw(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), label="centre")
+        shape = data.draw(st.tuples(st.integers(2, 64), st.integers(2, 64)), label="shape")
+        grid = PhaseSpaceGrid(centre[0] - half[0], centre[0] + half[0],
+                              centre[1] - half[1], centre[1] + half[1], *shape)
+        wg = wigner(rho, grid)
+        assert (wg._radial is None) == bool(np.any(np.triu(rho, 1)))
+        _assert_written_as_savetxt(tmp_path, wg)
+
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    @pytest.mark.parametrize("edit", ["changed", "signed-zero"])
+    def test_kernel_grid_edited_after_the_kernel_writes_its_values(self, tmp_path, edit):
+        # Past x^2 + p^2 = 745 the vacuum's W underflows to +0.0, which
+        # equals -0.0 but has other bits: the writer must compare bits.
+        grid = PhaseSpaceGrid(0.0, 30.0, 0.0, 30.0, 31, 31)
+        wg = wigner(np.diag([1.0, 0.0]), grid)
+        assert wg._radial is not None and wg.values[-1, -1] == 0.0
+        if edit == "changed":
+            wg.values[3, 5] += 1e-3
+        else:
+            wg.values[-1, -1] = -0.0
+        path = _assert_written_as_savetxt(tmp_path, wg)
+        last = path.read_text().splitlines()[-1]
+        assert last.split()[2] == ("-0" if edit == "signed-zero" else "0")
+        assert read_wigner_grid(path).values[3, 5] == wg.values[3, 5]
+
+    def test_radial_grid_writes_the_same_after_its_geometry_is_evicted(self, tmp_path):
+        grid = PhaseSpaceGrid.symmetric(4.0, 41)
+        wg = wigner(retrodicted_state(lossy_pnr(0.7, 16).outcome("1")).state, grid)
+        before = _assert_written_as_savetxt(tmp_path, wg).read_bytes()
+        for n in range(phasespace._GEOMETRIES):  # eight other grids fill the cache
+            phasespace._cached_geometry(PhaseSpaceGrid.symmetric(1.0 + n, 5))
+        assert phasespace._cached_geometry(grid).where is not wg._radial[1]
+        assert _assert_written_as_savetxt(tmp_path, wg).read_bytes() == before
+
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    @pytest.mark.parametrize("state", ["diagonal", "dense"])
+    def test_radial_grid_formats_one_w_per_radius(self, monkeypatch, tmp_path, state):
+        # Were the writer to format every point again, no output would change:
+        # the count of values handed to the formatter is what shows it.
+        grid = PhaseSpaceGrid.symmetric(6.0, 201)
+        if state == "diagonal":
+            rho = retrodicted_state(lossy_pnr(0.7, 16).outcome("1")).state
+            expected = phasespace._cached_geometry(grid).radii.size
+        else:
+            rho = random_density(np.random.default_rng(3), 16)
+            expected = grid.n_x * grid.n_p
+        wg = wigner(rho, grid)
+        formatted, g17 = [], fileio._g17
+        monkeypatch.setattr(fileio, "_g17", lambda v: formatted.append(np.size(v)) or g17(v))
+        write_wigner_grid(wg, tmp_path / "w.dat")
+        assert sum(formatted) == expected
+        if state == "diagonal":
+            assert expected < wg.values.size / 4
 
     @pytest.mark.parametrize(
         "values",
