@@ -31,16 +31,15 @@ JSON file is read by one type rule, :func:`_expect`.
 Measurements and ensembles are files of labelled ``[re, im]`` matrices, read
 by :func:`_read_labelled` and written by :func:`_write_labelled`; in both,
 ``metadata`` is an object of strings, and any other value is a format error
-naming the file and the key.  Each matrix becomes one numpy array as soon as
-the parser closes its entry's object, so that entry's ``[re, im]`` lists are
-freed before the next entry is read, and a file's pairs never all exist as
-Python objects at once.  Each zero pair the writer stored, ``[0.0, 0.0]``, is
-parsed as one word, ``null`` or else ``true`` or ``false``, that the same
-step fills in as zeros (:func:`_loads_labelled`), so a dim-60 ideal or lossy
-PNR file parses into 3,721 or 5,491 lists instead of 219,661, and into the
-same arrays bit for bit; the file's bytes and every refusal stay as they
-were.  A file parsed as written, a dense one or one holding all three
-words, builds a list per pair.
+naming the file and the key.  The text is parsed with each zero pair the
+writer stored, ``[0.0, 0.0]``, replaced by one word, ``null`` or else
+``true`` or ``false``, so the parser builds no list for it, and as written
+where that rewrite cannot be kept (:func:`_loads_labelled`).  Both parses
+decode each matrix by one rule, :func:`_matrix_hook`, as the parser closes
+its entry's object: the word is a zero pair, and the matrix becomes one
+float array, so that entry's lists are freed before the next entry is read,
+and a file's pairs never all exist as Python objects at once.  Either way
+the arrays are the same bit for bit, and every refusal keeps its wording.
 Readers and writers leave Python's cyclic garbage collector as they find
 it: a dense dim-30 file sets off 4 youngest-generation passes and reads
 about as fast as with the collector paused, and the writers build a string
@@ -358,6 +357,7 @@ def _by_cpython(values: list, shortest: bool) -> np.ndarray:
 # of these words that the file does not hold, here with its value.
 _ZERO_PAIR = "[0.0, 0.0]"
 _STAND_INS = {"null": None, "true": True, "false": False}
+_AS_WRITTEN = object()  # the stand-in of text parsed as written: no JSON value is this object
 
 
 def _matrix_to_pairs(matrices: list) -> list:
@@ -405,69 +405,55 @@ def _matrix_to_pairs(matrices: list) -> list:
     return [[lines[key] for key in rows] for rows in keys]
 
 
-def _matrix_hook(obj: dict, filled: list | None = None, zero=None) -> dict:
-    """``obj``, a labelled entry's ``matrix`` made one array where numpy reads it so.
+def _matrix_hook(obj: dict, zero=_AS_WRITTEN, filled: list | None = None) -> dict:
+    """``obj``, a labelled entry's ``matrix`` made one ``(n, n, 2)`` float array where it is one.
 
     Runs as the parser closes each object, so an entry's lists are freed
-    before the next entry is read.  The array is ``(n, n, 2)``, of booleans,
-    integers or floats.  Any other matrix stays a list, for
+    before the next entry is read.  A matrix is ``n >= 1`` lists of ``n``
+    entries.  An entry that is the stand-in ``zero`` itself is a zero pair,
+    matched by identity: a bare ``1`` equals ``True`` but is no stand-in.
+    Rows holding no stand-in go whole into one ``np.array``, and the other
+    entries of the other rows into a second; each must give flat pairs of
+    booleans, integers or floats.  Any other matrix stays a list, for
     :func:`_matrix_from_pairs` to name the fault: a ragged or non-square
     matrix, an entry that is not a flat pair, a part that is not a JSON
-    number, or an integer beyond 64 bits.  Given ``filled``, a one-item
-    count, the text is :func:`_loads_labelled`'s rewrite: an entry that is
-    the stand-in ``zero`` itself is a zero pair, and each one filled in is
-    added to the count.
+    number, or an integer beyond 64 bits.  ``zero`` is ``_AS_WRITTEN`` for
+    text parsed as written, and :func:`_loads_labelled`'s stand-in for its
+    rewrite; given ``filled``, a one-item count, each zero pair filled in is
+    added to it.
     """
     rows = obj.get("matrix")
-    if type(obj.get("label")) is str and type(rows) is list:
-        if filled is not None:
-            parts = _zeros_filled(rows, filled, zero)
-            if parts is not None:
-                obj["matrix"] = parts
-            return obj
-        try:
-            parts = np.array(rows)
-        except ValueError:  # ragged: some entry is not a flat pair
-            return obj
-        n = len(parts)
-        if parts.shape == (n, n, 2) and parts.dtype.kind in "biuf":
-            obj["matrix"] = parts
-    return obj
-
-
-def _zeros_filled(rows: list, filled: list, zero=None):
-    """``rows`` as an ``(n, n, 2)`` float array, each entry that is ``zero`` a zero pair.
-
-    The matrix is taken by :func:`_matrix_hook`'s rule, ``n >= 1`` lists of
-    ``n`` entries, and its other entries by one ``np.array``, which must give
-    flat pairs of booleans, integers or floats.  Otherwise it is ``None``,
-    and ``filled`` is left as it was.  Entries are matched by identity: a
-    bare ``1`` equals ``True`` but is no stand-in.
-    """
+    if type(obj.get("label")) is not str or type(rows) is not list or not rows:
+        return obj
     n = len(rows)
-    if not n:
-        return None
-    found = []  # the flat index of each entry that is not the stand-in
+    whole, found = [], []  # the rows without a stand-in; the flat index of each other entry
     for i, row in enumerate(rows):
         if type(row) is not list or len(row) != n:
-            return None
-        # None equals no JSON value but itself, so list.count matches it by identity
-        count = row.count(None) if zero is None else sum(map(is_, row, repeat(zero)))
-        if count == n - 1 and row[i] is not zero:  # a diagonal entry alone, found at once
+            return obj
+        # None and _AS_WRITTEN equal no other JSON value, so list.count matches them by identity
+        count = sum(map(is_, row, repeat(zero))) if type(zero) is bool else row.count(zero)
+        if not count:
+            whole.append(i)
+        elif count == n - 1 and row[i] is not zero:  # a diagonal entry alone, found at once
             found.append(i * n + i)
         elif count < n:
             found += [i * n + j for j, v in enumerate(row) if v is not zero]
     out = np.zeros((n, n, 2))  # owns its data, so PovmElement keeps it without a copy
-    if found:
-        try:
-            pairs = np.array([rows[k // n][k % n] for k in found])
-        except ValueError:  # ragged: some entry is not a flat pair
-            return None
-        if pairs.shape != (len(found), 2) or pairs.dtype.kind not in "biuf":
-            return None
-        out.reshape(n * n, 2)[found] = pairs
-    filled[0] += n * n - len(found)
-    return out
+    flat = out.reshape(n * n, 2)
+    for target, at, entries in ((out, whole, [rows[i] for i in whole]),
+                                (flat, found, [rows[k // n][k % n] for k in found])):
+        if at:
+            try:
+                parts = np.array(entries)
+            except ValueError:  # ragged: some entry is not a flat pair
+                return obj
+            if parts.shape != (len(at), *target.shape[1:]) or parts.dtype.kind not in "biuf":
+                return obj
+            target[at] = parts
+    if filled is not None:
+        filled[0] += n * (n - len(whole)) - len(found)
+    obj["matrix"] = out
+    return obj
 
 
 def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
@@ -489,7 +475,6 @@ def _matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
             if not isinstance(row, list) or len(row) != dim:
                 raise PovmFormatError(f"{where}: row {i} must hold {dim} entries")
         parts = _checked_pairs(rows, where)
-    parts = np.ascontiguousarray(parts, dtype=float)
     if not np.isfinite(parts).all():
         i, j = np.argwhere(~np.isfinite(parts).all(axis=-1))[0]
         raise PovmFormatError(f"{where}: entry ({i},{j}) is not finite")
@@ -543,7 +528,7 @@ def _loads_labelled(text: str):
         filled = [0]
         try:
             doc = json.loads(text.replace(_ZERO_PAIR, word), object_hook=partial(
-                _matrix_hook, filled=filled, zero=_STAND_INS[word]))
+                _matrix_hook, zero=_STAND_INS[word], filled=filled))
             if filled[0] == count:
                 return doc
         except (ValueError, RecursionError):
@@ -640,14 +625,6 @@ def _write_labelled(path, dim: int, key: str, entries: list, metadata, **fields)
 _compact = json.JSONEncoder(allow_nan=False).encode
 
 
-def _arrays(value) -> list:
-    """The numpy arrays in ``value``, in the order :func:`_layout` meets them."""
-    if isinstance(value, np.ndarray):
-        return [value]
-    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
-    return [array for item in items for array in _arrays(item)]
-
-
 # Matrix entries whose rows are built at a time: a dim-60 file's 60 matrices
 # in four calls, and a larger matrix alone, so the slots stay a few megabytes.
 _BATCH = 2**16
@@ -665,32 +642,30 @@ def _matrix_rows(arrays: list) -> list:
     return rows + _matrix_to_pairs(batch) if batch else rows
 
 
-def _layout(value, newline: str, rows, out: list) -> None:
+def _layout(value, newline: str, arrays: list, out: list) -> None:
     """Append to ``out`` the pieces of ``value`` as ``json.dumps(indent=2)`` lays it out.
 
-    An array is a matrix, one row per line; ``rows`` yields each array's row
-    texts, in the order of :func:`_arrays`.  Every level appends to the one
-    list ``out``, so the caller's single join copies each piece once.
+    An array is a matrix, one row per line, whose text is not built here: its
+    place in ``out`` holds ``None``, and ``(place, array, newline)`` is
+    appended to ``arrays``, in the order the walk meets them.  Every level
+    appends to the one list ``out``, which the caller joins once.
     """
     inner = newline + "  "
     if isinstance(value, np.ndarray):
-        sep = "[" + inner
-        for row in next(rows):
-            out += (sep, row)
-            sep = "," + inner
-        out += (newline, "]")
+        arrays.append((len(out), value, newline))
+        out.append(None)
     elif isinstance(value, dict) and value:
         sep = "{" + inner
         for k, v in value.items():
             out += (sep, _compact(k), ": ")
-            _layout(v, inner, rows, out)
+            _layout(v, inner, arrays, out)
             sep = "," + inner
         out += (newline, "}")
     elif isinstance(value, list) and value:
         sep = "[" + inner
         for v in value:
             out.append(sep)
-            _layout(v, inner, rows, out)
+            _layout(v, inner, arrays, out)
             sep = "," + inner
         out += (newline, "]")
     else:
@@ -702,17 +677,22 @@ def write_json(doc: dict, path) -> None:
 
     Objects and lists are indented by two spaces, byte for byte as
     ``json.dumps(doc, indent=2)`` writes them; a numpy array is a matrix of
-    ``[re, im]`` pairs, each row on one compact line, and
-    :func:`_matrix_rows` builds the rows of many arrays at once.
-    :func:`_layout` collects the text's pieces in one list, joined once.
+    ``[re, im]`` pairs, each row on one compact line.  One walk,
+    :func:`_layout`, collects the text's pieces in one list and leaves each
+    array's place open; one :func:`_matrix_rows` call builds the rows of
+    every array, which then fill those places, and the list is joined once.
     The whole text is built before the file is opened, so a NaN or infinity
     raises ``ValueError`` naming ``path`` and leaves any file there as it was.
     """
-    pieces = []
+    pieces, arrays = [], []
     try:
-        _layout(doc, "\n", iter(_matrix_rows(_arrays(doc))), pieces)
+        _layout(doc, "\n", arrays, pieces)
+        rows = _matrix_rows([array for _, array, _ in arrays])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    for (place, _, newline), lines in zip(arrays, rows):
+        inner = newline + "  "
+        pieces[place] = "[" + inner + ("," + inner).join(lines) + newline + "]"
     pieces.append("\n")
     Path(path).write_text("".join(pieces))
 

@@ -202,8 +202,9 @@ class LimitScanPoint:
 class LimitScan:
     """Convergence of heralded states toward the conjugated retrodicted state.
 
-    ``fidelity_monotonic`` records whether fidelity was non-decreasing over
-    the scanned squeezing values.
+    ``points`` follow the squeezing values in the order given;
+    ``fidelity_monotonic`` records whether fidelity was non-decreasing as
+    ``lam`` grows, whatever that order.
     """
 
     points: tuple
@@ -251,6 +252,6 @@ def retrodictive_limit_scan(element, lambdas, tols: Tolerances = DEFAULT_TOLS) -
                 success_probability=result.success_probability,
             )
         )
-    fids = [pt.fidelity for pt in points]
+    fids = [pt.fidelity for pt in sorted(points, key=lambda pt: pt.lam)]
     monotonic = all(b - a >= -1e-12 for a, b in zip(fids, fids[1:]))
     return LimitScan(points=tuple(points), fidelity_monotonic=monotonic)

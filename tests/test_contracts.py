@@ -171,8 +171,8 @@ _UNUSED_BY_DESIGN = {
     # the posterior that shares no code with retrodict_ensemble; only the tests
     # that compare the two routes call it.
     "proposition_operator",
-    # The reader of the grid files that ``wigner`` and ``characterize
-    # --witnesses`` write; the program only writes them.
+    # The reader of the grid files that ``wigner`` writes; the program only
+    # writes them.
     "read_wigner_grid",
 }
 

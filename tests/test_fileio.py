@@ -674,6 +674,79 @@ class TestZeroPairsParsedAsNull:
         assert _matrix_to_pairs([np.zeros((2, 2))]) == [[f"[{pair}, {pair}]"] * 2]
 
 
+def _reference_hook(obj: dict) -> dict:
+    """The rule of a matrix parsed as written: ``np.array(rows)`` gives an ``(n, n, 2)``
+    array of booleans, integers or floats, or the list stays."""
+    rows = obj.get("matrix")
+    if type(obj.get("label")) is str and type(rows) is list:
+        try:
+            parts = np.array(rows)
+        except ValueError:  # ragged
+            return obj
+        n = len(parts)
+        if parts.shape == (n, n, 2) and parts.dtype.kind in "biuf":
+            obj["matrix"] = parts
+    return obj
+
+
+# Pairs of any JSON numbers, integers beyond 64 bits included, and entries that are no pair.
+_PAIRS = (st.lists(JSON_PARTS, min_size=2, max_size=2)
+          | st.lists(st.floats(), min_size=2, max_size=2))
+_NO_PAIRS = (
+    st.lists(JSON_PARTS, max_size=1) | st.lists(JSON_PARTS, min_size=3, max_size=3)
+    | st.text(max_size=2) | st.lists(_PAIRS, min_size=1, max_size=2)
+    | st.dictionaries(st.text(max_size=1), JSON_PARTS, max_size=1) | st.none() | JSON_PARTS
+)
+
+
+class TestOneDecoder:
+    """Both parses of a labelled file decode its matrices by one rule, ``_matrix_hook``'s."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_the_decoder_is_the_reference_with_each_stand_in_a_zero_pair(self, data):
+        zero = data.draw(st.sampled_from([fileio._AS_WRITTEN, None, True, False]), label="zero")
+        n = data.draw(st.integers(1, 6), label="n")
+        diagonal = data.draw(st.booleans(), label="diagonal")
+        entry = st.just(zero) | _PAIRS
+        rows = [[zero if diagonal and i != j else data.draw(entry) for j in range(n)]
+                for i in range(n)]
+        fault = data.draw(st.sampled_from([None, None, "entry", "short", "long", "row"]))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if fault == "entry":
+            rows[i][j] = data.draw(_NO_PAIRS.filter(lambda v: v is not zero), label="entry")
+        elif fault == "short":
+            del rows[i][j]
+        elif fault == "long":
+            rows[i].append(data.draw(entry))
+        elif fault == "row":
+            rows[i] = data.draw(_NO_PAIRS, label="row")
+        written = [[[0.0, 0.0] if v is zero else v for v in row] if type(row) is list else row
+                   for row in rows]
+        want = _reference_hook({"label": "x", "matrix": written})["matrix"]
+        filled = [0]
+        got = fileio._matrix_hook({"label": "x", "matrix": rows}, zero, filled)["matrix"]
+        if type(want) is list:
+            assert got is rows and filled == [0]
+        else:
+            assert got.dtype == np.float64 and got.flags.owndata and got.flags.c_contiguous
+            assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+            assert filled == [sum(v is zero for row in rows for v in row)]
+
+    def test_both_parses_hand_the_decoder_to_the_parser(self, tmp_path, monkeypatch):
+        # A label holding a zero pair makes the rewrite fall back to the text.
+        pnr = ideal_pnr(3)
+        path = tmp_path / "p.json"
+        save_povm(Povm((PovmElement(fileio._ZERO_PAIR, pnr.elements[0].matrix),
+                        *pnr.elements[1:])), path)
+        hooks, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: hooks.append(kw["object_hook"])
+                            or loads(text, **kw))
+        fileio._loads_labelled(path.read_text())
+        assert hooks[0].func is fileio._matrix_hook and hooks[0].keywords["zero"] is None
+        assert hooks[1:] == [fileio._matrix_hook]
+
+
 class TestTextEncoding:
     """Every JSON file is read as UTF-8; other bytes are a format error naming the file."""
 
@@ -695,6 +768,29 @@ class TestTextEncoding:
         message = f"^{re.escape(str(path))}: not valid JSON: 'utf-8' codec"
         with pytest.raises(PovmFormatError, match=message):
             load(path)
+
+
+# Documents with matrices at any depth, beside scalars and empty containers.
+_MATRICES = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda shape: arrays(float, (*shape, 2), elements=_PARTS)
+).map(lambda parts: parts.view(complex)[..., 0])
+_DOCUMENTS = st.recursive(
+    _MATRICES | st.just([]) | st.just({}) | st.none() | st.booleans() | st.integers()
+    | st.text(max_size=3) | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _as_rows(value, placeholder=None):
+    """``value`` with each array as its rows of ``[re, im]`` pairs, or as ``placeholder``."""
+    if isinstance(value, np.ndarray):
+        return placeholder or value.view(float).reshape(*value.shape, 2).tolist()
+    if isinstance(value, dict):
+        return {k: _as_rows(v, placeholder) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_rows(v, placeholder) for v in value]
+    return value
 
 
 class TestJsonLayout:
@@ -732,6 +828,44 @@ class TestJsonLayout:
         path = tmp_path / "doc.json"
         write_json(doc, path)
         assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[_FIXTURE])
+    @given(st.dictionaries(st.text(max_size=3), _DOCUMENTS, max_size=4))
+    def test_every_array_keeps_its_place_in_the_one_walk(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        write_json(doc, path)
+        text = path.read_text()
+        assert json.dumps(json.loads(text)) == json.dumps(_as_rows(doc))
+        # Each matrix is "[", one line per row, "]"; no other line starts with "[[".
+        placed = re.sub(r"\[(\n +)\[\[[^\n]*(?:\1\[\[[^\n]*)*\n *\]", '"\\\\u0000matrix"', text)
+        assert placed == json.dumps(_as_rows(doc, "\0matrix"), indent=2) + "\n"
+
+    def test_one_call_builds_the_rows_of_every_array_in_document_order(self, tmp_path, monkeypatch):
+        calls, batches = [], []
+        matrix_rows, to_pairs = fileio._matrix_rows, fileio._matrix_to_pairs
+        monkeypatch.setattr(fileio, "_matrix_rows", lambda a: calls.append(a) or matrix_rows(a))
+        monkeypatch.setattr(fileio, "_matrix_to_pairs", lambda m: batches.append(len(m)) or to_pairs(m))
+        walks = []
+
+        class Walked(dict):  # counts each walk through its entries
+            def items(self):
+                walks.append("items")
+                return super().items()
+
+            def values(self):
+                walks.append("values")
+                return super().values()
+
+        m = [np.full((2, 2), k, dtype=complex) for k in range(3)]
+        write_json(Walked(a=[m[0], {"b": m[1]}, []], c={}, d=m[2]), tmp_path / "doc.json")
+        assert len(walks) == 1
+        assert len(calls) == 1 and list(map(id, calls[0])) == list(map(id, m))
+        povm = lossy_pnr(0.7, 60)
+        calls.clear()
+        batches.clear()
+        save_povm(povm, tmp_path / "m.json")  # _BATCH entries a call: 18 matrices of 3,600
+        assert len(calls) == 1 and list(map(id, calls[0])) == [id(e.matrix) for e in povm]
+        assert batches == [18, 18, 18, 6]
 
     def test_files_in_the_earlier_indent_2_layout_load_unchanged(self, tmp_path):
         m = np.array([[0.5, complex(-0.0, -0.0)], [complex(-0.0, 0.0), complex(0.5, -0.0)]])

@@ -398,3 +398,25 @@ class TestLimitScanFidelity:
         assert all(b - a >= -8 * oracles.EPS for a, b in zip(fids, fids[1:]))  # rounding alone
         assert scan.fidelity_monotonic
 
+    def test_a_falling_lam_keeps_its_order_and_the_flag(self):
+        scan = retrodictive_limit_scan(lossy_pnr(0.7, 30).outcome("1"), [0.5, 0.2])
+        assert [pt.lam for pt in scan.points] == [0.5, 0.2]
+        assert scan.points[0].fidelity > scan.points[1].fidelity
+        assert scan.fidelity_monotonic
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        weights=arrays(np.float64, st.integers(2, 30), elements=st.floats(0.0, 1.0)),
+        lams=st.lists(st.floats(0.0, 0.99), min_size=2, max_size=6),
+    )
+    def test_shuffled_lambdas_give_the_flag_of_sorted_ones(self, data, weights, lams):
+        # The flag judges F as lam grows; the points follow the order given.
+        assume(weights[0] > 1e-3)
+        shuffled = data.draw(st.permutations(lams), label="shuffled")
+        el, no_tail_budget = PovmElement("e", np.diag(weights)), Tolerances(tail=1.0)
+        scan = retrodictive_limit_scan(el, shuffled, no_tail_budget)
+        ordered = retrodictive_limit_scan(el, sorted(lams), no_tail_budget)
+        assert [pt.lam for pt in scan.points] == shuffled
+        assert scan.fidelity_monotonic == ordered.fidelity_monotonic
+
