@@ -3,13 +3,13 @@
 Every JSON file goes through one writer, :func:`write_json`: objects are
 indented by two spaces, and in measurements and ensembles each matrix row
 of explicit ``[re, im]`` pairs is one line, so files still diff cleanly,
-row by row.  A row's text is built from the array directly, each distinct
-row once: every repeat of a row, such as the zero rows of a diagonal matrix,
-reuses its text.  Each float is ``repr``'s text, the one ``json.dumps``
-writes, from :func:`_r17`.  Files from earlier versions, with every number on
-a line of its own, load unchanged.  Floats survive a save/load/save cycle
-byte for byte (Python's shortest-repr float encoding is exact for IEEE
-doubles).
+row by row.  A row's text is built from the array directly: a row of +0.0
+alone, such as most rows of a diagonal matrix, takes the one text of a zero
+row of its width, and every other row is laid out from its values.  Each
+float is ``repr``'s text, the one ``json.dumps`` writes, from :func:`_r17`.
+Files from earlier versions, with every number on a line of its own, load
+unchanged.  Floats survive a save/load/save cycle byte for byte (Python's
+shortest-repr float encoding is exact for IEEE doubles).
 Wigner grids are plain whitespace-separated ``x p W`` rows behind ``#``
 header lines, readable by ``numpy.loadtxt``: the bytes of
 ``numpy.savetxt(fmt="%.17g")``, built in numpy about 4,096 points at a time.
@@ -32,14 +32,14 @@ Measurements and ensembles are files of labelled ``[re, im]`` matrices, read
 by :func:`_read_labelled` and written by :func:`_write_labelled`; in both,
 ``metadata`` is an object of strings, and any other value is a format error
 naming the file and the key.  The text is parsed with each zero pair the
-writer stored, ``[0.0, 0.0]``, replaced by one word, ``null`` or else
-``true`` or ``false``, so the parser builds no list for it, and as written
-where that rewrite cannot be kept (:func:`_loads_labelled`).  Both parses
-decode each matrix by one rule, :func:`_matrix_hook`, as the parser closes
-its entry's object: the word is a zero pair, and the matrix becomes one
-float array, so that entry's lists are freed before the next entry is read,
-and a file's pairs never all exist as Python objects at once.  Either way
-the arrays are the same bit for bit, and every refusal keeps its wording.
+writer stored, ``[0.0, 0.0]``, replaced by ``null``, so the parser builds no
+list for it, and as written where the text holds ``null`` or that rewrite
+cannot be kept (:func:`_loads_labelled`).  Both parses decode each matrix by
+one rule, :func:`_matrix_hook`, as the parser closes its entry's object: a
+``null`` is a zero pair, and the matrix becomes one float array, so that
+entry's lists are freed before the next entry is read, and a file's pairs
+never all exist as Python objects at once.  Either way the arrays are the
+same bit for bit, and every refusal keeps its wording.
 Readers and writers leave Python's cyclic garbage collector as they find
 it: a dense dim-30 file sets off 4 youngest-generation passes and reads
 about as fast as with the collector paused, and the writers build a string
@@ -56,8 +56,6 @@ import typing
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cache, cached_property, partial
-from itertools import repeat
-from operator import is_
 from pathlib import Path
 
 import numpy as np
@@ -353,10 +351,8 @@ def _by_cpython(values: list, shortest: bool) -> np.ndarray:
 
 # ---------------------------------------------------------------- helpers
 
-# The text the writer gives a zero entry; the reader parses it as the first
-# of these words that the file does not hold, here with its value.
+# The text the writer gives a zero entry; the reader parses it as null.
 _ZERO_PAIR = "[0.0, 0.0]"
-_STAND_INS = {"null": None, "true": True, "false": False}
 _AS_WRITTEN = object()  # the stand-in of text parsed as written: no JSON value is this object
 
 
@@ -365,23 +361,20 @@ def _matrix_to_pairs(matrices: list) -> list:
     # A complex row viewed as floats interleaves re and im, the order of its
     # [re, im] pairs, and repr is the float text the JSON encoder writes, signed
     # zeros included.  Like write_json, a NaN or infinity raises ValueError.
-    # Each distinct row is formatted once, and its text serves every repeat: a
-    # diagonal matrix has one zero row and its diagonal rows, and the matrices
-    # of a file share their zero row.  Rows are keyed by their bytes, so a -0.0
-    # keeps a row apart from one with 0.0, and rows of two widths stay apart.
-    # A pair other than [0.0, 0.0] fills a fixed-width slot, "[", re, ", ", im
-    # and "], ", with a newline for the space where a run of such pairs ends;
-    # dropping the NULs and splitting at the newlines gives each run's text.  A
-    # row joins those runs and its runs of zero pairs, so a diagonal row takes
-    # a few string operations however wide it is.
+    # A row whose parts are all +0.0, no bit set, takes the one text of a zero
+    # row of its width; a -0.0 sets the sign bit, so its row is laid out as the
+    # others are.  There, a pair other than [0.0, 0.0] fills a fixed-width slot,
+    # "[", re, ", ", im and "], ", with a newline for the space where a run of
+    # such pairs ends; dropping the NULs and splitting at the newlines gives
+    # each run's text.  A row joins those runs and its runs of zero pairs, so a
+    # diagonal row takes a few string operations however wide it is.
     parts = [np.ascontiguousarray(m, dtype=complex).view(float) for m in matrices]
     if not all(np.isfinite(p).all() for p in parts):
         raise ValueError("Out of range float values are not JSON compliant")
-    keys = [p.view(f"V{p.shape[1] * 8}").ravel().tolist() for p in parts]  # each row's bytes
-    unique = dict.fromkeys(key for rows in keys for key in rows)
-    pairs = np.frombuffer(b"".join(unique), dtype=float).reshape(-1, 2)
+    live = [p.view(np.int64).any(axis=1) for p in parts]  # the rows that are not zero rows
+    pairs = np.concatenate([p[rows].reshape(-1, 2) for p, rows in zip(parts, live)])
     zero = ~pairs.view(np.int64).any(axis=1)
-    widths = np.array([len(key) // 16 for key in unique], dtype=np.intp)
+    widths = np.repeat([p.shape[1] // 2 for p in parts], [np.count_nonzero(r) for r in live])
     row = np.zeros(len(pairs) + 1, bool)  # where a row starts, and the end
     row[np.cumsum(widths) - widths] = row[-1] = True
     run = row.copy()  # where a run of zero or of other pairs starts, and the end
@@ -400,9 +393,12 @@ def _matrix_to_pairs(matrices: list) -> list:
     pieces = [", ".join([_ZERO_PAIR] * n) + "," if z else next(runs)  # each ends in ","
               for z, n in zip(zero[starts[:-1]].tolist(), np.diff(starts).tolist())]
     firsts = np.flatnonzero(row[starts]).tolist()  # each row's first run, and the end
-    lines = dict(zip(unique, ("[" + " ".join(pieces[i:j])[:-1] + "]"
-                              for i, j in zip(firsts, firsts[1:]))))
-    return [[lines[key] for key in rows] for rows in keys]
+    lines = ("[" + " ".join(pieces[i:j])[:-1] + "]" for i, j in zip(firsts, firsts[1:]))
+    out = []
+    for p, rows in zip(parts, live):
+        blank = "[" + ", ".join([_ZERO_PAIR] * (p.shape[1] // 2)) + "]"
+        out.append([next(lines) if r else blank for r in rows.tolist()])
+    return out
 
 
 def _matrix_hook(obj: dict, zero=_AS_WRITTEN, filled: list | None = None) -> dict:
@@ -410,15 +406,15 @@ def _matrix_hook(obj: dict, zero=_AS_WRITTEN, filled: list | None = None) -> dic
 
     Runs as the parser closes each object, so an entry's lists are freed
     before the next entry is read.  A matrix is ``n >= 1`` lists of ``n``
-    entries.  An entry that is the stand-in ``zero`` itself is a zero pair,
-    matched by identity: a bare ``1`` equals ``True`` but is no stand-in.
+    entries.  An entry that is the stand-in ``zero`` is a zero pair; it is
+    ``None`` or ``_AS_WRITTEN``, and neither equals any other JSON value.
     Rows holding no stand-in go whole into one ``np.array``, and the other
     entries of the other rows into a second; each must give flat pairs of
     booleans, integers or floats.  Any other matrix stays a list, for
     :func:`_matrix_from_pairs` to name the fault: a ragged or non-square
     matrix, an entry that is not a flat pair, a part that is not a JSON
     number, or an integer beyond 64 bits.  ``zero`` is ``_AS_WRITTEN`` for
-    text parsed as written, and :func:`_loads_labelled`'s stand-in for its
+    text parsed as written, and ``None`` for :func:`_loads_labelled`'s
     rewrite; given ``filled``, a one-item count, each zero pair filled in is
     added to it.
     """
@@ -430,8 +426,7 @@ def _matrix_hook(obj: dict, zero=_AS_WRITTEN, filled: list | None = None) -> dic
     for i, row in enumerate(rows):
         if type(row) is not list or len(row) != n:
             return obj
-        # None and _AS_WRITTEN equal no other JSON value, so list.count matches them by identity
-        count = sum(map(is_, row, repeat(zero))) if type(zero) is bool else row.count(zero)
+        count = row.count(zero)
         if not count:
             whole.append(i)
         elif count == n - 1 and row[i] is not zero:  # a diagonal entry alone, found at once
@@ -509,26 +504,23 @@ def _checked_pairs(rows, where: str) -> np.ndarray:
 
 
 def _loads_labelled(text: str):
-    """``json.loads(text, object_hook=_matrix_hook)``, parsing each zero pair as one word.
+    """``json.loads(text, object_hook=_matrix_hook)``, parsing each zero pair as ``null``.
 
     A ``null`` is one token where ``[0.0, 0.0]`` is a list and two floats.
-    The stand-in is the first of ``null``, ``true`` and ``false`` that the
-    text does not hold anywhere, so a label or note reading ``null`` keeps
-    the route.  The rewrite is kept only when the hook filled in as many zero
-    pairs as were replaced: the word cannot overlap itself, and each value
-    filled in is the stand-in itself, so then every replaced pair was a
-    matrix entry, and no label, key or string was touched.  Otherwise, when
-    the text holds all three words, or when the rewrite does not parse, the
-    text itself is parsed, so every refusal keeps its wording, line and
-    column.
+    A text that holds ``null`` anywhere is parsed as written.  Otherwise
+    each ``null`` of the rewrite is a replaced pair, and each replacement
+    shortens the text by 6 characters; the rewrite is kept only when the
+    hook filled in that many zero pairs, for then every replaced pair was a
+    matrix entry, and no label, key or string was touched.  Otherwise, or
+    when the rewrite does not parse, the text itself is parsed, so every
+    refusal keeps its wording, line and column.
     """
-    word = next((w for w in _STAND_INS if w not in text), None)
-    count = text.count(_ZERO_PAIR) if word else 0
+    rewrite = text if "null" in text else text.replace(_ZERO_PAIR, "null")
+    count = (len(text) - len(rewrite)) // 6
     if count:
         filled = [0]
         try:
-            doc = json.loads(text.replace(_ZERO_PAIR, word), object_hook=partial(
-                _matrix_hook, zero=_STAND_INS[word], filled=filled))
+            doc = json.loads(rewrite, object_hook=partial(_matrix_hook, zero=None, filled=filled))
             if filled[0] == count:
                 return doc
         except (ValueError, RecursionError):
@@ -545,7 +537,8 @@ def _parse_json(path, loads=json.loads):
         raise PovmFormatError(
             f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
-    except ValueError as exc:  # not UTF-8, or an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer literal past Python's digit limit, or nesting past the recursion limit
         raise PovmFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 

@@ -393,6 +393,21 @@ class TestCharacterize:
             assert err.startswith(f"error: {path}: not valid JSON") and "utf-8" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("kind", ["measurement", "ensemble", "report"])
+    def test_file_nested_past_the_recursion_limit_exits_4(self, apd_file, tmp_path, capsys, kind):
+        # The parser's RecursionError escaped as a traceback (exit 1).
+        nested = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "deep.json"
+        key = "outcomes" if kind == "measurement" else "entries"
+        path.write_text(nested if kind == "report" else
+                        f'{{"format_version": "1", "dim": 2, "{key}": {nested}}}')
+        argv = {"measurement": ["characterize", str(path), "--out", str(tmp_path / "r.json")],
+                "ensemble": ["retrodict", str(apd_file), "--outcome", "on", "--ensemble", str(path)],
+                "report": ["verify", str(path)]}[kind]
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert err.startswith(f"error: {path}: not valid JSON: maximum recursion depth exceeded")
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,

@@ -554,16 +554,23 @@ def _parses(monkeypatch):
 
 
 # The writer's zero entry, as a value and as the text of a label, key or value,
-# and the words that stand in for it, as strings.
+# and the words null, true and false, as strings.
 _ZEROS = st.sampled_from([[0.0, 0.0], "[0.0, 0.0]", "x[0.0, 0.0]", "null", "true", "false"])
+
+# Labels and notes made of pieces of the zero pair: its brackets and parts,
+# the pair itself, and longer lists that hold its text, or all of it but "]".
+_FRAGMENTS = st.lists(
+    st.sampled_from(["[", "]", ", ", "0.0", "[0.0, 0.0", "[0.0, 0.0]", "[0.0, 0.0, 0.0]"]),
+    min_size=1, max_size=6,
+).map("".join)
 
 
 class TestZeroPairsParsedAsNull:
-    """Each stored zero pair is parsed as one stand-in word; what is read does not change."""
+    """Each stored zero pair is parsed as null; what is read does not change."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
-        # The third file holds null, so true stands in, and a label that is a zero pair.
+        # The third file holds null and a label that is a zero pair, so it is parsed as written.
         path = tmp_path_factory.mktemp("zeros")
         pnr = lossy_pnr(0.7, 3)
         save_povm(pnr, path / "p.json")
@@ -598,10 +605,8 @@ class TestZeroPairsParsedAsNull:
         np.testing.assert_array_equal(povm.outcome("3").matrix, np.diag(np.arange(12) == 3))
 
     @pytest.mark.parametrize("words", [["null"], ["null", "true"]], ids=["null", "null-true"])
-    def test_a_file_holding_null_is_parsed_once_without_its_zero_pairs(
-        self, tmp_path, monkeypatch, words
-    ):
-        # The stand-in is the first word the file does not hold: true, then false.
+    def test_a_file_holding_null_is_parsed_once_as_written(self, tmp_path, monkeypatch, words):
+        # A label or a note reading null sends the whole file to the parse as written.
         path = tmp_path / "p.json"
         pnr = ideal_pnr(3)
         outcomes = (PovmElement(words[0], pnr.elements[0].matrix), *pnr.elements[1:])
@@ -609,7 +614,7 @@ class TestZeroPairsParsedAsNull:
         texts = _parses(monkeypatch)
         povm = load_povm(path)
         assert povm.labels == (words[0], "1", "2") and povm.metadata == {"note": " ".join(words)}
-        assert len(texts) == 1 and fileio._ZERO_PAIR not in texts[0]
+        assert texts == [path.read_text()]
         for back, element in zip(povm, pnr):
             assert back.matrix.tobytes() == element.matrix.tobytes()
 
@@ -626,9 +631,10 @@ class TestZeroPairsParsedAsNull:
         "note, bare", [("null", "1"), ("null", "1.0"), ("null true", "0"), ("null true", "0.0")]
     )
     def test_a_bare_number_equal_to_the_stand_in_is_no_zero_pair(self, tmp_path, note, bare):
-        # With true (or false) as the stand-in, a bare 1 (or 0) in a matrix
-        # equals it.  Were it counted as a zero pair, it would make up for the
-        # label's replaced pair, and the rewrite would be kept, label changed.
+        # A bare 1 (or 0) in a matrix equals true (or false).  Were either word
+        # a stand-in and the number counted as a zero pair, it would make up
+        # for the label's replaced pair, and the rewrite would be kept, label
+        # changed.  The file holds null, so it must read as its text.
         pnr = ideal_pnr(3)
         outcomes = (PovmElement(fileio._ZERO_PAIR, pnr.elements[0].matrix), *pnr.elements[1:])
         path = tmp_path / "p.json"
@@ -639,6 +645,25 @@ class TestZeroPairsParsedAsNull:
         expected = json.loads(text, object_hook=fileio._matrix_hook)
         assert expected["outcomes"][0]["label"] == fileio._ZERO_PAIR
         assert _same(fileio._loads_labelled(text), expected)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[_FIXTURE])
+    @given(label=_FRAGMENTS, note=_FRAGMENTS)
+    def test_the_count_taken_from_the_shortened_text_is_the_count_of_zero_pairs(
+        self, tmp_path, monkeypatch, label, note
+    ):
+        # Each replacement shortens the text by 6 characters, and the pairs a
+        # label or note holds make the rewrite fall back to the text.
+        pnr = ideal_pnr(3)
+        path = tmp_path / "p.json"
+        save_povm(Povm((PovmElement(label, pnr.elements[0].matrix), *pnr.elements[1:]),
+                       metadata={"note": note}), path)
+        text, pair = path.read_text(), fileio._ZERO_PAIR
+        assert (len(text) - len(text.replace(pair, "null"))) // 6 == text.count(pair)
+        with monkeypatch.context() as patch:
+            texts = _parses(patch)
+            doc = fileio._loads_labelled(text)
+        assert _same(doc, json.loads(text, object_hook=fileio._matrix_hook))
+        assert len(texts) == (2 if pair in label + "\0" + note else 1)
 
     def test_a_label_holding_a_zero_pair_keeps_its_text(self, tmp_path, monkeypatch):
         path = tmp_path / "p.json"
@@ -705,7 +730,7 @@ class TestOneDecoder:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_the_decoder_is_the_reference_with_each_stand_in_a_zero_pair(self, data):
-        zero = data.draw(st.sampled_from([fileio._AS_WRITTEN, None, True, False]), label="zero")
+        zero = data.draw(st.sampled_from([fileio._AS_WRITTEN, None]), label="zero")
         n = data.draw(st.integers(1, 6), label="n")
         diagonal = data.draw(st.booleans(), label="diagonal")
         entry = st.just(zero) | _PAIRS
@@ -959,7 +984,7 @@ class TestMatrixRows:
     @pytest.mark.parametrize("kind", ["lossy-pnr", "dense"])
     def test_zeros_are_filled_in_not_formatted(self, kind, monkeypatch):
         # The zeros of a diagonal matrix take their text from a table; only the
-        # other values of its distinct rows reach the digit engine.
+        # other values of its rows that are not zero rows reach the digit engine.
         if kind == "lossy-pnr":
             matrices = [e.matrix for e in lossy_pnr(0.7, 60)]
         else:  # no zeros but the imaginary diagonal
@@ -995,11 +1020,11 @@ class TestMatrixRows:
 
     @pytest.mark.parametrize("model", ["ideal-pnr", "lossy-pnr"])
     def test_each_distinct_row_is_formatted_once(self, model, monkeypatch, tmp_path):
-        # A diagonal element has one zero row, shared by every level below its
-        # first non-zero weight, and one row per level that carries a weight:
-        # 2 distinct rows for ideal PNR, 61 - n for lossy PNR (60 for n = 0).
-        # The zero pairs are no number's text, so only the one non-zero pair
-        # of each other distinct row reaches the formatter.
+        # A diagonal element's levels below its first non-zero weight are zero
+        # rows, which take one text without the formatter, and each other row
+        # carries one weight: 1 row for ideal PNR, 60 - n for lossy PNR.  The
+        # zero pairs are no number's text either, so only the one non-zero
+        # pair of each such row reaches the formatter.
         povm = ideal_pnr(60) if model == "ideal-pnr" else lossy_pnr(0.7, 60)
         seen, r17 = [], fileio._r17
 
@@ -1017,14 +1042,17 @@ class TestMatrixRows:
         save_povm(povm, tmp_path / "m.json")  # four batches of at most 18 elements (_BATCH entries)
         assert len(seen) == 4 and sum(map(len, seen)) == 2 * (60 if model == "ideal-pnr" else 60 * 61 // 2)
 
-    def test_a_repeated_row_is_formatted_once(self, monkeypatch):
+    def test_zero_rows_of_any_width_take_their_text_without_the_formatter(self, monkeypatch):
+        # A row of -0.0 sets the sign bit, so it is no zero row: its parts are
+        # formatted with those of the other rows.
         rng = np.random.default_rng(8)
-        rows = (rng.normal(size=(3, 20)) + 1j * rng.normal(size=(3, 20)))[rng.integers(0, 3, 20)]
-        rows[rng.integers(0, 20)] = 0.0
+        a, b = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in (6, 9))
+        a[[0, 3]] = b[[1, 2, 7]] = 0.0
+        a[5] = complex(-0.0, -0.0)
         seen, r17 = [], fileio._r17
-        monkeypatch.setattr(fileio, "_r17", lambda values: seen.append(values.size) or r17(values))
-        assert _matrix_to_pairs([rows, rows[::-1]]) == [_encoded_rows(rows), _encoded_rows(rows[::-1])]
-        assert seen == [2 * 20 * len({r.tobytes() for r in rows if r.any()})]
+        monkeypatch.setattr(fileio, "_r17", lambda values: seen.append(values.tobytes()) or r17(values))
+        assert _matrix_to_pairs([a, b]) == [_encoded_rows(a), _encoded_rows(b)]
+        assert seen == [np.concatenate([a[[1, 2, 4, 5]], b[[0, 3, 4, 5, 6, 8]]], axis=None).tobytes()]
 
 
 class TestReportFiles:
