@@ -21,6 +21,7 @@ The constructors in this module cover the three canonical kinds of device:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,14 @@ class PovmElement:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of the Hermitian part, solved once and read-only."""
+        w = _spectrum(self.matrix)
+        w.setflags(write=False)
+        return w
 
     @property
     def trace_weight(self) -> float:
@@ -284,7 +293,7 @@ def validate_povm(povm: Povm, tols: Tolerances = DEFAULT_TOLS) -> PovmValidation
     ok = True
     for e in povm:
         defect = hermiticity_defect(e.matrix)
-        w = _spectrum(e.matrix)
+        w = e.spectrum
         passed = (
             defect <= tols.herm
             and w[0] >= -tols.psd

@@ -248,18 +248,25 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def assert_density_matrix(
-    rho: np.ndarray, tols: Tolerances = DEFAULT_TOLS, what: str = "state"
+    rho: np.ndarray, tols: Tolerances = DEFAULT_TOLS, what: str = "state", least=None
 ) -> np.ndarray:
     """Check Hermiticity, positivity and unit trace; raise ``ValueError`` if violated.
 
-    An entry near the float limit overflows, without a warning, to an
-    infinite or NaN defect, trace or eigenvalue, and so fails its check.
+    ``least`` is a lower bound on the least eigenvalue of ``hermitize(rho)``
+    that the caller has proven, such as an element's least eigenvalue over
+    its trace.  When it is at least ``-tols.psd`` no spectrum is solved;
+    otherwise, or when it is ``None`` or NaN, the spectrum is solved, so a
+    refusal always prints the solved eigenvalue.  An entry near the float
+    limit overflows, without a warning, to an infinite or NaN defect, trace
+    or eigenvalue, and so fails its check.
     """
     rho = _square(rho, what)
     defect = hermiticity_defect(rho)
     if defect > tols.herm:
         raise ValueError(f"{what}: Hermiticity defect {defect:.3g} exceeds {tols.herm:.3g}")
     _unit_trace(rho, tols, what)
+    if least is not None and least >= -tols.psd:
+        return rho
     w = _spectrum(rho)
     if w[0] < -tols.psd:
         raise ValueError(f"{what}: negative eigenvalue {w[0]:.3g} beyond {tols.psd:.3g}")

@@ -42,7 +42,7 @@ from .fock import (
     conjugate_in_fock,
     hermitize,
 )
-from .retrodiction import _as_element, retrodicted_state
+from .retrodiction import _as_element, _probability, retrodicted_state
 
 __all__ = [
     "TmsvParams",
@@ -116,12 +116,15 @@ def _split_dims(n: int, db: int, what: str) -> int:
 
 
 def _herald_result(
-    unnorm: np.ndarray, el, tols: Tolerances, scale: float = 1.0, where: str = "on this state"
+    unnorm: np.ndarray, el, tols: Tolerances, scale: float = 1.0, where: str = "on this state",
+    least=None,
 ) -> HeraldResult:
     """Normalize an unnormalized conditional state of mode A.
 
     The success probability is ``scale * Tr(unnorm)``; every route ends here,
-    so the probability floor and the density-matrix check live in one place.
+    so the probability floor, the probability rule of :func:`born_probability`
+    and the density-matrix check live in one place.  ``least``, when given, is
+    a proven lower bound on the least eigenvalue of ``hermitize(unnorm)``.
     """
     weight = float(np.real(np.trace(unnorm)))
     prob = scale * weight
@@ -130,10 +133,11 @@ def _herald_result(
             f"outcome {el.label!r} fires with probability {prob:.3g} {where}"
         )
     rho_a = hermitize(unnorm / weight)
-    assert_density_matrix(rho_a, tols, what=f"state heralded by {el.label!r}")
+    bound = None if least is None else least / weight
+    assert_density_matrix(rho_a, tols, what=f"state heralded by {el.label!r}", least=bound)
     return HeraldResult(
         conditional_state=rho_a,
-        success_probability=min(max(prob, 0.0), 1.0),
+        success_probability=_probability(prob, tols),
         outcome_label=el.label,
     )
 
@@ -181,13 +185,19 @@ def heralded_closed_form(
     ``(1 - lam^2) Tr{Lam conj(element) Lam}``, so it can differ from the
     tensor-product route by a relative ``lam**(2*dim)``; the states agree to
     machine precision since both share the same truncation.
+
+    No spectrum of the state is solved when the element's least eigenvalue
+    ``e_min`` shows it positive: ``A = hermitize(conj E)`` has the spectrum
+    of ``hermitize(E)``, and ``x^dag Lam A Lam x >= min(e_min, 0) |x|^2``
+    since ``Lam^2 <= 1``, so ``min(e_min, 0) / Tr{...}`` bounds the state's.
     """
     el = _as_element(element)
     _same_dim("element", el.dim, "TMSV", params.dim)
     lam_diag = params.lam ** np.arange(params.dim)
     filtered = lam_diag[:, None] * conjugate_in_fock(el.matrix) * lam_diag[None, :]
     return _herald_result(
-        filtered, el, tols, scale=1.0 - params.lam**2, where=f"at lam={params.lam}"
+        filtered, el, tols, scale=1.0 - params.lam**2, where=f"at lam={params.lam}",
+        least=min(el.spectrum[0], 0.0),
     )
 
 

@@ -75,7 +75,8 @@ class RetrodictedState:
     element of another state.  ``trace_weight`` is ``Tr(element)`` and
     ``state`` is ``element / trace_weight``, derived here and never given,
     so neither can disagree with the element.  The state is read-only and
-    checked as a density matrix under ``tols``.  Raises
+    checked as a density matrix under ``tols``; its least eigenvalue is the
+    element's over the weight, which the check reads as a proven bound.  Raises
     :class:`NullOutcomeError` for a null element (see
     :meth:`~qdetchar.detectors.PovmElement.is_null`): a null outcome carries
     no retrodictive content.
@@ -95,7 +96,9 @@ class RetrodictedState:
             )
         rho = el.matrix / weight
         rho.setflags(write=False)
-        assert_density_matrix(rho, tols, what=f"retrodicted state of {el.label!r}")
+        assert_density_matrix(
+            rho, tols, what=f"retrodicted state of {el.label!r}", least=el.spectrum[0] / weight
+        )
         object.__setattr__(self, "element", el)
         object.__setattr__(self, "state", rho)
         object.__setattr__(self, "trace_weight", weight)
@@ -145,7 +148,11 @@ def born_probability(rho: np.ndarray, element, tols: Tolerances = DEFAULT_TOLS) 
     el = _as_element(element)
     rho = _as_density(rho, "state", tols)
     _same_dim("state", rho.shape[0], "element", el.dim)
-    val = float(np.real(np.einsum("ij,ji->", rho, el.matrix)))
+    return _probability(float(np.real(np.einsum("ij,ji->", rho, el.matrix))), tols)
+
+
+def _probability(val: float, tols: Tolerances) -> float:
+    """``val`` clamped into [0, 1]; a ``ValueError`` beyond ``[-tols.norm, 1 + tols.norm]``."""
     if not -tols.norm <= val <= 1.0 + tols.norm:
         raise ValueError(f"probability {val!r} outside [0, 1]; inputs are not physical")
     return min(max(val, 0.0), 1.0)

@@ -80,6 +80,21 @@ def random_element_matrix(rng, dim):
     return (v * (w / w[-1])) @ v.conj().T
 
 
+def random_dense_povm(rng, dim, count):
+    """``count`` elements ``S^{-1/2} G_k G_k^H S^{-1/2}``, ``S = sum_k G_k G_k^H``, Hermitian parts.
+
+    Full rank, summing to the identity, and mixing every number level.
+    """
+    factors = []
+    for _ in range(count):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        factors.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(factors))
+    s_inv_half = (v / np.sqrt(w)) @ v.conj().T
+    elements = [s_inv_half @ a @ s_inv_half for a in factors]
+    return [0.5 * (e + e.conj().T) for e in elements]
+
+
 def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = g @ g.conj().T

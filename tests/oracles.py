@@ -21,6 +21,12 @@ form in the element's diagonal:
 - ``scan_fidelity`` is the same eigen route at 50 digits in mpmath, on the
   heralded state and its limit built there from the element, rounded once.
 
+And one for ``herald.heralded_closed_form``:
+
+- ``heralded_state`` is ``Tr_B{|psi><psi| (1_A (x) E)}`` of the truncated
+  two-mode squeezed ket at 50 digits in mpmath, contracted entry by entry
+  over the ket's amplitudes, apart from the ``Lam Ebar Lam`` form.
+
 Errors against them are stated in units of ``EPS``.
 """
 
@@ -125,3 +131,30 @@ def scan_fidelity(element, lam: float, digits: int = 50) -> float:
         r = root(rho)
         w, _ = mpmath.eighe(r * sigma * r)
         return float(mpmath.fsum(mpmath.sqrt(max(x, 0)) for x in w) ** 2)
+
+
+def heralded_state(element, lam: float, digits: int = 50):
+    """The state heralded by ``element`` on mode B of a TMSV, and its probability, in mpmath.
+
+    The joint ket ``psi = sqrt(1 - lam^2) sum_{n < d} lam^n |n, n>`` keeps the
+    untruncated normalization, as the closed form's success probability does.
+    Mode A's unnormalized state is the partial trace ``sum_kl psi[i, k]
+    E[l, k] conj(psi[j, l])`` over the ket's non-zero amplitudes; its trace is
+    the success probability.  Returns the Hermitian part of the normalized
+    state, as a complex array, and the probability, each rounded once.
+    """
+    e = np.asarray(element, dtype=complex)
+    d = e.shape[0]
+    with mpmath.workdps(digits):
+        lam = mpmath.mpf(lam)
+        norm = mpmath.sqrt(1 - lam**2)
+        amps = [((n, n), norm * lam**n) for n in range(d)]  # psi[i, k], A index first
+        emp = [[mpmath.mpc(complex(x)) for x in row] for row in e]
+        unnorm = mpmath.zeros(d, d)
+        for (i, k), a in amps:
+            for (j, l), b in amps:
+                unnorm[i, j] += a * emp[l][k] * mpmath.conj(b)
+        prob = mpmath.re(sum(unnorm[n, n] for n in range(d)))
+        rho = (unnorm + unnorm.H) / (2 * prob)
+        state = np.array([[complex(rho[i, j]) for j in range(d)] for i in range(d)])
+        return state, float(prob)

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
-    ANY_JSON, ENSEMBLE_SITES, MEASUREMENT_SITES, every_edge_at_every_site, mutated
+    ANY_JSON, ENSEMBLE_SITES, MEASUREMENT_SITES, every_edge_at_every_site, mutated,
+    random_dense_povm,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -260,9 +261,9 @@ class TestCharacterize:
         checked = []
         check = retrodiction.assert_density_matrix
 
-        def spy(rho, tols, what):
+        def spy(rho, tols, what, least=None):
             checked.append(what)
-            return check(rho, tols, what)
+            return check(rho, tols, what, least=least)
 
         monkeypatch.setattr(retrodiction, "assert_density_matrix", spy)
         path, out = tmp_path / "lossy.json", tmp_path / "report.json"
@@ -669,6 +670,41 @@ class TestHerald:
         )
         assert code == 3
         assert "increase dim" in err
+
+
+class TestOneSpectrumPerElement:
+    """A loaded element's spectrum is solved once, by validation, and read from then on."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The size of each matrix ``np.linalg.eigvalsh`` is given, in call order."""
+        sizes, solve = [], np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return sizes
+
+    @staticmethod
+    def dense_file(tmp_path, dim):
+        elements = random_dense_povm(np.random.default_rng(dim), dim, 4)
+        path = tmp_path / "dense.json"
+        save_povm(Povm(tuple(PovmElement(f"e{k}", e) for k, e in enumerate(elements))), path)
+        return path
+
+    def test_a_herald_scan_solves_each_element_once(self, tmp_path, capsys, solves):
+        path = self.dense_file(tmp_path, 20)
+        lams = [f for k in range(1, 11) for f in ("--lam", str(0.05 * k))]
+        assert run(capsys, "herald", str(path), "--outcome", "e1", *lams)[0] == 0
+        assert solves == [20] * 4  # 15 before: validation, the limit and ten closed forms
+
+    def test_characterize_solves_each_element_once(self, tmp_path, capsys, solves):
+        path = self.dense_file(tmp_path, 12)
+        argv = ["characterize", str(path), "--target", "fock:1", "--out", str(tmp_path / "r.json")]
+        assert run(capsys, *argv)[0] == 0
+        assert solves == [12] * 4  # 8 before: validation and each retrodicted state
 
 
 class TestRetrodict:

@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from conftest import random_dense_povm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,17 +37,8 @@ def random_povms(draw):
     """A seeded dense POVM and a seeded random target ket of the same dim."""
     dim, count = draw(st.integers(2, 16)), draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    factors = []
-    for _ in range(count):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        factors.append(g @ g.conj().T)
-    w, v = np.linalg.eigh(sum(factors))
-    s_inv_half = (v / np.sqrt(w)) @ v.conj().T
-    elements = []
-    for k, a in enumerate(factors):
-        e = s_inv_half @ a @ s_inv_half
-        elements.append(PovmElement(f"e{k}", 0.5 * (e + e.conj().T)))
-    povm = Povm(tuple(elements), guard_levels=0)
+    elements = random_dense_povm(rng, dim, count)
+    povm = Povm(tuple(PovmElement(f"e{k}", e) for k, e in enumerate(elements)), guard_levels=0)
     require_valid(povm)
     ket = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return povm, ket / np.linalg.norm(ket)

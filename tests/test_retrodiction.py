@@ -408,9 +408,9 @@ class TestEnsembles:
     def test_each_entry_is_checked_once(self, monkeypatch, tmp_path):
         checked = []
 
-        def spy(rho, tols, what):
+        def spy(rho, tols, what, least=None):
             checked.append(what)
-            return assert_density_matrix(rho, tols, what)
+            return assert_density_matrix(rho, tols, what, least=least)
 
         monkeypatch.setattr(retrodiction, "assert_density_matrix", spy)
         path = tmp_path / "e.json"
