@@ -16,10 +16,11 @@ header lines, readable by ``numpy.loadtxt``: the bytes of
 Each W text comes from :func:`_g17`: once per distinct radius for a grid the
 kernel made of a state without coherences, whose radial map it carries and
 whose values still match that map bit for bit, and once per point for any
-other grid.  It and :func:`_r17` give
-``"%.17g" % v`` and ``repr(v)`` exactly without a Python call per value (a
-Dekker product against exact powers of ten, checked against a rounding
-margin), and hand the few values that margin cannot decide to CPython.
+other grid.  It and :func:`_r17` give ``"%.17g" % v`` and ``repr(v)``
+exactly without a Python call per value (a Dekker product against exact
+powers of ten, checked against a rounding margin) for values below 10, as
+every matrix entry and W value is, and hand CPython the rest and the few
+values that margin cannot decide.
 
 Reports embed the SHA-256 digest of their input file and the tool version,
 so every number in them can be traced back to the bytes it came from.  The
@@ -112,14 +113,14 @@ def sha256_digest(path) -> str:
 # the slots it leaves empty gives the text.  Word 0 holds the sign, "0." and
 # up to three zeros (the lead of fixed notation below 1), the first digit
 # and a slot for a point after it; words 1 and 2 the other 16 digits; and
-# word 3 the exponent, "e", its sign and two or three digits.  In fixed
-# notation from 10 up, the point comes later: the digits after it move up
-# one slot, into word 3, which that notation leaves empty.
+# word 3 the exponent, "e", its sign and two or three digits.
 _G17_WIDTH = 32
 _BLOCK = 4096  # values formatted, and grid points written, at a time
 # Decimal exponents k, 10**k <= |v| < 10**(k+1), that the formatter takes
-# itself; within them no product in _scaled over- or underflows.
-_K_MIN, _K_MAX = -280, 290
+# itself.  Below _K_MIN a product in _scaled could underflow.  Every value
+# the program writes lies below 10, a matrix entry of an element or a state
+# within 1 and a Wigner value within 1/pi, so CPython formats the rest.
+_K_MIN, _K_MAX = -280, 0
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
 _MARGIN = 1e-9  # how far from a tie a rounding or a read-back must be to be decided
 
@@ -133,30 +134,23 @@ def _split(x: np.ndarray):
 
 @cache
 def _g17_tables():
-    """``(powers, heads, tails, digits, trailing, keep, point_after, zeros)`` for :func:`_texts`.
+    """``(powers, heads, tails, digits, trailing, keep, zeros)`` for :func:`_texts`.
 
     Built at its first call, not at import.  The first three are indexed by
     ``k - _K_MIN``, for ``_K_MIN <= k <= _K_MAX``.  A column of ``powers``
-    holds ``hi``, ``lo`` and ``_split(hi)`` for ``10**(16 - k)``: ``hi`` is
-    the double nearest the power and ``lo`` the double nearest the rest,
-    each by exact integer arithmetic.  ``heads[negative]`` holds the sign and
-    lead slots of a text's word 0, and ``tails`` its word 3, the exponent
-    (which fixed notation leaves out).  Per four-digit group "0000" to
-    "9999", ``digits`` holds its ASCII digits as the low half of a word, and
-    ``trailing`` its trailing zeros (4 for "0000").  ``keep[c]`` masks the
-    first ``c`` bytes of a word.  Row ``k`` of ``point_after`` gives slots
-    8-24 of fixed notation, d1 to dk, the point, then d(k+1) to d16, as
-    columns of ``[d1 .. d16, NUL, "."]``.  ``zeros[negative]`` is the row of
-    ``repr(0.0)`` or ``repr(-0.0)``.
+    holds ``hi``, ``lo`` and ``_split(hi)`` for ``10**(16 - k)``, a whole
+    number since ``k <= 0``: ``hi`` is the double nearest the power and
+    ``lo`` the double nearest the rest, each by exact integer arithmetic.
+    ``heads[negative]`` holds the sign and lead slots of a text's word 0,
+    and ``tails`` its word 3, the exponent (which fixed notation leaves
+    out).  Per four-digit group "0000" to "9999", ``digits`` holds its ASCII
+    digits as the low half of a word, and ``trailing`` its trailing zeros
+    (4 for "0000").  ``keep[c]`` masks the first ``c`` bytes of a word.
+    ``zeros[negative]`` is the row of ``repr(0.0)`` or ``repr(-0.0)``.
     """
     ks = range(_K_MIN, _K_MAX + 1)
-    powers = []
-    for k in ks:
-        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
-        hi = num / den  # int / int is correctly rounded
-        a, b = hi.as_integer_ratio()
-        powers.append((hi, (num * b - a * den) / (den * b)))
-    powers = np.array(powers)
+    nums = [10 ** (16 - k) for k in ks]  # int to float is correctly rounded
+    powers = np.array([(float(num), float(num - int(float(num)))) for num in nums])
     heads = [sign + (b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"") for sign in (b"", b"-")
              for k in ks]
     groups = np.arange(10_000)
@@ -167,7 +161,6 @@ def _g17_tables():
             digits.astype("<u8"),
             sum(groups % 10**i == 0 for i in range(1, 5)).astype(np.int8),
             np.array([(1 << 8 * c) - 1 for c in range(9)], dtype="<u8"),
-            np.array([[*range(k), 17, *range(k, 16)] for k in range(17)]),
             np.array([b"0.0", b"-0.0"], dtype=f"S{_G17_WIDTH}").view(f"V{_G17_WIDTH}"))
 
 
@@ -217,7 +210,7 @@ def _r17(values: np.ndarray) -> np.ndarray:
     other value that :func:`_texts` cannot decide goes to CPython's ``repr``.
     """
     values = np.ascontiguousarray(values, dtype=float).ravel()
-    out = _g17_tables()[7][np.signbit(values).view(np.int8)]  # one 32-byte item per text
+    out = _g17_tables()[6][np.signbit(values).view(np.int8)]  # one 32-byte item per text
     nonzero = np.flatnonzero(values)  # a diagonal matrix is mostly zeros
     out[nonzero] = _texts(values[nonzero], shortest=True).view(out.dtype)[:, 0]
     return out.view(np.uint8).reshape(-1, _G17_WIDTH)
@@ -287,15 +280,17 @@ def _text_block(v: np.ndarray, out: np.ndarray, shortest: bool) -> None:
     rounded ``|v| * 10**(16 - k)`` or, for ``repr``, :func:`_shortest_digits`;
     its digits from a table of four-digit groups; the trailing zeros left out,
     which ``%g`` drops and ``repr`` never has; and the slots of its sign and
-    exponent from tables, one row per (sign, ``k``) class.  ``%g`` uses fixed
-    notation for ``-4 <= k < 17``, ``repr`` for ``-4 <= k < 16`` and adds
-    ``.0`` to a whole number; both use exponent notation otherwise.  The
-    value is taken only where ``k`` lies within ``_K_MIN.._K_MAX`` (which
-    leaves out zeros, subnormals and extremes), where ``n / 10**16`` has one
-    digit before the point (so that ``log10`` found the decade), and where
-    the digits are decided; CPython formats every other value.
+    exponent from tables, one row per (sign, ``k``) class.  For the ``k <= 0``
+    taken here, ``%g`` and ``repr`` share one rule: fixed notation from
+    ``k >= -4`` ("0." and up to three zeros lead a value below 1), exponent
+    notation below it; ``repr`` adds ``.0`` to a whole number, which here has
+    one digit and ``k == 0``.  The value is taken only where ``k`` lies within
+    ``_K_MIN.._K_MAX`` (which leaves out zeros, subnormals and every value
+    from 10 up), where ``n / 10**16`` has one digit before the point (so that
+    ``log10`` found the decade), and where the digits are decided; CPython
+    formats every other value.
     """
-    powers, heads, tails, digits4, _, keep, point_after, _ = _g17_tables()
+    powers, heads, tails, digits4, _, keep, _ = _g17_tables()
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.floor(np.log10(a))
@@ -316,28 +311,21 @@ def _text_block(v: np.ndarray, out: np.ndarray, shortest: bool) -> None:
         significant = 17 - _trailing_zeros(n)
     high, low = (part.astype(np.int32) for part in np.divmod(n, 10**8))
     groups = [high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
-    fixed = (k >= -4) & (k <= (15 if shortest else 16))
-    before = np.where(fixed, k + 1, 1)  # digits before the point; both keep them all
-    whole_number = shortest & fixed & (significant <= before)  # repr adds ".0"
+    fixed = k >= -4
+    whole_number = shortest & (k == 0) & (significant == 1)  # repr adds ".0"
     words = out.view("<u8")
     words[:, 0] = heads[(v < 0).astype(np.intp), k - _K_MIN]
     words[:, 0] |= (high // 10**8 + 48).astype("<u8") << 48
-    point = (before == 1) & ((significant > 1) | whole_number)
+    point = ((k == 0) | ~fixed) & ((significant > 1) | whole_number)  # below 1, "0." leads
     words[:, 0] |= point.astype("<u8") * (ord(".") << 56)
     words[:, 1] = digits4[groups[0]] | digits4[groups[1]] << 32
     words[:, 2] = digits4[groups[2]] | digits4[groups[3]] << 32
     words[:, 3] = np.where(fixed, 0, tails[k - _K_MIN])
-    kept = np.maximum(significant, before) - 1  # of the digits in words 1 and 2
+    kept = significant - 1  # of the digits in words 1 and 2
     cut = np.flatnonzero(kept < 16)
     words[cut, 1] &= keep[np.minimum(kept[cut], 8)]
     words[cut, 2] &= keep[np.maximum(kept[cut] - 8, 0)]
-    inner = np.flatnonzero((before > 1) & ((significant > before) | whole_number))
-    if inner.size:  # a point after d2 or later
-        digits = np.zeros((inner.size, 18), np.uint8)
-        digits[:, :16], digits[:, 17] = out[inner, 8:24], ord(".")
-        out[inner, 8:25] = np.take_along_axis(digits, point_after[k[inner]], axis=1)
-    zero = np.flatnonzero(whole_number)  # the "0" after the point: slot 8, or 9 + k
-    out[zero, np.where(k[zero] == 0, 8, 9 + k[zero])] = ord("0")
+    out[np.flatnonzero(whole_number), 8] = ord("0")  # the "0" after the point
     rest = np.flatnonzero(~taken)
     if rest.size:
         out[rest] = _by_cpython(v[rest].tolist(), shortest)

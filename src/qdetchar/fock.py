@@ -41,7 +41,10 @@ def check_dim(dim) -> int:
 
 def _square(m, what: str) -> np.ndarray:
     """``m`` as a complex array; a ``ValueError`` naming ``what`` unless it is square and finite."""
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise ValueError(f"{what}: expected a square matrix of numbers") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what}: expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -242,7 +245,9 @@ def purity(rho: np.ndarray) -> float:
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of ``rho - sigma``."""
-    w, _ = eig_hermitian(np.asarray(rho) - np.asarray(sigma))
+    rho, sigma = _square(rho, "rho"), _square(sigma, "sigma")
+    _same_dim("rho", len(rho), "sigma", len(sigma))
+    w, _ = eig_hermitian(rho - sigma)
     return 0.5 * float(np.sum(np.abs(w)))
 
 

@@ -125,6 +125,7 @@ def _herald_result(
     so the probability floor, the probability rule of :func:`born_probability`
     and the density-matrix check live in one place.  ``least``, when given, is
     a proven lower bound on the least eigenvalue of ``hermitize(unnorm)``.
+    The state is checked as computed, then hermitized.
     """
     weight = float(np.real(np.trace(unnorm)))
     prob = scale * weight
@@ -132,9 +133,9 @@ def _herald_result(
         raise HeraldImpossibleError(
             f"outcome {el.label!r} fires with probability {prob:.3g} {where}"
         )
-    rho_a = hermitize(unnorm / weight)
     bound = None if least is None else least / weight
-    assert_density_matrix(rho_a, tols, what=f"state heralded by {el.label!r}", least=bound)
+    what = f"state heralded by {el.label!r}"
+    rho_a = hermitize(assert_density_matrix(unnorm / weight, tols, what=what, least=bound))
     return HeraldResult(
         conditional_state=rho_a,
         success_probability=_probability(prob, tols),

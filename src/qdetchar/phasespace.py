@@ -530,7 +530,7 @@ def witness_report(
     the vacuum's 1/2 by more than ``tols.squeeze``; ``gaussianity`` compares
     the state against the Gaussian state with its first two moments.
     """
-    state = np.asarray(state, dtype=complex)
+    state = _square(state, "state")
     mean, cov, heavy = _moments(state)
     minw = wgrid.min_value()
     negv = negativity_volume(wgrid)

@@ -1655,6 +1655,28 @@ class TestWignerGridFiles:
         if state == "diagonal":
             assert expected < wg.values.size / 4
 
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    @pytest.mark.parametrize("state", ["radial", "dense"])
+    def test_a_grid_sends_few_values_to_cpython(self, monkeypatch, tmp_path, state):
+        # Were the formatter to hand most W values back, writing would slow to
+        # CPython's per-value %.17g without any output changing.
+        if state == "radial":
+            rho = retrodicted_state(lossy_pnr(0.7, 60).outcome("3")).state
+        else:
+            rho = random_density(np.random.default_rng(24), 24)
+        wg = wigner(rho, PhaseSpaceGrid.symmetric(6.0, 201))
+        assert (wg._radial is None) == (state == "dense")
+        seen, by_cpython = [], fileio._by_cpython
+
+        def spy(values, shortest):
+            seen.extend(values)
+            return by_cpython(values, shortest)
+
+        monkeypatch.setattr(fileio, "_by_cpython", spy)
+        _assert_written_as_savetxt(tmp_path, wg)
+        formatted = wg.values.size if wg._radial is None else wg._radial[0].size
+        assert len(seen) < 0.01 * formatted
+
     @pytest.mark.parametrize(
         "values",
         [np.zeros((3, 3), complex), np.zeros(9), np.zeros((3, 3), object), np.zeros((2, 2))],
@@ -1752,6 +1774,9 @@ class TestPercent17g:
             1e16, 12345678901234568.0, 1e17, 1.2345678901234568e17,  # fixed to k = 16
             2.0**-25, 123456789012345.625,  # exact ties, rounded half to even
             0.5, 123.0, 100.5, 1e22, 9.5,
+            # the last decade the formatter takes, and the first it leaves
+            float(np.nextafter(10.0, 0.0)), 10.0, float(np.nextafter(10.0, 20.0)),
+            99.99999999999999,
         ],
     )
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+", "-"])
@@ -1812,6 +1837,9 @@ class TestRepr:
             1e-5, 0.0001, 9.999999999999999e-05,  # and from 1e-4
             0.1 + 0.2, 0.1, 1 / 3, 2 / 3, 100.0, 123.0, 5.0, 9.5, 1e22, 1e23,
             1e-14, 1e-79,  # just below a power of ten: log10 gives the next decade
+            # the last decade the formatter takes, and the first it leaves
+            float(np.nextafter(10.0, 0.0)), 10.0, float(np.nextafter(10.0, 20.0)),
+            99.99999999999999,
         ],
     )
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+", "-"])

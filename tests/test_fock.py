@@ -27,6 +27,7 @@ from qdetchar import (
     on_off_apd,
     scaled_projector,
     wigner,
+    witness_report,
 )
 from qdetchar.fock import (
     _spectrum,
@@ -309,6 +310,39 @@ class TestInputRefusals:
         matrix, reason = self.BAD[bad]
         with pytest.raises(ValueError, match="^" + re.escape(f"{subject}: {reason}") + "$"):
             call(matrix)
+
+    # Names that read each array argument through the same rule, and every
+    # kind of malformed array, each refused with that rule's wording.
+    READERS = {
+        "witness_report": (
+            lambda m: witness_report(
+                m, wigner(np.eye(3) / 3, PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)), "x", 1.0
+            ),
+            "state",
+        ),
+        "trace_distance rho": (lambda m: trace_distance(m, np.eye(3) / 3), "rho"),
+        "trace_distance sigma": (lambda m: trace_distance(np.eye(3) / 3, m), "sigma"),
+    }
+    MALFORMED = {
+        "0-d": (np.array(0.5), "expected a square matrix, got shape ()"),
+        "None": (None, "expected a square matrix, got shape ()"),
+        "2x3": (np.ones((2, 3)) / 2, "expected a square matrix, got shape (2, 3)"),
+        "2x2x2": (np.ones((2, 2, 2)) / 2, "expected a square matrix, got shape (2, 2, 2)"),
+        "ragged": ([[0.5, 0.0], [0.5]], "expected a square matrix of numbers"),
+        "nan": (_with_entry(np.nan), "non-finite entries"),
+    }
+
+    @pytest.mark.parametrize("bad", list(MALFORMED))
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_malformed_arrays(self, reader, bad):
+        call, subject = self.READERS[reader]
+        matrix, reason = self.MALFORMED[bad]
+        with pytest.raises(ValueError, match="^" + re.escape(f"{subject}: {reason}") + "$"):
+            call(matrix)
+
+    def test_trace_distance_refuses_mixed_dims(self):
+        with pytest.raises(ValueError, match=r"^rho dim 2 != sigma dim 3$"):
+            trace_distance(np.eye(2) / 2, np.eye(3) / 3)
 
     # Each entry point that takes a scalar: a call with the scalar in one
     # place, returning the value it stores where it stores one, the subject

@@ -481,6 +481,27 @@ class TestSuccessProbabilityRule:
         assert self.ROUTES[route](TmsvParams(0.0, 4), el).success_probability == 1.0
 
 
+class TestHermiticity:
+    """Every route checks the heralded state as computed, before it is hermitized."""
+
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    @pytest.mark.parametrize("route", TestSuccessProbabilityRule.ROUTES)
+    def test_a_non_hermitian_element_is_refused(self, route):
+        m = np.eye(3, dtype=complex)
+        m[0, 1] = 1e-3
+        with pytest.raises(ValueError, match="Hermiticity defect"):
+            RetrodictedState(m)
+        message = "state heralded by 'element': Hermiticity defect 0.000273 exceeds 1e-10"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TestSuccessProbabilityRule.ROUTES[route](TmsvParams(0.3, 3), m)
+
+    @pytest.mark.parametrize("route", TestSuccessProbabilityRule.ROUTES)
+    def test_an_accepted_state_is_hermitian(self, route):
+        el = PovmElement("ginibre", random_element_matrix(np.random.default_rng(37), 8))
+        state = TestSuccessProbabilityRule.ROUTES[route](TmsvParams(0.2, 8), el).conditional_state
+        assert np.array_equal(state, state.conj().T)
+
+
 class TestPositivityShortcut:
     """A closed form and a retrodicted state read their least eigenvalue off the element.
 
