@@ -66,7 +66,7 @@ class PovmElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _square(_frozen(self.matrix), f"element {self.label!r}")
+        arr = _frozen(_square(self.matrix, f"element {self.label!r}"))
         check_dim(arr.shape[0])
         object.__setattr__(self, "label", str(self.label))
         object.__setattr__(self, "matrix", arr)

@@ -13,14 +13,13 @@ shortest-repr float encoding is exact for IEEE doubles).
 Wigner grids are plain whitespace-separated ``x p W`` rows behind ``#``
 header lines, readable by ``numpy.loadtxt``: the bytes of
 ``numpy.savetxt(fmt="%.17g")``, built in numpy about 4,096 points at a time.
-Each W text comes from :func:`_g17`: once per distinct radius for a grid the
-kernel made of a state without coherences, whose radial map it carries and
-whose values still match that map bit for bit, and once per point for any
-other grid.  It and :func:`_r17` give ``"%.17g" % v`` and ``repr(v)``
-exactly without a Python call per value (a Dekker product against exact
-powers of ten, checked against a rounding margin) for values below 10, as
-every matrix entry and W value is, and hand CPython the rest and the few
-values that margin cannot decide.
+Each W text comes from :func:`_g17`: once per distinct radius of the
+kernel's cached grid geometry for a grid whose values are radial bit for
+bit, and once per point for any other grid.  It and :func:`_r17` give
+``"%.17g" % v`` and ``repr(v)`` exactly without a Python call per value (a
+Dekker product against exact powers of ten, checked against a rounding
+margin) for values below 10, as every matrix entry and W value is, and hand
+CPython the rest and the few values that margin cannot decide.
 
 Reports embed the SHA-256 digest of their input file and the tool version,
 so every number in them can be traced back to the bytes it came from.  The
@@ -70,6 +69,7 @@ from .phasespace import (
     NonClassicalityReport,
     PhaseSpaceGrid,
     WignerGrid,
+    _cached_geometry,
     _witness_verdicts,
 )
 from .retrodiction import (
@@ -977,23 +977,23 @@ def write_wigner_grid(
 ) -> None:
     """Write ``x p W`` rows behind ``#`` headers recording grid and convention.
 
-    The bytes are those of ``np.savetxt(fmt="%.17g")``.  A grid that carries
-    the kernel's radial map, ``values == per_radius[where]`` bit for bit
-    (signed zeros included), has its W texts formatted once per radius and
-    gathered through ``where``; any other grid, or one whose values were
-    changed after :func:`~qdetchar.phasespace.wigner` returned, is formatted
-    point by point.  A NaN or infinite W raises ``ValueError`` before the
-    file is opened, so any file at ``path`` stays as it was.
+    The bytes are those of ``np.savetxt(fmt="%.17g")``.  ``values`` is
+    scattered to one slot per distinct radius of the grid's cached geometry
+    (:func:`~qdetchar.phasespace.wigner`'s, built here if no radial state
+    was evaluated on the grid); where the gather back reproduces ``values``
+    bit for bit, signed zeros included, each radius's W is formatted once,
+    and otherwise each point's.  A NaN or infinite W raises ``ValueError``
+    before the file is opened, so any file at ``path`` stays as it was.
     """
     g = wgrid.grid
     if not np.isfinite(wgrid.values).all():
         raise ValueError(f"{path}: non-finite Wigner values; nothing written")
     values = np.ascontiguousarray(wgrid.values, dtype=float)
-    texts = where = None
-    if wgrid._radial is not None:
-        per_radius, where = wgrid._radial
-        if np.array_equal(per_radius[where].view(np.int64), values.view(np.int64)):
-            texts = _g17(per_radius)
+    geo = _cached_geometry(g)
+    per_radius = np.empty(geo.radii.size)
+    per_radius[geo.where] = values
+    radial = np.array_equal(per_radius[geo.where].view(np.int64), values.view(np.int64))
+    texts = _g17(per_radius) if radial else None
     header = _comment(
         "qdetchar wigner grid",
         f"convention: {CONVENTION}",
@@ -1014,7 +1014,7 @@ def write_wigner_grid(
         fh.write(header)
         for start in range(0, g.n_x, rows):
             block = slice(start, start + rows)
-            w = _g17(values[block]) if texts is None else texts[where[block]]
+            w = _g17(values[block]) if texts is None else texts[geo.where[block]]
             lines = np.empty((len(xs[block]), g.n_p, wx + wp + _G17_WIDTH + 3), np.uint8)
             lines[..., :wx] = xs[block, None]
             lines[..., wx] = lines[..., wx + wp + 1] = ord(" ")

@@ -39,12 +39,17 @@ def check_dim(dim) -> int:
     return d
 
 
+def _complex(a, what: str, expected: str) -> np.ndarray:
+    """``a`` as a complex array; a ``ValueError`` naming ``what`` if it is ragged or not numbers."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what}: expected {expected} of numbers") from None
+
+
 def _square(m, what: str) -> np.ndarray:
     """``m`` as a complex array; a ``ValueError`` naming ``what`` unless it is square and finite."""
-    try:
-        m = np.asarray(m, dtype=complex)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        raise ValueError(f"{what}: expected a square matrix of numbers") from None
+    m = _complex(m, what, "a square matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what}: expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -102,7 +107,7 @@ def fock_state(n: int, dim: int) -> np.ndarray:
 
 def _unit_ket(vec, what: str) -> np.ndarray:
     """``vec`` at unit norm; a ``ValueError`` naming ``what`` unless it is finite and non-zero."""
-    vec = np.asarray(vec, dtype=complex)
+    vec = _complex(vec, what, "a state vector")
     if vec.ndim != 1:
         raise ValueError(f"{what} must be a state vector")
     norm = np.linalg.norm(vec)
@@ -113,7 +118,7 @@ def _unit_ket(vec, what: str) -> np.ndarray:
 
 def _as_density(state, what: str, tols: Tolerances | None = None) -> np.ndarray:
     """A ket, normalized, or a square, finite matrix (of unit trace under ``tols``) as a state."""
-    state = np.asarray(state, dtype=complex)
+    state = _complex(state, what, "a ket or a square matrix")
     if state.ndim == 1:
         ket = _unit_ket(state, what)
         return np.outer(ket, ket.conj())
@@ -183,7 +188,7 @@ def number_mean(rho: np.ndarray) -> float:
 
 def conjugate_in_fock(m: np.ndarray) -> np.ndarray:
     """Entrywise complex conjugate in the number basis (transpose for Hermitian input)."""
-    return np.conj(np.asarray(m, dtype=complex))
+    return np.conj(_square(m, "matrix"))
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -236,7 +241,7 @@ def eig_hermitian(m: np.ndarray):
 
 def purity(rho: np.ndarray) -> float:
     """``Tr(rho @ rho)`` for a Hermitian matrix, as a real number; a ``ValueError`` unless finite."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _square(rho, "rho")
     val = float(np.real(np.einsum("ij,ji->", rho, rho)))
     if not math.isfinite(val):
         raise ValueError(f"purity {val!r} is not finite")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -112,19 +112,11 @@ class WignerGrid:
 
     ``values`` must be a real numeric array of shape ``(n_x, n_p)``; anything
     else (complex, flat, of objects or of another size) is a ``ValueError``
-    naming that shape.
-
-    A grid :func:`wigner` made for a state without coherences also keeps,
-    out of ``repr`` and of the constructor, its radial map ``_radial =
-    (per_radius, where)``: ``values`` was built as ``per_radius[where]``, one
-    W per distinct radius.  ``values`` stays writable, so a reader of the map
-    must first check, bit for bit, that ``per_radius[where]`` still is
-    ``values``.  Every other grid has ``_radial = None``.
+    naming that shape.  The record holds these two and nothing else.
     """
 
     grid: PhaseSpaceGrid
     values: np.ndarray
-    _radial: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         shape = (self.grid.n_x, self.grid.n_p)
@@ -197,8 +189,9 @@ class _Geometry:
         self.decay = _read_only(np.exp(-0.5 * radii))
 
 
-# Grids kept by _cached_geometry: at most about 1 MB each at 201^2 (0.5 MB when
-# the grid is centred on the origin, so that its radii repeat).
+# Grids kept by _cached_geometry, for the radial kernel and the grid writer:
+# at most about 1 MB each at 201^2 (0.5 MB when the grid is centred on the
+# origin, so that its radii repeat).
 _GEOMETRIES = 8
 
 
@@ -312,11 +305,8 @@ def wigner(
     Its grid's geometry (the distinct radii and each point's index among
     them) is computed once per grid and kept for the last 8 grids used: at
     most about 1 MB each at 201^2, so at most about 8 MB.  Later states on a
-    kept grid reuse it, and give the same bits as a first call.  The
-    returned grid keeps the per-radius values and that index as its
-    ``_radial`` map, so :func:`~qdetchar.fileio.write_wigner_grid` formats
-    each radius's W once; the map holds the grid's geometry even after the
-    cache lets it go.
+    kept grid reuse it, and give the same bits as a first call;
+    :func:`~qdetchar.fileio.write_wigner_grid` reads the same cache.
 
     Warns when the grid reaches further than the truncated basis can
     represent (``radius**2 > 2 * dim``).  Raises if ``rho`` has an entry
@@ -333,7 +323,6 @@ def wigner(
             f"resolvable region ~2*dim = {2 * d} of this truncation"
         )
     rho = np.where(np.abs(rho) > _NEGLIGIBLE, rho, 0.0)
-    radial = None
     if np.any(np.triu(rho, 1)):
         hx = _hermite_functions(math.sqrt(2.0) * grid.x_axis, 2 * d - 1)
         square = (grid.x_min, grid.x_max, grid.n_x) == (grid.p_min, grid.p_max, grid.n_p)
@@ -344,7 +333,6 @@ def wigner(
         signs = np.where(np.arange(d) % 2, -1.0, 1.0)
         per_radius = geo.decay * _laguerre_sum(signs * rho.diagonal().real, geo.radii) / np.pi
         values = per_radius[geo.where]
-        radial = (_read_only(per_radius), geo.where)
     if not np.isfinite(values).all():
         raise ValueError(
             f"grid {grid._box} reaches beyond what the Wigner kernel can evaluate "
@@ -356,9 +344,7 @@ def wigner(
             f"Wigner value {vmin:.6g} below the quantum bound -1/pi; "
             "input is not a valid state"
         )
-    wgrid = WignerGrid(grid=grid, values=values)
-    object.__setattr__(wgrid, "_radial", radial)
-    return wgrid
+    return WignerGrid(grid=grid, values=values)
 
 
 def negativity_volume(wgrid: WignerGrid) -> float:

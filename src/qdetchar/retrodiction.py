@@ -195,13 +195,14 @@ def detectivity(element, target, tols: Tolerances = DEFAULT_TOLS) -> float:
     ``Tr(element) * Tr(target retro)``, deliberately not through
     :func:`born_probability`; the two routes agreeing is a consistency
     check, not a tautology.  A density-matrix target must have unit trace,
-    to ``tols.norm``.
+    to ``tols.norm``, and the value is clamped or refused as
+    :func:`born_probability`'s is.
     """
     retro = retrodicted_state(element, tols)
     rho_t = _as_density(target, "target", tols)
     _same_dim("target", rho_t.shape[0], "element", retro.element.dim)
     val = retro.trace_weight * float(np.real(np.einsum("ij,ji->", rho_t, retro.state)))
-    return min(max(val, 0.0), 1.0)
+    return _probability(val, tols)
 
 
 @dataclass(frozen=True, eq=False)

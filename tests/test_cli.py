@@ -1229,6 +1229,15 @@ class TestTopLevel:
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.strip()
 
+    def test_module_entry_prints_the_version(self):
+        env = dict(os.environ)
+        package_root = str(Path(qdetchar.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "qdetchar.cli", "--version"],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == qdetchar.__version__
+
     def test_runtime_depends_on_numpy_alone(self):
         try:
             import tomllib

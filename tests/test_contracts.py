@@ -1,5 +1,5 @@
-"""Contracts that no behaviour test sees: the package's public names, and the
-names the benchmark uses.
+"""Contracts that no behaviour test sees: the package's public names, the
+names the benchmark uses, and the grammar of the oldest Python declared.
 
 ``perfbench/spans.py`` replaces functions at the names their callers look
 up, so a wrapped name that no longer exists crashes a traced benchmark run,
@@ -215,3 +215,20 @@ def test_every_public_name_is_used_beyond_its_definition(wraps):
                 used.add(name)
         used.update(name for name in _own_reads(tree) if home.get(name) == path)
     assert sorted(set(qdetchar.__all__) - used) == sorted(_UNUSED_BY_DESIGN)
+
+
+def test_every_source_file_parses_at_the_oldest_python_declared():
+    """Each ``.py`` file of the project parses under the grammar of the oldest
+    Python that ``pyproject.toml`` declares, for hosts that run only a newer one.
+
+    ``ast.parse(feature_version=...)`` is best-effort: it checks grammar only
+    (syntax such as ``except*`` or PEP 695 generics), not names that a newer
+    standard library added, such as ``tomllib``.
+    """
+    text = (_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    # tomllib itself is 3.11+, so the floor is read with a regex.
+    major, minor = map(int, re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', text, re.M).groups())
+    files = [f for top in ("src", "tests", "perfbench", "demos") for f in sorted((_ROOT / top).rglob("*.py"))]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))

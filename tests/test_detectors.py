@@ -1,5 +1,6 @@
 """Detector models, POVM containers and physical validation."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -97,6 +98,10 @@ class TestContainers:
             Povm((a, PovmElement("a", 0.5 * np.eye(3))))
         with pytest.raises(ValueError, match="dimensions"):
             Povm((a, PovmElement("b", 0.5 * np.eye(4))))
+
+    def test_povm_needs_an_outcome(self):
+        with pytest.raises(ValueError, match="^a measurement needs at least one outcome$"):
+            Povm(())
 
     def test_povm_lookup_and_guard_range(self):
         p = ideal_pnr(5)
@@ -220,6 +225,15 @@ class TestOnOffApd:
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
             on_off_apd(0.5, -0.1, 8)
+
+    @pytest.mark.parametrize("eta, nu, message", [
+        (-0.1, 0.0, "efficiency must lie in [0, 1], got -0.1"),
+        (1.5, 0.0, "efficiency must lie in [0, 1], got 1.5"),
+        (0.5, 1.5, "dark-count rate must lie in [0, 1], got 1.5"),
+    ], ids=["efficiency-low", "efficiency-high", "dark-count-high"])
+    def test_rejects_parameters_outside_0_1(self, eta, nu, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            on_off_apd(eta, nu, 8)
 
 
 class TestScaledProjector:

@@ -1589,11 +1589,12 @@ class TestWignerGridFiles:
     @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
     @settings(max_examples=60, deadline=None, suppress_health_check=[_FIXTURE])
     @given(data=st.data())
-    def test_any_kernel_grid_writes_as_savetxt(self, tmp_path, data):
-        # A diagonal state's grid carries the kernel's radial map and a dense
-        # state's does not; both must give np.savetxt's bytes.
+    def test_any_kernel_grid_writes_as_savetxt(self, monkeypatch, tmp_path, data):
+        # A diagonal state's grid is radial and has one W formatted per radius,
+        # a dense state's one per point; both must give np.savetxt's bytes.
         dim = data.draw(st.integers(2, 24), label="dim")
-        if data.draw(st.booleans(), label="diagonal"):
+        diagonal = data.draw(st.booleans(), label="diagonal")
+        if diagonal:
             weights = data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0),
                                          min_size=dim, max_size=dim).filter(lambda w: sum(w) > 0))
             rho = np.diag(np.array(weights) / sum(weights))
@@ -1606,54 +1607,59 @@ class TestWignerGridFiles:
         grid = PhaseSpaceGrid(centre[0] - half[0], centre[0] + half[0],
                               centre[1] - half[1], centre[1] + half[1], *shape)
         wg = wigner(rho, grid)
-        assert (wg._radial is None) == bool(np.any(np.triu(rho, 1)))
-        _assert_written_as_savetxt(tmp_path, wg)
+        radii = phasespace._cached_geometry(grid).radii.size
+        assert _formatted(monkeypatch, tmp_path, wg) == (radii if diagonal else wg.values.size)
 
     @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
     @pytest.mark.parametrize("edit", ["changed", "signed-zero"])
-    def test_kernel_grid_edited_after_the_kernel_writes_its_values(self, tmp_path, edit):
+    def test_kernel_grid_edited_after_the_kernel_writes_its_values(self, monkeypatch, tmp_path, edit):
         # Past x^2 + p^2 = 745 the vacuum's W underflows to +0.0, which
-        # equals -0.0 but has other bits: the writer must compare bits.
+        # equals -0.0 but has other bits: the writer must compare bits.  The
+        # edited point (i, j) shares its radius with its mirror (j, i), which keeps
+        # the kernel's value, so the grid is no longer radial.
         grid = PhaseSpaceGrid(0.0, 30.0, 0.0, 30.0, 31, 31)
         wg = wigner(np.diag([1.0, 0.0]), grid)
-        assert wg._radial is not None and wg.values[-1, -1] == 0.0
-        if edit == "changed":
-            wg.values[3, 5] += 1e-3
-        else:
-            wg.values[-1, -1] = -0.0
-        path = _assert_written_as_savetxt(tmp_path, wg)
-        last = path.read_text().splitlines()[-1]
-        assert last.split()[2] == ("-0" if edit == "signed-zero" else "0")
-        assert read_wigner_grid(path).values[3, 5] == wg.values[3, 5]
+        radii = phasespace._cached_geometry(grid).radii.size
+        assert _formatted(monkeypatch, tmp_path, wg) == radii < wg.values.size
+        i, j = (3, 5) if edit == "changed" else (30, 29)
+        assert wg.values[i, j] == wg.values[j, i] and (edit == "changed") != (wg.values[i, j] == 0.0)
+        wg.values[i, j] = wg.values[i, j] + 1e-3 if edit == "changed" else -0.0
+        assert _formatted(monkeypatch, tmp_path, wg) == wg.values.size
+        path = tmp_path / "w.dat"
+        row = path.read_text().splitlines()[6 + i * grid.n_p + j]
+        assert row.split()[2] == ("-0" if edit == "signed-zero" else "%.17g" % wg.values[i, j])
+        assert read_wigner_grid(path).values[i, j] == wg.values[i, j]
 
     def test_radial_grid_writes_the_same_after_its_geometry_is_evicted(self, tmp_path):
         grid = PhaseSpaceGrid.symmetric(4.0, 41)
         wg = wigner(retrodicted_state(lossy_pnr(0.7, 16).outcome("1")).state, grid)
         before = _assert_written_as_savetxt(tmp_path, wg).read_bytes()
-        for n in range(phasespace._GEOMETRIES):  # eight other grids fill the cache
-            phasespace._cached_geometry(PhaseSpaceGrid.symmetric(1.0 + n, 5))
-        assert phasespace._cached_geometry(grid).where is not wg._radial[1]
+        _evict(grid)
+        misses = phasespace._cached_geometry.cache_info().misses
         assert _assert_written_as_savetxt(tmp_path, wg).read_bytes() == before
+        assert phasespace._cached_geometry.cache_info().misses == misses + 1  # rebuilt to write
 
     @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
-    @pytest.mark.parametrize("state", ["diagonal", "dense"])
-    def test_radial_grid_formats_one_w_per_radius(self, monkeypatch, tmp_path, state):
+    @pytest.mark.parametrize("case", ["diagonal", "dense", "read-back", "copied", "evicted"])
+    def test_radial_grid_formats_one_w_per_radius(self, monkeypatch, tmp_path, case):
         # Were the writer to format every point again, no output would change:
-        # the count of values handed to the formatter is what shows it.
+        # the count of values handed to the formatter is what shows it.  A grid
+        # is radial by its values alone, however it was made.
         grid = PhaseSpaceGrid.symmetric(6.0, 201)
-        if state == "diagonal":
-            rho = retrodicted_state(lossy_pnr(0.7, 16).outcome("1")).state
-            expected = phasespace._cached_geometry(grid).radii.size
+        radii = phasespace._cached_geometry(grid).radii.size
+        if case == "dense":
+            wg = wigner(random_density(np.random.default_rng(3), 16), grid)
         else:
-            rho = random_density(np.random.default_rng(3), 16)
-            expected = grid.n_x * grid.n_p
-        wg = wigner(rho, grid)
-        formatted, g17 = [], fileio._g17
-        monkeypatch.setattr(fileio, "_g17", lambda v: formatted.append(np.size(v)) or g17(v))
-        write_wigner_grid(wg, tmp_path / "w.dat")
-        assert sum(formatted) == expected
-        if state == "diagonal":
-            assert expected < wg.values.size / 4
+            wg = wigner(retrodicted_state(lossy_pnr(0.7, 16).outcome("1")).state, grid)
+        if case == "read-back":
+            write_wigner_grid(wg, tmp_path / "kernel.dat")
+            wg = read_wigner_grid(tmp_path / "kernel.dat")
+        elif case == "copied":
+            wg = WignerGrid(grid, wg.values.copy())
+        elif case == "evicted":
+            _evict(grid)
+        assert _formatted(monkeypatch, tmp_path, wg) == (wg.values.size if case == "dense" else radii)
+        assert radii < wg.values.size / 4
 
     @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
     @pytest.mark.parametrize("state", ["radial", "dense"])
@@ -1664,8 +1670,8 @@ class TestWignerGridFiles:
             rho = retrodicted_state(lossy_pnr(0.7, 60).outcome("3")).state
         else:
             rho = random_density(np.random.default_rng(24), 24)
-        wg = wigner(rho, PhaseSpaceGrid.symmetric(6.0, 201))
-        assert (wg._radial is None) == (state == "dense")
+        grid = PhaseSpaceGrid.symmetric(6.0, 201)
+        wg = wigner(rho, grid)
         seen, by_cpython = [], fileio._by_cpython
 
         def spy(values, shortest):
@@ -1673,8 +1679,9 @@ class TestWignerGridFiles:
             return by_cpython(values, shortest)
 
         monkeypatch.setattr(fileio, "_by_cpython", spy)
-        _assert_written_as_savetxt(tmp_path, wg)
-        formatted = wg.values.size if wg._radial is None else wg._radial[0].size
+        formatted = _formatted(monkeypatch, tmp_path, wg)
+        radii = phasespace._cached_geometry(grid).radii.size
+        assert formatted == (wg.values.size if state == "dense" else radii)
         assert len(seen) < 0.01 * formatted
 
     @pytest.mark.parametrize(
@@ -1729,6 +1736,16 @@ class TestWignerGridFiles:
         path = _small_grid_file(tmp_path)
         _set_in_last_row(path, column, repr([1.0, 0.5][column] + 1e-12))  # last x, last p
         with pytest.raises(PovmFormatError, match=re.escape(str(path)) + ".*axis headers"):
+            read_wigner_grid(path)
+
+    @pytest.mark.parametrize("edit", ["dropped", "added"])
+    def test_a_row_count_off_the_headers_rejected(self, tmp_path, edit):
+        path = _small_grid_file(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1] if edit == "dropped" else lines + lines[-1:]))
+        shape = (5, 3) if edit == "dropped" else (7, 3)
+        message = f"{path}: expected 6 rows of 3 columns, got {shape}"
+        with pytest.raises(PovmFormatError, match="^" + re.escape(message) + "$"):
             read_wigner_grid(path)
 
     def test_grid_the_header_cannot_describe_rejected(self, tmp_path):
@@ -1902,6 +1919,23 @@ def _set_in_last_row(path, column, text):
     cols[column] = text
     lines[-1] = " ".join(cols) + "\n"
     path.write_text("".join(lines))
+
+
+def _evict(grid):
+    """Fill the geometry cache with eight other grids, evicting ``grid``'s geometry."""
+    for n in range(phasespace._GEOMETRIES):
+        other = PhaseSpaceGrid.symmetric(1.0 + n, 5)
+        assert other != grid
+        phasespace._cached_geometry(other)
+
+
+def _formatted(monkeypatch, tmp_path, wg):
+    """Write ``wg`` as ``np.savetxt`` would; return how many W values ``fileio._g17`` formatted."""
+    sizes, g17 = [], fileio._g17
+    with monkeypatch.context() as m:
+        m.setattr(fileio, "_g17", lambda v: sizes.append(np.size(v)) or g17(v))
+        _assert_written_as_savetxt(tmp_path, wg)
+    return sum(sizes)
 
 
 def _assert_written_as_savetxt(tmp_path, wg):

@@ -22,9 +22,12 @@ from qdetchar import (
     TruncationWarning,
     born_probability,
     detectivity,
+    fidelity,
+    heralded_state,
     ideal_pnr,
     lossy_pnr,
     on_off_apd,
+    retrodicted_state,
     scaled_projector,
     wigner,
     witness_report,
@@ -229,7 +232,10 @@ class TestMetrics:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_purity_is_refused_unless_finite(self, bad):
-        with pytest.raises(ValueError, match="^purity (nan|inf) is not finite$"):
+        # A non-finite entry is refused as it is read; finite entries whose
+        # products overflow, when the sum is taken.
+        message = "^purity inf is not finite$" if bad == 1e200 else "^rho: non-finite entries$"
+        with pytest.raises(ValueError, match=message):
             purity(np.full((2, 2), bad))
 
     def test_trace_distance_extremes(self):
@@ -339,6 +345,33 @@ class TestInputRefusals:
         matrix, reason = self.MALFORMED[bad]
         with pytest.raises(ValueError, match="^" + re.escape(f"{subject}: {reason}") + "$"):
             call(matrix)
+
+    # Names that read an array argument, called with something that is no
+    # array of numbers in that argument's place.
+    NOT_ARRAYS = {
+        "PovmElement": lambda bad: PovmElement("x", bad),
+        "ProbeEntry": lambda bad: ProbeEntry(1.0, bad, "a"),
+        "born_probability state": lambda bad: born_probability(bad, ideal_pnr(2).outcome("1")),
+        "born_probability element": lambda bad: born_probability(fock_state(0, 2), bad),
+        "detectivity element": lambda bad: detectivity(bad, fock_state(0, 2)),
+        "detectivity target": lambda bad: detectivity(ideal_pnr(2).outcome("1"), bad),
+        "conjugate_in_fock": conjugate_in_fock,
+        "fidelity": lambda bad: fidelity(retrodicted_state(ideal_pnr(2).outcome("1")), bad),
+        "heralded_state ket": lambda bad: heralded_state(bad, ideal_pnr(2).outcome("1")),
+        "heralded_state element": lambda bad: heralded_state(np.ones(4) / 2, bad),
+        "scaled_projector": lambda bad: scaled_projector(bad, 0.5),
+        "purity": purity,
+    }
+
+    @pytest.mark.parametrize("bad", [[[0.5, 0.0], [0.5]], "ab", None], ids=["ragged", "text", "None"])
+    @pytest.mark.parametrize("name", list(NOT_ARRAYS))
+    def test_what_is_no_array_of_numbers_is_refused_in_one_wording(self, name, bad):
+        # numpy's own wordings ("setting an array element with a sequence",
+        # "complex() arg is a malformed string", einsum's) never reach a caller.
+        wording = (r"^[\w' ]+(: expected a (square matrix|state vector|ket or a square matrix)"
+                   r"( of numbers|, got shape \(\))| must be a state vector)$")
+        with pytest.raises(ValueError, match=wording):
+            self.NOT_ARRAYS[name](bad)
 
     def test_trace_distance_refuses_mixed_dims(self):
         with pytest.raises(ValueError, match=r"^rho dim 2 != sigma dim 3$"):

@@ -1,6 +1,7 @@
 """Retrodicted states, estimators, taxonomy and Bayesian inference."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,15 @@ class TestBornProbability:
         with pytest.raises(ValueError, match="dim"):
             born_probability(fock_state(0, 4), PovmElement("e", np.eye(3)))
 
+    def test_both_routes_refuse_a_probability_above_one_alike(self):
+        # detectivity once clamped 2.0 to 1.0, and estimator_report then
+        # raised a RuntimeError over the broken identities.
+        el, ket = PovmElement("t", np.diag([2.0, 0.0])), fock_state(0, 2)
+        refusal = "^" + re.escape("probability 2.0 outside [0, 1]; inputs are not physical") + "$"
+        for route in (born_probability, lambda k, e: detectivity(e, k),
+                      lambda k, e: estimator_report(e, k, "t")):
+            with pytest.raises(ValueError, match=refusal):
+                route(ket, el)
 
     def test_bound_follows_the_norm_tolerance(self):
         el = PovmElement("over", (1.0 + 1e-6) * np.eye(3))
@@ -123,6 +133,8 @@ class TestRetrodictedState:
     def test_null_outcome_refused(self):
         with pytest.raises(NullOutcomeError):
             retrodicted_state(PovmElement("null", np.zeros((4, 4))))
+        with pytest.raises(NullOutcomeError, match="^outcome 'null' has trace 0$"):
+            ideality(PovmElement("null", np.zeros((4, 4))))
 
     def test_a_state_is_returned_as_it_is(self):
         el = on_off_apd(0.5, 0.0, 8).outcome("on")
@@ -354,6 +366,10 @@ class TestEnsembles:
         e = ProbeEntry(0.6, fock_state(0, 3), "a")
         with pytest.raises(ValueError, match="priors"):
             ProbeEnsemble((e, ProbeEntry(0.6, fock_state(1, 3), "b")))
+
+    def test_an_ensemble_needs_an_entry(self):
+        with pytest.raises(ValueError, match="^ensemble needs at least one entry$"):
+            ProbeEnsemble(())
 
     def test_labels_must_be_unique(self):
         entries = (ProbeEntry(0.5, fock_state(0, 3), "0"), ProbeEntry(0.5, fock_state(1, 3), "0"))
