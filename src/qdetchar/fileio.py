@@ -18,8 +18,9 @@ kernel's cached grid geometry for a grid whose values are radial bit for
 bit, and once per point for any other grid.  It and :func:`_r17` give
 ``"%.17g" % v`` and ``repr(v)`` exactly without a Python call per value (a
 Dekker product against exact powers of ten, checked against a rounding
-margin) for values below 10, as every matrix entry and W value is, and hand
-CPython the rest and the few values that margin cannot decide.
+margin) for values below 1, as every W value and every matrix entry but 1.0
+and its rounding neighbours is, and hand CPython the rest and the few values
+that margin cannot decide.
 
 Reports embed the SHA-256 digest of their input file and the tool version,
 so every number in them can be traced back to the bytes it came from.  The
@@ -118,9 +119,10 @@ _G17_WIDTH = 32
 _BLOCK = 4096  # values formatted, and grid points written, at a time
 # Decimal exponents k, 10**k <= |v| < 10**(k+1), that the formatter takes
 # itself.  Below _K_MIN a product in _scaled could underflow.  Every value
-# the program writes lies below 10, a matrix entry of an element or a state
-# within 1 and a Wigner value within 1/pi, so CPython formats the rest.
-_K_MIN, _K_MAX = -280, 0
+# the program writes lies within 1, a matrix entry of an element or a state
+# within 1 and a Wigner value within 1/pi, so CPython formats every value
+# from 1 up: of those the program writes only 1.0 and its rounding neighbours.
+_K_MIN, _K_MAX = -280, -1
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
 _MARGIN = 1e-9  # how far from a tie a rounding or a read-back must be to be decided
 
@@ -139,7 +141,7 @@ def _g17_tables():
     Built at its first call, not at import.  The first three are indexed by
     ``k - _K_MIN``, for ``_K_MIN <= k <= _K_MAX``.  A column of ``powers``
     holds ``hi``, ``lo`` and ``_split(hi)`` for ``10**(16 - k)``, a whole
-    number since ``k <= 0``: ``hi`` is the double nearest the power and
+    number since ``k < 0``: ``hi`` is the double nearest the power and
     ``lo`` the double nearest the rest, each by exact integer arithmetic.
     ``heads[negative]`` holds the sign and lead slots of a text's word 0,
     and ``tails`` its word 3, the exponent (which fixed notation leaves
@@ -151,8 +153,7 @@ def _g17_tables():
     ks = range(_K_MIN, _K_MAX + 1)
     nums = [10 ** (16 - k) for k in ks]  # int to float is correctly rounded
     powers = np.array([(float(num), float(num - int(float(num)))) for num in nums])
-    heads = [sign + (b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"") for sign in (b"", b"-")
-             for k in ks]
+    heads = [sign + (b"0." + b"0" * (-k - 1) if k >= -4 else b"") for sign in (b"", b"-") for k in ks]
     groups = np.arange(10_000)
     digits = ((groups[:, None] // [1000, 100, 10, 1] % 10 + 48) << [0, 8, 16, 24]).sum(axis=1)
     return (np.vstack([powers.T, *_split(powers[:, 0])]),
@@ -280,13 +281,12 @@ def _text_block(v: np.ndarray, out: np.ndarray, shortest: bool) -> None:
     rounded ``|v| * 10**(16 - k)`` or, for ``repr``, :func:`_shortest_digits`;
     its digits from a table of four-digit groups; the trailing zeros left out,
     which ``%g`` drops and ``repr`` never has; and the slots of its sign and
-    exponent from tables, one row per (sign, ``k``) class.  For the ``k <= 0``
+    exponent from tables, one row per (sign, ``k``) class.  For the ``k < 0``
     taken here, ``%g`` and ``repr`` share one rule: fixed notation from
-    ``k >= -4`` ("0." and up to three zeros lead a value below 1), exponent
-    notation below it; ``repr`` adds ``.0`` to a whole number, which here has
-    one digit and ``k == 0``.  The value is taken only where ``k`` lies within
+    ``k >= -4`` ("0." and up to three zeros lead the digits), exponent
+    notation below it.  The value is taken only where ``k`` lies within
     ``_K_MIN.._K_MAX`` (which leaves out zeros, subnormals and every value
-    from 10 up), where ``n / 10**16`` has one digit before the point (so that
+    from 1 up), where ``n / 10**16`` has one digit before the point (so that
     ``log10`` found the decade), and where the digits are decided; CPython
     formats every other value.
     """
@@ -296,7 +296,7 @@ def _text_block(v: np.ndarray, out: np.ndarray, shortest: bool) -> None:
         k = np.floor(np.log10(a))
     taken = (k >= _K_MIN) & (k <= _K_MAX)
     a = np.where(taken, a, 1.0)
-    k = np.where(taken, k, 0.0).astype(np.int64)
+    k = np.where(taken, k, _K_MAX).astype(np.int64)
     whole, frac = _scaled(a, k)
     taken &= (whole >= 10**16) & (whole < 10**17)
     if shortest:
@@ -312,11 +312,10 @@ def _text_block(v: np.ndarray, out: np.ndarray, shortest: bool) -> None:
     high, low = (part.astype(np.int32) for part in np.divmod(n, 10**8))
     groups = [high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
     fixed = k >= -4
-    whole_number = shortest & (k == 0) & (significant == 1)  # repr adds ".0"
     words = out.view("<u8")
     words[:, 0] = heads[(v < 0).astype(np.intp), k - _K_MIN]
     words[:, 0] |= (high // 10**8 + 48).astype("<u8") << 48
-    point = ((k == 0) | ~fixed) & ((significant > 1) | whole_number)  # below 1, "0." leads
+    point = ~fixed & (significant > 1)  # fixed notation has "0." in its lead
     words[:, 0] |= point.astype("<u8") * (ord(".") << 56)
     words[:, 1] = digits4[groups[0]] | digits4[groups[1]] << 32
     words[:, 2] = digits4[groups[2]] | digits4[groups[3]] << 32
@@ -325,7 +324,6 @@ def _text_block(v: np.ndarray, out: np.ndarray, shortest: bool) -> None:
     cut = np.flatnonzero(kept < 16)
     words[cut, 1] &= keep[np.minimum(kept[cut], 8)]
     words[cut, 2] &= keep[np.maximum(kept[cut] - 8, 0)]
-    out[np.flatnonzero(whole_number), 8] = ord("0")  # the "0" after the point
     rest = np.flatnonzero(~taken)
     if rest.size:
         out[rest] = _by_cpython(v[rest].tolist(), shortest)

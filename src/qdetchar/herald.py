@@ -249,7 +249,7 @@ def retrodictive_limit_scan(element, lambdas, tols: Tolerances = DEFAULT_TOLS) -
             params.append(p)
     if not params:
         raise ValueError("the scan is empty; give at least one lam")
-    trace = retrodicted_state(element, tols).trace_weight
+    trace = retrodicted_state(el, tols).trace_weight
     diag = np.real(np.diagonal(el.matrix))
     points = []
     for p in params:

@@ -46,11 +46,12 @@ __all__ = [
 ]
 
 CONVENTION = "hbar=1, x=(a+adag)/sqrt(2), int W dx dp = 1"
+_MAX_POINTS = 2**24  # 4096^2 points, whose grid file alone holds about 1 GB
 
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Rectangular evaluation grid in the ``(x, p)`` plane."""
+    """Rectangular evaluation grid in the ``(x, p)`` plane, of at most ``2**24`` points."""
 
     x_min: float
     x_max: float
@@ -71,6 +72,9 @@ class PhaseSpaceGrid:
             raise ValueError(f"grid {self._box}: extents must be finite, with 2*(x^2+p^2) finite")
         if self.n_x < 2 or self.n_p < 2:
             raise ValueError("grid needs at least 2 points per axis")
+        if self.n_x * self.n_p > _MAX_POINTS:
+            raise ValueError(f"grid {self._box}: {self.n_x} x {self.n_p} = {self.n_x * self.n_p} "
+                             f"points, more than {_MAX_POINTS} (4096^2)")
 
     @classmethod
     def symmetric(cls, radius: float, points: int) -> "PhaseSpaceGrid":
@@ -517,6 +521,7 @@ def witness_report(
     the state against the Gaussian state with its first two moments.
     """
     state = _square(state, "state")
+    projectivity_value = _number(projectivity_value, "projectivity")
     mean, cov, heavy = _moments(state)
     minw = wgrid.min_value()
     negv = negativity_volume(wgrid)

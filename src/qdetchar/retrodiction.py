@@ -325,6 +325,8 @@ def classify_outcome(
     projective but non-ideal when only projectivity does; otherwise
     non-projective.
     """
+    projectivity_value = _number(projectivity_value, "projectivity")
+    ideality_value = _number(ideality_value, "ideality")
     if projectivity_value >= thresholds.projectivity_min:
         if ideality_value >= thresholds.ideality_min:
             return OutcomeCategory.PROJECTIVE_IDEAL

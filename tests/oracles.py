@@ -27,8 +27,18 @@ And one for ``herald.heralded_closed_form``:
   two-mode squeezed ket at 50 digits in mpmath, contracted entry by entry
   over the ket's amplitudes, apart from the ``Lam Ebar Lam`` form.
 
-Errors against them are stated in units of ``EPS``.
+And one for ``detectors.lossy_pnr``:
+
+- ``lossy_pnr_weight`` is the binomial weight ``C(m, n) eta^n (1 -
+  eta)^(m - n)`` in exact rationals from the given double ``eta``, rounded
+  once.
+
+Errors against them are stated in units of ``EPS``, or of the ulp of the
+truth where it spans many decades.
 """
+
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -158,3 +168,9 @@ def heralded_state(element, lam: float, digits: int = 50):
         rho = (unnorm + unnorm.H) / (2 * prob)
         state = np.array([[complex(rho[i, j]) for j in range(d)] for i in range(d)])
         return state, float(prob)
+
+
+def lossy_pnr_weight(eta: float, m: int, n: int) -> float:
+    """``<m| E_n |m>`` of ``lossy_pnr(eta, dim)``, exact in rationals and rounded once."""
+    e = Fraction(eta)
+    return float(math.comb(m, n) * e**n * (1 - e) ** (m - n))

@@ -592,6 +592,17 @@ class TestWigner:
         )
         assert sorted(tmp_path.iterdir()) == [path]
 
+    def test_grid_of_too_many_points_exits_2_before_allocating_it(self, apd_file, tmp_path, capsys):
+        # 10**10 points: the geometry alone would need tens of GiB
+        out = tmp_path / "w.dat"
+        argv = ["wigner", str(apd_file), "--outcome", "on", "--nx", "100000", "--np", "100000"]
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith(
+            "error: grid x [-6.0, 6.0], p [-6.0, 6.0]: 100000 x 100000 = 10000000000 points"
+        )
+        assert sorted(tmp_path.iterdir()) == [apd_file]
+
     def test_unknown_outcome_exits_2(self, apd_file, tmp_path, capsys):
         code, _, err = run(
             capsys,

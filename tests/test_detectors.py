@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+import oracles
 import pytest
 from conftest import random_element_matrix
 from hypothesis import given, settings
@@ -158,6 +159,24 @@ class TestLossyPnr:
 
     def test_entries_at_dim_200_are_the_per_entry_formula_bit_for_bit(self):
         self.assert_entries_are_the_per_entry_formula(0.5, 200)
+
+    @pytest.mark.parametrize("dim", [2, 12, 60])
+    @pytest.mark.parametrize("eta", [0.9, 0.5, 0.2])
+    def test_weights_lie_within_their_budget_of_the_exact_binomial(self, eta, dim):
+        # Five roundings (the binomial, eta**n, the loss power and two
+        # products) cost at most 5 ulp.  Past them, the rounded base 1.0 - eta,
+        # exact for eta >= 0.5 by Sterbenz's lemma, carries a relative error r
+        # into each of the m - n factors, at most 2 r / EPS ulp apiece.
+        # Measured worst: 2 ulp at (0.9, 60), 0 at 0.5, 35 at (0.2, 60).
+        exact = 1 - Fraction(eta)
+        r = float(abs(Fraction(1.0 - eta) - exact) / exact)
+        for n, e in enumerate(lossy_pnr(eta, dim)):
+            got = np.real(np.diagonal(e.matrix))
+            assert not got[:n].any()
+            for m in range(n, dim):
+                want = oracles.lossy_pnr_weight(eta, m, n)
+                budget = 5 + 2 * (m - n) * r / oracles.EPS
+                assert abs(got[m] - want) <= budget * np.spacing(want), (n, m)
 
     def test_weight_overflow_raises_before_the_block_is_allocated(self, monkeypatch):
         zeros = np.zeros

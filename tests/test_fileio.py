@@ -1761,6 +1761,9 @@ def _g17_texts(values) -> list:
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# The double below 1, 1.0 and the six above it: the diagonal entries that
+# ideal and lossy detectors and eigh-built rest elements hold.
+_ONE_AND_ABOVE = [float(np.nextafter(1.0, 0.0)), *(1.0 + n * 2.0**-52 for n in range(7))]
 
 
 class TestPercent17g:
@@ -1792,6 +1795,8 @@ class TestPercent17g:
             2.0**-25, 123456789012345.625,  # exact ties, rounded half to even
             0.5, 123.0, 100.5, 1e22, 9.5,
             # the last decade the formatter takes, and the first it leaves
+            *_ONE_AND_ABOVE, 9.999999999999998,
+            # and the next decade's edges
             float(np.nextafter(10.0, 0.0)), 10.0, float(np.nextafter(10.0, 20.0)),
             99.99999999999999,
         ],
@@ -1855,6 +1860,8 @@ class TestRepr:
             0.1 + 0.2, 0.1, 1 / 3, 2 / 3, 100.0, 123.0, 5.0, 9.5, 1e22, 1e23,
             1e-14, 1e-79,  # just below a power of ten: log10 gives the next decade
             # the last decade the formatter takes, and the first it leaves
+            *_ONE_AND_ABOVE, 9.999999999999998,
+            # and the next decade's edges
             float(np.nextafter(10.0, 0.0)), 10.0, float(np.nextafter(10.0, 20.0)),
             99.99999999999999,
         ],

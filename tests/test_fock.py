@@ -21,6 +21,7 @@ from qdetchar import (
     Tolerances,
     TruncationWarning,
     born_probability,
+    classify_outcome,
     detectivity,
     fidelity,
     heralded_state,
@@ -48,6 +49,9 @@ from qdetchar.fock import (
     squeezed_vacuum,
     trace_distance,
 )
+
+
+_SMALL_GRID = PhaseSpaceGrid.symmetric(1.0, 3)
 
 
 class TestConstructors:
@@ -414,6 +418,12 @@ class TestInputRefusals:
         "TmsvParams.lam": (lambda v: TmsvParams(v, 30).lam, "squeezing parameter", float),
         "TmsvParams.dim": (lambda v: TmsvParams(0.1, v).dim, "truncation dimension", int),
         "coherent_state alpha": (lambda v: coherent_state(v, 5), "amplitude alpha", complex),
+        "classify_outcome projectivity": (lambda v: classify_outcome(v, 0.5), "projectivity", float),
+        "classify_outcome ideality": (lambda v: classify_outcome(1.0, v), "ideality", float),
+        "witness_report projectivity": (
+            lambda v: witness_report(np.eye(2) / 2, wigner(np.eye(2) / 2, _SMALL_GRID), "x", v),
+            "projectivity", float,
+        ),
     }
     NOT_REAL = [True, "0.5", None]
     NOUNS = {int: "an integer", float: "a real number", complex: "a complex number"}

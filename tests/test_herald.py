@@ -355,6 +355,22 @@ class TestLimitScan:
             )
 
 
+    def test_a_matrix_is_validated_once(self, monkeypatch):
+        # The scan checks the element it builds from a matrix once and hands
+        # that element on, so a dense matrix costs one spectrum, not two.
+        m = random_element_matrix(np.random.default_rng(20), 20)
+        sizes, solve = [], np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        scan = retrodictive_limit_scan(m, [0.1, 0.2, 0.3])
+        assert sizes == [20]
+        assert scan == retrodictive_limit_scan(PovmElement("e", m), [0.1, 0.2, 0.3])
+
+
 class TestLimitScanFidelity:
     """The scan's closed-form fidelity against the eigen route and a 50-digit truth."""
 

@@ -221,6 +221,21 @@ class TestGrid:
         assert g.p_axis.tobytes() == want.p_axis.tobytes()
         assert repr(g) == repr(want)
 
+    @pytest.mark.parametrize("n_x, n_p", [(4097, 4096), (2, 2**23 + 1), (10**9, 10**9)])
+    def test_refuses_more_points_than_4096_squared(self, n_x, n_p):
+        # Building a grid allocates nothing: the refusal comes before any axis exists.
+        message = (f"grid x [-1.0, 1.0], p [-1.0, 1.0]: {n_x} x {n_p} = {n_x * n_p} points, "
+                   "more than 16777216 (4096^2)")
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, n_x, n_p)
+        n = max(n_x, n_p)
+        with pytest.raises(ValueError, match=re.escape(f"{n} x {n} = {n * n} points")):
+            PhaseSpaceGrid.symmetric(1.0, n)
+
+    def test_accepts_grids_of_4096_squared_points(self):
+        assert PhaseSpaceGrid.symmetric(1.0, 4096).n_x == 4096
+        assert PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 2, 2**23).n_p == 2**23
+
 
 class TestWignerValues:
     def test_vacuum_peak(self):
