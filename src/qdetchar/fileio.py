@@ -14,7 +14,7 @@ Wigner grids are plain whitespace-separated ``x p W`` rows behind ``#``
 header lines, readable by ``numpy.loadtxt``: the bytes of
 ``numpy.savetxt(fmt="%.17g")``, built in numpy about 4,096 points at a time.
 Each W text comes from :func:`_g17`: once per distinct radius of the
-kernel's cached grid geometry for a grid whose values are radial bit for
+grid geometry the kernel keeps, for a grid whose values are radial bit for
 bit, and once per point for any other grid.  It and :func:`_r17` give
 ``"%.17g" % v`` and ``repr(v)`` exactly without a Python call per value (a
 Dekker product against exact powers of ten, checked against a rounding
@@ -70,7 +70,7 @@ from .phasespace import (
     NonClassicalityReport,
     PhaseSpaceGrid,
     WignerGrid,
-    _cached_geometry,
+    _kept_geometry,
     _witness_verdicts,
 )
 from .retrodiction import (
@@ -975,23 +975,25 @@ def write_wigner_grid(
 ) -> None:
     """Write ``x p W`` rows behind ``#`` headers recording grid and convention.
 
-    The bytes are those of ``np.savetxt(fmt="%.17g")``.  ``values`` is
-    scattered to one slot per distinct radius of the grid's cached geometry
-    (:func:`~qdetchar.phasespace.wigner`'s, built here if no radial state
-    was evaluated on the grid); where the gather back reproduces ``values``
-    bit for bit, signed zeros included, each radius's W is formatted once,
-    and otherwise each point's.  A NaN or infinite W raises ``ValueError``
-    before the file is opened, so any file at ``path`` stays as it was.
+    The bytes are those of ``np.savetxt(fmt="%.17g")``.  Where
+    :func:`~qdetchar.phasespace.wigner` keeps the grid's geometry (it builds
+    one for each grid it evaluates a radial state on), ``values`` is
+    scattered to one slot per distinct radius; where the gather back
+    reproduces ``values`` bit for bit, signed zeros included, each radius's
+    W is formatted once.  Otherwise each point's is, and no geometry is
+    built.  A NaN or infinite W raises ``ValueError`` before the file is
+    opened, so any file at ``path`` stays as it was.
     """
     g = wgrid.grid
     if not np.isfinite(wgrid.values).all():
         raise ValueError(f"{path}: non-finite Wigner values; nothing written")
     values = np.ascontiguousarray(wgrid.values, dtype=float)
-    geo = _cached_geometry(g)
-    per_radius = np.empty(geo.radii.size)
-    per_radius[geo.where] = values
-    radial = np.array_equal(per_radius[geo.where].view(np.int64), values.view(np.int64))
-    texts = _g17(per_radius) if radial else None
+    geo, texts = _kept_geometry(g), None
+    if geo is not None:
+        per_radius = np.empty(geo.radii.size)
+        per_radius[geo.where] = values
+        if np.array_equal(per_radius[geo.where].view(np.int64), values.view(np.int64)):
+            texts = _g17(per_radius)
     header = _comment(
         "qdetchar wigner grid",
         f"convention: {CONVENTION}",

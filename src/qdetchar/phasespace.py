@@ -12,16 +12,29 @@ takes the separable one: the 50:50 beam splitter turns each
 ``<x+y|m><n|x-y>`` into products of Hermite functions of ``sqrt2 x`` and
 ``sqrt2 y``, the Fourier transform in ``y`` maps each ``h_k`` onto itself,
 so ``W = pi^{-1/2} h(sqrt2 x)^T M h(sqrt2 p)``, two matrix products:
-O(dim^3 + dim (n_x + n_p) + n_x dim n_p).  A state without coherences is
-radial, ``W = (1/pi) sum_m (-1)^m rho[m, m] e^{-r^2} L_m(2 r^2)`` (Cahill and
-Glauber 1969), summed by Clenshaw's recurrence once per distinct radius of
-the grid: O(dim) per radius.
+O(dim^3 + n_x dim n_p).  A state without coherences is radial,
+``W = (1/pi) sum_m rho[m, m] ell_m(2 r^2)`` with the Laguerre functions
+``ell_m(z) = (-1)^m e^{-z/2} L_m(z)`` (Cahill and Glauber 1969): one product
+of the diagonal with a table of ``ell_m`` on the grid's distinct radii.
+
+Neither path's tables depend on the state, and one process evaluates every
+outcome of a measurement on one grid, so each table is built once and kept
+in ``_TABLES``: the grid's geometry and Laguerre table under the grid, the
+beam-splitter blocks ``B_N`` under the dim and the Hermite rows under the
+axis ``(min, max, points)``.  A table of more rows serves fewer, so a grid's
+Laguerre table built for a larger dim serves a smaller one.  Together they
+hold at most ``_TABLE_BYTES`` (64 MiB), least recently used first out; every
+kept array is read-only.  The Hermite and Laguerre tables run on mantissas
+with each point's power of two kept apart, so they reach every point of a
+valid grid without overflow or early underflow.
 """
 
 from __future__ import annotations
 
-import functools
+import collections
 import math
+import threading
+import typing
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -149,94 +162,243 @@ class WignerGrid:
 _NEGLIGIBLE = 1e-18
 
 
-def _laguerre_sum(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Clenshaw sum ``sum_m coeffs[m] * L_m(z)``.
-
-    The Laguerre polynomials obey
-    ``L_{m+1} = ((2m + 1 - z) L_m - m L_{m-1}) / (m + 1)`` with ``L_0 = 1``.
-    ``coeffs`` is real, and the three work arrays are updated in place.
-    """
-    b1 = np.zeros_like(z)
-    b2 = np.zeros_like(z)
-    step = np.empty_like(z)
-    for m in range(len(coeffs) - 1, -1, -1):
-        norm = m + 1.0
-        np.subtract(2.0 * m + 1.0, z, out=step)
-        step *= b1
-        step /= norm
-        b2 *= -norm / (m + 2.0)
-        b2 += step
-        b2 += coeffs[m]
-        b1, b2 = b2, b1
-    return b1
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-class _Geometry:
-    """The state-independent part of the diagonal Wigner kernel on one grid.
+def _nbytes(value) -> int:
+    """Bytes of a kept table: one array, or a tuple of them."""
+    return value.nbytes if isinstance(value, np.ndarray) else sum(a.nbytes for a in value)
 
-    ``radii`` are the grid's distinct ``|beta|^2 = 2 (x^2 + p^2)`` in
-    ascending order, ``where[i, j]`` the index of point ``(x_i, p_j)``
-    among them and ``decay`` is ``e^{-radii/2}``.  Every array is read-only.
+
+class _Tables:
+    """The kernel's read-only tables, kept across calls within ``budget`` bytes.
+
+    The least recently used go first once the total passes the budget; a
+    table larger than the whole budget is built for its call and not kept.
+    One lock covers each lookup and build, so threads never build a table
+    twice nor see one half stored.
     """
 
-    def __init__(self, grid: PhaseSpaceGrid):
-        x, p = grid.x_axis[:, None], grid.p_axis[None, :]
-        # radii are |beta|^2, with beta = 2*alpha and alpha = (x + i p)/sqrt(2)
-        radii, where = np.unique((2.0 * (x * x + p * p)).ravel(), return_inverse=True)
-        self.radii = _read_only(radii)
-        self.where = _read_only(where.reshape(grid.n_x, grid.n_p))
-        self.decay = _read_only(np.exp(-0.5 * radii))
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._kept = collections.OrderedDict()
+        self._lock = threading.Lock()
+
+    def peek(self, key):
+        """The table kept under ``key``, or ``None``; builds nothing."""
+        with self._lock:
+            return self._kept.get(key)
+
+    def get(self, key, enough, build):
+        """The kept table if ``enough(table)``, else ``build(table or None)``, kept in its place."""
+        with self._lock:
+            kept = self._kept.get(key)
+            if kept is not None and enough(kept):
+                self._kept.move_to_end(key)
+                return kept
+            value = build(kept)
+            if kept is not None:
+                del self._kept[key]
+                self.nbytes -= _nbytes(kept)
+            if _nbytes(value) <= self.budget:
+                self._kept[key] = value
+                self.nbytes += _nbytes(value)
+                while self.nbytes > self.budget:
+                    self.nbytes -= _nbytes(self._kept.popitem(last=False)[1])
+            return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._kept.clear()
+            self.nbytes = 0
 
 
-# Grids kept by _cached_geometry, for the radial kernel and the grid writer:
-# at most about 1 MB each at 201^2 (0.5 MB when the grid is centred on the
-# origin, so that its radii repeat).
-_GEOMETRIES = 8
+# Bytes the kernel's tables may hold together.  At 201^2 a grid's geometry
+# takes 0.38 MiB and its Laguerre table 0.07 MiB per level of dim, centred on
+# the origin (0.62 and 0.31 MiB off centre); a 201-point axis's Hermite rows
+# take 1.6 KiB per row.  The beam-splitter blocks take 1.65 MiB at dim 60 and
+# 13.2 MiB at dim 120, so from dim 204 they are built for each call.
+_TABLE_BYTES = 64 * 2**20
+_TABLES = _Tables(_TABLE_BYTES)
 
 
-@functools.lru_cache(maxsize=_GEOMETRIES)
-def _cached_geometry(grid: PhaseSpaceGrid) -> _Geometry:
-    return _Geometry(grid)
-
-
-# Once a bound on the Hermite recurrence's mantissas passes this, they are scaled back to at most 1.
+# Once a bound on a recurrence's mantissas passes this, they are scaled back to at most 1.
 _RESCALE = 2.0**500
+
+
+def _scaled_rows(log2_first: np.ndarray, count: int, step, tied: bool) -> np.ndarray:
+    """Rows ``f_0 .. f_{count-1}`` of a linear recurrence at each point.
+
+    The recurrence carries ``f_n`` and a second variable ``g_n``, which
+    starts at ``f_0`` if ``tied`` and at 0 otherwise; ``step(n, f_{n-1},
+    g_{n-1})`` gives ``(growth, f_n, g_n)``, with ``growth`` a bound on how
+    much a step can raise ``max(|f|, |g|)``.  It runs on mantissas, each
+    point's power of two kept apart and started from ``log2 f_0``, so a far
+    point whose ``f_0`` underflows still reaches the higher rows that do
+    not; one whose ``log2 f_0`` is below ``-2^40`` starts, and stays, at
+    zero.  A bound on the mantissas grows by ``growth`` a step, and once it
+    passes ``_RESCALE`` they are scaled by each point's power of two of
+    ``f_n``; none overflows while a step grows the nonzero ones by less
+    than ``2^170``.
+    """
+    exps = np.maximum(np.floor(log2_first), -(2.0**40)).astype(np.int64)
+    cur = np.exp2(log2_first - exps)
+    other = cur.copy() if tied else np.zeros_like(cur)
+    out = np.empty((count, cur.size))
+    bound, powers = 2.0, _powers_of_two(exps)
+    for n in range(count):
+        if n:
+            growth, cur, other = step(n, cur, other)
+            bound *= growth
+            if bound > _RESCALE:
+                shift = np.maximum(np.frexp(cur)[1], 0)
+                cur, other = np.ldexp(cur, -shift), np.ldexp(other, -shift)
+                exps += shift
+                bound = max(float(np.max(np.abs(cur))), float(np.max(np.abs(other))), 1.0)
+                powers = _powers_of_two(exps)
+        # a product by exact powers of two rounds as ldexp does, about ten times faster
+        if powers is None:
+            np.ldexp(cur, exps, out=out[n])
+        else:
+            np.multiply(cur, powers, out=out[n])
+    return out
+
+
+def _powers_of_two(exps: np.ndarray):
+    """``2.0 ** exps`` if every one is a normal double, else ``None``."""
+    return np.ldexp(1.0, exps) if exps.min() >= -1022 and exps.max() <= 1023 else None
 
 
 def _hermite_functions(s: np.ndarray, count: int) -> np.ndarray:
     """Rows ``h_0 .. h_{count-1}`` of the normalized Hermite functions at ``s``.
 
-    ``h_{n+1} = sqrt(2/(n+1)) s h_n - sqrt(n/(n+1)) h_{n-1}`` runs on
-    mantissas, with each point's power of two kept apart and started from
-    ``log2 h_0 = -s^2 / (2 ln 2) - log2(pi) / 4``.  So a far point whose
-    ``h_0`` underflows still reaches the higher functions that do not.  A
-    bound on the mantissas grows by ``sqrt(2/(n+1)) max|s| + 1`` a step, and
-    they are rescaled when it passes ``_RESCALE``; since ``|s| < 2^512`` on
-    any valid grid, none overflows.
+    ``h_{n+1} = sqrt(2/(n+1)) s h_n - sqrt(n/(n+1)) h_{n-1}``, with
+    ``h_{n-1}`` the second variable, started from
+    ``log2 h_0 = -s^2 / (2 ln 2) - log2(pi) / 4``; it grows by at most
+    ``sqrt(2/(n+1)) |s| + 1`` a step, below ``2^22`` wherever ``h_0`` does
+    not start at zero.
     """
+    reach = float(np.max(np.abs(s)))
+
+    def step(n, cur, prev):
+        a = math.sqrt(2.0 / n)
+        return a * reach + 1.0, a * s * cur - math.sqrt((n - 1.0) / n) * prev, cur
+
     log2_h0 = s * s * (-0.5 / math.log(2.0)) - 0.25 * math.log2(math.pi)
-    exps = np.maximum(np.floor(log2_h0), -(2.0**40)).astype(np.int64)
-    cur = np.exp2(log2_h0 - exps)
-    prev = np.zeros_like(s)
-    out = np.empty((count, s.size))
-    np.ldexp(cur, exps, out=out[0])
-    reach, bound = float(np.max(np.abs(s))), 2.0
-    for n in range(1, count):
-        step = math.sqrt(2.0 / n)
-        prev, cur = cur, step * s * cur - math.sqrt((n - 1.0) / n) * prev
-        bound *= step * reach + 1.0
-        if bound > _RESCALE:
-            shift = np.maximum(np.frexp(cur)[1], 0)
-            cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
-            exps += shift
-            bound = max(float(np.max(np.abs(cur))), float(np.max(np.abs(prev))), 1.0)
-        np.ldexp(cur, exps, out=out[n])
-    return out
+    return _scaled_rows(log2_h0, count, step, tied=False)
+
+
+def _laguerre_functions(z: np.ndarray, count: int) -> np.ndarray:
+    """Rows ``ell_0 .. ell_{count-1}``, ``ell_m(z) = (-1)^m e^{-z/2} L_m(z)``, at ``z >= 0``.
+
+    The Laguerre recurrence with the sign and decay folded in,
+    ``ell_{m+1} = ((z - 2m - 1) ell_m - m ell_{m-1}) / (m + 1)``, has a
+    double root near ``z = 0``, where its rounding errors add up as they run
+    forward (97 eps of 1/pi for Fock |59> near the origin of a 121^2 grid).
+    So it runs on ``ell_m`` and the difference ``g_m = ell_m + ell_{m-1}``
+    (Reinsch's form, 3.4 eps there):
+    ``g_{m+1} = (z ell_m - m g_m) / (m + 1)`` and ``ell_{m+1} = g_{m+1} - ell_m``,
+    started from ``g_0 = ell_0`` and ``log2 ell_0 = -z / (2 ln 2)``; it grows
+    by at most ``(z + 2m + 1) / (m + 1)`` a step, below ``2^42`` wherever
+    ``ell_0`` does not start at zero.  A point past ``z`` of about
+    ``1.5e12`` does, as its truth does in doubles at any dim a table can
+    hold.
+    """
+    reach = float(np.max(z))
+
+    def step(n, ell, diff):  # in place: both arrays are the recurrence's own
+        diff *= 1.0 - n
+        diff += z * ell
+        diff /= n
+        return (reach + 2.0 * n - 1.0) / n, np.subtract(diff, ell, out=ell), diff
+
+    return _scaled_rows(z * (-0.5 / math.log(2.0)), count, step, tied=True)
+
+
+class _Geometry(typing.NamedTuple):
+    """The state-independent part of the diagonal Wigner kernel on one grid.
+
+    ``radii`` are the grid's distinct ``z = |beta|^2 = 2 (x^2 + p^2)`` in
+    ascending order, ``where[i, j]`` the index of point ``(x_i, p_j)`` among
+    them, and ``ell[m]`` the Laguerre function ``ell_m(radii)`` for ``m`` up
+    to at least the dim last asked for.  Every array is read-only.
+    """
+
+    radii: np.ndarray
+    where: np.ndarray
+    ell: np.ndarray
+
+
+def _radii(grid: PhaseSpaceGrid):
+    """``(radii, where)`` of :class:`_Geometry`, read-only."""
+    x, p = grid.x_axis[:, None], grid.p_axis[None, :]
+    # radii are |beta|^2, with beta = 2*alpha and alpha = (x + i p)/sqrt(2)
+    radii, where = np.unique((2.0 * (x * x + p * p)).ravel(), return_inverse=True)
+    return _read_only(radii), _read_only(where.reshape(grid.n_x, grid.n_p))
+
+
+def _geometry(grid: PhaseSpaceGrid, dim: int) -> _Geometry:
+    """The grid's kept geometry with at least ``dim`` Laguerre rows.
+
+    Row ``m`` does not depend on the dim, so a table built for a larger dim
+    serves a smaller one; a larger dim rebuilds it on the kept radii.
+    """
+
+    def build(kept):
+        radii, where = _radii(grid) if kept is None else kept[:2]
+        return _Geometry(radii, where, _read_only(_laguerre_functions(radii, dim)))
+
+    return _TABLES.get(("geometry", grid), lambda geo: geo.ell.shape[0] >= dim, build)
+
+
+def _kept_geometry(grid: PhaseSpaceGrid):
+    """The grid's geometry if the kernel keeps one, else ``None``; builds nothing."""
+    return _TABLES.peek(("geometry", grid))
+
+
+def _hermite_rows(lo: float, hi: float, points: int, count: int) -> np.ndarray:
+    """``h_0 .. h_{count-1}`` at ``sqrt2 * linspace(lo, hi, points)``, kept per axis."""
+
+    def build(kept):
+        return _read_only(_hermite_functions(math.sqrt(2.0) * np.linspace(lo, hi, points), count))
+
+    table = _TABLES.get(("hermite", lo, hi, points), lambda rows: rows.shape[0] >= count, build)
+    return table[:count]
+
+
+def _beam_splitter_blocks(d: int) -> tuple:
+    """Rows ``lo .. hi`` of every block ``B_N``, ``N < 2d - 1``, that a dim-``d`` state reads.
+
+    ``B_N`` is built level by level from both parents,
+    ``B_{N+1}[m, k] = (sqrt(m) (sqrt(N+1-k) B_N[m-1, k] + sqrt(k) B_N[m-1, k-1])
+    + sqrt(n) (sqrt(N+1-k) B_N[m, k] - sqrt(k) B_N[m, k-1])) / (sqrt2 (N+1))``
+    with ``n = N+1-m``, which keeps the blocks orthogonal where either
+    parent alone loses it.  Each level keeps only the rows
+    ``lo = max(0, N-d+1) .. hi = min(N, d-1)`` that a state has at that
+    ``N``: O(d^3) work and memory, all read-only.
+    """
+    size = 2 * d - 1
+    root = np.sqrt(np.arange(size + 1.0))
+    rev = root[::-1]  # rev[size - j] = sqrt(j)
+    blocks = [_read_only(np.ones((1, 1)))]
+    for n in range(size - 1):
+        lo, hi = max(0, n - d + 1), min(n, d - 1)
+        # B_N / (sqrt2 (N+1)) on rows lo-1 .. hi+1 and columns k = -1 .. N+1, zero-padded
+        pad = np.zeros((hi - lo + 3, n + 3))
+        np.multiply(blocks[-1], 1.0 / (math.sqrt(2.0) * (n + 1)), out=pad[1:-1, 1:-1])
+        # stay[., k] = sqrt(N+1-k) B_N[., k] and move[., k] = sqrt(k) B_N[., k-1], k = 0 .. N+1
+        stay, move = rev[size - n - 1 :] * pad[:, 1:], root[: n + 2] * pad[:, :-1]
+        new_lo, new_hi = max(0, n + 2 - d), min(n + 1, d - 1)
+        # new row m reads padded row m-1 (its a parent) times sqrt(m), and row m
+        # (its b parent) times sqrt(N+1-m)
+        a, b = slice(new_lo - lo, new_hi - lo + 1), slice(new_lo - lo + 1, new_hi - lo + 2)
+        block = root[new_lo : new_hi + 1, None] * (stay[a] + move[a])
+        block += rev[size - n - 1 + new_lo : size - n + new_hi, None] * (stay[b] - move[b])
+        blocks.append(_read_only(block))
+    return tuple(blocks)
 
 
 def _separable_weights(rho: np.ndarray) -> np.ndarray:
@@ -247,16 +409,10 @@ def _separable_weights(rho: np.ndarray) -> np.ndarray:
     ``sum_k B_N[m, k] h_{N-k}(sqrt2 x) h_k(sqrt2 y)`` with ``N = m + n``, and
     the Fourier transform in ``y`` turns ``h_k(sqrt2 y)`` into
     ``sqrt(pi) (-i)^k h_k(sqrt2 p)``.  So
-    ``M[N-k, k] = Re((-i)^k sum_m rho[m, N-m] B_N[m, k])``.
-
-    ``B_N`` is built level by level from both parents,
-    ``B_{N+1}[m, k] = (sqrt(m) (sqrt(N+1-k) B_N[m-1, k] + sqrt(k) B_N[m-1, k-1])
-    + sqrt(n) (sqrt(N+1-k) B_N[m, k] - sqrt(k) B_N[m, k-1])) / (sqrt2 (N+1))``
-    with ``n = N+1-m``, which keeps the blocks orthogonal where either
-    parent alone loses it.  Each level keeps only the rows ``m`` that ``rho``
-    has at that ``N`` and is folded into ``M`` as it is made: O(d^3) work,
-    O(d^2) memory.  ``rho[m, N-m]`` below the diagonal is read as the
-    conjugate of its mirror, so only the upper triangle is read.
+    ``M[N-k, k] = Re((-i)^k sum_m rho[m, N-m] B_N[m, k])``, one product per
+    level with the dim's kept blocks (:func:`_beam_splitter_blocks`): O(d^3)
+    work.  ``rho[m, N-m]`` below the diagonal is read as the conjugate of
+    its mirror, so only the upper triangle is read.
     """
     d = rho.shape[0]
     size = 2 * d - 1
@@ -265,25 +421,10 @@ def _separable_weights(rho: np.ndarray) -> np.ndarray:
     levels[rows + rows.T, rows] = np.triu(rho) + np.triu(rho, 1).conj().T
     parts = np.stack([levels.real, levels.imag], axis=1)
     folded = np.empty((size, 2, size))  # folded[N, :, k]: sum_m rho[m, N-m] B_N[m, k]
-    root = np.sqrt(np.arange(size + 1.0))
-    rev = root[::-1]  # rev[size - j] = sqrt(j)
-    block = np.ones((1, 1))
-    for n in range(size):
+    blocks = _TABLES.get(("blocks", d), lambda kept: True, lambda kept: _beam_splitter_blocks(d))
+    for n, block in enumerate(blocks):
         lo, hi = max(0, n - d + 1), min(n, d - 1)
         np.matmul(parts[n, :, lo : hi + 1], block, out=folded[n, :, : n + 1])
-        if n + 1 == size:
-            break
-        # B_N / (sqrt2 (N+1)) on rows lo-1 .. hi+1 and columns k = -1 .. N+1, zero-padded
-        pad = np.zeros((hi - lo + 3, n + 3))
-        np.multiply(block, 1.0 / (math.sqrt(2.0) * (n + 1)), out=pad[1:-1, 1:-1])
-        # stay[., k] = sqrt(N+1-k) B_N[., k] and move[., k] = sqrt(k) B_N[., k-1], k = 0 .. N+1
-        stay, move = rev[size - n - 1 :] * pad[:, 1:], root[: n + 2] * pad[:, :-1]
-        new_lo, new_hi = max(0, n + 2 - d), min(n + 1, d - 1)
-        # new row m reads padded row m-1 (its a parent) times sqrt(m), and row m
-        # (its b parent) times sqrt(N+1-m)
-        a, b = slice(new_lo - lo, new_hi - lo + 1), slice(new_lo - lo + 1, new_hi - lo + 2)
-        block = root[new_lo : new_hi + 1, None] * (stay[a] + move[a])
-        block += rev[size - n - 1 + new_lo : size - n + new_hi, None] * (stay[b] - move[b])
     # Re((-i)^k (re + i im)) is re, im, -re, -im as k = 0, 1, 2, 3 mod 4
     n, k = np.tril_indices(size)
     weights = np.zeros((size, size))
@@ -301,23 +442,31 @@ def wigner(
 
     A state with coherences is evaluated as
     ``W = pi^{-1/2} h(sqrt2 x)^T M h(sqrt2 p)``, with the Hermite functions
-    ``h_0 .. h_{2d-2}`` on each axis and the ``(2d-1)^2`` matrix ``M`` from
-    the 50:50 beam-splitter blocks: O(d^3 + d (n_x + n_p) + n_x d n_p),
-    two matrix products.  A state without coherences needs only the radial
-    sum ``sum_m (-1)^m rho[m, m] e^{-z/2} L_m(z)`` with ``z = 2 (x^2 + p^2)``,
-    taken by Clenshaw's recurrence once per distinct radius: O(d) each.
-    Its grid's geometry (the distinct radii and each point's index among
-    them) is computed once per grid and kept for the last 8 grids used: at
-    most about 1 MB each at 201^2, so at most about 8 MB.  Later states on a
-    kept grid reuse it, and give the same bits as a first call;
-    :func:`~qdetchar.fileio.write_wigner_grid` reads the same cache.
+    ``h_0 .. h_{2d-2}`` on each axis and the ``(2d-1)^2`` matrix ``M`` folded
+    from the 50:50 beam-splitter blocks ``B_N``: O(d^3 + n_x d n_p), two
+    matrix products.  A state without coherences is radial,
+    ``W = (1/pi) sum_m rho[m, m] ell_m(z)`` with ``z = 2 (x^2 + p^2)`` and
+    ``ell_m(z) = (-1)^m e^{-z/2} L_m(z)``: one product of the diagonal with
+    the grid's Laguerre table, O(d) per distinct radius.
+
+    None of these tables depends on the state, so each is built once and
+    kept: the Laguerre table with the grid's geometry (its distinct radii
+    and each point's index among them) per grid, the blocks ``B_N`` per dim
+    and the Hermite rows per axis.  A table built for a larger dim serves a
+    smaller one.  Together they hold at most 64 MiB, the least recently used
+    going first; one larger than that is built for its call alone.  Every
+    table is read-only, and a state gives the same bits on a kept table as
+    on a fresh one.  :func:`~qdetchar.fileio.write_wigner_grid` reads the
+    kept geometry and builds none.
 
     Warns when the grid reaches further than the truncated basis can
-    represent (``radius**2 > 2 * dim``).  Raises if ``rho`` has an entry
-    that is not finite, or fewer than two levels (as :func:`check_dim`); if
-    the grid reaches so far that the kernel overflows, naming the grid; and
-    if a value breaks the quantum bound ``W >= -1/pi`` beyond ``tols.neg``,
-    which indicates the input was not a valid state.
+    represent (``radius**2 > 2 * dim``).  Every valid grid is evaluated:
+    each table runs on mantissas with a power of two per point kept apart,
+    so far points read the zeros, or the small values, of the truth.
+    Raises if ``rho`` has an entry that is not finite, or fewer than two
+    levels (as :func:`check_dim`); if a value is not finite or breaks the
+    quantum bound ``W >= -1/pi`` beyond ``tols.neg``, which indicates the
+    input was not a valid state.
     """
     rho = _square(rho, "state")
     d = check_dim(rho.shape[0])
@@ -328,20 +477,15 @@ def wigner(
         )
     rho = np.where(np.abs(rho) > _NEGLIGIBLE, rho, 0.0)
     if np.any(np.triu(rho, 1)):
-        hx = _hermite_functions(math.sqrt(2.0) * grid.x_axis, 2 * d - 1)
-        square = (grid.x_min, grid.x_max, grid.n_x) == (grid.p_min, grid.p_max, grid.n_p)
-        hp = hx if square else _hermite_functions(math.sqrt(2.0) * grid.p_axis, 2 * d - 1)
+        hx = _hermite_rows(grid.x_min, grid.x_max, grid.n_x, 2 * d - 1)
+        hp = _hermite_rows(grid.p_min, grid.p_max, grid.n_p, 2 * d - 1)
         values = (hx.T @ _separable_weights(rho)) @ hp / math.sqrt(np.pi)
     else:
-        geo = _cached_geometry(grid)
-        signs = np.where(np.arange(d) % 2, -1.0, 1.0)
-        per_radius = geo.decay * _laguerre_sum(signs * rho.diagonal().real, geo.radii) / np.pi
+        geo = _geometry(grid, d)
+        per_radius = rho.diagonal().real @ geo.ell[:d] / np.pi
         values = per_radius[geo.where]
     if not np.isfinite(values).all():
-        raise ValueError(
-            f"grid {grid._box} reaches beyond what the Wigner kernel can evaluate "
-            f"at dim {d}; shrink the grid"
-        )
+        raise ValueError(f"Wigner values at dim {d} overflow; input is not a valid state")
     vmin = float(np.min(values))
     if not vmin >= -1.0 / np.pi - tols.neg:
         raise ValueError(

@@ -9,6 +9,10 @@ One reference per path of ``phasespace.wigner``:
 - ``fock_wigner`` is ``sum_n w_n ((-1)^n / pi) e^{-r^2} L_n(2 r^2)`` at 60
   digits in mpmath, rounded once: the truth for the radial path of states
   without coherences.
+- ``lossy_pnr_wigner`` is the Wigner function of lossy PNR outcome ``n``'s
+  retrodicted state in the untruncated basis, a closed form at 60 digits.
+- ``laguerre_function`` is ``ell_m(z) = (-1)^m e^{-z/2} L_m(z)`` at 60
+  digits, the truth for the Laguerre table the radial path is built on.
 - ``hermite_function`` is ``h_n(s)`` at 60 digits, the truth for the
   Hermite table the separable path is built on.
 
@@ -85,6 +89,29 @@ def fock_wigner(weights, x: float, p: float, digits: int = 60) -> float:
             if w
         )
         return float(total * mpmath.exp(-r2) / mpmath.pi)
+
+
+def lossy_pnr_wigner(eta: float, n: int, x: float, p: float, digits: int = 60) -> float:
+    """``W(x, p)`` of outcome ``n`` of lossy PNR at efficiency ``eta``, untruncated.
+
+    The retrodicted state is ``E_n / Tr E_n`` with ``<m|E_n|m> = C(m, n)
+    eta^n (1 - eta)^(m - n)`` and ``Tr E_n = 1 / eta``, whose Wigner function
+    is ``((-1)^n / pi) (eta / (2 - eta))^(n+1) e^{-eta r^2 / (2 - eta)}
+    L_n(2 r^2 / (2 - eta))`` with ``r^2 = x^2 + p^2``; rounded once.
+    """
+    with mpmath.workdps(digits):
+        eta = mpmath.mpf(eta)
+        r2 = mpmath.mpf(x) ** 2 + mpmath.mpf(p) ** 2
+        scale = 2 - eta
+        total = (eta / scale) ** (n + 1) * mpmath.exp(-eta * r2 / scale) * mpmath.laguerre(n, 0, 2 * r2 / scale)
+        return float((-1) ** n * total / mpmath.pi)
+
+
+def laguerre_function(m: int, z: float, digits: int = 60) -> float:
+    """``ell_m(z) = (-1)^m e^{-z/2} L_m(z)`` at ``digits`` digits, rounded once."""
+    with mpmath.workdps(digits):
+        z = mpmath.mpf(z)
+        return float((-1) ** m * mpmath.laguerre(m, 0, z) * mpmath.exp(-z / 2))
 
 
 def hermite_function(n: int, s: float, digits: int = 60) -> float:

@@ -11,6 +11,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from conftest import (
     ANY_JSON, ENSEMBLE_SITES, MEASUREMENT_SITES, every_edge_at_every_site, mutated,
@@ -185,21 +186,27 @@ class TestCharacterize:
         assert sorted(tmp_path.iterdir()) == [apd_file]
 
     @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
-    def test_grid_the_kernel_cannot_reach_exits_2_naming_the_grid(self, tmp_path, capsys):
+    def test_far_grid_reports_the_truth(self, tmp_path, capsys):
+        # Clenshaw's sum overflowed to nan at radius 1000 and the run exited
+        # 2; the Laguerre table starts each radius at its own power of two, so
+        # each outcome's report reads its 60-digit truth on all 121 points
         path = tmp_path / "pnr60.json"
         run(capsys, "model", "ideal-pnr", "--dim", "60", "--out", str(path))
         argv = ["characterize", str(path), "--witnesses", "--grid-points", "11"]
         ok = tmp_path / "r300.json"
         assert run(capsys, *argv, "--grid-radius", "300", "--out", str(ok))[0] == 0
         out = tmp_path / "r1000.json"
-        with np.errstate(all="ignore"):
-            code, _, err = run(capsys, *argv, "--grid-radius", "1000", "--out", str(out))
-        assert code == 2
-        assert err.endswith(
-            "error: grid x [-1000.0, 1000.0], p [-1000.0, 1000.0] reaches beyond what the "
-            "Wigner kernel can evaluate at dim 60; shrink the grid\n"
-        )
-        assert not out.exists()
+        assert run(capsys, *argv, "--grid-radius", "1000", "--out", str(out))[0] == 0
+        axis = np.linspace(-1000.0, 1000.0, 11)
+        rows = json.loads(out.read_text())["nonclassicality"]
+        assert [row["outcome"] for row in rows] == [str(n) for n in range(60)]
+        for n, row in enumerate(rows):
+            # |n><n| is radial, so the truth at (|x|, |p|) serves all four signs
+            near = {(x, p): oracles.fock_wigner(np.eye(60)[n], x, p) for x in axis[5:] for p in axis[5:]}
+            w = np.array([[near[abs(x), abs(p)] for p in axis] for x in axis])
+            assert w[5, 5] == (-1) ** n / np.pi and np.count_nonzero(w) == 1
+            assert row["min_wigner"] == w.min()
+            assert row["negativity_volume"] == pytest.approx(np.sum(np.abs(w) - w) * 200.0**2, rel=1e-15)
 
     def test_outcome_at_the_trace_floor_is_skipped(self, tmp_path, capsys):
         tiny = np.diag([5e-13, 0.0, 0.0, 0.0])
@@ -578,19 +585,20 @@ class TestWigner:
         assert err.startswith(f"error: grid x [{float(xmin)}, 3.0], p [-6.0, 6.0]: extents")
         assert sorted(tmp_path.iterdir()) == [apd_file]
 
-    def test_grid_the_kernel_cannot_reach_exits_2_naming_the_grid(self, tmp_path, capsys):
-        # 2*(x^2+p^2) is finite, but exp(-r/2) = 0 times an overflowed band sum is nan
+    def test_far_grid_writes_the_truth(self, tmp_path, capsys):
+        # 2*(x^2+p^2) is finite; Clenshaw's sum overflowed to nan here and
+        # the run exited 2, while the Laguerre table reads the truth's zeros
         path, out = tmp_path / "a.json", tmp_path / "w.dat"
         run(capsys, "model", "apd", "--dim", "6", "--eta", "0.5", "--out", str(path))
         argv = ["wigner", str(path), "--outcome", "on", "--xmin=-1e100", "--xmax", "3"]
-        with np.errstate(all="ignore"), pytest.warns(qdetchar.TruncationWarning):
+        with pytest.warns(qdetchar.TruncationWarning):
             code, _, err = run(capsys, *argv, "--nx", "5", "--np", "5", "--out", str(out))
-        assert code == 2
-        assert err == (
-            "error: grid x [-1e+100, 3.0], p [-6.0, 6.0] reaches beyond what the Wigner "
-            "kernel can evaluate at dim 6; shrink the grid\n"
-        )
-        assert sorted(tmp_path.iterdir()) == [path]
+        assert (code, err) == (0, "")
+        grid = read_wigner_grid(out)
+        weights = retrodiction.retrodicted_state(load_povm(path).outcome("on")).state.diagonal().real
+        truth = [[oracles.fock_wigner(weights, x, p) for p in grid.grid.p_axis] for x in grid.grid.x_axis]
+        assert not grid.values[:-1].any() and grid.values[-1].all()
+        np.testing.assert_allclose(grid.values, truth, rtol=0, atol=oracles.EPS / np.pi)
 
     def test_grid_of_too_many_points_exits_2_before_allocating_it(self, apd_file, tmp_path, capsys):
         # 10**10 points: the geometry alone would need tens of GiB

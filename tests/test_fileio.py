@@ -1607,7 +1607,7 @@ class TestWignerGridFiles:
         grid = PhaseSpaceGrid(centre[0] - half[0], centre[0] + half[0],
                               centre[1] - half[1], centre[1] + half[1], *shape)
         wg = wigner(rho, grid)
-        radii = phasespace._cached_geometry(grid).radii.size
+        radii = phasespace._radii(grid)[0].size
         assert _formatted(monkeypatch, tmp_path, wg) == (radii if diagonal else wg.values.size)
 
     @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
@@ -1619,7 +1619,7 @@ class TestWignerGridFiles:
         # the kernel's value, so the grid is no longer radial.
         grid = PhaseSpaceGrid(0.0, 30.0, 0.0, 30.0, 31, 31)
         wg = wigner(np.diag([1.0, 0.0]), grid)
-        radii = phasespace._cached_geometry(grid).radii.size
+        radii = phasespace._radii(grid)[0].size
         assert _formatted(monkeypatch, tmp_path, wg) == radii < wg.values.size
         i, j = (3, 5) if edit == "changed" else (30, 29)
         assert wg.values[i, j] == wg.values[j, i] and (edit == "changed") != (wg.values[i, j] == 0.0)
@@ -1635,9 +1635,20 @@ class TestWignerGridFiles:
         wg = wigner(retrodicted_state(lossy_pnr(0.7, 16).outcome("1")).state, grid)
         before = _assert_written_as_savetxt(tmp_path, wg).read_bytes()
         _evict(grid)
-        misses = phasespace._cached_geometry.cache_info().misses
         assert _assert_written_as_savetxt(tmp_path, wg).read_bytes() == before
-        assert phasespace._cached_geometry.cache_info().misses == misses + 1  # rebuilt to write
+        assert phasespace._kept_geometry(grid) is None  # written point by point, nothing built
+
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    @pytest.mark.parametrize("kind", ["dense", "radial"])
+    def test_writing_on_a_cold_cache_keeps_nothing(self, tmp_path, kind):
+        grid = PhaseSpaceGrid.symmetric(6.0, 201)
+        if kind == "dense":
+            wg = wigner(random_density(np.random.default_rng(3), 16), grid)
+        else:
+            wg = wigner(retrodicted_state(lossy_pnr(0.7, 16).outcome("1")).state, grid)
+        phasespace._TABLES.clear()
+        _assert_written_as_savetxt(tmp_path, wg)
+        assert phasespace._TABLES.nbytes == 0 and not phasespace._TABLES._kept
 
     @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
     @pytest.mark.parametrize("case", ["diagonal", "dense", "read-back", "copied", "evicted"])
@@ -1646,7 +1657,7 @@ class TestWignerGridFiles:
         # the count of values handed to the formatter is what shows it.  A grid
         # is radial by its values alone, however it was made.
         grid = PhaseSpaceGrid.symmetric(6.0, 201)
-        radii = phasespace._cached_geometry(grid).radii.size
+        radii = phasespace._radii(grid)[0].size
         if case == "dense":
             wg = wigner(random_density(np.random.default_rng(3), 16), grid)
         else:
@@ -1658,7 +1669,8 @@ class TestWignerGridFiles:
             wg = WignerGrid(grid, wg.values.copy())
         elif case == "evicted":
             _evict(grid)
-        assert _formatted(monkeypatch, tmp_path, wg) == (wg.values.size if case == "dense" else radii)
+        per_point = case in ("dense", "evicted")  # no geometry kept for the writer to read
+        assert _formatted(monkeypatch, tmp_path, wg) == (wg.values.size if per_point else radii)
         assert radii < wg.values.size / 4
 
     @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
@@ -1680,7 +1692,7 @@ class TestWignerGridFiles:
 
         monkeypatch.setattr(fileio, "_by_cpython", spy)
         formatted = _formatted(monkeypatch, tmp_path, wg)
-        radii = phasespace._cached_geometry(grid).radii.size
+        radii = phasespace._radii(grid)[0].size
         assert formatted == (wg.values.size if state == "dense" else radii)
         assert len(seen) < 0.01 * formatted
 
@@ -1929,11 +1941,9 @@ def _set_in_last_row(path, column, text):
 
 
 def _evict(grid):
-    """Fill the geometry cache with eight other grids, evicting ``grid``'s geometry."""
-    for n in range(phasespace._GEOMETRIES):
-        other = PhaseSpaceGrid.symmetric(1.0 + n, 5)
-        assert other != grid
-        phasespace._cached_geometry(other)
+    """Drop every table the kernel keeps, as its byte budget drops ``grid``'s geometry."""
+    phasespace._TABLES.clear()
+    assert phasespace._kept_geometry(grid) is None
 
 
 def _formatted(monkeypatch, tmp_path, wg):

@@ -287,14 +287,24 @@ class TestWignerValues:
         with pytest.raises(ValueError, match="quantum bound"):
             wigner(bogus, ORIGIN)
 
-    def test_rejects_values_that_are_not_numbers(self):
-        # 2*(x^2+p^2) is finite here, but the radial sum of a diagonal state
-        # overflows to nan; the state is valid, so the grid is named, not the input
+    def test_rejects_values_that_overflow(self):
+        # every table is bounded on any valid grid, so only entries far from a
+        # state's can overflow the fold
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="dim 4 overflow; input"):
+            wigner(np.full((4, 4), 1e308), ORIGIN)
+
+    def test_far_points_read_the_truth_on_both_paths(self):
+        # 2*(x^2+p^2) is finite here; the Laguerre table of a diagonal state
+        # starts each radius at its own power of two, so the far rows read the
+        # truth's zeros and the near one its values
         grid = PhaseSpaceGrid(-1e100, 3.0, -1.0, 1.0, 5, 5)
-        message = r"grid x \[-1e\+100, 3.0\], p \[-1.0, 1.0\] reaches beyond what the Wigner"
-        with np.errstate(all="ignore"), pytest.warns(TruncationWarning):
-            with pytest.raises(ValueError, match=message + " kernel can evaluate at dim 6"):
-                wigner(thermal(1.0, 6), grid)
+        rho = thermal(1.0, 6)
+        with pytest.warns(TruncationWarning):
+            w = wigner(rho, grid).values
+        weights = rho.diagonal().real
+        truth = [[oracles.fock_wigner(weights, x, p) for p in grid.p_axis] for x in grid.x_axis]
+        assert not w[:-1].any() and w[-1].all()
+        np.testing.assert_allclose(w, truth, rtol=0, atol=oracles.EPS / np.pi)
         # a state with coherences reads Hermite functions, which reach 0 there
         with pytest.warns(TruncationWarning):
             w = wigner(dm(coherent_state(0.5, 30)), grid).values
@@ -433,6 +443,21 @@ class TestAgainstTermwiseOracle:
         self.assert_matches(h / tr, PhaseSpaceGrid(-2.5, 3.0, -1.5, 2.0, 9, 7))
 
 
+# (min, max) of one axis: anywhere, or ending at a zero of either sign
+_AXIS_ENDS = st.one_of(
+    st.tuples(st.floats(-6.0, 3.0), st.floats(0.25, 8.0)).map(lambda t: (t[0], t[0] + t[1])),
+    st.tuples(st.floats(-6.0, -0.25), st.sampled_from([0.0, -0.0])),
+    st.tuples(st.sampled_from([0.0, -0.0]), st.floats(0.25, 6.0)),
+)
+_GRIDS = st.builds(
+    lambda x, p, n_x, n_p: PhaseSpaceGrid(*x, *p, n_x, n_p),
+    _AXIS_ENDS,
+    _AXIS_ENDS,
+    st.integers(2, 64),
+    st.integers(2, 64),
+)
+
+
 TRUTH_GRID = PhaseSpaceGrid.symmetric(6.0, 121)
 
 
@@ -444,9 +469,12 @@ class TestAgainstTruth:
     is the kernel's.  The separable path (states with coherences) is held to
     16 eps against the closed-form Gaussians; it reads 3.9 (coherent) and 3.5
     (displaced thermal) eps.  The radial path (states without) is held near
-    what it reads against 60-digit sums at the origin and 63 sampled points:
-    0.2 eps for |0>, 7.9 for |20>, 248 for |59> (its worst point being the
-    origin) and 0.3 for a lossy PNR outcome.
+    what its Laguerre table reads against 60-digit sums at the origin, its 8
+    nearest points and 55 points anywhere: 0.8 eps for |0>, 2.3 for |20> and
+    1.4 for |59> at dim 60, 2.4 for |199> at dim 200 and 0.3 for a lossy PNR
+    outcome (on one point per distinct radius of the whole grid: 0.8, 3.3,
+    3.4, 4.3 and 0.7).  Clenshaw's sum, which it replaced, read 0.8, 24.0,
+    248.2, 624.4 and 0.3 on the same 64 points.
     """
 
     @pytest.mark.parametrize("dim", [40, 60])
@@ -467,20 +495,63 @@ class TestAgainstTruth:
         ("weights", "budget"),
         [
             (np.eye(60)[0], 1),
-            (np.eye(60)[20], 10),
-            (np.eye(60)[59], 320),
+            (np.eye(60)[20], 4),
+            (np.eye(60)[59], 4),
+            (np.eye(200)[199], 4),
             (retrodicted_state(lossy_pnr(0.7, 30).outcome("2")).state.diagonal().real, 2),
         ],
-        ids=["fock-0", "fock-20", "fock-59", "lossy-pnr-30"],
+        ids=["fock-0", "fock-20", "fock-59", "fock-199", "lossy-pnr-30"],
     )
     def test_diagonal_states(self, weights, budget):
         w = wigner(np.diag(weights).astype(complex), TRUTH_GRID).values
         rng = np.random.default_rng(64)
-        points = [(60, 60), *zip(rng.integers(0, 121, 63), rng.integers(0, 121, 63))]
+        # the origin and its nearest points, where a forward Laguerre sum
+        # loses most, then points anywhere
+        near = [(60 + i, 60 + j) for i in range(3) for j in range(i, 4)]
+        points = [*near, *zip(rng.integers(0, 121, 55), rng.integers(0, 121, 55))]
         x, p = TRUTH_GRID.x_axis, TRUTH_GRID.p_axis
         truth = [oracles.fock_wigner(weights, x[i], p[j]) for i, j in points]
         got = [w[i, j] for i, j in points]
         np.testing.assert_allclose(got, truth, rtol=0, atol=budget * oracles.EPS / np.pi)
+
+    def test_lossy_pnr_outcome_against_its_untruncated_closed_form(self):
+        # at eta 0.5 the weight cut at dim 200 is below 2^-190, so the
+        # truncated state is the untruncated one to far below eps; reads 0.6 eps
+        grid = PhaseSpaceGrid.symmetric(4.0, 41)
+        w = wigner(retrodicted_state(lossy_pnr(0.5, 200).outcome("3")).state, grid).values
+        truth = [[oracles.lossy_pnr_wigner(0.5, 3, x, p) for p in grid.p_axis] for x in grid.x_axis]
+        np.testing.assert_allclose(w, truth, rtol=0, atol=2 * oracles.EPS / np.pi)
+
+    def test_laguerre_functions_reach_past_the_underflow_of_ell_0(self):
+        # e^{-z/2} underflows beyond z = 1489, where ell_500(1600) = 0.0248
+        # and ell_999(3000) = -0.0135: a start at e^{-z/2} itself reads 0
+        # there.  |ell_m| <= 1; the table's error grows with m, to 106 eps
+        # at ell_999(3.7)
+        z = np.array([0.0, 3.7, 60.0, 1489.0, 1600.0, 3000.0])
+        orders = [0, 1, 57, 500, 999]
+        table = phasespace._laguerre_functions(z, 1000)[orders]
+        truth = [[oracles.laguerre_function(m, v) for v in z] for m in orders]
+        np.testing.assert_allclose(table, truth, rtol=0, atol=128 * oracles.EPS)
+        assert round(table[3, 4], 4) == 0.0248 and round(table[4, 5], 4) == -0.0135
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        _GRIDS,
+        st.integers(2, 60).flatmap(lambda d: arrays(float, d, elements=st.floats(0.0, 1.0))),
+    )
+    def test_radial_and_separable_routes_agree(self, grid, weights):
+        # Two routes that share no code: the Laguerre table, and the Hermite
+        # rows with the beam-splitter blocks.  Against the oracles at dim 60
+        # the radial route reads at most 3.4 eps of 1/pi and the separable
+        # 36.1 (both for |59>), so they may differ by 40; held to 48.
+        assume(weights.sum() > 0.0)
+        rho = np.diag(weights / weights.sum()).astype(complex)
+        d = rho.shape[0]
+        radial = wigner(rho, grid).values
+        hx = phasespace._hermite_rows(grid.x_min, grid.x_max, grid.n_x, 2 * d - 1)
+        hp = phasespace._hermite_rows(grid.p_min, grid.p_max, grid.n_p, 2 * d - 1)
+        separable = (hx.T @ phasespace._separable_weights(rho)) @ hp / np.sqrt(np.pi)
+        np.testing.assert_allclose(radial, separable, rtol=0, atol=48 * oracles.EPS / np.pi)
 
     def test_hermite_functions_reach_past_the_underflow_of_h0(self):
         # h_0 underflows beyond |s| = 38.6, where h_399 is still 1e-163 at s = 45
@@ -498,27 +569,19 @@ def zero_twin(grid):
 
 
 def fresh_wigner(rho, grid):
-    """``wigner`` on a geometry built for this call alone."""
-    phasespace._cached_geometry.cache_clear()
+    """``wigner`` on tables built for this call alone."""
+    phasespace._TABLES.clear()
     try:
         return wigner(rho, grid).values
     finally:
-        phasespace._cached_geometry.cache_clear()
+        phasespace._TABLES.clear()
 
 
-# (min, max) of one axis: anywhere, or ending at a zero of either sign
-_AXIS_ENDS = st.one_of(
-    st.tuples(st.floats(-6.0, 3.0), st.floats(0.25, 8.0)).map(lambda t: (t[0], t[0] + t[1])),
-    st.tuples(st.floats(-6.0, -0.25), st.sampled_from([0.0, -0.0])),
-    st.tuples(st.sampled_from([0.0, -0.0]), st.floats(0.25, 6.0)),
-)
-_GRIDS = st.builds(
-    lambda x, p, n_x, n_p: PhaseSpaceGrid(*x, *p, n_x, n_p),
-    _AXIS_ENDS,
-    _AXIS_ENDS,
-    st.integers(2, 64),
-    st.integers(2, 64),
-)
+def kept_arrays():
+    """Every array the kernel keeps, with the key of its table."""
+    for key, table in list(phasespace._TABLES._kept.items()):
+        for array in [table] if isinstance(table, np.ndarray) else table:
+            yield key, array
 
 
 def _state(kind, dim, seed):
@@ -532,8 +595,8 @@ def _state(kind, dim, seed):
 
 
 @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
-class TestGeometryCache:
-    """One grid's geometry, kept across ``wigner`` calls, against a fresh build."""
+class TestKernelTables:
+    """The kernel's tables, kept across ``wigner`` calls, against fresh builds."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -548,11 +611,31 @@ class TestGeometryCache:
         rho = _state(kind, dim, seed)
         grids = [grid, zero_twin(grid), other]
         want = [fresh_wigner(rho, g) for g in grids]
-        phasespace._cached_geometry.cache_clear()
+        phasespace._TABLES.clear()
         for i in [*order, *order]:  # each grid met first, then again from the cache
             assert wigner(rho, grids[i]).values.tobytes() == want[i].tobytes()
         for g, values in zip(grids, want):
             np.testing.assert_allclose(values, termwise_wigner(rho, g), rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        _GRIDS,
+        st.sampled_from(["dense", "diagonal"]),
+        st.lists(st.integers(2, 40), min_size=2, max_size=4, unique=True),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_dims_in_any_order_give_fresh_bits(self, grid, kind, dims, seed):
+        # a table built for a larger dim serves a smaller one with the same
+        # bits; a larger dim rebuilds it on the kept radii
+        states = [_state(kind, d, seed) for d in dims]
+        want = [fresh_wigner(rho, grid).tobytes() for rho in states]
+        phasespace._TABLES.clear()
+        for _ in range(2):
+            for rho, values in zip(states, want):
+                assert wigner(rho, grid).values.tobytes() == values
+        if kind == "diagonal":
+            geo = phasespace._kept_geometry(grid)
+            assert geo.ell.shape[0] == max(dims)
 
     def test_signed_zero_twins_give_identical_bits(self):
         # no path reads an angle, so equal grids that differ only in the sign
@@ -564,46 +647,61 @@ class TestGeometryCache:
             want = fresh_wigner(rho, neg).tobytes()
             assert fresh_wigner(rho, pos).tobytes() == want
             for first, second in ((neg, pos), (pos, neg)):
-                phasespace._cached_geometry.cache_clear()
+                phasespace._TABLES.clear()
                 for g in (first, second, first):
                     assert wigner(rho, g).values.tobytes() == want
 
     def test_cached_arrays_are_read_only(self):
+        phasespace._TABLES.clear()
         grid = PhaseSpaceGrid(-1.0, 4.0, -3.0, 2.0, 23, 17)
         wigner(thermal(0.5, 8), grid)
-        geo = phasespace._cached_geometry(grid)
-        for name in ("radii", "where", "decay"):
-            array = getattr(geo, name)
+        wigner(random_density(np.random.default_rng(5), 8), grid)
+        kinds = set()
+        for key, array in kept_arrays():
+            kinds.add(key[0])
             with pytest.raises(ValueError, match="read-only"):
-                array.flat[0] = array.flat[1]
+                array.flat[0] = array.flat[-1]
+        assert kinds == {"geometry", "hermite", "blocks"}
 
-    def test_cache_is_bounded(self):
-        maxsize = phasespace._cached_geometry.cache_info().maxsize
-        assert maxsize == 8
-        phasespace._cached_geometry.cache_clear()
-        for n in range(2, 2 + 2 * maxsize):
-            wigner(thermal(0.5, 6), PhaseSpaceGrid.symmetric(2.0, n))
-        info = phasespace._cached_geometry.cache_info()
-        assert info.currsize == maxsize and info.misses == 2 * maxsize
+    def test_tables_stay_within_their_budget(self, monkeypatch):
+        assert phasespace._TABLES.budget == phasespace._TABLE_BYTES == 64 * 2**20
+        budget = 2**20
+        monkeypatch.setattr(phasespace._TABLES, "budget", budget)
+        phasespace._TABLES.clear()
+        grids = [PhaseSpaceGrid.symmetric(2.0, n) for n in range(40, 80)]
+        for grid in grids:
+            wigner(thermal(0.5, 6), grid)
+            kept = sum(array.nbytes for _, array in kept_arrays())
+            assert phasespace._TABLES.nbytes == kept <= budget
+        # the least recently used went first
+        assert phasespace._kept_geometry(grids[-1]) is not None
+        assert phasespace._kept_geometry(grids[0]) is None
+        # a table larger than the whole budget serves its call and is not kept
+        big = PhaseSpaceGrid.symmetric(2.0, 400)  # its point indices alone take 1.28 MB
+        want = fresh_wigner(thermal(0.5, 6), big)
+        assert wigner(thermal(0.5, 6), big).values.tobytes() == want.tobytes()
+        assert phasespace._kept_geometry(big) is None
+        phasespace._TABLES.clear()
 
     def test_threads_sharing_the_cache_get_fresh_bits(self):
-        # threads race to build the same geometries, which only states
-        # without coherences read
+        # threads race to build the same tables: geometries for the state
+        # without coherences, Hermite rows and blocks for the one with
         grids = [PhaseSpaceGrid.symmetric(2.0 + 0.5 * i, 21 + i) for i in range(3)]
-        rho = thermal(0.6, 8)
-        want = [fresh_wigner(rho, g).tobytes() for g in grids]
+        states = [thermal(0.6, 8), random_density(np.random.default_rng(8), 8)]
+        cases = [(rho, g) for rho in states for g in grids]
+        want = [fresh_wigner(rho, g).tobytes() for rho, g in cases]
         bad = []
 
         def work(offset):
             for i in range(12):
-                g = (i + offset) % len(grids)
-                if wigner(rho, grids[g]).values.tobytes() != want[g]:
-                    bad.append(g)
+                c = (i + offset) % len(cases)
+                if wigner(*cases[c]).values.tobytes() != want[c]:
+                    bad.append(c)
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            phasespace._cached_geometry.cache_clear()
+            phasespace._TABLES.clear()
             threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
             for t in threads:
                 t.start()
@@ -636,9 +734,9 @@ class TestGeometryCache:
                 assert main(argv) == 0
                 return out.read_bytes()
 
-            phasespace._cached_geometry.cache_clear()
+            phasespace._TABLES.clear()
             first, _, again = report("A", 1), report("B", 1), report("A", 2)
-            phasespace._cached_geometry.cache_clear()
+            phasespace._TABLES.clear()
             assert first == again == report("A", 3)
             assert b'"negativity_volume"' in first
         capsys.readouterr()
