@@ -24,9 +24,12 @@ beam-splitter blocks ``B_N`` under the dim and the Hermite rows under the
 axis ``(min, max, points)``.  A table of more rows serves fewer, so a grid's
 Laguerre table built for a larger dim serves a smaller one.  Together they
 hold at most ``_TABLE_BYTES`` (64 MiB), least recently used first out; every
-kept array is read-only.  The Hermite and Laguerre tables run on mantissas
-with each point's power of two kept apart, so they reach every point of a
-valid grid without overflow or early underflow.
+kept array is read-only.  A table past the budget is built for its call and
+not kept, and a Laguerre table is then built and summed a slice of radii at
+a time, so that no call holds more of it than the budget.  The Hermite and
+Laguerre tables run on mantissas with each point's power of two kept apart,
+so they reach every point of a valid grid without overflow or early
+underflow.
 """
 
 from __future__ import annotations
@@ -177,8 +180,9 @@ class _Tables:
 
     The least recently used go first once the total passes the budget; a
     table larger than the whole budget is built for its call and not kept.
-    One lock covers each lookup and build, so threads never build a table
-    twice nor see one half stored.
+    A lock covers each lookup and store but no build, so a call waits only
+    on another's bookkeeping; two threads that miss the same key both build
+    it, and the table stored first serves both if it is enough.
     """
 
     def __init__(self, budget: int):
@@ -192,17 +196,37 @@ class _Tables:
         with self._lock:
             return self._kept.get(key)
 
+    def _hit(self, key, enough):
+        """The table under ``key`` if ``enough(table)``, marked as just used; call locked."""
+        kept = self._kept.get(key)
+        if kept is None or not enough(kept):
+            return None
+        self._kept.move_to_end(key)
+        return kept
+
+    def _drop(self, key) -> None:
+        """Forget the table under ``key``, if any; call locked."""
+        old = self._kept.pop(key, None)
+        if old is not None:
+            self.nbytes -= _nbytes(old)
+
     def get(self, key, enough, build):
-        """The kept table if ``enough(table)``, else ``build(table or None)``, kept in its place."""
+        """The kept table if ``enough(table)``, else ``build()``, stored under ``key``.
+
+        A kept table that is not enough is dropped before the build, so the
+        store never holds it and its successor at once.
+        """
         with self._lock:
-            kept = self._kept.get(key)
-            if kept is not None and enough(kept):
-                self._kept.move_to_end(key)
-                return kept
-            value = build(kept)
+            kept = self._hit(key, enough)
             if kept is not None:
-                del self._kept[key]
-                self.nbytes -= _nbytes(kept)
+                return kept
+            self._drop(key)
+        value = build()
+        with self._lock:
+            kept = self._hit(key, enough)  # another thread stored one meanwhile
+            if kept is not None:
+                return kept
+            self._drop(key)
             if _nbytes(value) <= self.budget:
                 self._kept[key] = value
                 self.nbytes += _nbytes(value)
@@ -238,17 +262,18 @@ def _scaled_rows(log2_first: np.ndarray, count: int, step, tied: bool) -> np.nda
     much a step can raise ``max(|f|, |g|)``.  It runs on mantissas, each
     point's power of two kept apart and started from ``log2 f_0``, so a far
     point whose ``f_0`` underflows still reaches the higher rows that do
-    not; one whose ``log2 f_0`` is below ``-2^40`` starts, and stays, at
+    not; one whose ``log2 f_0`` is below ``-2^30`` starts, and stays, at
     zero.  A bound on the mantissas grows by ``growth`` a step, and once it
     passes ``_RESCALE`` they are scaled by each point's power of two of
     ``f_n``; none overflows while a step grows the nonzero ones by less
     than ``2^170``.
     """
-    exps = np.maximum(np.floor(log2_first), -(2.0**40)).astype(np.int64)
+    # C ints, for which ldexp has a loop about six times faster than for int64
+    exps = np.maximum(np.floor(log2_first), -(2.0**30)).astype(np.intc)
     cur = np.exp2(log2_first - exps)
     other = cur.copy() if tied else np.zeros_like(cur)
     out = np.empty((count, cur.size))
-    bound, powers = 2.0, _powers_of_two(exps)
+    bound = 2.0
     for n in range(count):
         if n:
             growth, cur, other = step(n, cur, other)
@@ -258,18 +283,8 @@ def _scaled_rows(log2_first: np.ndarray, count: int, step, tied: bool) -> np.nda
                 cur, other = np.ldexp(cur, -shift), np.ldexp(other, -shift)
                 exps += shift
                 bound = max(float(np.max(np.abs(cur))), float(np.max(np.abs(other))), 1.0)
-                powers = _powers_of_two(exps)
-        # a product by exact powers of two rounds as ldexp does, about ten times faster
-        if powers is None:
-            np.ldexp(cur, exps, out=out[n])
-        else:
-            np.multiply(cur, powers, out=out[n])
+        np.ldexp(cur, exps, out=out[n])
     return out
-
-
-def _powers_of_two(exps: np.ndarray):
-    """``2.0 ** exps`` if every one is a normal double, else ``None``."""
-    return np.ldexp(1.0, exps) if exps.min() >= -1022 and exps.max() <= 1023 else None
 
 
 def _hermite_functions(s: np.ndarray, count: int) -> np.ndarray:
@@ -319,39 +334,23 @@ def _laguerre_functions(z: np.ndarray, count: int) -> np.ndarray:
 
 
 class _Geometry(typing.NamedTuple):
-    """The state-independent part of the diagonal Wigner kernel on one grid.
+    """The radii of one grid, which the diagonal Wigner kernel reads.
 
     ``radii`` are the grid's distinct ``z = |beta|^2 = 2 (x^2 + p^2)`` in
-    ascending order, ``where[i, j]`` the index of point ``(x_i, p_j)`` among
-    them, and ``ell[m]`` the Laguerre function ``ell_m(radii)`` for ``m`` up
-    to at least the dim last asked for.  Every array is read-only.
+    ascending order and ``where[i, j]`` the index of point ``(x_i, p_j)``
+    among them; both are read-only.
     """
 
     radii: np.ndarray
     where: np.ndarray
-    ell: np.ndarray
 
 
-def _radii(grid: PhaseSpaceGrid):
-    """``(radii, where)`` of :class:`_Geometry`, read-only."""
+def _radii(grid: PhaseSpaceGrid) -> _Geometry:
+    """The grid's :class:`_Geometry`, built afresh."""
     x, p = grid.x_axis[:, None], grid.p_axis[None, :]
     # radii are |beta|^2, with beta = 2*alpha and alpha = (x + i p)/sqrt(2)
     radii, where = np.unique((2.0 * (x * x + p * p)).ravel(), return_inverse=True)
-    return _read_only(radii), _read_only(where.reshape(grid.n_x, grid.n_p))
-
-
-def _geometry(grid: PhaseSpaceGrid, dim: int) -> _Geometry:
-    """The grid's kept geometry with at least ``dim`` Laguerre rows.
-
-    Row ``m`` does not depend on the dim, so a table built for a larger dim
-    serves a smaller one; a larger dim rebuilds it on the kept radii.
-    """
-
-    def build(kept):
-        radii, where = _radii(grid) if kept is None else kept[:2]
-        return _Geometry(radii, where, _read_only(_laguerre_functions(radii, dim)))
-
-    return _TABLES.get(("geometry", grid), lambda geo: geo.ell.shape[0] >= dim, build)
+    return _Geometry(_read_only(radii), _read_only(where.reshape(grid.n_x, grid.n_p)))
 
 
 def _kept_geometry(grid: PhaseSpaceGrid):
@@ -359,10 +358,37 @@ def _kept_geometry(grid: PhaseSpaceGrid):
     return _TABLES.peek(("geometry", grid))
 
 
+def _radial_wigner(diag: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    """``W = (1/pi) sum_m diag[m] ell_m(z)`` at every point of the grid.
+
+    The grid's Laguerre table ``ell[m]`` on its radii is kept, for ``m`` up
+    to at least the dim last asked for, while it fits the tables' budget;
+    row ``m`` does not depend on the dim, so a table built for a larger dim
+    serves a smaller one.  A table past the budget is built and summed a
+    slice of radii at a time, each slice's rows within the budget, and kept
+    nowhere; its sums differ from the whole table's only in the order BLAS
+    adds them (by under 1 eps of 1/pi).
+    """
+    d = diag.size
+    geo = _TABLES.get(("geometry", grid), lambda kept: True, lambda: _radii(grid))
+    radii = geo.radii
+    if d * radii.nbytes <= _TABLES.budget:
+        ell = _TABLES.get(("laguerre", grid), lambda kept: kept.shape[0] >= d,
+                          lambda: _read_only(_laguerre_functions(radii, d)))
+        per_radius = diag @ ell[:d]
+    else:
+        per_radius = np.empty(radii.size)
+        step = max(1, _TABLES.budget // (d * radii.itemsize))
+        for lo in range(0, radii.size, step):
+            per_radius[lo : lo + step] = diag @ _laguerre_functions(radii[lo : lo + step], d)
+    per_radius /= np.pi
+    return per_radius[geo.where]
+
+
 def _hermite_rows(lo: float, hi: float, points: int, count: int) -> np.ndarray:
     """``h_0 .. h_{count-1}`` at ``sqrt2 * linspace(lo, hi, points)``, kept per axis."""
 
-    def build(kept):
+    def build():
         return _read_only(_hermite_functions(math.sqrt(2.0) * np.linspace(lo, hi, points), count))
 
     table = _TABLES.get(("hermite", lo, hi, points), lambda rows: rows.shape[0] >= count, build)
@@ -421,7 +447,7 @@ def _separable_weights(rho: np.ndarray) -> np.ndarray:
     levels[rows + rows.T, rows] = np.triu(rho) + np.triu(rho, 1).conj().T
     parts = np.stack([levels.real, levels.imag], axis=1)
     folded = np.empty((size, 2, size))  # folded[N, :, k]: sum_m rho[m, N-m] B_N[m, k]
-    blocks = _TABLES.get(("blocks", d), lambda kept: True, lambda kept: _beam_splitter_blocks(d))
+    blocks = _TABLES.get(("blocks", d), lambda kept: True, lambda: _beam_splitter_blocks(d))
     for n, block in enumerate(blocks):
         lo, hi = max(0, n - d + 1), min(n, d - 1)
         np.matmul(parts[n, :, lo : hi + 1], block, out=folded[n, :, : n + 1])
@@ -454,9 +480,10 @@ def wigner(
     and each point's index among them) per grid, the blocks ``B_N`` per dim
     and the Hermite rows per axis.  A table built for a larger dim serves a
     smaller one.  Together they hold at most 64 MiB, the least recently used
-    going first; one larger than that is built for its call alone.  Every
-    table is read-only, and a state gives the same bits on a kept table as
-    on a fresh one.  :func:`~qdetchar.fileio.write_wigner_grid` reads the
+    going first; one larger than that is built for its call alone, and a
+    Laguerre table a slice of radii at a time, each slice within 64 MiB.
+    Every table is read-only, and a state gives the same bits on a kept
+    table as on a fresh one.  :func:`~qdetchar.fileio.write_wigner_grid` reads the
     kept geometry and builds none.
 
     Warns when the grid reaches further than the truncated basis can
@@ -481,9 +508,7 @@ def wigner(
         hp = _hermite_rows(grid.p_min, grid.p_max, grid.n_p, 2 * d - 1)
         values = (hx.T @ _separable_weights(rho)) @ hp / math.sqrt(np.pi)
     else:
-        geo = _geometry(grid, d)
-        per_radius = rho.diagonal().real @ geo.ell[:d] / np.pi
-        values = per_radius[geo.where]
+        values = _radial_wigner(rho.diagonal().real, grid)
     if not np.isfinite(values).all():
         raise ValueError(f"Wigner values at dim {d} overflow; input is not a valid state")
     vmin = float(np.min(values))

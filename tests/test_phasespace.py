@@ -634,8 +634,7 @@ class TestKernelTables:
             for rho, values in zip(states, want):
                 assert wigner(rho, grid).values.tobytes() == values
         if kind == "diagonal":
-            geo = phasespace._kept_geometry(grid)
-            assert geo.ell.shape[0] == max(dims)
+            assert phasespace._TABLES.peek(("laguerre", grid)).shape[0] == max(dims)
 
     def test_signed_zero_twins_give_identical_bits(self):
         # no path reads an angle, so equal grids that differ only in the sign
@@ -661,7 +660,7 @@ class TestKernelTables:
             kinds.add(key[0])
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[-1]
-        assert kinds == {"geometry", "hermite", "blocks"}
+        assert kinds == {"geometry", "laguerre", "hermite", "blocks"}
 
     def test_tables_stay_within_their_budget(self, monkeypatch):
         assert phasespace._TABLES.budget == phasespace._TABLE_BYTES == 64 * 2**20
@@ -681,7 +680,36 @@ class TestKernelTables:
         want = fresh_wigner(thermal(0.5, 6), big)
         assert wigner(thermal(0.5, 6), big).values.tobytes() == want.tobytes()
         assert phasespace._kept_geometry(big) is None
+        assert phasespace._TABLES.nbytes <= budget
         phasespace._TABLES.clear()
+
+    @pytest.mark.parametrize("dim", [2, 30, 200])
+    def test_laguerre_table_past_the_budget_is_summed_in_slices(self, monkeypatch, dim):
+        # a table larger than the budget is built a slice of radii at a time,
+        # each slice within the budget, and none is kept; the sums differ from
+        # the whole table's only in the order BLAS adds them (0.8 eps seen)
+        grid = PhaseSpaceGrid(-7.0, 3.1, -2.0, 9.0, 61, 47)
+        rho = _state("diagonal", dim, 11)
+        want = fresh_wigner(rho, grid)
+        radii = phasespace._radii(grid).radii
+        budget = 8 * dim * 100
+        assert dim * radii.nbytes > budget
+        built = []
+        build = phasespace._laguerre_functions
+
+        def recorded(z, count):
+            built.append(z.size * count * 8)
+            return build(z, count)
+
+        monkeypatch.setattr(phasespace, "_laguerre_functions", recorded)
+        monkeypatch.setattr(phasespace._TABLES, "budget", budget)
+        phasespace._TABLES.clear()
+        got = [wigner(rho, grid).values for _ in range(2)]
+        assert len(built) == 2 * -(-radii.size // 100) and max(built) <= budget
+        assert phasespace._TABLES.peek(("laguerre", grid)) is None
+        assert phasespace._TABLES.nbytes <= budget
+        assert got[0].tobytes() == got[1].tobytes() == fresh_wigner(rho, grid).tobytes()
+        np.testing.assert_allclose(got[0], want, rtol=0, atol=2 * oracles.EPS / np.pi)
 
     def test_threads_sharing_the_cache_get_fresh_bits(self):
         # threads race to build the same tables: geometries for the state
