@@ -59,6 +59,7 @@ from .herald import retrodictive_limit_scan
 from .phasespace import PhaseSpaceGrid, wigner, witness_report
 from .retrodiction import (
     EstimatorReport,
+    _rows_from_weights,
     estimator_identity_residuals,
     estimator_report,
     projectivity,
@@ -137,14 +138,28 @@ def _witnesses(retro, grid, tols, thresholds):
 
 
 def _report(povm, digest, targets, grid, tols, thresholds) -> ReportFile:
-    """Retrodict each live outcome once; its estimator rows and witness row read that state."""
+    """Every live outcome's estimator rows and witness row, one outcome after another.
+
+    A POVM with ``weights`` (every element real and diagonal) has its
+    estimator rows built from them for all outcomes at once; any other POVM,
+    and an outcome those rows cannot serve, has each live outcome retrodicted
+    once, and its estimator rows and witness row read that state.
+    """
+    batch = [None] * len(povm)
+    if povm.weights is not None:
+        batch = _rows_from_weights(povm, targets, thresholds, tols)
     rows, witness_rows = [], []
-    for element in povm:
+    for element, ready in zip(povm, batch):
         if element.is_null(tols):
             print(f"skipping null outcome {element.label!r}", file=sys.stderr)
             continue
+        if ready is not None and grid is None:
+            rows += ready
+            continue
         retro = retrodicted_state(element, tols)
-        rows += [estimator_report(retro, ket, label, thresholds, tols) for label, ket in targets]
+        if ready is None:
+            ready = [estimator_report(retro, ket, label, thresholds, tols) for label, ket in targets]
+        rows += ready
         if grid is not None:
             witness_rows.append(_witnesses(retro, grid, tols, thresholds)[1])
     return ReportFile(

@@ -28,7 +28,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances, _number
 from .errors import PovmValidationError
 from .fock import (
-    _frozen, _one_dim, _spectrum, _square, _unit_ket, check_dim, eig_hermitian,
+    _frozen, _is_diagonal, _one_dim, _spectrum, _square, _unit_ket, check_dim, eig_hermitian,
     hermiticity_defect,
 )
 
@@ -121,6 +121,25 @@ class Povm:
     def labels(self) -> tuple:
         return tuple(e.label for e in self.elements)
 
+    @cached_property
+    def weights(self):
+        """``P[k, m] = <m|E_k|m>``, outcomes by levels, read-only; ``None`` unless every
+        element is real and diagonal.
+
+        An element counts as diagonal when no off-diagonal entry is non-zero, the
+        test :func:`~qdetchar.fock._spectrum` reads its eigenvalues by, and as real
+        when no diagonal entry has an imaginary part.  Built on first read from
+        each element's diagonal.
+        """
+        p = np.empty((len(self.elements), self.dim))
+        for row, e in zip(p, self.elements):
+            diag = np.diagonal(e.matrix)
+            if not _is_diagonal(e.matrix) or diag.imag.any():
+                return None
+            row[:] = diag.real
+        p.setflags(write=False)
+        return p
+
     def outcome(self, label: str) -> PovmElement:
         for e in self.elements:
             if e.label == label:
@@ -148,6 +167,25 @@ def _diagonal_povm(labels, diagonals) -> Povm:
     return Povm(tuple(map(PovmElement, labels, block)), guard_levels=0)
 
 
+def _loss_powers(eta: float, powers: np.ndarray) -> np.ndarray:
+    """Correct ``powers``, the caller's ``fl(1 - eta)**k`` for ``k = 0, 1, ...``,
+    in place to ``(1 - eta)**k``, each within about one ulp whatever ``k``.
+
+    ``1.0 - eta`` is exact for ``eta >= 0.5`` (Sterbenz's lemma) but rounded
+    below, and the k-th power of a base with relative error ``r`` has error
+    ``k r``.  So the base is two terms: ``hi = fl(1 - eta)`` and ``lo``, its
+    exact rounding error (Fast2Sum, as ``1 >= eta``), and each power becomes
+    ``hi**k (1 + k lo / hi)``, whose dropped terms are of order ``(k lo / hi)**2``,
+    below ``k**2 * 1e-32``.  Where ``lo`` is 0 the powers are left as they are,
+    bit for bit.
+    """
+    hi = 1.0 - eta
+    lo = (1.0 - hi) - eta
+    if lo:
+        powers += powers * (np.arange(powers.size) * (lo / hi))
+    return powers
+
+
 def ideal_pnr(dim: int) -> Povm:
     """Perfect photon-number resolving detector: projectors ``|n><n|``."""
     d = check_dim(dim)
@@ -172,7 +210,7 @@ def lossy_pnr(eta: float, dim: int) -> Povm:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
     # Exact binomials C(m, n), m = n..d-1: by the hockey-stick identity each
     # row is the running sum of the one before.  Every weight precedes the block.
-    loss = np.array([(1.0 - eta) ** k for k in range(d)])
+    loss = _loss_powers(eta, np.array([(1.0 - eta) ** k for k in range(d)]))
     weights = np.zeros((d, d))
     row = np.ones(d, dtype=object)
     for n in range(d):
@@ -199,7 +237,7 @@ def on_off_apd(eta: float, nu: float, dim: int) -> Povm:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"dark-count rate must lie in [0, 1], got {nu}")
-    off = (1.0 - nu) * (1.0 - eta) ** np.arange(d)
+    off = (1.0 - nu) * _loss_powers(eta, (1.0 - eta) ** np.arange(d))
     return _diagonal_povm(["off", "on"], np.array([off, 1.0 - off]))
 
 

@@ -203,6 +203,11 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
+def _is_diagonal(m: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the square array ``m`` is exactly zero."""
+    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+
+
 def _spectrum(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of ``hermitize(m)``, as ``np.linalg.eigvalsh`` gives them.
 
@@ -219,7 +224,7 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     w = 0.5 * (diag.real + diag.real)  # the diagonal of hermitize(m), overflow included
     signs = np.signbit(w[w == 0.0])
     mixed_zeros = signs.any() and not signs.all()
-    if np.count_nonzero(m) == np.count_nonzero(diag) and not mixed_zeros:
+    if _is_diagonal(m) and not mixed_zeros:
         return np.sort(w)
     h = hermitize(m)
     if np.isfinite(h).all():

@@ -352,6 +352,24 @@ def _identity_problems(row: EstimatorReport) -> list:
     return [f"breaks the estimator identities (residuals {shown})"]
 
 
+def _checked_row(label, proj, ideal, weight, thresholds, target_label=None, fid=None, det=None):
+    """One outcome's :class:`EstimatorReport`; a ``RuntimeError`` if it breaks the identities."""
+    row = EstimatorReport(
+        outcome_label=label,
+        projectivity=proj,
+        ideality=ideal,
+        trace_weight=weight,
+        category=classify_outcome(proj, ideal, thresholds),
+        target=target_label if fid is not None else None,
+        fidelity=fid,
+        detectivity=det,
+    )
+    broken = _identity_problems(row)
+    if broken:
+        raise RuntimeError(f"outcome {label!r} {broken[0]}")
+    return row
+
+
 def estimator_report(
     element,
     target: Optional[np.ndarray] = None,
@@ -375,17 +393,91 @@ def estimator_report(
     if target is not None:
         fid = fidelity(retro, target)
         det = detectivity(retro, target, tols)
-    row = EstimatorReport(
-        outcome_label=retro.element.label,
-        projectivity=proj,
-        ideality=ideal,
-        trace_weight=retro.trace_weight,
-        category=classify_outcome(proj, ideal, thresholds),
-        target=target_label if target is not None else None,
-        fidelity=fid,
-        detectivity=det,
+    return _checked_row(
+        retro.element.label, proj, ideal, retro.trace_weight, thresholds, target_label, fid, det
     )
-    broken = _identity_problems(row)
-    if broken:
-        raise RuntimeError(f"outcome {retro.element.label!r} {broken[0]}")
-    return row
+
+
+def _trace_sums(x: np.ndarray) -> np.ndarray:
+    """Row sums of real ``x``, added as ``np.trace`` adds a complex diagonal (pairwise)."""
+    packed = np.zeros(x.shape, dtype=complex)
+    packed.real = x
+    return packed.sum(axis=1).real
+
+
+def _ordered_sums(x: np.ndarray) -> np.ndarray:
+    """Row sums of ``x`` added left to right, as ``einsum("ij,ji->")`` adds a diagonal's products."""
+    return np.cumsum(x, axis=1)[:, -1]
+
+
+def _rows_from_weights(povm: Povm, targets, thresholds, tols) -> list:
+    """Each outcome's :func:`estimator_report` rows for ``targets``, from ``povm.weights``.
+
+    A retrodicted state of a real-diagonal POVM is a row of ``P / w``, ``w =
+    P.sum(1)``, and each estimator a row reduction: projectivity and ideality
+    ``sum(P**2) / w**2`` and ``/ w``, and with a ket ``t`` the fidelity ``S =
+    sum(|t|**2 P / w)`` and the detectivity ``w S``.  So each is computed once
+    for every outcome, each target once for every outcome.  Each sum adds in
+    the order of the per-outcome route's numpy call, so the trace weight,
+    projectivity, ideality and detectivity keep its bits; the fidelity, which
+    that route takes through BLAS, moves by a few ulp.
+
+    ``targets`` is ``[(label, ket), ...]``, or ``[(None, None)]`` for rows
+    without one.  An outcome's entry is ``None`` where the per-outcome route
+    must build its rows: a null outcome, and one whose state or rows fail any
+    check (every live one when a target does), so that each refusal is that
+    route's, word for word and in its place.
+    """
+    p = povm.weights
+    # A row that divides by zero or overflows fails its trace check or, past
+    # it, its identity check, and goes to the per-outcome route.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weight = _trace_sums(p)
+        rho = p * (1.0 / weight)[:, None]  # E / w as numpy divides a complex matrix by a float
+        proj = _ordered_sums(rho * rho)
+        ideal = _ordered_sums(p * p) / weight
+        ok = (
+            (weight > tols.trace_floor)
+            & (np.abs(_trace_sums(rho) - 1.0) <= tols.norm)
+            & (p.min(axis=1) / weight >= -tols.psd)
+        )
+        overlaps = _target_overlaps(rho, targets)
+    if overlaps is None:
+        ok[:] = False
+    batch = []
+    for i, element in enumerate(povm):
+        batch.append(None)
+        if not ok[i]:
+            continue
+        w, pi, ii = float(weight[i]), float(proj[i]), float(ideal[i])
+        rows = []
+        try:
+            for (label, _), s in zip(targets, overlaps):
+                fid = det = None
+                if s is not None:
+                    fid = min(max(float(s[i]), 0.0), 1.0)
+                    det = _probability(w * float(s[i]), tols)
+                rows.append(_checked_row(element.label, pi, ii, w, thresholds, label, fid, det))
+        except (ValueError, RuntimeError):
+            continue  # the per-outcome route refuses it, in its wording and its place
+        batch[-1] = rows
+    return batch
+
+
+def _target_overlaps(rho: np.ndarray, targets):
+    """Per target, ``<t|rho_k|t>`` of each diagonal state row ``rho_k`` (``None`` for no target);
+    ``None`` if a target fails a check of the per-outcome route."""
+    overlaps = []
+    for label, ket in targets:
+        if ket is None:
+            overlaps.append(None)
+            continue
+        if label is None:
+            return None
+        try:
+            t = _unit_ket(ket, "target")
+            _same_dim("target", t.size, "element", rho.shape[1])
+        except ValueError:
+            return None
+        overlaps.append(_ordered_sums(rho * (t * t.conj()).real))
+    return overlaps

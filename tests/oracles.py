@@ -37,6 +37,17 @@ And one for ``detectors.lossy_pnr``:
   eta)^(m - n)`` in exact rationals from the given double ``eta``, rounded
   once.
 
+And two for the estimators of a diagonal POVM (``retrodiction``):
+
+- ``diagonal_estimators`` is the trace weight, projectivity ``sum p^2 /
+  (sum p)^2``, ideality ``sum p^2 / sum p`` and, for a ket, fidelity and
+  detectivity of an element with diagonal ``p``, in exact rationals and
+  rounded once; ``lossy_pnr_estimators`` takes ``p`` from the exact
+  weights of ``lossy_pnr_weight``, unrounded.
+- ``untruncated_lossy_pnr_projectivity`` is outcome ``n``'s projectivity
+  over every level, ``eta^(2n+2) 2F1(n+1, n+1; 1; (1-eta)^2)``, at 50
+  digits; its ideality is that over ``eta``, since ``Tr E_n = 1 / eta``.
+
 Errors against them are stated in units of ``EPS``, or of the ulp of the
 truth where it spans many decades.
 """
@@ -197,7 +208,43 @@ def heralded_state(element, lam: float, digits: int = 50):
         return state, float(prob)
 
 
+def _exact_lossy_pnr_weight(eta: float, m: int, n: int) -> Fraction:
+    if m < n:
+        return Fraction(0)
+    e = Fraction(eta)
+    return math.comb(m, n) * e**n * (1 - e) ** (m - n)
+
+
 def lossy_pnr_weight(eta: float, m: int, n: int) -> float:
     """``<m| E_n |m>`` of ``lossy_pnr(eta, dim)``, exact in rationals and rounded once."""
-    e = Fraction(eta)
-    return float(math.comb(m, n) * e**n * (1 - e) ** (m - n))
+    return float(_exact_lossy_pnr_weight(eta, m, n))
+
+
+def diagonal_estimators(weights, ket=None) -> dict:
+    """The estimators of the element ``diag(weights)``, exact in rationals and rounded once.
+
+    Each weight and each entry of ``ket`` is read exactly, and the ket is
+    normalized exactly.  Keys: ``trace_weight``, ``projectivity``,
+    ``ideality`` and, with a ket, ``fidelity`` and ``detectivity``.
+    """
+    p = [Fraction(x) for x in weights]
+    s1, s2 = sum(p), sum(x * x for x in p)
+    out = {"trace_weight": float(s1), "projectivity": float(s2 / s1**2), "ideality": float(s2 / s1)}
+    if ket is not None:
+        t2 = [Fraction(complex(z).real) ** 2 + Fraction(complex(z).imag) ** 2 for z in ket]
+        overlap = sum(a * b for a, b in zip(t2, p)) / sum(t2)
+        out["fidelity"] = float(overlap / s1)
+        out["detectivity"] = float(overlap)
+    return out
+
+
+def lossy_pnr_estimators(eta: float, dim: int, n: int, ket=None) -> dict:
+    """``diagonal_estimators`` of outcome ``n`` of ``lossy_pnr(eta, dim)`` on its exact weights."""
+    return diagonal_estimators([_exact_lossy_pnr_weight(eta, m, n) for m in range(dim)], ket)
+
+
+def untruncated_lossy_pnr_projectivity(eta: float, n: int, digits: int = 50) -> float:
+    """Outcome ``n``'s projectivity over every level, ``eta^(2n+2) 2F1(n+1, n+1; 1; (1-eta)^2)``."""
+    with mpmath.workdps(digits):
+        e = mpmath.mpf(eta)
+        return float(e ** (2 * n + 2) * mpmath.hyp2f1(n + 1, n + 1, 1, (1 - e) ** 2))

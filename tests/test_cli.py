@@ -35,7 +35,7 @@ from qdetchar import (
     save_povm,
     uniform_fock_ensemble,
 )
-from qdetchar import retrodiction
+from qdetchar import cli, retrodiction
 from qdetchar.cli import build_parser, main, parse_target
 from qdetchar.detectors import lossy_pnr, on_off_apd
 
@@ -525,6 +525,87 @@ class TestTargetNumbers:
             assert code == 2
             assert err.startswith(f"error: target {target!r}:") and "finite" in err
             assert not out.exists()
+
+
+class TestEstimatorRoutes:
+    """A POVM with ``weights`` gets its rows from them, any other one outcome at a time.
+
+    Each case runs ``characterize`` twice: as it is, and with ``Povm.weights``
+    read as ``None``, which sends any POVM down the per-outcome route.  Exit
+    code, stdout, stderr and the report must match.
+    """
+
+    @staticmethod
+    def both_routes(tmp_path, capsys, monkeypatch, povm, *flags):
+        path = tmp_path / "povm.json"
+        save_povm(povm, path)
+        runs = []
+        for route in ("weights", "per outcome"):
+            out = tmp_path / f"{route}.json"
+            with monkeypatch.context() as m:
+                if route == "per outcome":
+                    m.setattr(Povm, "weights", property(lambda self: None))
+                code, text, err = run(capsys, "characterize", str(path), *flags, "--out", str(out))
+            report = out.read_bytes() if out.exists() else None
+            runs.append((code, text.replace(str(out), "OUT"), err, report))
+        assert runs[0] == runs[1]
+        return runs[0]
+
+    def test_a_small_outcome_failing_its_state_check_is_refused_in_the_per_outcome_wording(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # -5e-11 passes validation (psd 1e-10), but over a weight of 1e-3 the
+        # retrodicted state's least eigenvalue is -5e-8
+        small = np.diag([1e-3, -5e-11, 0.0, 0.0])
+        zero = np.zeros((4, 4))
+        povm = Povm((
+            PovmElement("null a", zero), PovmElement("small", small),
+            PovmElement("null b", zero), PovmElement("rest", np.eye(4) - small),
+        ))
+        code, text, err, report = self.both_routes(
+            tmp_path, capsys, monkeypatch, povm, "--target", "fock:1"
+        )
+        assert code == 2 and text == "" and report is None
+        assert err == (
+            "skipping null outcome 'null a'\n"
+            "error: retrodicted state of 'small': negative eigenvalue -5e-08 beyond 1e-10\n"
+        )
+
+    def test_an_imaginary_diagonal_entry_takes_the_per_outcome_route(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        report = cli.estimator_report
+
+        def spy(*args):
+            calls.append(args[0].element.label)
+            return report(*args)
+
+        monkeypatch.setattr(cli, "estimator_report", spy)
+        real = np.diag([0.5, 0.25, 0.125]).astype(complex)
+        imaginary = real.copy()
+        imaginary[1, 1] += 1e-12j  # a Hermiticity defect of 2e-12, within 1e-10
+        for e, expected in ((real, []), (imaginary, ["a", "b"])):
+            calls.clear()
+            path, out = tmp_path / "povm.json", tmp_path / "report.json"
+            save_povm(Povm((PovmElement("a", e), PovmElement("b", np.eye(3) - e))), path)
+            assert (load_povm(path).weights is None) == bool(expected)
+            assert run(capsys, "characterize", str(path), "--target", "fock:1", "--out", str(out))[0] == 0
+            assert calls == expected
+
+    # the one live state, I/3, trips the moments' truncation warning
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
+    @pytest.mark.parametrize(
+        "witnesses", [[], ["--witnesses", "--grid-points", "11"]], ids=["rows", "witnesses"]
+    )
+    def test_null_outcomes_print_one_notice_each_in_label_order(
+        self, tmp_path, capsys, monkeypatch, witnesses
+    ):
+        zero = np.zeros((3, 3))
+        labels = ["z", "live", "a", "m"]
+        povm = Povm(tuple(PovmElement(label, np.eye(3) if label == "live" else zero) for label in labels))
+        flags = ["--target", "fock:0", *witnesses]
+        code, _, err, _ = self.both_routes(tmp_path, capsys, monkeypatch, povm, *flags)
+        assert code == 0
+        assert err == "".join(f"skipping null outcome {label!r}\n" for label in ("z", "a", "m"))
 
 
 class TestWigner:

@@ -29,6 +29,15 @@ from qdetchar import (
 from qdetchar.fock import _spectrum, hermitize
 
 
+def loss_power_step(eta):
+    """``lo / hi``: ``hi = fl(1 - eta)`` and ``lo`` its exact rounding error, by
+    which a loss power ``hi**k`` is corrected to ``hi**k + hi**k * (k * (lo / hi))``;
+    0 where ``1.0 - eta`` is exact, as it is for every ``eta >= 0.5``."""
+    hi = 1.0 - eta
+    lo = (1.0 - hi) - eta
+    return lo / hi if lo else 0.0
+
+
 class TestContainers:
     def test_element_basic_properties(self):
         el = PovmElement("x", 0.25 * np.eye(4))
@@ -145,11 +154,15 @@ class TestLossyPnr:
 
     @staticmethod
     def assert_entries_are_the_per_entry_formula(eta, d):
-        """Each entry equals ``comb(m, n) * eta**n * (1.0 - eta) ** (m - n)`` bit for bit."""
+        """Each entry equals ``comb(m, n) * eta**n * power`` bit for bit, ``power``
+        being ``(1.0 - eta) ** (m - n)`` with its two-term correction."""
+        step = loss_power_step(eta)
         for n, e in enumerate(lossy_pnr(eta, d)):
             want = np.zeros((d, d), dtype=complex)
             for m in range(n, d):
-                want[m, m] = comb(m, n) * eta**n * (1.0 - eta) ** (m - n)
+                power = (1.0 - eta) ** (m - n)
+                power += power * ((m - n) * step)
+                want[m, m] = comb(m, n) * eta**n * power
             assert e.matrix.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -160,23 +173,30 @@ class TestLossyPnr:
     def test_entries_at_dim_200_are_the_per_entry_formula_bit_for_bit(self):
         self.assert_entries_are_the_per_entry_formula(0.5, 200)
 
-    @pytest.mark.parametrize("dim", [2, 12, 60])
-    @pytest.mark.parametrize("eta", [0.9, 0.5, 0.2])
-    def test_weights_lie_within_their_budget_of_the_exact_binomial(self, eta, dim):
-        # Five roundings (the binomial, eta**n, the loss power and two
-        # products) cost at most 5 ulp.  Past them, the rounded base 1.0 - eta,
-        # exact for eta >= 0.5 by Sterbenz's lemma, carries a relative error r
-        # into each of the m - n factors, at most 2 r / EPS ulp apiece.
-        # Measured worst: 2 ulp at (0.9, 60), 0 at 0.5, 35 at (0.2, 60).
-        exact = 1 - Fraction(eta)
-        r = float(abs(Fraction(1.0 - eta) - exact) / exact)
+    # Five roundings (the binomial, eta**n, the loss power, its two-term
+    # correction and two products, one of them exact for eta >= 0.5) cost at
+    # most 5 ulp, whatever the dim: the two-term base 1 - eta leaves no error
+    # that grows with m - n.  Measured worst: 3 ulp at every eta and dim below,
+    # against 35 ulp at (0.2, 60) and 119 at (0.2, 200) with a rounded base.
+    WEIGHT_ULP = 5
+
+    def assert_weights_within_budget(self, eta, dim, levels):
         for n, e in enumerate(lossy_pnr(eta, dim)):
             got = np.real(np.diagonal(e.matrix))
             assert not got[:n].any()
-            for m in range(n, dim):
+            for m in levels(n):
                 want = oracles.lossy_pnr_weight(eta, m, n)
-                budget = 5 + 2 * (m - n) * r / oracles.EPS
-                assert abs(got[m] - want) <= budget * np.spacing(want), (n, m)
+                assert abs(got[m] - want) <= self.WEIGHT_ULP * np.spacing(want), (n, m)
+
+    @pytest.mark.parametrize("dim", [2, 12, 60])
+    @pytest.mark.parametrize("eta", [0.9, 0.5, 0.2, 0.05])
+    def test_weights_lie_within_their_budget_of_the_exact_binomial(self, eta, dim):
+        self.assert_weights_within_budget(eta, dim, lambda n: range(n, dim))
+
+    @pytest.mark.parametrize("eta", [0.2, 0.05])
+    def test_weights_below_half_efficiency_keep_the_budget_at_dim_200(self, eta):
+        # every seventh level of each outcome, the last one included
+        self.assert_weights_within_budget(eta, 200, lambda n: range(199, n - 1, -7))
 
     def test_weight_overflow_raises_before_the_block_is_allocated(self, monkeypatch):
         zeros = np.zeros
@@ -226,10 +246,23 @@ class TestOnOffApd:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(2, 60))
     def test_elements_are_the_diagonal_matrices_bit_for_bit(self, eta, nu, d):
-        off = (1.0 - nu) * (1.0 - eta) ** np.arange(d)
+        k = np.arange(d)
+        power = (1.0 - eta) ** k
+        off = (1.0 - nu) * (power + power * (k * loss_power_step(eta)))
         p = on_off_apd(eta, nu, d)
         assert p.outcome("off").matrix.tobytes() == np.diag(off).astype(complex).tobytes()
         assert p.outcome("on").matrix.tobytes() == np.diag(1 - off).astype(complex).tobytes()
+
+    @pytest.mark.parametrize("dim", [12, 60, 200])
+    @pytest.mark.parametrize("eta, nu", [(0.2, 0.0), (0.05, 0.0), (0.2, 0.02), (0.9, 0.02)])
+    def test_no_click_weights_lie_within_3_ulp_of_the_exact_power(self, eta, nu, dim):
+        # 1 - nu, the power and its two-term correction, and one product, each
+        # rounded once; measured worst 2 ulp (35 ulp at (0.2, 60) and 119 at
+        # (0.2, 200) with a rounded base)
+        got = np.real(np.diagonal(on_off_apd(eta, nu, dim).outcome("off").matrix))
+        for m in range(dim):
+            want = float((1 - Fraction(nu)) * (1 - Fraction(eta)) ** m)
+            assert abs(got[m] - want) <= 3 * np.spacing(want), m
 
     def test_click_probability_on_two_photons(self):
         # 1 - (1-eta)^2 at eta = 0.5 and no dark counts
