@@ -19,17 +19,16 @@ of the diagonal with a table of ``ell_m`` on the grid's distinct radii.
 
 Neither path's tables depend on the state, and one process evaluates every
 outcome of a measurement on one grid, so each table is built once and kept
-in ``_TABLES``: the grid's geometry and Laguerre table under the grid, the
-beam-splitter blocks ``B_N`` under the dim and the Hermite rows under the
-axis ``(min, max, points)``.  A table of more rows serves fewer, so a grid's
-Laguerre table built for a larger dim serves a smaller one.  Together they
-hold at most ``_TABLE_BYTES`` (64 MiB), least recently used first out; every
-kept array is read-only.  A table past the budget is built for its call and
-not kept, and a Laguerre table is then built and summed a slice of radii at
-a time, so that no call holds more of it than the budget.  The Hermite and
-Laguerre tables run on mantissas with each point's power of two kept apart,
-so they reach every point of a valid grid without overflow or early
-underflow.
+in ``_TABLES`` under its builder and the arguments it was built from: the
+grid's geometry and its Laguerre table for each dim, the beam-splitter
+blocks ``B_N`` for each dim, and the Hermite rows for each axis and count.
+Together they hold at most ``_TABLE_BYTES`` (64 MiB), least recently used
+first out; every kept array is read-only.  A table past the budget is built
+for its call and not kept, and a Laguerre table is then built and summed a
+slice of radii at a time, so that no call holds more of it than the budget.
+The Hermite and Laguerre tables run on mantissas with each point's power of
+two kept apart, so they reach every point of a valid grid without overflow
+or early underflow.
 """
 
 from __future__ import annotations
@@ -165,24 +164,21 @@ class WignerGrid:
 _NEGLIGIBLE = 1e-18
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _nbytes(value) -> int:
-    """Bytes of a kept table: one array, or a tuple of them."""
-    return value.nbytes if isinstance(value, np.ndarray) else sum(a.nbytes for a in value)
+def _arrays(table) -> tuple:
+    """The arrays of a kept table: the table itself, or the tuple it is."""
+    return table if isinstance(table, tuple) else (table,)
 
 
 class _Tables:
-    """The kernel's read-only tables, kept across calls within ``budget`` bytes.
+    """The kernel's tables, each kept under ``(build, *args)`` within ``budget`` bytes.
 
-    The least recently used go first once the total passes the budget; a
-    table larger than the whole budget is built for its call and not kept.
-    A lock covers each lookup and store but no build, so a call waits only
-    on another's bookkeeping; two threads that miss the same key both build
-    it, and the table stored first serves both if it is enough.
+    ``get(build, *args)`` returns ``build(*args)``, built on the first call
+    and kept for later ones, every array of it read-only.  The least recently
+    used go first once the total passes the budget; a table larger than the
+    whole budget is built for its call and not kept.  A lock covers each
+    lookup and store but no build, so a call waits only on another's
+    bookkeeping; two threads that miss the same key both build it, and the
+    one stored first is kept.
     """
 
     def __init__(self, budget: int):
@@ -191,48 +187,30 @@ class _Tables:
         self._kept = collections.OrderedDict()
         self._lock = threading.Lock()
 
-    def peek(self, key):
-        """The table kept under ``key``, or ``None``; builds nothing."""
+    def peek(self, build, *args):
+        """The table kept under ``(build, *args)``, or ``None``; builds nothing."""
         with self._lock:
-            return self._kept.get(key)
+            return self._kept.get((build, *args))
 
-    def _hit(self, key, enough):
-        """The table under ``key`` if ``enough(table)``, marked as just used; call locked."""
-        kept = self._kept.get(key)
-        if kept is None or not enough(kept):
-            return None
-        self._kept.move_to_end(key)
-        return kept
-
-    def _drop(self, key) -> None:
-        """Forget the table under ``key``, if any; call locked."""
-        old = self._kept.pop(key, None)
-        if old is not None:
-            self.nbytes -= _nbytes(old)
-
-    def get(self, key, enough, build):
-        """The kept table if ``enough(table)``, else ``build()``, stored under ``key``.
-
-        A kept table that is not enough is dropped before the build, so the
-        store never holds it and its successor at once.
-        """
+    def get(self, build, *args):
+        key = (build, *args)
         with self._lock:
-            kept = self._hit(key, enough)
+            kept = self._kept.get(key)
             if kept is not None:
+                self._kept.move_to_end(key)
                 return kept
-            self._drop(key)
-        value = build()
+        table = build(*args)
+        size = 0
+        for a in _arrays(table):
+            a.flags.writeable = False
+            size += a.nbytes
         with self._lock:
-            kept = self._hit(key, enough)  # another thread stored one meanwhile
-            if kept is not None:
-                return kept
-            self._drop(key)
-            if _nbytes(value) <= self.budget:
-                self._kept[key] = value
-                self.nbytes += _nbytes(value)
+            if size <= self.budget and key not in self._kept:
+                self._kept[key] = table
+                self.nbytes += size
                 while self.nbytes > self.budget:
-                    self.nbytes -= _nbytes(self._kept.popitem(last=False)[1])
-            return value
+                    self.nbytes -= sum(a.nbytes for a in _arrays(self._kept.popitem(last=False)[1]))
+        return table
 
     def clear(self) -> None:
         with self._lock:
@@ -338,7 +316,7 @@ class _Geometry(typing.NamedTuple):
 
     ``radii`` are the grid's distinct ``z = |beta|^2 = 2 (x^2 + p^2)`` in
     ascending order and ``where[i, j]`` the index of point ``(x_i, p_j)``
-    among them; both are read-only.
+    among them.
     """
 
     radii: np.ndarray
@@ -350,32 +328,34 @@ def _radii(grid: PhaseSpaceGrid) -> _Geometry:
     x, p = grid.x_axis[:, None], grid.p_axis[None, :]
     # radii are |beta|^2, with beta = 2*alpha and alpha = (x + i p)/sqrt(2)
     radii, where = np.unique((2.0 * (x * x + p * p)).ravel(), return_inverse=True)
-    return _Geometry(_read_only(radii), _read_only(where.reshape(grid.n_x, grid.n_p)))
+    return _Geometry(radii, where.reshape(grid.n_x, grid.n_p))
 
 
 def _kept_geometry(grid: PhaseSpaceGrid):
     """The grid's geometry if the kernel keeps one, else ``None``; builds nothing."""
-    return _TABLES.peek(("geometry", grid))
+    return _TABLES.peek(_radii, grid)
+
+
+def _laguerre_table(grid: PhaseSpaceGrid, d: int) -> np.ndarray:
+    """Rows ``ell_0 .. ell_{d-1}`` on the grid's distinct radii."""
+    return _laguerre_functions(_TABLES.get(_radii, grid).radii, d)
 
 
 def _radial_wigner(diag: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     """``W = (1/pi) sum_m diag[m] ell_m(z)`` at every point of the grid.
 
-    The grid's Laguerre table ``ell[m]`` on its radii is kept, for ``m`` up
-    to at least the dim last asked for, while it fits the tables' budget;
-    row ``m`` does not depend on the dim, so a table built for a larger dim
-    serves a smaller one.  A table past the budget is built and summed a
-    slice of radii at a time, each slice's rows within the budget, and kept
-    nowhere; its sums differ from the whole table's only in the order BLAS
-    adds them (by under 1 eps of 1/pi).
+    The grid's Laguerre table for the dim (:func:`_laguerre_table`) is kept
+    while it fits the tables' budget and the grid's geometry is kept, which
+    it is built from.  Otherwise the table is built and summed a slice of
+    radii at a time, each slice's rows within the budget, and kept nowhere;
+    its sums differ from the whole table's only in the order BLAS adds them
+    (by under 1 eps of 1/pi), and not at all when one slice holds it.
     """
     d = diag.size
-    geo = _TABLES.get(("geometry", grid), lambda kept: True, lambda: _radii(grid))
+    geo = _TABLES.get(_radii, grid)
     radii = geo.radii
-    if d * radii.nbytes <= _TABLES.budget:
-        ell = _TABLES.get(("laguerre", grid), lambda kept: kept.shape[0] >= d,
-                          lambda: _read_only(_laguerre_functions(radii, d)))
-        per_radius = diag @ ell[:d]
+    if d * radii.nbytes <= _TABLES.budget and _kept_geometry(grid) is not None:
+        per_radius = diag @ _TABLES.get(_laguerre_table, grid, d)
     else:
         per_radius = np.empty(radii.size)
         step = max(1, _TABLES.budget // (d * radii.itemsize))
@@ -386,13 +366,8 @@ def _radial_wigner(diag: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
 
 
 def _hermite_rows(lo: float, hi: float, points: int, count: int) -> np.ndarray:
-    """``h_0 .. h_{count-1}`` at ``sqrt2 * linspace(lo, hi, points)``, kept per axis."""
-
-    def build():
-        return _read_only(_hermite_functions(math.sqrt(2.0) * np.linspace(lo, hi, points), count))
-
-    table = _TABLES.get(("hermite", lo, hi, points), lambda rows: rows.shape[0] >= count, build)
-    return table[:count]
+    """``h_0 .. h_{count-1}`` at ``sqrt2 * linspace(lo, hi, points)``."""
+    return _hermite_functions(math.sqrt(2.0) * np.linspace(lo, hi, points), count)
 
 
 def _beam_splitter_blocks(d: int) -> tuple:
@@ -404,12 +379,12 @@ def _beam_splitter_blocks(d: int) -> tuple:
     with ``n = N+1-m``, which keeps the blocks orthogonal where either
     parent alone loses it.  Each level keeps only the rows
     ``lo = max(0, N-d+1) .. hi = min(N, d-1)`` that a state has at that
-    ``N``: O(d^3) work and memory, all read-only.
+    ``N``: O(d^3) work and memory.
     """
     size = 2 * d - 1
     root = np.sqrt(np.arange(size + 1.0))
     rev = root[::-1]  # rev[size - j] = sqrt(j)
-    blocks = [_read_only(np.ones((1, 1)))]
+    blocks = [np.ones((1, 1))]
     for n in range(size - 1):
         lo, hi = max(0, n - d + 1), min(n, d - 1)
         # B_N / (sqrt2 (N+1)) on rows lo-1 .. hi+1 and columns k = -1 .. N+1, zero-padded
@@ -423,7 +398,7 @@ def _beam_splitter_blocks(d: int) -> tuple:
         a, b = slice(new_lo - lo, new_hi - lo + 1), slice(new_lo - lo + 1, new_hi - lo + 2)
         block = root[new_lo : new_hi + 1, None] * (stay[a] + move[a])
         block += rev[size - n - 1 + new_lo : size - n + new_hi, None] * (stay[b] - move[b])
-        blocks.append(_read_only(block))
+        blocks.append(block)
     return tuple(blocks)
 
 
@@ -447,8 +422,7 @@ def _separable_weights(rho: np.ndarray) -> np.ndarray:
     levels[rows + rows.T, rows] = np.triu(rho) + np.triu(rho, 1).conj().T
     parts = np.stack([levels.real, levels.imag], axis=1)
     folded = np.empty((size, 2, size))  # folded[N, :, k]: sum_m rho[m, N-m] B_N[m, k]
-    blocks = _TABLES.get(("blocks", d), lambda kept: True, lambda: _beam_splitter_blocks(d))
-    for n, block in enumerate(blocks):
+    for n, block in enumerate(_TABLES.get(_beam_splitter_blocks, d)):
         lo, hi = max(0, n - d + 1), min(n, d - 1)
         np.matmul(parts[n, :, lo : hi + 1], block, out=folded[n, :, : n + 1])
     # Re((-i)^k (re + i im)) is re, im, -re, -im as k = 0, 1, 2, 3 mod 4
@@ -476,15 +450,16 @@ def wigner(
     the grid's Laguerre table, O(d) per distinct radius.
 
     None of these tables depends on the state, so each is built once and
-    kept: the Laguerre table with the grid's geometry (its distinct radii
-    and each point's index among them) per grid, the blocks ``B_N`` per dim
-    and the Hermite rows per axis.  A table built for a larger dim serves a
-    smaller one.  Together they hold at most 64 MiB, the least recently used
-    going first; one larger than that is built for its call alone, and a
-    Laguerre table a slice of radii at a time, each slice within 64 MiB.
-    Every table is read-only, and a state gives the same bits on a kept
-    table as on a fresh one.  :func:`~qdetchar.fileio.write_wigner_grid` reads the
-    kept geometry and builds none.
+    kept under the arguments it was built from: the grid's geometry (its
+    distinct radii and each point's index among them) per grid, its
+    Laguerre table per grid and dim, the blocks ``B_N`` per dim and the
+    Hermite rows per axis and count.  Together they hold at most 64 MiB, the
+    least recently used going first; one larger than that is built for its
+    call alone, and a Laguerre table a slice of radii at a time, each slice
+    within 64 MiB.  Every table is read-only, and a state gives the same bits
+    on a kept table as on a fresh one.
+    :func:`~qdetchar.fileio.write_wigner_grid` reads the kept geometry and
+    builds none.
 
     Warns when the grid reaches further than the truncated basis can
     represent (``radius**2 > 2 * dim``).  Every valid grid is evaluated:
@@ -504,8 +479,8 @@ def wigner(
         )
     rho = np.where(np.abs(rho) > _NEGLIGIBLE, rho, 0.0)
     if np.any(np.triu(rho, 1)):
-        hx = _hermite_rows(grid.x_min, grid.x_max, grid.n_x, 2 * d - 1)
-        hp = _hermite_rows(grid.p_min, grid.p_max, grid.n_p, 2 * d - 1)
+        hx = _TABLES.get(_hermite_rows, grid.x_min, grid.x_max, grid.n_x, 2 * d - 1)
+        hp = _TABLES.get(_hermite_rows, grid.p_min, grid.p_max, grid.n_p, 2 * d - 1)
         values = (hx.T @ _separable_weights(rho)) @ hp / math.sqrt(np.pi)
     else:
         values = _radial_wigner(rho.diagonal().real, grid)

@@ -1,5 +1,6 @@
 """Wigner evaluation, moments, and non-classicality witnesses."""
 
+import collections
 import re
 import sys
 import threading
@@ -553,6 +554,26 @@ class TestAgainstTruth:
         separable = (hx.T @ phasespace._separable_weights(rho)) @ hp / np.sqrt(np.pi)
         np.testing.assert_allclose(radial, separable, rtol=0, atol=48 * oracles.EPS / np.pi)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.5, 6.0), st.integers(2, 121), st.integers(2, 24), st.integers(0, 2**32 - 1))
+    def test_a_quarter_turn_of_the_state_turns_its_wigner_function(self, radius, points, dim, seed):
+        # R = diag((-i)^n) = exp(-i pi/2 n) turns W by a quarter turn, which on
+        # a square grid symmetric about the origin permutes its points: the
+        # separable path checked against itself on other data.  The axes are
+        # antisymmetric only to about an ulp of the radius, so the two sides
+        # may differ; measured worst 13.2 eps of 1/pi over 6,000 random cases
+        # (dims 2-24, radius 0.5-6, 2-121 points), held to 32.
+        grid = PhaseSpaceGrid.symmetric(radius, points)
+        rho = random_density(np.random.default_rng(seed), dim)
+        phase = np.array([1, -1j, -1, 1j])[np.arange(dim) % 4]  # (-i)^n, exact
+        turned = rho * np.outer(phase, phase.conj())
+        fresh = [fresh_wigner(state, grid) for state in (rho, turned)]
+        kept = [wigner(state, grid).values for state in (rho, turned)]  # turned reads rho's tables
+        for w, w_turned in (fresh, kept):
+            np.testing.assert_allclose(
+                w_turned, np.rot90(w, 3), rtol=0, atol=32 * oracles.EPS / np.pi
+            )
+
     def test_hermite_functions_reach_past_the_underflow_of_h0(self):
         # h_0 underflows beyond |s| = 38.6, where h_399 is still 1e-163 at s = 45
         s = np.array([0.0, -3.7, 25.0, 38.5, 45.0, 60.0])
@@ -625,16 +646,46 @@ class TestKernelTables:
         st.integers(0, 2**32 - 1),
     )
     def test_dims_in_any_order_give_fresh_bits(self, grid, kind, dims, seed):
-        # a table built for a larger dim serves a smaller one with the same
-        # bits; a larger dim rebuilds it on the kept radii
+        # each dim reads its own table, kept beside the other dims' on the
+        # grid's kept radii
         states = [_state(kind, d, seed) for d in dims]
         want = [fresh_wigner(rho, grid).tobytes() for rho in states]
         phasespace._TABLES.clear()
         for _ in range(2):
             for rho, values in zip(states, want):
                 assert wigner(rho, grid).values.tobytes() == values
-        if kind == "diagonal":
-            assert phasespace._TABLES.peek(("laguerre", grid)).shape[0] == max(dims)
+        for d in dims:
+            if kind == "diagonal":
+                assert phasespace._TABLES.peek(phasespace._laguerre_table, grid, d).shape[0] == d
+            else:
+                assert len(phasespace._TABLES.peek(phasespace._beam_splitter_blocks, d)) == 2 * d - 1
+
+    def test_each_table_is_built_once(self, monkeypatch):
+        # two dims and two grids, alternated over three rounds with a state
+        # with coherences and one without: each builder runs once per
+        # argument list, and the store's count matches what it keeps
+        built = collections.Counter()
+        for name in ("_radii", "_laguerre_table", "_hermite_rows", "_beam_splitter_blocks"):
+
+            def counted(*args, _build=getattr(phasespace, name), _name=name):
+                built[(_name, *args)] += 1
+                return _build(*args)
+
+            monkeypatch.setattr(phasespace, name, counted)
+        grids = [PhaseSpaceGrid.symmetric(4.0, 41), PhaseSpaceGrid(-3.0, 5.0, -4.0, 2.0, 37, 29)]
+        dims = [16, 24]
+        phasespace._TABLES.clear()
+        for _ in range(3):
+            for d in dims:
+                for grid in grids:
+                    for kind in ("diagonal", "dense"):
+                        wigner(_state(kind, d, 7), grid)
+        # 2 geometries, 4 Laguerre tables, 2 block sets, and Hermite rows for
+        # 3 distinct axes (the square grid's two are one) at 2 counts
+        assert len(built) == 2 + 4 + 2 + 3 * 2
+        assert set(built.values()) == {1}
+        assert phasespace._TABLES.nbytes == sum(array.nbytes for _, array in kept_arrays())
+        phasespace._TABLES.clear()
 
     def test_signed_zero_twins_give_identical_bits(self):
         # no path reads an angle, so equal grids that differ only in the sign
@@ -655,12 +706,13 @@ class TestKernelTables:
         grid = PhaseSpaceGrid(-1.0, 4.0, -3.0, 2.0, 23, 17)
         wigner(thermal(0.5, 8), grid)
         wigner(random_density(np.random.default_rng(5), 8), grid)
-        kinds = set()
+        builders = set()
         for key, array in kept_arrays():
-            kinds.add(key[0])
+            builders.add(key[0])
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[-1]
-        assert kinds == {"geometry", "laguerre", "hermite", "blocks"}
+        assert builders == {phasespace._radii, phasespace._laguerre_table,
+                            phasespace._hermite_rows, phasespace._beam_splitter_blocks}
 
     def test_tables_stay_within_their_budget(self, monkeypatch):
         assert phasespace._TABLES.budget == phasespace._TABLE_BYTES == 64 * 2**20
@@ -681,6 +733,13 @@ class TestKernelTables:
         assert wigner(thermal(0.5, 6), big).values.tobytes() == want.tobytes()
         assert phasespace._kept_geometry(big) is None
         assert phasespace._TABLES.nbytes <= budget
+        # nor is a Laguerre table built on its radii, though a dim-2 one fits
+        # (0.64 MB); one slice of radii holds it, so it gives a kept table's bits
+        want = wigner(thermal(0.5, 2), big).values
+        assert phasespace._TABLES.peek(phasespace._laguerre_table, big, 2) is None
+        monkeypatch.setattr(phasespace._TABLES, "budget", phasespace._TABLE_BYTES)
+        assert wigner(thermal(0.5, 2), big).values.tobytes() == want.tobytes()
+        assert phasespace._TABLES.peek(phasespace._laguerre_table, big, 2) is not None
         phasespace._TABLES.clear()
 
     @pytest.mark.parametrize("dim", [2, 30, 200])
@@ -706,7 +765,7 @@ class TestKernelTables:
         phasespace._TABLES.clear()
         got = [wigner(rho, grid).values for _ in range(2)]
         assert len(built) == 2 * -(-radii.size // 100) and max(built) <= budget
-        assert phasespace._TABLES.peek(("laguerre", grid)) is None
+        assert phasespace._TABLES.peek(phasespace._laguerre_table, grid, dim) is None
         assert phasespace._TABLES.nbytes <= budget
         assert got[0].tobytes() == got[1].tobytes() == fresh_wigner(rho, grid).tobytes()
         np.testing.assert_allclose(got[0], want, rtol=0, atol=2 * oracles.EPS / np.pi)
