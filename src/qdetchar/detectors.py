@@ -56,10 +56,12 @@ class PovmElement:
     and copied otherwise, so that no write through the caller's array reaches
     the element.  A canonical model's element is a view of the model's one
     block and keeps it alive: ``lossy_pnr(0.5, 200).outcome("3")`` holds
-    128 MB, not 640 KB.  Shape and finiteness are enforced here; the physics
-    (Hermiticity, positivity, boundedness) is checked by :func:`validate_povm`
-    so that defective elements can still be loaded, reported on, and rejected
-    with context.
+    128 MB, not 640 KB.  Shape and finiteness are enforced here, for every
+    caller but one: a canonical model's elements are made by
+    :meth:`_of_block_row` from a weight matrix :func:`_diagonal_povm` has
+    already checked.  The physics (Hermiticity, positivity, boundedness) is
+    checked by :func:`validate_povm` so that defective elements can still be
+    loaded, reported on, and rejected with context.
     """
 
     label: str
@@ -70,6 +72,15 @@ class PovmElement:
         check_dim(arr.shape[0])
         object.__setattr__(self, "label", str(self.label))
         object.__setattr__(self, "matrix", arr)
+
+    @classmethod
+    def _of_block_row(cls, label: str, row: np.ndarray) -> PovmElement:
+        """An element holding ``row``, a read-only view of a frozen block whose
+        entries are known finite, as it is: no second scan of its matrix."""
+        el = object.__new__(cls)
+        object.__setattr__(el, "label", label)
+        object.__setattr__(el, "matrix", row)
+        return el
 
     @property
     def dim(self) -> int:
@@ -158,13 +169,24 @@ def default_guard_levels(dim: int) -> int:
     return -(-check_dim(dim) // 5)
 
 
-def _diagonal_povm(labels, diagonals) -> Povm:
-    """Diagonal elements from the rows of ``diagonals``, each a view of one frozen block."""
-    k, d = diagonals.shape
+def _diagonal_povm(labels, weights: np.ndarray) -> Povm:
+    """Diagonal elements from the rows of ``weights``, each a view of one frozen block.
+
+    ``weights`` is checked once, in O(k d): a ``(k, d)`` matrix, ``d`` a
+    valid dim and every weight finite (a ``ValueError`` otherwise).  Each
+    element then holds its row of the block as it is, without the dense
+    square-and-finite scan of ``PovmElement``.
+    """
+    if weights.ndim != 2:
+        raise ValueError(f"weights: expected a matrix, got shape {weights.shape}")
+    k, d = weights.shape
+    check_dim(d)
+    if not np.isfinite(weights).all():
+        raise ValueError("weights: non-finite entries")
     block = np.zeros((k, d, d), dtype=complex)
-    block.reshape(k, d * d)[:, :: d + 1] = diagonals
+    block.reshape(k, d * d)[:, :: d + 1] = weights
     block.setflags(write=False)
-    return Povm(tuple(map(PovmElement, labels, block)), guard_levels=0)
+    return Povm(tuple(map(PovmElement._of_block_row, labels, block)), guard_levels=0)
 
 
 def _loss_powers(eta: float, powers: np.ndarray) -> np.ndarray:
