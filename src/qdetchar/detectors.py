@@ -189,22 +189,22 @@ def _diagonal_povm(labels, weights: np.ndarray) -> Povm:
     return Povm(tuple(map(PovmElement._of_block_row, labels, block)), guard_levels=0)
 
 
-def _loss_powers(eta: float, powers: np.ndarray) -> np.ndarray:
-    """Correct ``powers``, the caller's ``fl(1 - eta)**k`` for ``k = 0, 1, ...``,
-    in place to ``(1 - eta)**k``, each within about one ulp whatever ``k``.
+def _loss_powers(eta: float, d: int) -> np.ndarray:
+    """``(1 - eta)**k`` for ``k = 0 .. d-1``, each within about one ulp whatever ``k``.
 
     ``1.0 - eta`` is exact for ``eta >= 0.5`` (Sterbenz's lemma) but rounded
     below, and the k-th power of a base with relative error ``r`` has error
     ``k r``.  So the base is two terms: ``hi = fl(1 - eta)`` and ``lo``, its
     exact rounding error (Fast2Sum, as ``1 >= eta``), and each power becomes
     ``hi**k (1 + k lo / hi)``, whose dropped terms are of order ``(k lo / hi)**2``,
-    below ``k**2 * 1e-32``.  Where ``lo`` is 0 the powers are left as they are,
-    bit for bit.
+    below ``k**2 * 1e-32``.  Each ``hi**k`` is Python's ``**`` (libm's ``pow``, not
+    numpy's SIMD one), and is the power itself, bit for bit, where ``lo`` is 0.
     """
     hi = 1.0 - eta
     lo = (1.0 - hi) - eta
+    powers = np.array([hi**k for k in range(d)])
     if lo:
-        powers += powers * (np.arange(powers.size) * (lo / hi))
+        powers += powers * (np.arange(d) * (lo / hi))
     return powers
 
 
@@ -232,7 +232,7 @@ def lossy_pnr(eta: float, dim: int) -> Povm:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
     # Exact binomials C(m, n), m = n..d-1: by the hockey-stick identity each
     # row is the running sum of the one before.  Every weight precedes the block.
-    loss = _loss_powers(eta, np.array([(1.0 - eta) ** k for k in range(d)]))
+    loss = _loss_powers(eta, d)
     weights = np.zeros((d, d))
     row = np.ones(d, dtype=object)
     for n in range(d):
@@ -259,7 +259,7 @@ def on_off_apd(eta: float, nu: float, dim: int) -> Povm:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"dark-count rate must lie in [0, 1], got {nu}")
-    off = (1.0 - nu) * _loss_powers(eta, (1.0 - eta) ** np.arange(d))
+    off = (1.0 - nu) * _loss_powers(eta, d)
     return _diagonal_povm(["off", "on"], np.array([off, 1.0 - off]))
 
 

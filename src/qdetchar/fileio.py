@@ -976,8 +976,8 @@ def write_wigner_grid(
     """Write ``x p W`` rows behind ``#`` headers recording grid and convention.
 
     The bytes are those of ``np.savetxt(fmt="%.17g")``.  Where
-    :func:`~qdetchar.phasespace.wigner` keeps the grid's geometry (it builds
-    one for each grid it evaluates a radial state on), ``values`` is
+    :func:`~qdetchar.phasespace.wigner` keeps the grid's geometry within its
+    tables' budget (a text per radius is then held beside it), ``values`` is
     scattered to one slot per distinct radius; where the gather back
     reproduces ``values`` bit for bit, signed zeros included, each radius's
     W is formatted once.  Otherwise each point's is, and no geometry is

@@ -22,10 +22,10 @@ outcome of a measurement on one grid, so each table is built once and kept
 in ``_TABLES`` under its builder and the arguments it was built from: the
 grid's geometry and its Laguerre table for each dim, the beam-splitter
 blocks ``B_N`` for each dim, and the Hermite rows for each axis and count.
-Together they hold at most ``_TABLE_BYTES`` (64 MiB), least recently used
-first out; every kept array is read-only.  A table past the budget is built
-for its call and not kept, and a Laguerre table is then built and summed a
-slice of radii at a time, so that no call holds more of it than the budget.
+Storing one drops the least recently used others until they hold at most
+``_TABLE_BYTES`` (64 MiB) beside it; every kept array is read-only.  A
+Laguerre table past the budget is never built whole, but summed a slice of
+radii at a time, so that no call holds more of it than the budget.
 The Hermite and Laguerre tables run on mantissas with each point's power of
 two kept apart, so they reach every point of a valid grid without overflow
 or early underflow.
@@ -170,13 +170,13 @@ def _arrays(table) -> tuple:
 
 
 class _Tables:
-    """The kernel's tables, each kept under ``(build, *args)`` within ``budget`` bytes.
+    """The kernel's tables, each kept under ``(build, *args)``, ``budget`` bytes beside the newest.
 
     ``get(build, *args)`` returns ``build(*args)``, built on the first call
-    and kept for later ones, every array of it read-only.  The least recently
-    used go first once the total passes the budget; a table larger than the
-    whole budget is built for its call and not kept.  A lock covers each
-    lookup and store but no build, so a call waits only on another's
+    and kept for later ones, every array of it read-only.  Storing it drops
+    the least recently used others until they hold at most the budget, so a
+    table past the budget is kept only while it is the newest.  A lock covers
+    each lookup and store but no build, so a call waits only on another's
     bookkeeping; two threads that miss the same key both build it, and the
     one stored first is kept.
     """
@@ -205,10 +205,10 @@ class _Tables:
             a.flags.writeable = False
             size += a.nbytes
         with self._lock:
-            if size <= self.budget and key not in self._kept:
+            if key not in self._kept:
                 self._kept[key] = table
                 self.nbytes += size
-                while self.nbytes > self.budget:
+                while self.nbytes - size > self.budget:
                     self.nbytes -= sum(a.nbytes for a in _arrays(self._kept.popitem(last=False)[1]))
         return table
 
@@ -218,11 +218,11 @@ class _Tables:
             self.nbytes = 0
 
 
-# Bytes the kernel's tables may hold together.  At 201^2 a grid's geometry
-# takes 0.38 MiB and its Laguerre table 0.07 MiB per level of dim, centred on
-# the origin (0.62 and 0.31 MiB off centre); a 201-point axis's Hermite rows
-# take 1.6 KiB per row.  The beam-splitter blocks take 1.65 MiB at dim 60 and
-# 13.2 MiB at dim 120, so from dim 204 they are built for each call.
+# Bytes the kernel's tables may hold beside the newest.  At 201^2 a grid's
+# geometry takes 0.38 MiB and its Laguerre table 0.07 MiB per level of dim,
+# centred on the origin (0.62 and 0.31 MiB off centre); a 201-point axis's
+# Hermite rows take 1.6 KiB per row.  The beam-splitter blocks take 1.65 MiB
+# at dim 60 and 13.2 MiB at dim 120, and pass the budget from dim 204.
 _TABLE_BYTES = 64 * 2**20
 _TABLES = _Tables(_TABLE_BYTES)
 
@@ -332,8 +332,9 @@ def _radii(grid: PhaseSpaceGrid) -> _Geometry:
 
 
 def _kept_geometry(grid: PhaseSpaceGrid):
-    """The grid's geometry if the kernel keeps one, else ``None``; builds nothing."""
-    return _TABLES.peek(_radii, grid)
+    """The grid's geometry if kept within the budget, else ``None``; builds nothing."""
+    geo = _TABLES.peek(_radii, grid)
+    return geo if geo is not None and sum(a.nbytes for a in geo) <= _TABLES.budget else None
 
 
 def _laguerre_table(grid: PhaseSpaceGrid, d: int) -> np.ndarray:
@@ -345,16 +346,15 @@ def _radial_wigner(diag: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     """``W = (1/pi) sum_m diag[m] ell_m(z)`` at every point of the grid.
 
     The grid's Laguerre table for the dim (:func:`_laguerre_table`) is kept
-    while it fits the tables' budget and the grid's geometry is kept, which
-    it is built from.  Otherwise the table is built and summed a slice of
-    radii at a time, each slice's rows within the budget, and kept nowhere;
-    its sums differ from the whole table's only in the order BLAS adds them
-    (by under 1 eps of 1/pi), and not at all when one slice holds it.
+    when it fits the tables' budget.  Otherwise it is built and summed a
+    slice of radii at a time, each slice's rows within the budget, and kept
+    nowhere; its sums differ from the whole table's only in the order BLAS
+    adds them (by under 1 eps of 1/pi), and not at all when one slice holds it.
     """
     d = diag.size
     geo = _TABLES.get(_radii, grid)
     radii = geo.radii
-    if d * radii.nbytes <= _TABLES.budget and _kept_geometry(grid) is not None:
+    if d * radii.nbytes <= _TABLES.budget:
         per_radius = diag @ _TABLES.get(_laguerre_table, grid, d)
     else:
         per_radius = np.empty(radii.size)
@@ -453,13 +453,13 @@ def wigner(
     kept under the arguments it was built from: the grid's geometry (its
     distinct radii and each point's index among them) per grid, its
     Laguerre table per grid and dim, the blocks ``B_N`` per dim and the
-    Hermite rows per axis and count.  Together they hold at most 64 MiB, the
-    least recently used going first; one larger than that is built for its
-    call alone, and a Laguerre table a slice of radii at a time, each slice
-    within 64 MiB.  Every table is read-only, and a state gives the same bits
-    on a kept table as on a fresh one.
-    :func:`~qdetchar.fileio.write_wigner_grid` reads the kept geometry and
-    builds none.
+    Hermite rows per axis and count.  Each table built is kept, and storing
+    one drops the least recently used others until they hold at most
+    64 MiB; a Laguerre table past 64 MiB is never built whole, but a slice
+    of radii at a time, each slice within 64 MiB.  Every table is read-only,
+    and a state gives the same bits on a kept table as on a fresh one.
+    :func:`~qdetchar.fileio.write_wigner_grid` reads a kept geometry within
+    64 MiB and builds none.
 
     Warns when the grid reaches further than the truncated basis can
     represent (``radius**2 > 2 * dim``).  Every valid grid is evaluated:

@@ -1638,6 +1638,20 @@ class TestWignerGridFiles:
         assert _assert_written_as_savetxt(tmp_path, wg).read_bytes() == before
         assert phasespace._kept_geometry(grid) is None  # written point by point, nothing built
 
+    def test_a_geometry_past_the_budget_is_kept_but_written_point_by_point(self, monkeypatch, tmp_path):
+        # The kernel keeps the geometry as its newest table; the writer is not
+        # handed it, as a text per radius of a geometry past the budget could
+        # outgrow the budget.
+        grid = PhaseSpaceGrid.symmetric(4.0, 41)
+        geo = phasespace._radii(grid)
+        monkeypatch.setattr(phasespace._TABLES, "budget", (geo.radii.nbytes + geo.where.nbytes) // 2)
+        phasespace._TABLES.clear()
+        wg = wigner(retrodicted_state(lossy_pnr(0.7, 16).outcome("1")).state, grid)
+        assert phasespace._TABLES.peek(phasespace._radii, grid) is not None
+        assert phasespace._kept_geometry(grid) is None
+        assert _formatted(monkeypatch, tmp_path, wg) == wg.values.size > geo.radii.size
+        phasespace._TABLES.clear()
+
     @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")
     @pytest.mark.parametrize("kind", ["dense", "radial"])
     def test_writing_on_a_cold_cache_keeps_nothing(self, tmp_path, kind):

@@ -574,6 +574,33 @@ class TestAgainstTruth:
                 w_turned, np.rot90(w, 3), rtol=0, atol=32 * oracles.EPS / np.pi
             )
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.5, 3.0),
+        st.integers(2, 29),
+        st.integers(2, 24),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, 28), st.integers(0, 28)), min_size=1, max_size=3),
+    )
+    def test_the_separable_path_is_the_displaced_parity(self, radius, points, dim, seed, picks):
+        # Royer (1977): W(x, p) = (1/pi) Tr[rho D(alpha) Pi D(alpha)^dag], with
+        # Pi = (-1)^n and alpha = (x + ip)/sqrt2, D from scipy's expm on dim + 120
+        # levels, where a displacement to |alpha|^2 = 9 is exact to rounding in
+        # the rows rho reads.  Measured worst 6.3 eps of 1/pi over 720 points
+        # (dims 2-24, radius 0.5-3, 2-29 points), held to 32.
+        grid = PhaseSpaceGrid.symmetric(radius, points)
+        rho = random_density(np.random.default_rng(seed), dim)
+        w = wigner(rho, grid).values
+        n = dim + 120
+        a = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+        parity = (-1.0) ** np.arange(n)
+        for i, j in picks:
+            i, j = i % points, j % points
+            alpha = complex(grid.x_axis[i], grid.p_axis[j]) / np.sqrt(2.0)
+            rows = expm(alpha * a.T - np.conj(alpha) * a)[:dim]  # the rows of D(alpha) rho reads
+            truth = np.einsum("ik,ij,jk,k->", rows.conj(), rho, rows, parity).real / np.pi
+            assert abs(w[i, j] - truth) <= 32 * oracles.EPS / np.pi, (i, j)
+
     def test_hermite_functions_reach_past_the_underflow_of_h0(self):
         # h_0 underflows beyond |s| = 38.6, where h_399 is still 1e-163 at s = 45
         s = np.array([0.0, -3.7, 25.0, 38.5, 45.0, 60.0])
@@ -603,6 +630,27 @@ def kept_arrays():
     for key, table in list(phasespace._TABLES._kept.items()):
         for array in [table] if isinstance(table, np.ndarray) else table:
             yield key, array
+
+
+def assert_within_budget(store, newest):
+    """``store`` counts the bytes of the arrays it keeps, and all its tables but
+    ``newest``, the key stored last, fit its budget."""
+    sizes = {key: sum(a.nbytes for a in phasespace._arrays(t)) for key, t in store._kept.items()}
+    assert store.nbytes == sum(sizes.values())
+    assert store.nbytes - sizes[newest] <= store.budget
+
+
+def count_builds(monkeypatch):
+    """Count each call of the kernel's four table builders, by name and arguments."""
+    built = collections.Counter()
+    for name in ("_radii", "_laguerre_table", "_hermite_rows", "_beam_splitter_blocks"):
+
+        def counted(*args, _build=getattr(phasespace, name), _name=name):
+            built[(_name, *args)] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(phasespace, name, counted)
+    return built
 
 
 def _state(kind, dim, seed):
@@ -664,14 +712,7 @@ class TestKernelTables:
         # two dims and two grids, alternated over three rounds with a state
         # with coherences and one without: each builder runs once per
         # argument list, and the store's count matches what it keeps
-        built = collections.Counter()
-        for name in ("_radii", "_laguerre_table", "_hermite_rows", "_beam_splitter_blocks"):
-
-            def counted(*args, _build=getattr(phasespace, name), _name=name):
-                built[(_name, *args)] += 1
-                return _build(*args)
-
-            monkeypatch.setattr(phasespace, name, counted)
+        built = count_builds(monkeypatch)
         grids = [PhaseSpaceGrid.symmetric(4.0, 41), PhaseSpaceGrid(-3.0, 5.0, -4.0, 2.0, 37, 29)]
         dims = [16, 24]
         phasespace._TABLES.clear()
@@ -722,24 +763,93 @@ class TestKernelTables:
         grids = [PhaseSpaceGrid.symmetric(2.0, n) for n in range(40, 80)]
         for grid in grids:
             wigner(thermal(0.5, 6), grid)
-            kept = sum(array.nbytes for _, array in kept_arrays())
-            assert phasespace._TABLES.nbytes == kept <= budget
+            assert_within_budget(phasespace._TABLES, (phasespace._laguerre_table, grid, 6))
         # the least recently used went first
         assert phasespace._kept_geometry(grids[-1]) is not None
         assert phasespace._kept_geometry(grids[0]) is None
-        # a table larger than the whole budget serves its call and is not kept
+        # a table larger than the whole budget is kept as the newest, but the
+        # writer is not handed a geometry past the budget
         big = PhaseSpaceGrid.symmetric(2.0, 400)  # its point indices alone take 1.28 MB
         want = fresh_wigner(thermal(0.5, 6), big)
         assert wigner(thermal(0.5, 6), big).values.tobytes() == want.tobytes()
         assert phasespace._kept_geometry(big) is None
-        assert phasespace._TABLES.nbytes <= budget
-        # nor is a Laguerre table built on its radii, though a dim-2 one fits
-        # (0.64 MB); one slice of radii holds it, so it gives a kept table's bits
+        assert_within_budget(phasespace._TABLES, (phasespace._radii, big))
+        # a dim-2 Laguerre table on its radii fits (0.64 MB) and is kept; the
+        # others must then fit the budget, so the geometry goes
         want = wigner(thermal(0.5, 2), big).values
-        assert phasespace._TABLES.peek(phasespace._laguerre_table, big, 2) is None
+        assert list(phasespace._TABLES._kept) == [(phasespace._laguerre_table, big, 2)]
         monkeypatch.setattr(phasespace._TABLES, "budget", phasespace._TABLE_BYTES)
-        assert wigner(thermal(0.5, 2), big).values.tobytes() == want.tobytes()
-        assert phasespace._TABLES.peek(phasespace._laguerre_table, big, 2) is not None
+        assert fresh_wigner(thermal(0.5, 2), big).tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 8),
+        st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=2), min_size=6, max_size=6),
+        st.lists(st.integers(0, 5), max_size=40),
+    )
+    def test_the_store_keeps_each_table_and_drops_the_least_recent_others(self, budget, shapes, keys):
+        # Against a model of the one rule: each table built is kept, and storing
+        # one drops the least recently used others until they fit the budget.
+        # Key k's table is one array, or a tuple of two, of shapes[k] doubles,
+        # some past the whole budget of `budget` doubles.
+        store = phasespace._Tables(8 * budget)
+        model = collections.OrderedDict()  # key -> bytes, least recently used first
+        built = []
+
+        def build(key):
+            built.append(key)
+            arrays = tuple(np.zeros(n) for n in shapes[key])
+            return arrays if len(arrays) == 2 else arrays[0]
+
+        for key in keys:
+            calls = len(built)
+            table = store.get(build, key)
+            if key in model:
+                assert len(built) == calls  # a hit builds nothing
+                model.move_to_end(key)
+            else:
+                assert built[calls:] == [key]
+                newest = key
+                model[key] = 8 * sum(shapes[key])
+                while sum(model.values()) - model[key] > store.budget:
+                    model.popitem(last=False)
+            assert table is store.peek(build, key)
+            assert list(store._kept) == [(build, k) for k in model]
+            assert_within_budget(store, (build, newest))
+            for kept in store._kept.values():
+                assert not any(a.flags.writeable for a in phasespace._arrays(kept))
+
+    def test_a_geometry_past_the_budget_is_built_once(self, monkeypatch):
+        # The geometry is the newest table, so the second radial call finds it;
+        # the Laguerre table, past the budget too, is summed in slices and
+        # never built whole.
+        built = count_builds(monkeypatch)
+        grid = PhaseSpaceGrid(-7.0, 3.1, -2.0, 9.0, 61, 47)
+        monkeypatch.setattr(phasespace._TABLES, "budget", 20_000)
+        phasespace._TABLES.clear()
+        rho = _state("diagonal", 12, 3)
+        got = [wigner(rho, grid).values.tobytes() for _ in range(2)]
+        assert got[0] == got[1]
+        assert built == {("_radii", grid): 1}
+        geo = phasespace._TABLES.peek(phasespace._radii, grid)
+        assert geo.radii.nbytes + geo.where.nbytes > 20_000
+        assert phasespace._kept_geometry(grid) is None
+        phasespace._TABLES.clear()
+
+    def test_blocks_past_the_budget_are_built_once(self, monkeypatch):
+        # The square grid's one axis of Hermite rows (11 x 59 doubles, 5.2 KB)
+        # fits the budget beside the dim-30 blocks, the newest table.
+        built = count_builds(monkeypatch)
+        grid = PhaseSpaceGrid.symmetric(2.0, 11)
+        monkeypatch.setattr(phasespace._TABLES, "budget", 8192)
+        phasespace._TABLES.clear()
+        rho = _state("dense", 30, 5)
+        got = [wigner(rho, grid).values.tobytes() for _ in range(2)]
+        assert got[0] == got[1]
+        assert built == {("_hermite_rows", -2.0, 2.0, 11, 59): 1, ("_beam_splitter_blocks", 30): 1}
+        blocks = phasespace._TABLES.peek(phasespace._beam_splitter_blocks, 30)
+        assert sum(block.nbytes for block in blocks) > 8192
+        assert_within_budget(phasespace._TABLES, (phasespace._beam_splitter_blocks, 30))
         phasespace._TABLES.clear()
 
     @pytest.mark.parametrize("dim", [2, 30, 200])
@@ -765,8 +875,7 @@ class TestKernelTables:
         phasespace._TABLES.clear()
         got = [wigner(rho, grid).values for _ in range(2)]
         assert len(built) == 2 * -(-radii.size // 100) and max(built) <= budget
-        assert phasespace._TABLES.peek(phasespace._laguerre_table, grid, dim) is None
-        assert phasespace._TABLES.nbytes <= budget
+        assert list(phasespace._TABLES._kept) == [(phasespace._radii, grid)]
         assert got[0].tobytes() == got[1].tobytes() == fresh_wigner(rho, grid).tobytes()
         np.testing.assert_allclose(got[0], want, rtol=0, atol=2 * oracles.EPS / np.pi)
 
