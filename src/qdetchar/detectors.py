@@ -345,9 +345,28 @@ def validate_povm(povm: Povm, tols: Tolerances = DEFAULT_TOLS) -> PovmValidation
     truncated description of a real device is allowed to leak.  An entry
     near the float limit overflows, without a warning, to an infinite or NaN
     defect, eigenvalue or residual, and so fails its check.
+
+    A POVM with :attr:`Povm.weights` is checked from them in one pass
+    (:func:`_checks_from_weights`), and gets the report the element-by-element
+    loop gives, bit for bit; other POVMs, and any whose weights hold a row
+    with zeros of both signs, take that loop (:func:`_checks_by_element`).
     """
+    checked = povm.dim - povm.guard_levels
+    reports, ok, residual = (
+        _checks_from_weights(povm, checked, tols) or _checks_by_element(povm, checked, tols)
+    )
+    return PovmValidationReport(
+        elements=tuple(reports),
+        completeness_residual=residual,
+        checked_levels=checked,
+        passed=ok and residual <= tols.completeness,
+    )
+
+
+def _checks_by_element(povm: Povm, checked: int, tols: Tolerances):
+    """``(reports, ok, residual)``: each element's defect and spectrum, and the
+    completeness residual of their running sum."""
     d = povm.dim
-    checked = d - povm.guard_levels
     total = np.zeros((d, d), dtype=complex)
     reports = []
     ok = True
@@ -372,14 +391,41 @@ def validate_povm(povm: Povm, tols: Tolerances = DEFAULT_TOLS) -> PovmValidation
         )
         total = total + e.matrix
     block = total[:checked, :checked] - np.eye(checked)
-    residual = float(np.max(np.abs(block)))
-    ok = ok and residual <= tols.completeness
-    return PovmValidationReport(
-        elements=tuple(reports),
-        completeness_residual=residual,
-        checked_levels=checked,
-        passed=ok,
-    )
+    return reports, ok, float(np.max(np.abs(block)))
+
+
+def _checks_from_weights(povm: Povm, checked: int, tols: Tolerances):
+    """:func:`_checks_by_element`'s ``(reports, ok, residual)``, read off ``povm.weights``.
+
+    Each element is real and diagonal, so its Hermiticity defect is 0.0 (every
+    entry is finite) and its spectrum is its row of ``0.5 * (P + P)``, as
+    :func:`~qdetchar.fock._spectrum` reads a diagonal: the least and largest
+    entries are the ends of the sorted row.  The diagonal of the running sum
+    is the sum of the rows in order, from zeros, and its other entries are
+    zeros.  ``None`` when the POVM has no weights or a row holds zeros of both
+    signs, whose spectrum ``_spectrum`` leaves to ``eigvalsh``.  No element's
+    spectrum is solved.
+    """
+    p = povm.weights
+    if p is None:
+        return None
+    w = 0.5 * (p + p)
+    zero = w == 0.0
+    negative = zero & np.signbit(w)
+    if (negative.any(axis=1) & (zero & ~negative).any(axis=1)).any():
+        return None
+    least, largest = w.min(axis=1), w.max(axis=1)
+    fits = (least >= -tols.psd) & (largest <= 1.0 + tols.psd)
+    reports = []
+    ok = True
+    for e, lo, hi, within in zip(povm, least.tolist(), largest.tolist(), fits):
+        passed = 0.0 <= tols.herm and within  # a numpy bool, as the loop's is
+        ok = ok and passed
+        reports.append(ElementValidation(e.label, 0.0, lo, hi, e.is_null(tols), passed))
+    total = np.zeros(povm.dim)
+    for row in p:
+        total += row
+    return reports, ok, float(np.max(np.abs(total[:checked] - 1.0)))
 
 
 def require_valid(povm: Povm, tols: Tolerances = DEFAULT_TOLS) -> PovmValidationReport:

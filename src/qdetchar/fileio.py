@@ -52,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import sys
 import typing
 from dataclasses import MISSING, dataclass, fields
@@ -339,6 +340,8 @@ def _by_cpython(values: list, shortest: bool) -> np.ndarray:
 
 # The text the writer gives a zero entry; the reader parses it as null.
 _ZERO_PAIR = "[0.0, 0.0]"
+# A run of zero pairs as the writer joins them; a run of k pairs is 12 k - 2 characters.
+_ZERO_RUN = re.compile(r"\[0\.0, 0\.0\](?:, \[0\.0, 0\.0\])*")
 _AS_WRITTEN = object()  # the stand-in of text parsed as written: no JSON value is this object
 
 
@@ -493,15 +496,24 @@ def _loads_labelled(text: str):
     """``json.loads(text, object_hook=_matrix_hook)``, parsing each zero pair as ``null``.
 
     A ``null`` is one token where ``[0.0, 0.0]`` is a list and two floats.
-    A text that holds ``null`` anywhere is parsed as written.  Otherwise
-    each ``null`` of the rewrite is a replaced pair, and each replacement
-    shortens the text by 6 characters; the rewrite is kept only when the
-    hook filled in that many zero pairs, for then every replaced pair was a
-    matrix entry, and no label, key or string was touched.  Otherwise, or
-    when the rewrite does not parse, the text itself is parsed, so every
-    refusal keeps its wording, line and column.
+    The rewrite is one substitution per run of zero pairs joined by ``", "``
+    (:data:`_ZERO_RUN`), so its cost follows the runs, a few per matrix row,
+    and not the pairs: a run of ``k`` pairs, ``12 k - 2`` characters, becomes
+    ``k`` comma-joined ``null`` words, one text per length.  The pair text
+    cannot overlap itself, so the rewrite is ``text.replace(_ZERO_PAIR,
+    "null")``, byte for byte.  A text that holds ``null`` anywhere is parsed as
+    written.  Otherwise each ``null`` of the rewrite is a replaced pair, and
+    each replacement shortens the text by 6 characters; the rewrite is kept
+    only when the hook filled in that many zero pairs, for then every
+    replaced pair was a matrix entry, and no label, key or string was
+    touched.  Otherwise, or when the rewrite does not parse, the text itself
+    is parsed, so every refusal keeps its wording, line and column.
     """
-    rewrite = text if "null" in text else text.replace(_ZERO_PAIR, "null")
+    if "null" in text:
+        rewrite = text
+    else:
+        nulls = cache(lambda k: ", ".join(["null"] * k))  # one text per run length, for this call
+        rewrite = _ZERO_RUN.sub(lambda m: nulls((m.end() - m.start() + 2) // 12), text)
     count = (len(text) - len(rewrite)) // 6
     if count:
         filled = [0]

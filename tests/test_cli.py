@@ -773,7 +773,7 @@ class TestHerald:
 
 
 class TestOneSpectrumPerElement:
-    """A loaded element's spectrum is solved once, by validation, and read from then on."""
+    """A loaded dense element's spectrum is solved once, by validation, and read from then on."""
 
     @pytest.fixture
     def solves(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Detector models, POVM containers and physical validation."""
 
+import json
 import math
 import re
 import sys
@@ -22,9 +23,11 @@ from qdetchar import (
     default_guard_levels,
     fock_state,
     ideal_pnr,
+    load_povm,
     lossy_pnr,
     on_off_apd,
     retrodicted_state,
+    save_povm,
     scaled_projector,
     validate_povm,
 )
@@ -399,7 +402,7 @@ def loss_pairs(draw):
     d = draw(st.integers(2, 200))
     lo = 2.0 ** (-1022 / (d - 1))  # lo**(d - 1) is the least normal double
     least, most = math.ceil(64 * lo), math.floor(64 * (1 - lo))
-    a = draw(st.integers(least, most))
+    a = draw(st.integers(max(least, math.ceil(4096 * lo / most)), most))  # leaves b a value
     b = draw(st.integers(max(least, math.ceil(4096 * lo / a)), most))
     return (a, b, d) if draw(st.booleans()) else (b, a, d)
 
@@ -595,3 +598,113 @@ class TestValidation:
     def test_summary_mentions_residual(self):
         p = Povm((PovmElement("a", 0.5 * np.eye(2)),))
         assert "completeness residual 0.5" in validate_povm(p).summary()
+
+
+def _by_element(povm, tols=None):
+    """``validate_povm``'s report from the element-by-element loop alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detectors, "_checks_from_weights", lambda *args: None)
+        return validate_povm(povm) if tols is None else validate_povm(povm, tols)
+
+
+def _fields(report):
+    """Every field of a report, floats by ``float.hex`` and flags by ``repr`` (type
+    included), and its summary."""
+    rows = [(ev.label, ev.hermiticity_defect.hex(), ev.min_eigenvalue.hex(),
+             ev.max_eigenvalue.hex(), repr(ev.is_null), repr(ev.passed))
+            for ev in report.elements]
+    return (rows, report.completeness_residual.hex(), report.checked_levels,
+            repr(report.passed), report.summary())
+
+
+def _diagonal(rows, guard_levels=0):
+    """A POVM of real diagonal elements, one per row of weights."""
+    return Povm(tuple(PovmElement(str(k), np.diag(np.asarray(row, dtype=complex)))
+                      for k, row in enumerate(rows)), guard_levels=guard_levels)
+
+
+# Weights at the edges the weight route must read as the loop does: signed
+# zeros, the float limit, where 0.5 * (w + w) overflows, subnormals, values
+# just past the bounds and negatives.
+_EDGE_WEIGHTS = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1e-300, 5e-324, -5e-324, 1.0 + 2e-16,
+                                 -1e-12, 1.5e308, -1.5e308, 8.9e307, 1e-9, -1e-9])
+
+
+class TestValidationFromWeights:
+    """A POVM with weights is validated from them, with the element loop's report, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 12, 60, 200])
+    @pytest.mark.parametrize("build", [
+        ideal_pnr, lambda d: lossy_pnr(0.9, d), lambda d: lossy_pnr(0.5, d),
+        lambda d: lossy_pnr(0.2, d), lambda d: on_off_apd(0.5, 0.02, d),
+    ], ids=["ideal-pnr", "lossy-pnr-0.9", "lossy-pnr-0.5", "lossy-pnr-0.2", "apd"])
+    def test_models_read_as_the_loop_reads_them(self, build, dim):
+        povm = build(dim)
+        assert povm.weights is not None
+        assert _fields(validate_povm(povm)) == _fields(_by_element(povm))
+
+    @pytest.mark.parametrize("guard", ["zero", "default"])
+    @pytest.mark.parametrize("build", [lambda: lossy_pnr(0.7, 12), lambda: ideal_pnr(60),
+                                       lambda: on_off_apd(0.5, 0.02, 60)],
+                             ids=["lossy-pnr", "ideal-pnr", "apd"])
+    def test_files_loaded_back_read_as_the_loop_reads_them(self, tmp_path, build, guard):
+        path = tmp_path / "p.json"
+        save_povm(build(), path)
+        if guard == "default":
+            doc = json.loads(path.read_text())
+            del doc["guard_levels"]
+            path.write_text(json.dumps(doc))
+        povm = load_povm(path)
+        assert povm.guard_levels == (0 if guard == "zero" else default_guard_levels(povm.dim))
+        assert povm.weights is not None
+        assert _fields(validate_povm(povm)) == _fields(_by_element(povm))
+
+    @pytest.mark.parametrize("rows, guard", [
+        ([[1.0, -0.25, 1.0], [0.0, 1.25, 0.0]], 0),  # a negative weight
+        ([[1.5, 0.5], [-0.5, 0.5]], 0),  # a weight above 1
+        ([[0.5, 0.25, 0.0], [0.25, 0.5, 0.0]], 1),  # an incomplete set
+        ([[1.0, 1.0, 1.0], [1e-14, 0.0, 0.0]], 0),  # a null element
+    ], ids=["negative", "above-one", "incomplete", "null"])
+    def test_failing_sets_read_as_the_loop_reads_them(self, rows, guard):
+        povm = _diagonal(rows, guard)
+        report = validate_povm(povm)
+        assert not report.passed or report.elements[1].is_null
+        assert _fields(report) == _fields(_by_element(povm))
+
+    def test_a_row_with_zeros_of_both_signs_takes_the_loop(self, monkeypatch):
+        povm = _diagonal([[-0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        want = _fields(_by_element(povm))
+        solved = []
+        spectrum = detectors._spectrum
+        monkeypatch.setattr(detectors, "_spectrum", lambda m: solved.append(m) or spectrum(m))
+        # A fresh POVM: the loop above kept the spectra it solved.
+        assert _fields(validate_povm(_diagonal([[-0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))) == want
+        assert len(solved) == 2
+
+    def test_weights_near_the_float_limit_overflow_as_in_the_loop(self):
+        povm = _diagonal([[1.5e308, 0.5], [-1.5e308, 0.5], [1.5e308, 0.0]])
+        report = validate_povm(povm)
+        assert report.elements[0].max_eigenvalue == np.inf and not report.passed
+        assert _fields(report) == _fields(_by_element(povm))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_diagonal_weights_read_as_the_loop_reads_them(self, data):
+        k, d = data.draw(st.integers(1, 4), label="k"), data.draw(st.integers(2, 6), label="d")
+        rows = data.draw(st.lists(st.lists(_EDGE_WEIGHTS | st.floats(-2.0, 2.0),
+                                           min_size=d, max_size=d), min_size=k, max_size=k))
+        povm = _diagonal(rows, data.draw(st.integers(0, d - 1), label="guard"))
+        tols = data.draw(st.sampled_from([None, Tolerances(psd=1e-6, completeness=1e-6)]))
+        got = validate_povm(povm) if tols is None else validate_povm(povm, tols)
+        assert _fields(got) == _fields(_by_element(povm, tols))
+
+    def test_a_model_is_validated_without_defects_or_spectra(self, monkeypatch):
+        calls = []
+        for name in ("hermiticity_defect", "_spectrum"):
+            real = getattr(detectors, name)
+            monkeypatch.setattr(detectors, name, lambda m, real=real, name=name:
+                                calls.append(name) or real(m))
+        validate_povm(lossy_pnr(0.7, 60))
+        assert calls == []
+        validate_povm(complete_with_rest([scaled_projector(coherent_state(1.0, 4), 0.6)]))
+        assert calls == ["hermiticity_defect", "_spectrum"] * 2  # the count sees a dense POVM

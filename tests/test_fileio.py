@@ -772,6 +772,61 @@ class TestOneDecoder:
         assert hooks[1:] == [fileio._matrix_hook]
 
 
+# Pieces of texts around zero pairs: the pair, alone and with the writer's
+# separator, other separators, pairs holding a signed zero, truncated pairs
+# and stray brackets.
+_RUN_TEXTS = st.lists(
+    st.sampled_from(["[0.0, 0.0]", "[0.0, 0.0], ", ", ", ",", ",\n", "  ", "[-0.0, 0.0]",
+                     "[0.0, -0.0]", "[0.0, 0.0", "[0.0, 0.", "0.0, 0.0]", ", 0.0]", "[", "]"]),
+    max_size=40,
+).map("".join)
+
+
+def _rewrite(text, monkeypatch) -> str:
+    """The text ``_loads_labelled`` hands the parser first: its rewrite, or the text itself."""
+    with monkeypatch.context() as patch:
+        texts = _parses(patch)
+        try:
+            fileio._loads_labelled(text)
+        except ValueError:  # not JSON: the rewrite was still parsed first
+            pass
+    return texts[0]
+
+
+def _model_file(path, kind, dim):
+    """A ``qdetchar model`` file of ``kind`` at ``dim``, with the benchmark's parameters."""
+    flags = {"ideal-pnr": [], "lossy-pnr": ["--eta", "0.7"], "apd": ["--eta", "0.5", "--nu", "0.02"],
+             "scaled-projector": ["--target", "coherent:1,0", "--zeta", "0.6"]}[kind]
+    assert main(["model", kind, "--dim", str(dim), *flags, "--out", str(path)]) == 0
+    return path
+
+
+class TestZeroRuns:
+    """A run of zero pairs is rewritten at once, to the text the pair-by-pair rewrite gives."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[_FIXTURE])
+    @given(text=_RUN_TEXTS)
+    def test_the_rewrite_of_any_text_is_the_pairwise_rewrite(self, monkeypatch, text):
+        assert _rewrite(text, monkeypatch) == text.replace(fileio._ZERO_PAIR, "null")
+
+    @pytest.mark.filterwarnings("ignore::qdetchar.TruncationWarning")  # coherent:1,0 at dim 2
+    @pytest.mark.parametrize("dim", [2, 12, 60])
+    @pytest.mark.parametrize("kind", ["ideal-pnr", "lossy-pnr", "apd", "scaled-projector"])
+    def test_the_rewrite_of_a_model_file_is_the_pairwise_rewrite(
+        self, tmp_path, monkeypatch, kind, dim
+    ):
+        text = _model_file(tmp_path / "p.json", kind, dim).read_text()
+        assert _rewrite(text, monkeypatch) == text.replace(fileio._ZERO_PAIR, "null")
+        assert _same(fileio._loads_labelled(text), json.loads(text, object_hook=fileio._matrix_hook))
+
+    def test_the_rewrite_of_an_ensemble_file_is_the_pairwise_rewrite(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.json"
+        save_ensemble(uniform_fock_ensemble(30), path)
+        text = path.read_text()
+        assert _rewrite(text, monkeypatch) == text.replace(fileio._ZERO_PAIR, "null")
+        assert _same(fileio._loads_labelled(text), json.loads(text, object_hook=fileio._matrix_hook))
+
+
 class TestTextEncoding:
     """Every JSON file is read as UTF-8; other bytes are a format error naming the file."""
 
